@@ -8,20 +8,20 @@ predicts eigenvalue shifts through a small correction eigenproblem, with a
 
 from .eigsolve import SymmetricPencil, count_in_interval, solve_pencil
 from .hilbert import (
-    Corrector,
     EigenDecomposition,
+    EigenspaceImages,
     EnergySpace,
     Subspace,
     apply_B,
     apply_T2,
     compute_rho,
     compute_rho0,
+    corrector_block,
+    eigenspace_images,
     embedding_constant,
     intersection_subspace,
-    project,
     sigma_distance,
     sigma_star,
-    solve_corrector,
     solve_operator_eigs,
 )
 
@@ -34,15 +34,15 @@ __all__ = [
     "EnergySpace",
     "Subspace",
     "EigenDecomposition",
-    "Corrector",
+    "EigenspaceImages",
     "embedding_constant",
-    "project",
     "sigma_distance",
     "sigma_star",
     "solve_operator_eigs",
     "apply_T2",
-    "solve_corrector",
+    "corrector_block",
     "apply_B",
+    "eigenspace_images",
     "compute_rho",
     "compute_rho0",
     "intersection_subspace",

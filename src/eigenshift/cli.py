@@ -17,23 +17,16 @@ from .harness import (
 )
 
 
-def _cmd_run(args) -> int:
-    config = ScenarioConfig.from_json(args.config)
-    report = run_scenario(config)
-    path = write_report(report, args.out)
-    print(f"report: {path}")
-    print(f"rows:   {Path(args.out) / 'rows.csv'}")
-    for failure in report.failures:
-        print(f"FAIL {failure}")
-    print("status: " + ("ok" if report.passed else "failed"))
-    return 0 if report.passed else 1
-
-
-def _cmd_sweep(args) -> int:
-    config = ScenarioConfig.from_json(args.config)
-    report = run_scenario(config)
-    write_csv(report, args.csv)
-    print(f"rows: {args.csv}")
+def _cmd_scenario(args) -> int:
+    """``run`` writes report.json and rows.csv, ``sweep`` the CSV rows only."""
+    report = run_scenario(ScenarioConfig.from_json(args.config))
+    if args.command == "run":
+        path = write_report(report, args.out)
+        print(f"report: {path}")
+        print(f"rows:   {Path(args.out) / 'rows.csv'}")
+    else:
+        write_csv(report, args.csv)
+        print(f"rows: {args.csv}")
     for failure in report.failures:
         print(f"FAIL {failure}")
     print("status: " + ("ok" if report.passed else "failed"))
@@ -80,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config, write report.json and rows.csv")
     run_p.add_argument("--config", required=True, help="scenario config JSON")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.set_defaults(func=_cmd_run)
+    run_p.set_defaults(func=_cmd_scenario)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario config, write CSV rows only")
     sweep_p.add_argument("--config", required=True, help="scenario config JSON")
     sweep_p.add_argument("--csv", required=True, help="output CSV path")
-    sweep_p.set_defaults(func=_cmd_sweep)
+    sweep_p.set_defaults(func=_cmd_scenario)
 
     verify_p = sub.add_parser("verify", help="run the invariant suites")
     verify_p.add_argument("--suite", choices=("abstract", "fem", "all"), default="all")

@@ -273,12 +273,17 @@ class DomainSpec:
         )
 
 
-def _element_matrices(mesh: BackgroundMesh, coeff_mats: np.ndarray):
-    """Per-triangle 3x3 stiffness (with coefficients) and mass matrices."""
-    p = mesh.vertices[mesh.triangles]
+def _p1_gradients(mesh: BackgroundMesh, triangles: np.ndarray) -> np.ndarray:
+    """Physical gradients of the three P1 hat functions on each triangle, (nt, 3, 2)."""
+    p = mesh.vertices[triangles]
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # columns are edges
     inv_jac = np.linalg.inv(jac)
-    grads = np.einsum("tji,kj->tki", inv_jac, _REF_GRADS)  # (nt, 3, 2) physical gradients
+    return np.einsum("tji,kj->tki", inv_jac, _REF_GRADS)
+
+
+def _element_matrices(mesh: BackgroundMesh, coeff_mats: np.ndarray):
+    """Per-triangle 3x3 stiffness (with coefficients) and mass matrices."""
+    grads = _p1_gradients(mesh, mesh.triangles)
     a_grads = np.einsum("tij,tkj->tki", coeff_mats, grads)
     stiff = np.einsum("tki,tli->tkl", grads, a_grads) * mesh.areas[:, None, None]
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -342,10 +347,7 @@ def gradient_energy(
     if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
         raise MeshError("region contains an unknown element id")
     values = _vertex_values(mesh, u)
-    p = mesh.vertices[mesh.triangles[region]]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    inv_jac = np.linalg.inv(jac)
-    grads = np.einsum("tji,kj->tki", inv_jac, _REF_GRADS)
+    grads = _p1_gradients(mesh, mesh.triangles[region])
     local = values[mesh.triangles[region]]  # (nt, 3)
     grad_u = np.einsum("tk,tki->ti", local, grads)
     return float(np.sum(mesh.areas[region] * np.einsum("ti,ti->t", grad_u, grad_u)))
@@ -361,10 +363,7 @@ def gradient_energy_form(
         block = block.T
     values = np.zeros((len(mesh.vertices), block.shape[1]))
     values[mesh.interior_vertices] = block
-    p = mesh.vertices[mesh.triangles[region]]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    inv_jac = np.linalg.inv(jac)
-    grads = np.einsum("tji,kj->tki", inv_jac, _REF_GRADS)
+    grads = _p1_gradients(mesh, mesh.triangles[region])
     local = values[mesh.triangles[region]]  # (nt, 3, nb)
     grad_u = np.einsum("tkb,tki->tib", local, grads)
     return np.einsum("tib,tic,t->bc", grad_u, grad_u, mesh.areas[region])

@@ -258,12 +258,20 @@ def _json_scalar(value):
 
 def _norm_range(space, block) -> tuple:
     """Min and max of the squared energy norm over the unit coefficient sphere."""
-    gram = block.T @ space.energy_gram @ block
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return (float(max(vals[0], 0.0)), float(max(vals[-1], 0.0)))
+    return hilbert.form_extremes(block.T @ space.energy_gram @ block)
 
 
-def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, sigma, sigma_star, eps, m):
+def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
+    return perturbation.ScenarioCell(
+        eps=eps, m=m, lam_m=np.nan, multiplicity=0,
+        sigma=sigma, sigma_star=sigma_star, rho=np.nan, rho0=np.nan,
+        gate_value=np.nan, admitted=False, tracked=False,
+        direction="none",
+        error=f"({config.scenario}, eps={eps}, m={m}): {exc}",
+    )
+
+
+def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_star, eps, m):
     lam_m, x_m, j_m = eigs1.group(m)
     dom2 = config.perturbed_domain(eps)
     if perturbation._direction_of(h1, h2) == "equal":
@@ -302,17 +310,17 @@ def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, sigma, sigma_star, eps,
         group_spread=float(eigs1.spreads[m - 1]),
     )
     cell.mu_inv = [float(v) for v in loc.mu_inv]
-    cell.rho0 = hilbert.compute_rho0(h1, h2, x_m, lam_m)
-    t_block = x_m - h2.project_block(x_m)
-    psi_block = hilbert.corrector_block(h2, x_m, lam_m)
-    cell.t_norm2_range = _norm_range(space, t_block)
-    cell.psi_norm2_range = _norm_range(space, psi_block)
-    cp = perturbation.assemble_correction(h1, h2, x_m, lam_m, sigma)
+    images = hilbert.eigenspace_images(h1, h2, x_m, lam_m, inter)
+    cell.rho0 = hilbert.compute_rho0(images)
+    cell.t_norm2_range = _norm_range(space, images.t)
+    cell.psi_norm2_range = _norm_range(space, images.psi)
+    cp = perturbation.assemble_correction(images, sigma)
     cell.rho = cp.rho
     cell.tau = [float(t) for t in cp.tau]
     cell.rows = perturbation.predict_and_check(cp, loc.mu)
+    p_m = Subspace.from_basis(space, images.s)
     cell.proximity = [
-        float(perturbation.eigenvector_proximity(loc.vectors[:, j], x_m, h2, sigma))
+        float(perturbation.eigenvector_proximity(loc.vectors[:, j], p_m, sigma))
         for j in range(loc.vectors.shape[1])
     ]
     if eps > 0:
@@ -342,11 +350,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             f"reference decomposition resolves {eigs1.n_groups} groups, "
             f"but m up to {max_m} was requested; increase n_lowest"
         )
-    cells, failures = [], []
+    cells = []
     for eps in sorted(config.eps):
         try:
             dom2 = config.perturbed_domain(eps)
             h2 = fem2d.carve_subspace(space, mesh, dom2)
+            # rebinding inter here releases the previous eps's subspace (often
+            # the previous h2, with its factor) before the eigensolve
+            inter = hilbert.intersection_subspace(h1, h2)
             n2 = config.n_lowest if config.n_lowest < h2.dim else None
             eigs2 = hilbert.solve_operator_eigs(
                 h2, config.group_tol_for(dom2), n_lowest=n2
@@ -354,35 +365,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             sigma = hilbert.sigma_distance(h1, h2)
             sig_star = hilbert.sigma_star(h1, h2)
         except Exception as exc:  # noqa: BLE001 - surfaced with coordinates
-            for m in config.m:
-                cell = perturbation.ScenarioCell(
-                    eps=eps, m=int(m), lam_m=np.nan, multiplicity=0,
-                    sigma=np.nan, sigma_star=np.nan, rho=np.nan, rho0=np.nan,
-                    gate_value=np.nan, admitted=False, tracked=False,
-                    direction="none",
-                    error=f"({config.scenario}, eps={eps}, m={int(m)}): {exc}",
-                )
-                cells.append(cell)
-                failures.append(cell.error)
+            cells.extend(_error_cell(config, eps, int(m), exc) for m in config.m)
             continue
         for m in config.m:
             try:
                 cells.append(
                     _cell_for(
                         config, space, mesh, h1, eigs1, h2, eigs2,
-                        sigma, sig_star, eps, int(m),
+                        inter, sigma, sig_star, eps, int(m),
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - surfaced with coordinates
-                cell = perturbation.ScenarioCell(
-                    eps=eps, m=int(m), lam_m=np.nan, multiplicity=0,
-                    sigma=sigma, sigma_star=sig_star, rho=np.nan, rho0=np.nan,
-                    gate_value=np.nan, admitted=False, tracked=False,
-                    direction="none",
-                    error=f"({config.scenario}, eps={eps}, m={int(m)}): {exc}",
-                )
-                cells.append(cell)
-                failures.append(cell.error)
+                cells.append(_error_cell(config, eps, int(m), exc, sigma, sig_star))
+    failures = [cell.error for cell in cells if cell.error]
     failures.extend(_gated_assertions(config, cells))
     return ScenarioReport(
         config=config, cells=cells, failures=failures, passed=not failures
@@ -533,7 +528,6 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
     fitted_okt = 0.0
     for case_index in range(n_cases):
         space, subs = _random_case(rng)
-        case = None  # built lazily on violation
         h1, h2, h3 = subs
         u = rng.normal(size=space.dim)
         v1 = h1.basis @ rng.normal(size=h1.dim)
@@ -543,15 +537,16 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
             return {"case": case_index, **_serialize_case(space, subs)}
 
         # projector laws
-        su = h1.project(u)
+        su = h1.project_block(u)
         scale = max(space.energy_norm(u), 1.0)
-        defect = space.energy_norm(h1.project(su) - su) / scale
+        defect = space.energy_norm(h1.project_block(su) - su) / scale
         props["projector_idempotent"].record(1e-10 - defect, _case)
-        adj = abs(space.energy_inner(su, w2) - space.energy_inner(u, h1.project(w2)))
+        adj = abs(space.energy_inner(su, w2) - space.energy_inner(u, h1.project_block(w2)))
         adj_scale = max(scale * max(space.energy_norm(w2), 1.0), 1.0)
         props["projector_self_adjoint"].record(1e-10 - adj / adj_scale, _case)
         cross = abs(
-            space.energy_inner(h2.project(v1), w2) - space.energy_inner(v1, h1.project(w2))
+            space.energy_inner(h2.project_block(v1), w2)
+            - space.energy_inner(v1, h1.project_block(w2))
         )
         cross_scale = max(space.energy_norm(v1) * space.energy_norm(w2), 1.0)
         props["cross_symmetry"].record(1e-10 - cross / cross_scale, _case)
@@ -560,15 +555,15 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         s12 = hilbert.sigma_distance(h1, h2)
         s21 = hilbert.sigma_distance(h2, h1)
         props["distance_symmetry"].record(
-            1e-9 - abs(s12 - s21) / max(s12, 1e-30), _case()
+            1e-9 - abs(s12 - s21) / max(s12, 1e-30), _case
         )
         s13 = hilbert.sigma_distance(h1, h3)
         s23 = hilbert.sigma_distance(h2, h3)
         props["distance_triangle"].record(
-            np.sqrt(s12) + np.sqrt(s23) - np.sqrt(s13) + 1e-9, _case()
+            np.sqrt(s12) + np.sqrt(s23) - np.sqrt(s13) + 1e-9, _case
         )
         props["distance_zero_on_equal"].record(
-            1e-12 - hilbert.sigma_distance(h1, h1), _case()
+            1e-12 - hilbert.sigma_distance(h1, h1), _case
         )
         star = hilbert.sigma_star(h1, h2)
         props["sigma_le_4_sigma_star"].record(4.0 * star - s12 + 1e-10, _case)
@@ -584,7 +579,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         coeffs = rng.normal(size=stack.shape[1])
         phi = stack @ (coeffs / np.linalg.norm(coeffs))
         psi = stack @ rng.normal(size=stack.shape[1])
-        s_phi = h2.project(phi)
+        s_phi = h2.project_block(phi)
         norm_phi2 = space.energy_norm(phi) ** 2
         upper = norm_phi2 * (1.0 + 1e-10) - space.energy_norm(s_phi) ** 2
         props["projected_norm_bounds"].record(upper, _case)
@@ -592,7 +587,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
             lower = space.energy_norm(s_phi) ** 2 - (1.0 - lam_big * root_sigma) * norm_phi2
             props["projected_norm_bounds"].record(lower + 1e-10, _case)
         ip_defect = abs(
-            space.energy_inner(s_phi, h2.project(psi)) - space.energy_inner(phi, psi)
+            space.energy_inner(s_phi, h2.project_block(psi)) - space.energy_inner(phi, psi)
         )
         ip_bound = 3.0 * lam_big * root_sigma * (
             norm_phi2 + space.energy_norm(psi) ** 2
@@ -604,7 +599,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         bridge_slack = 2.0 * c0 * root_sigma * space.energy_norm(v1) - space.energy_norm(bv)
         props["bridge_norm"].record(bridge_slack + 1e-10, _case)
         transfer = (
-            space.mass_norm(h1.project(w2)) ** 2
+            space.mass_norm(h1.project_block(w2)) ** 2
             + (2.0 * c0 * root_sigma + s12) * space.energy_norm(w2) ** 2
             - space.mass_norm(w2) ** 2
         )
@@ -616,14 +611,17 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         # part needs the exact member eigenvalue, so simple groups only.
         lam1, x1_first, mult1 = eigs1.group(1)
         phi1 = x1_first[:, 0]
-        t_phi = phi1 - h2.project(phi1)
+        t_phi = phi1 - h2.project_block(phi1)
         t_slack = star * space.energy_norm(t_phi) ** 2 - space.mass_norm(t_phi) ** 2
         props["complement_membership"].record(t_slack + 1e-10, _case)
         if mult1 == 1:
-            psi_phi = hilbert.solve_corrector(h2, phi1, lam1).value
+            psi_phi = hilbert.corrector_block(h2, phi1, lam1)
             p_slack = star * space.energy_norm(psi_phi) ** 2 - space.mass_norm(psi_phi) ** 2
             props["complement_membership"].record(p_slack + 1e-10, _case)
-            rho_val = hilbert.compute_rho(h1, h2, x1_first, lam1, s12)
+            images = hilbert.eigenspace_images(
+                h1, h2, x1_first, lam1, hilbert.intersection_subspace(h1, h2)
+            )
+            rho_val = hilbert.compute_rho(images, s12)
             rho_star = space.energy_norm(t_phi) ** 2 + space.energy_norm(psi_phi) ** 2
             props["remainder_via_complement"].record(
                 (s12 + star) * rho_star - rho_val + 1e-10, _case
@@ -644,7 +642,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
                 vv = loc.vectors[:, -1]
                 defect = abs(
                     space.energy_inner(uu, vv)
-                    - space.energy_inner(p_m.project(uu), p_m.project(vv))
+                    - space.energy_inner(p_m.project_block(uu), p_m.project_block(vv))
                 )
                 denom = s12 * (space.energy_norm(uu) ** 2 + space.energy_norm(vv) ** 2)
                 fitted_okt = max(fitted_okt, defect / denom)
@@ -730,7 +728,7 @@ def verify_fem(seed: int = 0) -> dict:
         sigmas.append(hilbert.sigma_distance(h_star, sub))
         stars.append(hilbert.sigma_star(h_star, sub))
         defect = max(
-            space.mass_norm(u - sub.project(u)) / space.mass_norm(u) for u in panel
+            space.mass_norm(u - sub.project_block(u)) / space.mass_norm(u) for u in panel
         )
         panel_defects.append(defect)
     report["sigma_family"] = sigmas

@@ -16,26 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, solve_pencil
+from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, _fix_signs, solve_pencil
 
 __all__ = [
     "EnergySpace",
     "Subspace",
     "EigenDecomposition",
-    "Corrector",
+    "EigenspaceImages",
     "DimensionMismatchError",
     "SubspaceRankError",
     "IllConditionedIntersectionError",
     "NotInSubspaceError",
     "DEFAULT_GROUP_TOL",
     "embedding_constant",
-    "project",
     "sigma_distance",
     "sigma_star",
     "solve_operator_eigs",
     "apply_T2",
-    "solve_corrector",
+    "corrector_block",
     "apply_B",
+    "eigenspace_images",
+    "form_extremes",
     "compute_rho",
     "compute_rho0",
     "intersection_subspace",
@@ -141,9 +142,9 @@ class Subspace:
 
     Either nodal (spanned by coordinate vectors at a recorded index set) or
     general (spanned by the columns of an explicit basis).  Projections are
-    energy orthogonal.  The energy-orthonormalized basis is cached; for
-    nodal subspaces projection goes through a Cholesky factor of the
-    restricted energy Gram instead, which is cheaper at mesh scale.
+    energy orthogonal.  The energy-orthonormalized basis and a Cholesky
+    factor of the restricted energy Gram are cached; nodal subspaces project
+    through that factor, which is cheaper at mesh scale.
     """
 
     def __init__(self, parent: EnergySpace, basis: np.ndarray, *, _indices=None):
@@ -219,10 +220,9 @@ class Subspace:
         return self._onb
 
     def _restricted_energy_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A_II x = rhs on the nodal index set."""
+        """Solve with the restricted energy Gram (A_II for nodal subspaces)."""
         if self._restricted_chol is None:
-            sub = self.parent.energy_gram[np.ix_(self._indices, self._indices)]
-            self._restricted_chol = sla.cho_factor(sub, lower=True)
+            self._restricted_chol = sla.cho_factor(self.restricted_grams()[0], lower=True)
         return sla.cho_solve(self._restricted_chol, rhs)
 
     def restricted_grams(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +263,6 @@ class Subspace:
         b = self.orthonormal_basis()
         return b @ (b.T @ (self.parent.energy_gram @ u))
 
-    def project(self, u: np.ndarray) -> np.ndarray:
-        return self.project_block(u)
-
     def apply_k(self, u: np.ndarray) -> np.ndarray:
         """Compact solution operator on this subspace: (K u, v) = <u, v>."""
         u = np.asarray(u, dtype=float)
@@ -283,7 +280,7 @@ class Subspace:
         norm = self.parent.energy_norm(u)
         if norm == 0.0:
             return True
-        return self.parent.energy_norm(u - self.project(u)) <= tol * norm
+        return self.parent.energy_norm(u - self.project_block(u)) <= tol * norm
 
     def same_parent(self, other: "Subspace") -> None:
         if self.parent is not other.parent:
@@ -331,19 +328,6 @@ class EigenDecomposition:
         return float(self.values[:m].sum())
 
 
-@dataclass
-class Corrector:
-    """Solution of the corrector equation for one eigenvector.
-
-    ``value`` lies in the target subspace and satisfies
-    (value, w) = (source, w) - lam <source, w> for all w in the subspace.
-    """
-
-    source: np.ndarray
-    value: np.ndarray
-    residual_norm: float
-
-
 # -- module operations -------------------------------------------------------
 
 
@@ -353,39 +337,32 @@ def embedding_constant(space: EnergySpace) -> float:
     return float(np.sqrt(max(theta[-1], 0.0)))
 
 
-def project(sub: Subspace, u: np.ndarray) -> np.ndarray:
-    """Energy-orthogonal projection of u onto sub."""
-    return sub.project(sub.parent.check_vector(u))
-
-
 def apply_T2(h2: Subspace, phi: np.ndarray) -> np.ndarray:
     """Complement part phi - S2 phi."""
     phi = h2.parent.check_vector(phi)
-    return phi - h2.project(phi)
+    return phi - h2.project_block(phi)
 
 
 def _nodal_pair(h1: Subspace, h2: Subspace) -> bool:
     return h1.kind == "nodal" and h2.kind == "nodal"
 
 
-def _nodal_complement(h1: Subspace, h2: Subspace):
+def _nodal_complement(h1: Subspace, h2: Subspace) -> np.ndarray | None:
     """Basis of (H1 + H2) minus-energy (H1 cap H2) for nodal pairs.
 
-    Returns (C, inter_indices) where C is N x k with k = |I1 xor I2|;
-    C is None when the subspaces coincide.
+    Returns an N x k matrix with k = |I1 xor I2|, or None when the subspaces
+    coincide.
     """
     space = h1.parent
-    i1, i2 = set(h1.indices.tolist()), set(h2.indices.tolist())
-    inter = np.array(sorted(i1 & i2), dtype=int)
-    diff = np.array(sorted(i1 ^ i2), dtype=int)
+    diff = np.setxor1d(h1.indices, h2.indices, assume_unique=True)
     if diff.size == 0:
-        return None, inter
+        return None
     cols = np.zeros((space.dim, diff.size))
     cols[diff, np.arange(diff.size)] = 1.0
-    if inter.size:
-        s0 = Subspace.nodal(space, inter)
-        cols = cols - s0.project_block(cols)
-    return cols, inter
+    inter = intersection_subspace(h1, h2)
+    if inter is not None:
+        cols = cols - inter.project_block(cols)
+    return cols
 
 
 def sigma_distance(h1: Subspace, h2: Subspace) -> float:
@@ -393,7 +370,7 @@ def sigma_distance(h1: Subspace, h2: Subspace) -> float:
     h1.same_parent(h2)
     space = h1.parent
     if _nodal_pair(h1, h2):
-        cols, _ = _nodal_complement(h1, h2)
+        cols = _nodal_complement(h1, h2)
         if cols is None:
             return 0.0
         diff = h1.project_block(cols) - h2.project_block(cols)
@@ -413,17 +390,23 @@ def sigma_distance(h1: Subspace, h2: Subspace) -> float:
 def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
     """H1 cap H2, or None when it is trivial.
 
-    Nodal pairs intersect combinatorially through their index sets; general
-    pairs through principal angles with cosine threshold 1 - 1e-10.  Cosines
-    falling in the ambiguous band (1 - 1e-6, 1 - 1e-10) raise, with the full
-    spectrum attached.
+    Nodal pairs intersect combinatorially through their index sets; when one
+    contains the other the contained operand itself is returned, so its
+    cached factorization is shared.  General pairs intersect through
+    principal angles with cosine threshold 1 - 1e-10.  Cosines falling in
+    the ambiguous band (1 - 1e-6, 1 - 1e-10) raise, with the full spectrum
+    attached.
     """
     h1.same_parent(h2)
     space = h1.parent
     if _nodal_pair(h1, h2):
-        inter = np.array(sorted(set(h1.indices.tolist()) & set(h2.indices.tolist())), dtype=int)
+        inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
         if inter.size == 0:
             return None
+        if inter.size == h2.dim:
+            return h2
+        if inter.size == h1.dim:
+            return h1
         return Subspace.nodal(space, inter)
     ell = space._energy_chol
     q1 = ell.T @ h1.orthonormal_basis()
@@ -446,7 +429,7 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
     h1.same_parent(h2)
     space = h1.parent
     if _nodal_pair(h1, h2):
-        cols, _ = _nodal_complement(h1, h2)
+        cols = _nodal_complement(h1, h2)
         if cols is None:
             return 0.0
         num = cols.T @ space.mass_gram @ cols
@@ -511,9 +494,9 @@ def solve_operator_eigs(
         gram = block.T @ a_res @ block
         block = block @ _inv_sqrt(gram)
         ambient = sub.embed(block)
-        _certify_group(a_res, m_res, block, lam_g, lam[sel])
+        _certify_group(sub, a_res, m_res, block, lam_g, lam[sel])
         values.append(lam_g)
-        spaces.append(_fix_block_signs(ambient))
+        spaces.append(_fix_signs(ambient))
         mults.append(block.shape[1])
         spreads.append(float(np.abs(1.0 / lam[sel] - 1.0 / lam_g).max()))
     return EigenDecomposition(
@@ -544,19 +527,11 @@ def _inv_sqrt(gram: np.ndarray) -> np.ndarray:
     return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
-def _fix_block_signs(block: np.ndarray) -> np.ndarray:
-    for j in range(block.shape[1]):
-        k = int(np.argmax(np.abs(block[:, j])))
-        if block[k, j] < 0:
-            block[:, j] = -block[:, j]
-    return block
-
-
-def _certify_group(a_res, m_res, block, lam_g, lam_members) -> None:
+def _certify_group(sub, a_res, m_res, block, lam_g, lam_members) -> None:
     # residual of K x = lambda_m^-1 x in the restricted energy norm; grouped
     # eigenvalues that are merely close (not equal) contribute their spread
     # in the reciprocal scale on top of the 1e-8 solver allowance
-    k_block = np.linalg.solve(a_res, m_res @ block)
+    k_block = sub._restricted_energy_solve(m_res @ block)
     resid = k_block - block / lam_g
     num = np.sqrt(np.maximum(np.einsum("ij,ij->j", resid, a_res @ resid), 0.0))
     den = np.sqrt(np.maximum(np.einsum("ij,ij->j", block, a_res @ block), 0.0))
@@ -567,33 +542,17 @@ def _certify_group(a_res, m_res, block, lam_g, lam_members) -> None:
         )
 
 
-def solve_corrector(h2: Subspace, phi: np.ndarray, lam_m: float) -> Corrector:
-    """Element of h2 carrying the eigen-residual of phi at eigenvalue lam_m.
-
-    Solves (psi, w) = (phi, w) - lam_m <phi, w> for all w in h2.
-    """
-    space = h2.parent
-    phi = space.check_vector(phi)
-    rhs = space.energy_gram @ phi - lam_m * (space.mass_gram @ phi)
-    if h2.kind == "nodal":
-        coords = h2._restricted_energy_solve(rhs[h2.indices])
-        value = np.zeros(space.dim)
-        value[h2.indices] = coords
-        resid = (space.energy_gram @ value - rhs)[h2.indices]
-    else:
-        b = h2.orthonormal_basis()
-        value = b @ (b.T @ rhs)
-        resid = b.T @ (space.energy_gram @ value - rhs)
-    residual_norm = float(np.linalg.norm(resid))
-    # the value must lie in h2 by construction
-    in_span = space.energy_norm(value - h2.project(value))
-    if in_span > 1e-10 * max(space.energy_norm(value), 1.0):
-        raise ValueError("corrector left its subspace; restricted Gram is suspect")
-    return Corrector(source=phi, value=value, residual_norm=residual_norm)
+def _energy_norms(space: EnergySpace, block: np.ndarray) -> np.ndarray:
+    """Energy norm of a vector, or of each column of a block."""
+    return np.sqrt(np.maximum(np.sum(block * (space.energy_gram @ block), axis=0), 0.0))
 
 
 def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray:
-    """Correctors of all columns at once (shares the factorization)."""
+    """Element of h2 carrying the eigen-residual of each column (or of a vector).
+
+    Solves (psi, w) = (phi, w) - lam_m <phi, w> for all w in h2; the columns
+    share one factorization.
+    """
     space = h2.parent
     rhs = space.energy_gram @ block - lam_m * (space.mass_gram @ block)
     if h2.kind == "nodal":
@@ -601,7 +560,12 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
         out[h2.indices] = h2._restricted_energy_solve(rhs[h2.indices])
         return out
     b = h2.orthonormal_basis()
-    return b @ (b.T @ rhs)
+    value = b @ (b.T @ rhs)
+    # the value lies in h2 by construction; a defect means the basis is suspect
+    defect = _energy_norms(space, value - h2.project_block(value))
+    if np.any(defect > 1e-10 * np.maximum(_energy_norms(space, value), 1.0)):
+        raise ValueError("corrector left its subspace; restricted Gram is suspect")
+    return value
 
 
 def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
@@ -610,58 +574,77 @@ def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
     space = h1.parent
     v = space.check_vector(v)
     norm = space.energy_norm(v)
-    if norm > 0 and space.energy_norm(v - h1.project(v)) > 1e-8 * norm:
+    if norm > 0 and space.energy_norm(v - h1.project_block(v)) > 1e-8 * norm:
         raise NotInSubspaceError("apply_B requires its argument to lie in H1")
-    return h2.apply_k(h2.project(v)) - h2.project(h1.apply_k(v))
+    return h2.apply_k(h2.project_block(v)) - h2.project_block(h1.apply_k(v))
 
 
-def _check_energy_orthonormal(space: EnergySpace, block: np.ndarray) -> None:
-    gram = block.T @ space.energy_gram @ block
+@dataclass(frozen=True)
+class EigenspaceImages:
+    """Images of a reference eigenspace under the operators of a subspace pair.
+
+    ``x`` is the energy-orthonormal N x J basis X of the eigenspace at
+    eigenvalue ``lam``; ``s`` = S2 X, ``t`` = X - S2 X, ``psi`` holds the
+    correctors of the columns in H2, and ``t0`` = X - S0 X with S0 the
+    projector onto H1 cap H2.  Every per-cell quantity is a small J x J
+    form in these blocks.
+    """
+
+    space: EnergySpace
+    lam: float
+    x: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    psi: np.ndarray
+    t0: np.ndarray
+
+
+def eigenspace_images(
+    h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float, inter: Subspace | None
+) -> EigenspaceImages:
+    """Compute the images of X once; ``inter`` is intersection_subspace(h1, h2)."""
+    h1.same_parent(h2)
+    space = h1.parent
+    x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
+    if x_m.shape[0] != space.dim:
+        x_m = x_m.T
+    gram = x_m.T @ space.energy_gram @ x_m
     if np.abs(gram - np.eye(gram.shape[0])).max() > 1e-8:
         raise ValueError("eigenspace basis must be energy-orthonormal")
+    s_block = h2.project_block(x_m)
+    return EigenspaceImages(
+        space=space,
+        lam=lam_m,
+        x=x_m,
+        s=s_block,
+        t=x_m - s_block,
+        psi=corrector_block(h2, x_m, lam_m),
+        t0=x_m if inter is None else x_m - inter.project_block(x_m),
+    )
 
 
-def compute_rho(
-    h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float, sigma: float
-) -> float:
+def form_extremes(form: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetrized form, clipped at 0."""
+    theta = np.linalg.eigvalsh(0.5 * (form + form.T))
+    return (float(max(theta[0], 0.0)), float(max(theta[-1], 0.0)))
+
+
+def compute_rho(images: EigenspaceImages, sigma: float) -> float:
     """Remainder magnitude: max over unit-energy phi in the eigenspace of
     sigma ||Psi_phi||^2 + |T phi|^2 + |Psi_phi|^2.
 
     Assembled exactly as the largest eigenvalue of the induced quadratic
     form on the eigenspace coordinates.
     """
-    h1.same_parent(h2)
-    space = h1.parent
-    x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
-    if x_m.shape[0] != space.dim:
-        x_m = x_m.T
-    _check_energy_orthonormal(space, x_m)
-    t_block = x_m - h2.project_block(x_m)
-    psi_block = corrector_block(h2, x_m, lam_m)
-    form = (
-        sigma * (psi_block.T @ space.energy_gram @ psi_block)
-        + t_block.T @ space.mass_gram @ t_block
-        + psi_block.T @ space.mass_gram @ psi_block
-    )
-    theta = np.linalg.eigvalsh(0.5 * (form + form.T))
-    return float(max(theta[-1], 0.0))
+    a, m = images.space.energy_gram, images.space.mass_gram
+    t, psi = images.t, images.psi
+    form = sigma * (psi.T @ a @ psi) + t.T @ m @ t + psi.T @ m @ psi
+    return form_extremes(form)[1]
 
 
-def compute_rho0(h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float) -> float:
+def compute_rho0(images: EigenspaceImages) -> float:
     """Intersection-based remainder magnitude: max over unit-energy phi of
     ||T0 phi||^2 + ||Psi_phi||^2 with T0 = I - (projector onto H1 cap H2)."""
-    h1.same_parent(h2)
-    space = h1.parent
-    x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
-    if x_m.shape[0] != space.dim:
-        x_m = x_m.T
-    _check_energy_orthonormal(space, x_m)
-    inter = intersection_subspace(h1, h2)
-    t0_block = x_m if inter is None else x_m - inter.project_block(x_m)
-    psi_block = corrector_block(h2, x_m, lam_m)
-    form = (
-        t0_block.T @ space.energy_gram @ t0_block
-        + psi_block.T @ space.energy_gram @ psi_block
-    )
-    theta = np.linalg.eigvalsh(0.5 * (form + form.T))
-    return float(max(theta[-1], 0.0))
+    a = images.space.energy_gram
+    t0, psi = images.t0, images.psi
+    return form_extremes(t0.T @ a @ t0 + psi.T @ a @ psi)[1]

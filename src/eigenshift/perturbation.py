@@ -19,13 +19,7 @@ from .eigsolve import (
     count_in_interval,
     solve_pencil,
 )
-from .hilbert import (
-    EigenDecomposition,
-    Subspace,
-    _check_energy_orthonormal,
-    compute_rho,
-    corrector_block,
-)
+from .hilbert import EigenDecomposition, EigenspaceImages, Subspace, compute_rho
 
 __all__ = [
     "CorrectionProblem",
@@ -231,15 +225,11 @@ def localize(
     )
 
 
-def eigenvector_proximity(
-    u: np.ndarray, x_m: np.ndarray, h2: Subspace, sigma: float
-) -> float:
-    """||U - P_m U|| / (sqrt(sigma) ||U||) with P_m projecting onto S2 X_m."""
-    space = h2.parent
+def eigenvector_proximity(u: np.ndarray, p_m: Subspace, sigma: float) -> float:
+    """||U - P_m U|| / (sqrt(sigma) ||U||), with p_m the span of S2 X_m."""
+    space = p_m.parent
     u = space.check_vector(u)
-    projected_basis = h2.project_block(np.atleast_2d(x_m.T).T)
-    p_m = Subspace.from_basis(space, projected_basis)
-    num = space.energy_norm(u - p_m.project(u))
+    num = space.energy_norm(u - p_m.project_block(u))
     denom_u = space.energy_norm(u)
     if sigma <= 0.0:
         if num <= 1e-12 * max(denom_u, 1.0):
@@ -250,9 +240,7 @@ def eigenvector_proximity(
     return float(num / (np.sqrt(sigma) * denom_u))
 
 
-def assemble_correction(
-    h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float, sigma: float
-) -> CorrectionProblem:
+def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionProblem:
     """Correction pencil of a reference eigenvalue group.
 
     lhs_ij = (1/lam)[(Psi_i, Psi_j) - (T phi_i, T phi_j)
@@ -262,21 +250,13 @@ def assemble_correction(
     negative semidefinite; for a growing one the T terms vanish and it is
     positive semidefinite.
     """
-    h1.same_parent(h2)
-    space = h1.parent
-    x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
-    if x_m.shape[0] != space.dim:
-        x_m = x_m.T
-    _check_energy_orthonormal(space, x_m)
-    s_block = h2.project_block(x_m)
-    t_block = x_m - s_block
-    psi_block = corrector_block(h2, x_m, lam_m)
-    a = space.energy_gram
-    pp = psi_block.T @ a @ psi_block
-    tt = t_block.T @ a @ t_block
-    px = psi_block.T @ a @ x_m
-    lhs = (pp - tt - px - px.T) / lam_m
-    gram = s_block.T @ a @ s_block
+    a = images.space.energy_gram
+    x, s, t, psi = images.x, images.s, images.t, images.psi
+    pp = psi.T @ a @ psi
+    tt = t.T @ a @ t
+    px = psi.T @ a @ x
+    lhs = (pp - tt - px - px.T) / images.lam
+    gram = s.T @ a @ s
     try:
         pencil = SymmetricPencil(lhs, gram)
     except NotPositiveDefiniteError as exc:
@@ -286,9 +266,9 @@ def assemble_correction(
             "is too large for the projected eigenvectors to stay independent"
         ) from exc
     tau, _ = solve_pencil(pencil)
-    rho = compute_rho(h1, h2, x_m, lam_m, sigma)
+    rho = compute_rho(images, sigma)
     return CorrectionProblem(
-        lhs=pencil.a, gram=pencil.b, lam_m=lam_m, sigma=sigma, rho=rho, tau=tau
+        lhs=pencil.a, gram=pencil.b, lam_m=images.lam, sigma=sigma, rho=rho, tau=tau
     )
 
 

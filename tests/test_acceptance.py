@@ -221,7 +221,7 @@ def test_vanishing_distance_family():
         sigmas.append(hilbert.sigma_distance(whole, sub))
         stars.append(hilbert.sigma_star(whole, sub))
         defects.append(
-            max(space.mass_norm(u - sub.project(u)) / space.mass_norm(u) for u in panel)
+            max(space.mass_norm(u - sub.project_block(u)) / space.mass_norm(u) for u in panel)
         )
     ok = (
         sigmas[0] > sigmas[1] > sigmas[2]

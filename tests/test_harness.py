@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eigenshift import hilbert
 from eigenshift.cli import main
 from eigenshift.harness import (
     CSV_COLUMNS,
@@ -157,6 +158,22 @@ def test_verify_abstract_small_run_passes_and_is_deterministic():
     margins_b = {k: v["worst_margin"] for k, v in second.items() if isinstance(v, dict)}
     assert margins_a == margins_b
     assert first["fitted_projected_pair_constant"] >= 0.0
+
+
+def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
+    # an asymmetric distance must be reported as a violation with its case,
+    # not crash the suite
+    true_sigma = hilbert.sigma_distance
+
+    def skewed(h1, h2):
+        value = true_sigma(h1, h2)
+        return 2.0 * value if h1.basis.sum() > h2.basis.sum() else value
+
+    monkeypatch.setattr(hilbert, "sigma_distance", skewed)
+    summary = verify_abstract(seed=3, n_cases=1)
+    assert summary["passed"] is False
+    (case,) = summary["distance_symmetry"]["violations"]
+    assert case["case"] == 0 and len(case["bases"]) == 3
 
 
 def test_verify_fem_suite():

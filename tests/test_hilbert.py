@@ -13,12 +13,12 @@ from eigenshift.hilbert import (
     apply_T2,
     compute_rho,
     compute_rho0,
+    corrector_block,
+    eigenspace_images,
     embedding_constant,
     intersection_subspace,
-    project,
     sigma_distance,
     sigma_star,
-    solve_corrector,
     solve_operator_eigs,
 )
 
@@ -75,7 +75,7 @@ def test_asymmetric_gram_rejected():
 def test_projection_coordinate_case():
     space = euclid_space(2)
     sub = Subspace.nodal(space, [0])
-    assert np.allclose(project(sub, np.array([3.0, 4.0])), [3.0, 0.0])
+    assert np.allclose(sub.project_block(np.array([3.0, 4.0])), [3.0, 0.0])
 
 
 def test_projection_idempotent_on_members():
@@ -83,20 +83,20 @@ def test_projection_idempotent_on_members():
     space = random_space(rng, 6)
     sub = random_subspace(rng, space, 3)
     u = sub.basis @ rng.normal(size=3)
-    assert np.allclose(project(sub, u), u, atol=1e-10)
+    assert np.allclose(sub.project_block(u), u, atol=1e-10)
 
 
 def test_projection_whole_space_is_identity():
     rng = np.random.default_rng(1)
     space = random_space(rng, 5)
     u = rng.normal(size=5)
-    assert np.allclose(project(space.whole(), u), u, atol=1e-10)
+    assert np.allclose(space.whole().project_block(u), u, atol=1e-10)
 
 
 def test_projection_dimension_mismatch():
     space = euclid_space(3)
     with pytest.raises(DimensionMismatchError):
-        project(Subspace.nodal(space, [0]), np.ones(4))
+        Subspace.nodal(space, [0]).project_block(np.ones(4))
 
 
 def test_projector_laws_random():
@@ -106,11 +106,11 @@ def test_projector_laws_random():
         space = random_space(rng, n)
         sub = random_subspace(rng, space, int(rng.integers(1, n)))
         u, v = rng.normal(size=n), rng.normal(size=n)
-        su = sub.project(u)
+        su = sub.project_block(u)
         scale = max(space.energy_norm(u), 1.0)
-        assert space.energy_norm(sub.project(su) - su) <= 1e-10 * scale
+        assert space.energy_norm(sub.project_block(su) - su) <= 1e-10 * scale
         lhs = space.energy_inner(su, v)
-        rhs = space.energy_inner(u, sub.project(v))
+        rhs = space.energy_inner(u, sub.project_block(v))
         assert lhs == pytest.approx(rhs, abs=1e-10 * scale * max(space.energy_norm(v), 1.0))
 
 
@@ -131,7 +131,7 @@ def test_projection_matches_oracle():
         sub = Subspace.from_basis(space, basis)
         s_mat = oracles.projector_matrix(space.energy_gram, basis)
         u = rng.normal(size=n)
-        assert np.allclose(sub.project(u), s_mat @ u, atol=1e-9)
+        assert np.allclose(sub.project_block(u), s_mat @ u, atol=1e-9)
 
 
 def test_cross_symmetry_property():
@@ -143,8 +143,8 @@ def test_cross_symmetry_property():
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
         v = h1.basis @ rng.normal(size=h1.dim)
         w = h2.basis @ rng.normal(size=h2.dim)
-        lhs = space.energy_inner(h2.project(v), w)
-        rhs = space.energy_inner(v, h1.project(w))
+        lhs = space.energy_inner(h2.project_block(v), w)
+        rhs = space.energy_inner(v, h1.project_block(w))
         scale = max(space.energy_norm(v) * space.energy_norm(w), 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-10 * scale)
 
@@ -383,10 +383,10 @@ def test_corrector_vanishes_when_nested():
     h2 = Subspace.nodal(space, [1, 2, 3])
     eigs = solve_operator_eigs(h1, group_tol=1e-9)
     lam, x_m, _ = eigs.group(1)
-    psi = solve_corrector(h2, x_m[:, 0], lam)
-    assert space.energy_norm(psi.value) < 1e-9
-    psi_same = solve_corrector(h1, x_m[:, 0], lam)
-    assert space.energy_norm(psi_same.value) < 1e-9
+    psi = corrector_block(h2, x_m[:, 0], lam)
+    assert space.energy_norm(psi) < 1e-9
+    psi_same = corrector_block(h1, x_m[:, 0], lam)
+    assert space.energy_norm(psi_same) < 1e-9
 
 
 def test_corrector_defining_equation_and_oracle():
@@ -400,16 +400,16 @@ def test_corrector_defining_equation_and_oracle():
         eigs = solve_operator_eigs(h1, group_tol=1e-9)
         lam, x_m, _ = eigs.group(1)
         phi = x_m[:, 0]
-        psi = solve_corrector(h2, phi, lam)
+        psi = corrector_block(h2, phi, lam)
         # equation tested against every basis vector of h2
         for j in range(h2.dim):
             w = b2[:, j]
-            lhs = space.energy_inner(psi.value, w)
+            lhs = space.energy_inner(psi, w)
             rhs = space.energy_inner(phi, w) - lam * space.mass_inner(phi, w)
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
         oracle = oracles.corrector_vector(space.energy_gram, space.mass_gram, b2, phi, lam)
-        assert np.allclose(psi.value, oracle, atol=1e-8)
-        assert h2.contains(psi.value, tol=1e-8)
+        assert np.allclose(psi, oracle, atol=1e-8)
+        assert h2.contains(psi, tol=1e-8)
 
 
 def test_apply_B_zero_for_identical():
@@ -425,7 +425,7 @@ def test_apply_B_orthogonal_lines():
     h1, h2 = line(space, 0.0), line(space, np.pi / 2)
     v = np.array([2.0, 0.0])
     # S2 v = 0, so only the -S2 K1 v term survives
-    expected = -h2.project(h1.apply_k(v))
+    expected = -h2.project_block(h1.apply_k(v))
     assert np.allclose(apply_B(h1, h2, v), expected, atol=1e-12)
 
 
@@ -478,8 +478,9 @@ def test_rho_zero_for_identical():
     sub = Subspace.nodal(space, [0, 1, 2, 3])
     eigs = solve_operator_eigs(sub, group_tol=1e-9)
     lam, x_m, _ = eigs.group(1)
-    assert compute_rho(sub, sub, x_m, lam, sigma=0.0) == pytest.approx(0.0, abs=1e-12)
-    assert compute_rho0(sub, sub, x_m, lam) == pytest.approx(0.0, abs=1e-12)
+    images = eigenspace_images(sub, sub, x_m, lam, intersection_subspace(sub, sub))
+    assert compute_rho(images, sigma=0.0) == pytest.approx(0.0, abs=1e-12)
+    assert compute_rho0(images) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rho_scalar_case_matches_direct():
@@ -493,13 +494,14 @@ def test_rho_scalar_case_matches_direct():
     sigma = sigma_distance(h1, h2)
     phi = x_m[:, 0]
     t_phi = apply_T2(h2, phi)
-    psi = solve_corrector(h2, phi, lam).value
+    psi = corrector_block(h2, phi, lam)
     direct = (
         sigma * space.energy_norm(psi) ** 2
         + space.mass_norm(t_phi) ** 2
         + space.mass_norm(psi) ** 2
     )
-    assert compute_rho(h1, h2, x_m, lam, sigma) == pytest.approx(direct, rel=1e-10)
+    images = eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
+    assert compute_rho(images, sigma) == pytest.approx(direct, rel=1e-10)
 
 
 def test_rho_matches_sphere_grid():
@@ -513,11 +515,10 @@ def test_rho_matches_sphere_grid():
     assert mult == 3
     sigma = sigma_distance(h1, h2)
     t_block = x_m - h2.project_block(x_m)
-    from eigenshift.hilbert import corrector_block
-
     psi_block = corrector_block(h2, x_m, lam)
     grid = oracles.rho_grid(space.energy_gram, space.mass_gram, t_block, psi_block, sigma)
-    assert compute_rho(h1, h2, x_m, lam, sigma) == pytest.approx(grid, rel=2e-3)
+    images = eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
+    assert compute_rho(images, sigma) == pytest.approx(grid, rel=2e-3)
 
 
 def test_rho0_nested_equals_T2_form():
@@ -528,9 +529,10 @@ def test_rho0_nested_equals_T2_form():
     eigs = solve_operator_eigs(h1, group_tol=1e-9)
     lam, x_m, _ = eigs.group(1)
     # intersection is H2, so T0 phi = T2 phi on the eigenspace
-    t2 = x_m[:, 0] - h2.project(x_m[:, 0])
-    t0 = x_m[:, 0] - intersection_subspace(h1, h2).project(x_m[:, 0])
+    inter = intersection_subspace(h1, h2)
+    t2 = x_m[:, 0] - h2.project_block(x_m[:, 0])
+    t0 = x_m[:, 0] - inter.project_block(x_m[:, 0])
     assert np.allclose(t0, t2, atol=1e-10)
-    psi = solve_corrector(h2, x_m[:, 0], lam).value
+    psi = corrector_block(h2, x_m[:, 0], lam)
     want = space.energy_norm(t0) ** 2 + space.energy_norm(psi) ** 2
-    assert compute_rho0(h1, h2, x_m, lam) == pytest.approx(want, rel=1e-9)
+    assert compute_rho0(eigenspace_images(h1, h2, x_m, lam, inter)) == pytest.approx(want, rel=1e-9)

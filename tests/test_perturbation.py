@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from eigenshift.fem2d import CoefficientField, DomainSpec, assemble, carve_subspace, unit_square_mesh
-from eigenshift.hilbert import EnergySpace, Subspace, sigma_distance, solve_operator_eigs
+from eigenshift.hilbert import (
+    EnergySpace,
+    Subspace,
+    corrector_block,
+    eigenspace_images,
+    intersection_subspace,
+    sigma_distance,
+    solve_operator_eigs,
+)
 from eigenshift.perturbation import (
     CorrectionGramError,
     GateError,
@@ -29,6 +37,10 @@ def small_shrink_setup(n=16, eps_cells=2):
     eigs1 = solve_operator_eigs(h1, group_tol=10.0 / n**2)
     eigs2 = solve_operator_eigs(h2, group_tol=10.0 / n**2)
     return space, h1, h2, eigs1, eigs2
+
+
+def _images(h1, h2, x_m, lam):
+    return eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
 
 
 # -- localization ---------------------------------------------------------------
@@ -123,7 +135,8 @@ def test_localize_degenerate_pair_returned_together():
 def test_proximity_zero_distance():
     space, h1, _, eigs1, _ = small_shrink_setup()
     lam, x1, _ = eigs1.group(1)
-    assert eigenvector_proximity(x1[:, 0], x1, h1, sigma=0.0) == 0.0
+    p_m = Subspace.from_basis(space, h1.project_block(x1))
+    assert eigenvector_proximity(x1[:, 0], p_m, sigma=0.0) == 0.0
 
 
 def test_proximity_idempotent_input():
@@ -132,8 +145,8 @@ def test_proximity_idempotent_input():
     lam, x1, _ = eigs1.group(1)
     basis = h2.project_block(x1)
     p_m = Subspace.from_basis(space, basis)
-    u = p_m.project(eigs2.spaces[0][:, 0])
-    assert eigenvector_proximity(u, x1, h2, sigma) < 1e-9
+    u = p_m.project_block(eigs2.spaces[0][:, 0])
+    assert eigenvector_proximity(u, p_m, sigma) < 1e-9
 
 
 def test_proximity_zero_sigma_with_mismatch_raises():
@@ -141,7 +154,7 @@ def test_proximity_zero_sigma_with_mismatch_raises():
     lam, x1, _ = eigs1.group(1)
     rogue = eigs1.spaces[1][:, 0]
     with pytest.raises(ValueError, match="inconsistent"):
-        eigenvector_proximity(rogue, x1, h1, sigma=0.0)
+        eigenvector_proximity(rogue, Subspace.from_basis(space, h1.project_block(x1)), sigma=0.0)
 
 
 # -- correction problem ------------------------------------------------------------
@@ -151,10 +164,10 @@ def test_correction_shrink_reduces_to_complement_form():
     space, h1, h2, eigs1, _ = small_shrink_setup(n=16, eps_cells=1)
     sigma = sigma_distance(h1, h2)
     lam, x1, _ = eigs1.group(1)
-    cp = assemble_correction(h1, h2, x1, lam, sigma)
+    cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     phi = x1[:, 0]
-    t_phi = phi - h2.project(phi)
-    s_phi = h2.project(phi)
+    t_phi = phi - h2.project_block(phi)
+    s_phi = h2.project_block(phi)
     t2 = float(t_phi @ space.energy_gram @ t_phi)
     s2 = float(s_phi @ space.energy_gram @ s_phi)
     # psi vanishes for a shrinking domain, so the pencil is the pure
@@ -173,8 +186,8 @@ def test_correction_expand_is_positive():
     eigs1 = solve_operator_eigs(h1, group_tol=1e-6)
     sigma = sigma_distance(h1, h2)
     lam, x1, _ = eigs1.group(1)
-    cp = assemble_correction(h1, h2, x1, lam, sigma)
-    t_phi = x1[:, 0] - h2.project(x1[:, 0])
+    cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
+    t_phi = x1[:, 0] - h2.project_block(x1[:, 0])
     assert space.energy_norm(t_phi) < 1e-10  # T vanishes for a growing domain
     assert cp.tau[0] > 0
 
@@ -187,7 +200,7 @@ def test_correction_gram_failure():
     lam, x1, _ = eigs1.group(1)
     # the first eigenvector is e1, orthogonal to h2: projected Gram is singular
     with pytest.raises(CorrectionGramError):
-        assemble_correction(h1, h2, x1, lam, sigma=1.0)
+        assemble_correction(_images(h1, h2, x1, lam), sigma=1.0)
 
 
 def test_correction_first_order_magnitude():
@@ -196,7 +209,7 @@ def test_correction_first_order_magnitude():
     space, h1, h2, eigs1, _ = small_shrink_setup(n=20, eps_cells=1)
     sigma = sigma_distance(h1, h2)
     lam, x1, _ = eigs1.group(1)
-    cp = assemble_correction(h1, h2, x1, lam, sigma)
+    cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     eps = 1.0 / 20.0
     leading = -2.0 * eps / np.pi**2
     assert cp.tau[0] == pytest.approx(leading, rel=0.35)
@@ -343,12 +356,10 @@ def test_correction_non_nested_domains():
     loc = localize(eigs1, eigs2, 1, sigma)
     assert loc.admitted
     lam, x1, _ = eigs1.group(1)
-    cp = assemble_correction(h1, h2, x1, lam, sigma)
+    cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     phi = x1[:, 0]
-    t_phi = phi - h2.project(phi)
-    from eigenshift.hilbert import solve_corrector
-
-    psi = solve_corrector(h2, phi, lam).value
+    t_phi = phi - h2.project_block(phi)
+    psi = corrector_block(h2, phi, lam)
     assert space.energy_norm(t_phi) > 1e-6  # both mechanisms active
     assert space.energy_norm(psi) > 1e-6
     row = predict_and_check(cp, loc.mu)[0]
