@@ -78,12 +78,8 @@ class BackgroundMesh:
         bad = np.flatnonzero(self.areas <= 1e-14)
         if bad.size:
             raise MeshError(f"triangle {bad[0]} is degenerate or negatively oriented")
-        edges = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                edges[key] = edges.get(key, 0) + 1
-        if any(count > 2 for count in edges.values()):
+        edges = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        if np.any(np.unique(edges, axis=0, return_counts=True)[1] > 2):
             raise MeshError("mesh is not conforming: an edge is shared by >2 triangles")
 
     @property
@@ -112,18 +108,12 @@ def unit_square_mesh(n: int) -> BackgroundMesh:
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = []
-    for iy in range(n):
-        for ix in range(n):
-            a, b = vid(ix, iy), vid(ix + 1, iy)
-            c, d = vid(ix + 1, iy + 1), vid(ix, iy + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return BackgroundMesh(vertices, np.array(tris), 1.0 / n)
+    # cell (ix, iy), row by row: lower-left corner a, then b, c, d counterclockwise
+    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
+    a = (iy * (n + 1) + ix).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    tris = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+    return BackgroundMesh(vertices, tris, 1.0 / n)
 
 
 class CoefficientField:
@@ -232,20 +222,14 @@ class DomainSpec:
         self._check_conforming(mesh.h, self.eps, "eps")
         cen = mesh.centroids()
         if self.kind == "square_shrink":
-            lo, hi = self.eps, 1.0 - self.eps
-            keep = (
-                (cen[:, 0] > lo) & (cen[:, 0] < hi) & (cen[:, 1] > lo) & (cen[:, 1] < hi)
-            )
+            keep = _in_box(cen, self.eps, 1.0 - self.eps)
         elif self.kind == "square_expand":
             self._check_conforming(mesh.h, self.base, "base")
             if self.eps > self.base + 1e-12:
                 raise MeshError(
                     f"expansion eps={self.eps} exceeds the base inset {self.base}"
                 )
-            lo, hi = self.base - self.eps, 1.0 - self.base + self.eps
-            keep = (
-                (cen[:, 0] > lo) & (cen[:, 0] < hi) & (cen[:, 1] > lo) & (cen[:, 1] < hi)
-            )
+            keep = _in_box(cen, self.base - self.eps, 1.0 - self.base + self.eps)
         elif self.kind == "boundary_notch":
             keep = np.linalg.norm(cen - np.asarray(self.anchor), axis=1) > self.eps
         elif self.kind == "l_shape":
@@ -271,6 +255,11 @@ class DomainSpec:
             base=data.get("base", 0.25),
             elements=data.get("elements", []),
         )
+
+
+def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Points strictly inside the square (lo, hi)^2."""
+    return (points[:, 0] > lo) & (points[:, 0] < hi) & (points[:, 1] > lo) & (points[:, 1] < hi)
 
 
 def _p1_gradients(mesh: BackgroundMesh, triangles: np.ndarray) -> np.ndarray:
@@ -343,14 +332,8 @@ def gradient_energy(
     space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, u: np.ndarray
 ) -> float:
     """Integral of |grad u|^2 over a set of triangles (coefficients ignored)."""
-    region = np.asarray(region, dtype=int)
-    if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
-        raise MeshError("region contains an unknown element id")
-    values = _vertex_values(mesh, u)
-    grads = _p1_gradients(mesh, mesh.triangles[region])
-    local = values[mesh.triangles[region]]  # (nt, 3)
-    grad_u = np.einsum("tk,tki->ti", local, grads)
-    return float(np.sum(mesh.areas[region] * np.einsum("ti,ti->t", grad_u, grad_u)))
+    _vertex_values(mesh, u)  # checks the length of u
+    return float(gradient_energy_form(space, mesh, region, u)[0, 0])
 
 
 def gradient_energy_form(
@@ -358,6 +341,8 @@ def gradient_energy_form(
 ) -> np.ndarray:
     """Quadratic form of the region gradient energy on a block of vectors."""
     region = np.asarray(region, dtype=int)
+    if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
+        raise MeshError("region contains an unknown element id")
     block = np.atleast_2d(np.asarray(block, dtype=float))
     if block.shape[0] != mesh.n_dofs:
         block = block.T
@@ -377,9 +362,9 @@ def symmetric_difference_area(
     mesh: BackgroundMesh, dom1: DomainSpec, dom2: DomainSpec
 ) -> float:
     """Area of the symmetric difference of two domains (exact, element-wise)."""
-    k1 = set(dom1.kept_elements(mesh).tolist())
-    k2 = set(dom2.kept_elements(mesh).tolist())
-    return region_area(mesh, np.array(sorted(k1 ^ k2), dtype=int)) if k1 ^ k2 else 0.0
+    # kept_elements gives sorted unique ids, and so does setxor1d
+    diff = np.setxor1d(dom1.kept_elements(mesh), dom2.kept_elements(mesh), assume_unique=True)
+    return region_area(mesh, diff)
 
 
 def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np.ndarray:
@@ -395,17 +380,10 @@ def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np
     cen = mesh.centroids()
     reach = q * dom.eps
     if dom.kind == "square_shrink":
-        lo, hi = reach, 1.0 - reach
-        inner = (cen[:, 0] > lo) & (cen[:, 0] < hi) & (cen[:, 1] > lo) & (cen[:, 1] < hi)
-        collar = ~inner
+        collar = ~_in_box(cen, reach, 1.0 - reach)
     elif dom.kind == "square_expand":
         b = dom.base
-        in_ref = (
-            (cen[:, 0] > b) & (cen[:, 0] < 1 - b) & (cen[:, 1] > b) & (cen[:, 1] < 1 - b)
-        )
-        lo, hi = b + reach, 1.0 - b - reach
-        inner = (cen[:, 0] > lo) & (cen[:, 0] < hi) & (cen[:, 1] > lo) & (cen[:, 1] < hi)
-        collar = in_ref & ~inner
+        collar = _in_box(cen, b, 1 - b) & ~_in_box(cen, b + reach, 1.0 - b - reach)
     elif dom.kind == "boundary_notch":
         collar = np.linalg.norm(cen - np.asarray(dom.anchor), axis=1) <= reach
     elif dom.kind == "l_shape":
@@ -440,27 +418,13 @@ def hadamard_slope(
         sides = [float(s) for s in shift_profile]
         if len(sides) != 4:
             raise ValueError("shift profile must be a scalar or 4 per-side values")
-    values = _vertex_values(mesh, phi)
-    n = int(round(1.0 / mesh.h))
-    h = mesh.h
-
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    # (boundary vertex, first interior neighbor along the inward normal)
-    walks = [
-        [(vid(i, 0), vid(i, 1)) for i in range(n + 1)],      # bottom
-        [(vid(n, i), vid(n - 1, i)) for i in range(n + 1)],  # right
-        [(vid(i, n), vid(i, n - 1)) for i in range(n + 1)],  # top
-        [(vid(0, i), vid(1, i)) for i in range(n + 1)],      # left
-    ]
-    total = 0.0
-    for side_value, walk in zip(sides, walks):
-        flux_sq = np.array([(values[inner] / h) ** 2 for _, inner in walk])
-        weights = np.full(n + 1, h)
-        weights[0] = weights[-1] = h / 2.0
-        total += side_value * float(weights @ flux_sq)
-    return total
+    n, h = int(round(1.0 / mesh.h)), mesh.h
+    grid = _vertex_values(mesh, phi).reshape(n + 1, n + 1)  # [iy, ix]
+    # first interior vertex layer along each side: bottom, right, top, left
+    layers = (grid[1], grid[:, n - 1], grid[n - 1], grid[:, 1])
+    weights = np.full(n + 1, h)
+    weights[0] = weights[-1] = h / 2.0
+    return sum(side * float(weights @ (layer / h) ** 2) for side, layer in zip(sides, layers))
 
 
 def suggested_group_tol(h: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,35 +137,15 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "h": self.h,
+            **asdict(self),
             "eps": list(self.eps),
             "m": [int(m) for m in self.m],
-            "coefficient": dict(self.coefficient),
-            "q": self.q,
-            "group_tol": self.group_tol,
-            "seed": self.seed,
-            "base": self.base,
             "anchor": list(self.anchor),
-            "n_lowest": self.n_lowest,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {
-            "scenario",
-            "h",
-            "eps",
-            "m",
-            "coefficient",
-            "q",
-            "group_tol",
-            "seed",
-            "base",
-            "anchor",
-            "n_lowest",
-        }
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         kwargs = dict(data)
@@ -271,10 +251,11 @@ def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
     )
 
 
-def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_star, eps, m):
+def _cell_for(
+    space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_star, direction, collar, area, eps, m
+):
     lam_m, x_m, j_m = eigs1.group(m)
-    dom2 = config.perturbed_domain(eps)
-    if perturbation._direction_of(h1, h2) == "equal":
+    if direction == "equal":
         # identical subspaces: the problems coincide, and the resolved spectral
         # object is the group itself, so the cell is an exact fixed point
         lam_inv = 1.0 / lam_m
@@ -306,7 +287,7 @@ def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_sta
         gate_value=loc.gate_value,
         admitted=loc.admitted,
         tracked=loc.counted,
-        direction=perturbation._direction_of(h1, h2),
+        direction=direction,
         group_spread=float(eigs1.spreads[m - 1]),
     )
     cell.mu_inv = [float(v) for v in loc.mu_inv]
@@ -323,13 +304,10 @@ def _cell_for(config, space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_sta
         float(perturbation.eigenvector_proximity(loc.vectors[:, j], p_m, sigma))
         for j in range(loc.vectors.shape[1])
     ]
-    if eps > 0:
-        collar = fem2d.collar_elements(mesh, dom2, q=config.q)
+    if collar is not None:
         form = fem2d.gradient_energy_form(space, mesh, collar, x_m)
         cell.collar_energy_max = float(max(np.linalg.eigvalsh(form)[-1], 0.0))
-    cell.sym_diff_area = fem2d.symmetric_difference_area(
-        mesh, config.reference_domain(), dom2
-    )
+    cell.sym_diff_area = area
     return cell
 
 
@@ -352,27 +330,30 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         )
     cells = []
     for eps in sorted(config.eps):
+        sigma = sig_star = np.nan
         try:
             dom2 = config.perturbed_domain(eps)
             h2 = fem2d.carve_subspace(space, mesh, dom2)
-            # rebinding inter here releases the previous eps's subspace (often
-            # the previous h2, with its factor) before the eigensolve
             inter = hilbert.intersection_subspace(h1, h2)
             n2 = config.n_lowest if config.n_lowest < h2.dim else None
             eigs2 = hilbert.solve_operator_eigs(
                 h2, config.group_tol_for(dom2), n_lowest=n2
             )
-            sigma = hilbert.sigma_distance(h1, h2)
-            sig_star = hilbert.sigma_star(h1, h2)
+            sigma, sig_star = hilbert.sigma_distance(h1, h2), hilbert.sigma_star(h1, h2)
+            direction = perturbation._direction_of(h1, h2)
+            # an equal pair is an exact fixed point and needs no geometry
+            moved = direction != "equal"
+            collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved and eps > 0 else None
+            area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
         except Exception as exc:  # noqa: BLE001 - surfaced with coordinates
-            cells.extend(_error_cell(config, eps, int(m), exc) for m in config.m)
+            cells.extend(_error_cell(config, eps, int(m), exc, sigma, sig_star) for m in config.m)
             continue
         for m in config.m:
             try:
                 cells.append(
                     _cell_for(
-                        config, space, mesh, h1, eigs1, h2, eigs2,
-                        inter, sigma, sig_star, eps, int(m),
+                        space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sig_star,
+                        direction, collar, area, eps, int(m),
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - surfaced with coordinates

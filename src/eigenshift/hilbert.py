@@ -7,16 +7,27 @@ the module provides the quantities that control how eigenvalues of the
 associated compact operators move from one subspace to another: the
 projector distance sigma, the complement constant sigma*, the bridge
 operator B, correctors, and the remainder magnitudes rho and rho0.
+
+Nodal subspaces (index sets, as carved from a mesh) solve with one cached
+sparse LU factor of their CSR energy block A_II.  For nodal pairs, sigma and
+sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
+coordinates of I1 u I2, by matrix-free Lanczos from a seeded start vector,
+certified like :func:`eigsolve.solve_pencil`.  Subspaces with an explicit
+basis keep small dense factors and dense pencils.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, _fix_signs, solve_pencil
+from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
+from .eigsolve import _fix_signs
 
 __all__ = [
     "EnergySpace",
@@ -112,6 +123,15 @@ class EnergySpace:
         self.mass_gram = mass_gram
         self.dim = energy_gram.shape[0]
 
+    # CSR copies of the Grams, built on first use by the nodal solves
+    @cached_property
+    def energy_csr(self) -> sp.csr_array:
+        return sp.csr_array(self.energy_gram)
+
+    @cached_property
+    def mass_csr(self) -> sp.csr_array:
+        return sp.csr_array(self.mass_gram)
+
     def check_vector(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape[0] != self.dim:
@@ -142,9 +162,10 @@ class Subspace:
 
     Either nodal (spanned by coordinate vectors at a recorded index set) or
     general (spanned by the columns of an explicit basis).  Projections are
-    energy orthogonal.  The energy-orthonormalized basis and a Cholesky
-    factor of the restricted energy Gram are cached; nodal subspaces project
-    through that factor, which is cheaper at mesh scale.
+    energy orthogonal.  A factor of the restricted energy Gram is cached:
+    a sparse LU of the CSR block A_II for nodal subspaces, through which
+    every nodal solve goes, and a dense Cholesky factor for general ones.
+    The energy-orthonormalized basis of a general subspace is cached too.
     """
 
     def __init__(self, parent: EnergySpace, basis: np.ndarray, *, _indices=None):
@@ -166,7 +187,6 @@ class Subspace:
             self._basis_raw = basis
             self.dim = basis.shape[1]
         self._onb = None
-        self._restricted_chol = None
 
     # -- constructors -------------------------------------------------------
 
@@ -219,11 +239,30 @@ class Subspace:
             self._onb = sla.solve_triangular(ell, q, lower=True, trans="T")
         return self._onb
 
-    def _restricted_energy_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the restricted energy Gram (A_II for nodal subspaces)."""
-        if self._restricted_chol is None:
-            self._restricted_chol = sla.cho_factor(self.restricted_grams()[0], lower=True)
-        return sla.cho_solve(self._restricted_chol, rhs)
+    @cached_property
+    def _energy_block(self) -> sp.csr_array:
+        """The CSR block A_II of a nodal subspace."""
+        return self.parent.energy_csr[np.ix_(self._indices, self._indices)]
+
+    @cached_property
+    def _restricted_energy_solve(self):
+        """Solver for the restricted energy Gram, factored on first use."""
+        if self.kind == "nodal":
+            # A_II is s.p.d., so a symmetric ordering without pivoting is
+            # stable and has about half the fill of the default ordering
+            return splu(
+                self._energy_block.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            ).solve
+        return partial(sla.cho_solve, sla.cho_factor(self.restricted_grams()[0], lower=True))
+
+    def _nodal_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Ambient vector(s) equal to A_II^-1 rhs_I on I and zero elsewhere."""
+        out = np.zeros(rhs.shape)
+        out[self._indices] = self._restricted_energy_solve(rhs[self._indices])
+        return out
 
     def restricted_grams(self) -> tuple[np.ndarray, np.ndarray]:
         """Energy and mass Grams restricted to this subspace's coordinates."""
@@ -255,11 +294,7 @@ class Subspace:
                 f"vector of length {u.shape[0]} in a space of dimension {self.parent.dim}"
             )
         if self.kind == "nodal":
-            rhs = (self.parent.energy_gram @ u)[self._indices]
-            out_shape = (self.parent.dim,) + u.shape[1:]
-            out = np.zeros(out_shape)
-            out[self._indices] = self._restricted_energy_solve(rhs)
-            return out
+            return self._nodal_solve(self.parent.energy_csr @ u)
         b = self.orthonormal_basis()
         return b @ (b.T @ (self.parent.energy_gram @ u))
 
@@ -267,11 +302,7 @@ class Subspace:
         """Compact solution operator on this subspace: (K u, v) = <u, v>."""
         u = np.asarray(u, dtype=float)
         if self.kind == "nodal":
-            rhs = (self.parent.mass_gram @ u)[self._indices]
-            out_shape = (self.parent.dim,) + u.shape[1:]
-            out = np.zeros(out_shape)
-            out[self._indices] = self._restricted_energy_solve(rhs)
-            return out
+            return self._nodal_solve(self.parent.mass_csr @ u)
         b = self.orthonormal_basis()
         return b @ (b.T @ (self.parent.mass_gram @ u))
 
@@ -347,22 +378,59 @@ def _nodal_pair(h1: Subspace, h2: Subspace) -> bool:
     return h1.kind == "nodal" and h2.kind == "nodal"
 
 
-def _nodal_complement(h1: Subspace, h2: Subspace) -> np.ndarray | None:
-    """Basis of (H1 + H2) minus-energy (H1 cap H2) for nodal pairs.
+def _nodal_on(h1: Subspace, h2: Subspace, idx: np.ndarray) -> Subspace:
+    """Nodal subspace on idx, a subset or a superset of both index sets; an
+    operand with that index set is returned itself, so its factor is shared."""
+    for sub in (h2, h1):
+        if idx.size == sub.dim:
+            return sub
+    return Subspace.nodal(h1.parent, idx)
 
-    Returns an N x k matrix with k = |I1 xor I2|, or None when the subspaces
-    coincide.
+
+def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -> float:
+    """Largest eigenvalue of the pencil (D' M D, A) on the coordinates of union.
+
+    D = S_plus - S_minus (S_minus = 0 when ``minus`` is None).  Both operands
+    lie in ``union`` and D vanishes on its energy-orthogonal complement, so
+    this is the maximum over the whole space.  A nodal projector is
+    S = E A_II^-1 E' A, so D = G A and D' = A G with G the difference of the
+    two embedded sparse solves.  Lanczos starts from a seeded vector, and the
+    eigenpair is certified against the residual allowance of solve_pencil,
+    with |K x| / |x| standing in for |K|_F, which it never exceeds.
     """
-    space = h1.parent
-    diff = np.setxor1d(h1.indices, h2.indices, assume_unique=True)
-    if diff.size == 0:
-        return None
-    cols = np.zeros((space.dim, diff.size))
-    cols[diff, np.arange(diff.size)] = 1.0
-    inter = intersection_subspace(h1, h2)
-    if inter is not None:
-        cols = cols - inter.project_block(cols)
-    return cols
+    a, m, a_uu = union.parent.energy_csr, union.parent.mass_csr, union._energy_block
+
+    def g(w):
+        gw = plus._nodal_solve(w)
+        return gw if minus is None else gw - minus._nodal_solve(w)
+
+    def numerator(coords):
+        return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
+
+    n = union.dim
+    try:
+        theta, vecs = eigsh(
+            LinearOperator((n, n), matvec=numerator, dtype=float),
+            k=1,
+            M=a_uu,
+            Minv=LinearOperator((n, n), matvec=union._restricted_energy_solve, dtype=float),
+            which="LA",
+            tol=0,
+            v0=np.random.default_rng(0).standard_normal(n),
+        )
+    except ArpackError as exc:
+        raise PencilError(f"Lanczos solve for the largest eigenvalue failed: {exc}") from exc
+    theta = float(theta[0])
+    x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (a_uu @ vecs[:, 0]))  # A-normalized, as in solve_pencil
+    kx, x_norm = numerator(x), np.linalg.norm(x)
+    resid = np.linalg.norm(kx - theta * (a_uu @ x))
+    allowed = 1e-9 * (np.linalg.norm(kx) / x_norm + abs(theta) * np.linalg.norm(a_uu.data))
+    allowed *= max(1.0, x_norm)
+    if not resid <= allowed:
+        raise PencilError(
+            f"Lanczos eigenpair certification failed: residual {resid:.3e} > allowed {allowed:.3e}"
+        )
+    return max(theta, 0.0)
 
 
 def sigma_distance(h1: Subspace, h2: Subspace) -> float:
@@ -370,14 +438,9 @@ def sigma_distance(h1: Subspace, h2: Subspace) -> float:
     h1.same_parent(h2)
     space = h1.parent
     if _nodal_pair(h1, h2):
-        cols = _nodal_complement(h1, h2)
-        if cols is None:
+        if np.array_equal(h1.indices, h2.indices):
             return 0.0
-        diff = h1.project_block(cols) - h2.project_block(cols)
-        num = diff.T @ space.mass_gram @ diff
-        den = cols.T @ space.energy_gram @ cols
-        theta, _ = solve_pencil(SymmetricPencil(num, den))
-        return float(max(theta[-1], 0.0))
+        return _nodal_pencil_max(_nodal_on(h1, h2, np.union1d(h1.indices, h2.indices)), h1, h2)
     b1, b2 = h1.orthonormal_basis(), h2.orthonormal_basis()
     s1 = b1 @ (b1.T @ space.energy_gram)
     s2 = b2 @ (b2.T @ space.energy_gram)
@@ -401,13 +464,7 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
     space = h1.parent
     if _nodal_pair(h1, h2):
         inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
-        if inter.size == 0:
-            return None
-        if inter.size == h2.dim:
-            return h2
-        if inter.size == h1.dim:
-            return h1
-        return Subspace.nodal(space, inter)
+        return None if inter.size == 0 else _nodal_on(h1, h2, inter)
     ell = space._energy_chol
     q1 = ell.T @ h1.orthonormal_basis()
     q2 = ell.T @ h2.orthonormal_basis()
@@ -428,15 +485,12 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
     to H1 cap H2; zero when the sum equals the intersection."""
     h1.same_parent(h2)
     space = h1.parent
-    if _nodal_pair(h1, h2):
-        cols = _nodal_complement(h1, h2)
-        if cols is None:
-            return 0.0
-        num = cols.T @ space.mass_gram @ cols
-        den = cols.T @ space.energy_gram @ cols
-        theta, _ = solve_pencil(SymmetricPencil(num, den))
-        return float(max(theta[-1], 0.0))
     inter = intersection_subspace(h1, h2)
+    if _nodal_pair(h1, h2):
+        if np.array_equal(h1.indices, h2.indices):
+            return 0.0
+        union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
+        return _nodal_pencil_max(union, union, inter)
     ell = space._energy_chol
     q1 = ell.T @ h1.orthonormal_basis()
     q2 = ell.T @ h2.orthonormal_basis()
@@ -554,11 +608,9 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
     share one factorization.
     """
     space = h2.parent
-    rhs = space.energy_gram @ block - lam_m * (space.mass_gram @ block)
     if h2.kind == "nodal":
-        out = np.zeros_like(block)
-        out[h2.indices] = h2._restricted_energy_solve(rhs[h2.indices])
-        return out
+        return h2._nodal_solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
+    rhs = space.energy_gram @ block - lam_m * (space.mass_gram @ block)
     b = h2.orthonormal_basis()
     value = b @ (b.T @ rhs)
     # the value lies in h2 by construction; a defect means the basis is suspect

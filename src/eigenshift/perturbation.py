@@ -315,12 +315,12 @@ def _direction_of(h1: Subspace, h2: Subspace) -> str:
     """DOF-set relation of a nodal pair: equal/shrink/expand/none."""
     if h1.kind != "nodal" or h2.kind != "nodal":
         return "none"
-    i1, i2 = set(h1.indices.tolist()), set(h2.indices.tolist())
-    if i1 == i2:
+    i1, i2 = h1.indices, h2.indices  # sorted and unique
+    if np.array_equal(i1, i2):
         return "equal"
-    if i2 < i1:
+    if np.isin(i2, i1, assume_unique=True).all():
         return "shrink"
-    if i1 < i2:
+    if np.isin(i1, i2, assume_unique=True).all():
         return "expand"
     return "none"
 

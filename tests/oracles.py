@@ -172,3 +172,29 @@ def rho_grid(energy, mass, t_block, psi_block, sigma, n_per_angle=None):
     pts = _sphere_grid(k, n_per_angle)
     vals = np.einsum("ij,jk,ik->i", pts, form, pts)
     return float(vals.max())
+
+
+def nodal_sigmas(energy, mass, idx1, idx2):
+    """Dense (sigma, sigma*) of two nodal subspaces.
+
+    Both are the largest eigenvalue of a pencil of size |I1 xor I2| on the
+    coordinate vectors outside I1 cap I2, energy-projected off the
+    intersection: (C' D' M D C, C' A C) with D = S1 - S2 for sigma, and
+    (C' M C, C' A C) for sigma*.  Projectors come from explicit Gram
+    inversion.  Returns (0.0, 0.0) for equal index sets.
+    """
+    n = energy.shape[0]
+    eye = np.eye(n)
+    diff = np.setxor1d(idx1, idx2)
+    if diff.size == 0:
+        return 0.0, 0.0
+    cols = eye[:, diff]
+    inter = np.intersect1d(idx1, idx2)
+    if inter.size:
+        cols = cols - projector_matrix(energy, eye[:, inter]) @ cols
+    proj_diff = projector_matrix(energy, eye[:, idx1]) - projector_matrix(energy, eye[:, idx2])
+    den = cols.T @ energy @ cols
+    moved = proj_diff @ cols
+    sigma = pencil_eigs(moved.T @ mass @ moved, den)[-1]
+    star = pencil_eigs(cols.T @ mass @ cols, den)[-1]
+    return float(sigma), float(star)

@@ -263,6 +263,19 @@ def test_collar_and_symmetric_difference_areas():
     assert symmetric_difference_area(mesh, shrink, shrink) == 0.0
 
 
+def test_symmetric_difference_area_of_crossing_notches():
+    mesh = unit_square_mesh(16)
+    left = DomainSpec("boundary_notch", eps=3.0 / 16.0, anchor=(0.375, 1.0))
+    right = DomainSpec("boundary_notch", eps=3.0 / 16.0, anchor=(0.5, 1.0))
+    k1 = set(left.kept_elements(mesh).tolist())
+    k2 = set(right.kept_elements(mesh).tolist())
+    assert k1 - k2 and k2 - k1
+    # the same sorted element ids are summed, so the bits agree
+    want = region_area(mesh, np.array(sorted(k1 ^ k2)))
+    assert symmetric_difference_area(mesh, left, right) == want
+    assert symmetric_difference_area(mesh, right, left) == want
+
+
 # -- boundary sensitivity (square64 is the shared session fixture) ----------------
 
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift.eigsolve import NotPositiveDefiniteError
+from eigenshift import fem2d, hilbert
+from eigenshift.eigsolve import NotPositiveDefiniteError, PencilError
+from eigenshift.fem2d import CoefficientField, DomainSpec
 from eigenshift.hilbert import (
     DimensionMismatchError,
     EnergySpace,
@@ -303,6 +305,74 @@ def test_sigma_star_matches_direct_oracle():
         val = sigma_star(Subspace.from_basis(space, b1), Subspace.from_basis(space, b2))
         want = oracles.sigma_star_direct(space.energy_gram, space.mass_gram, b1, b2)
         assert val == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+# -- nodal sigma and sigma* by Lanczos against the dense pencils --------------
+
+
+def _fem_pair(n, dom1, dom2):
+    mesh = fem2d.unit_square_mesh(n)
+    space = fem2d.assemble(mesh, CoefficientField.identity())
+    return (
+        space,
+        fem2d.carve_subspace(space, mesh, dom1),
+        fem2d.carve_subspace(space, mesh, dom2),
+    )
+
+
+def _fem_pairs(n):
+    h = 1.0 / n
+    return {
+        "shrink": (DomainSpec("square_shrink", eps=0.0), DomainSpec("square_shrink", eps=h)),
+        "expand": (
+            DomainSpec("square_expand", eps=0.0, base=0.25),
+            DomainSpec("square_expand", eps=2 * h, base=0.25),
+        ),
+        "notches": (
+            DomainSpec("boundary_notch", eps=2 * h, anchor=(0.5, 1.0)),
+            DomainSpec("boundary_notch", eps=2 * h, anchor=(0.25, 1.0)),
+        ),
+        "equal": (DomainSpec("l_shape", eps=2 * h), DomainSpec("l_shape", eps=2 * h)),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("kind", ["shrink", "expand", "notches", "equal"])
+def test_nodal_sigmas_match_dense_oracle(n, kind):
+    space, h1, h2 = _fem_pair(n, *_fem_pairs(n)[kind])
+    sigma, star = sigma_distance(h1, h2), sigma_star(h1, h2)
+    want_sigma, want_star = oracles.nodal_sigmas(
+        space.energy_gram, space.mass_gram, h1.indices, h2.indices
+    )
+    i1, i2 = set(h1.indices.tolist()), set(h2.indices.tolist())
+    if kind == "equal":
+        assert h1 is not h2 and i1 == i2
+        assert sigma == 0.0 and star == 0.0
+        assert want_sigma == 0.0 and want_star == 0.0
+        return
+    assert sigma == pytest.approx(want_sigma, rel=1e-10)
+    assert star == pytest.approx(want_star, rel=1e-10)
+    if kind == "notches":
+        assert not (i1 <= i2 or i2 <= i1) and i1 & i2
+    else:
+        assert i1 < i2 or i2 < i1
+        assert sigma == pytest.approx(star, rel=1e-12)
+
+
+def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
+    space, h1, h2 = _fem_pair(8, *_fem_pairs(8)["shrink"])
+    true_eigsh = hilbert.eigsh
+
+    def perturbed(*args, **kwargs):
+        theta, vecs = true_eigsh(*args, **kwargs)
+        vecs = vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape)
+        return theta, vecs
+
+    monkeypatch.setattr(hilbert, "eigsh", perturbed)
+    with pytest.raises(PencilError, match="certification"):
+        sigma_distance(h1, h2)
+    with pytest.raises(PencilError, match="certification"):
+        sigma_star(h1, h2)
 
 
 # -- operator eigendecomposition ----------------------------------------------

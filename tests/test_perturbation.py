@@ -25,6 +25,7 @@ from eigenshift.perturbation import (
     predict_and_check,
     spectral_window,
 )
+from eigenshift.perturbation import _direction_of
 
 PI2_2 = 2.0 * np.pi**2
 
@@ -453,3 +454,13 @@ def test_th1_pencil_regression(th1_report):
     assert row.ratio <= 2.0  # fitted constant of the remainder bound
     for c in th1_report.cells:
         assert c.tracked and not c.error
+
+
+def test_direction_of_index_sets():
+    space = EnergySpace(np.eye(5), np.eye(5))
+    abc, ab, bcd = (Subspace.nodal(space, idx) for idx in ([0, 1, 2], [0, 1], [1, 2, 3]))
+    assert _direction_of(abc, Subspace.nodal(space, [2, 1, 0])) == "equal"
+    assert _direction_of(abc, ab) == "shrink"
+    assert _direction_of(ab, abc) == "expand"
+    assert _direction_of(abc, bcd) == "none"
+    assert _direction_of(abc, Subspace.from_basis(space, np.eye(5)[:, :3])) == "none"
