@@ -339,8 +339,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             eigs2 = hilbert.solve_operator_eigs(
                 h2, config.group_tol_for(dom2), n_lowest=n2
             )
-            sigma, sig_star = hilbert.sigma_distance(h1, h2), hilbert.sigma_star(h1, h2)
             direction = perturbation._direction_of(h1, h2)
+            s12 = hilbert.sigma_distance(h1, h2)
+            # sigma* of a nested pair is sigma (see hilbert.sigma_star)
+            nested = direction in ("shrink", "expand")
+            sigma, sig_star = s12, s12 if nested else hilbert.sigma_star(h1, h2)
             # an equal pair is an exact fixed point and needs no geometry
             moved = direction != "equal"
             collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved and eps > 0 else None

@@ -9,11 +9,15 @@ projector distance sigma, the complement constant sigma*, the bridge
 operator B, correctors, and the remainder magnitudes rho and rho0.
 
 Nodal subspaces (index sets, as carved from a mesh) solve with one cached
-sparse LU factor of their CSR energy block A_II.  For nodal pairs, sigma and
-sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
-coordinates of I1 u I2, by matrix-free Lanczos from a seeded start vector,
-certified like :func:`eigsolve.solve_pencil`.  Subspaces with an explicit
-basis keep small dense factors and dense pencils.
+sparse LU factor of their CSR energy block A_II.  Their lowest eigenpairs
+come from shift-invert Lanczos through that factor; each pair passes the
+residual allowance of :func:`eigsolve.solve_pencil`, and the number kept must
+equal the number of eigenvalues below a separating shift, counted by
+Sylvester inertia.  For nodal pairs, sigma and sigma* are the largest
+eigenvalue of the pencil (D' M D, A) on the coordinates of I1 u I2, by
+matrix-free Lanczos from a seeded start vector, certified like
+:func:`eigsolve.solve_pencil`.  Complete spectra and subspaces with an
+explicit basis keep dense factors and dense pencils.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
-from .eigsolve import _fix_signs
+from .eigsolve import PencilError, SymmetricPencil, solve_pencil
+from .eigsolve import _certify, _cholesky, _fix_signs
 
 __all__ = [
     "EnergySpace",
@@ -96,12 +100,54 @@ def _check_gram(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _symmetric_splu(mat: sp.csr_array):
+    # a symmetric ordering without pivoting: stable for an s.p.d. matrix, with
+    # about half the fill of the default ordering, and one permutation P so
+    # that P mat P' = L U, which keeps the pivots' inertia (Sylvester)
+    return splu(
+        mat.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _symmetric_pivots(mat: sp.csr_array) -> np.ndarray | None:
+    """Pivots D = diag(U) of a symmetric matrix, whose signs are its inertia.
+
+    With P mat P' = L U and L unit lower triangular, U = D L', so mat is
+    congruent to D.  None when the factor is exactly singular or SuperLU
+    left the diagonal (perm_r != perm_c), where that congruence fails.
+    """
+    try:
+        lu = _symmetric_splu(mat)
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu.U.diagonal()
+
+
+def _count_below(a: sp.csr_array, m: sp.csr_array, shift: float) -> int:
+    """Number of eigenvalues of the pencil (a, m) below shift, m s.p.d.:
+    the negative inertia of a - shift m, from sparse pivots or, when they
+    do not show it, from the 1x1 and 2x2 blocks of a dense LDL' factor."""
+    shifted = a - shift * m
+    pivots = _symmetric_pivots(shifted)
+    if pivots is None:
+        _, d, _ = sla.ldl(shifted.toarray())
+        pivots = sla.eigvalsh_tridiagonal(np.diag(d).copy(), np.diag(d, 1).copy())
+    return int(np.count_nonzero(pivots < 0))
+
+
 class EnergySpace:
     """Ambient space: dimension plus energy and mass Gram matrices.
 
-    Both Grams must be symmetric positive definite; positivity is verified
-    by Cholesky factorization at construction (which also guarantees the
-    embedding constant is finite and positive).
+    Both Grams must be symmetric positive definite (which also guarantees
+    the embedding constant is finite and positive).  Positive pivots of a
+    symmetric sparse factorization prove it at construction; where they do
+    not, a dense Cholesky factorization decides, and its failure raises
+    :class:`NotPositiveDefiniteError`.
     """
 
     def __init__(self, energy_gram: np.ndarray, mass_gram: np.ndarray):
@@ -109,21 +155,23 @@ class EnergySpace:
         mass_gram = _check_gram(mass_gram, "mass_gram")
         if energy_gram.shape != mass_gram.shape:
             raise ValueError("energy_gram and mass_gram must have the same shape")
-        try:
-            self._energy_chol = np.linalg.cholesky(energy_gram)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(energy_gram)[0])
-            raise NotPositiveDefiniteError("energy_gram", smallest) from None
-        try:
-            np.linalg.cholesky(mass_gram)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(mass_gram)[0])
-            raise NotPositiveDefiniteError("mass_gram", smallest) from None
         self.energy_gram = energy_gram
         self.mass_gram = mass_gram
         self.dim = energy_gram.shape[0]
+        for name, gram, csr in (
+            ("energy_gram", energy_gram, self.energy_csr),
+            ("mass_gram", mass_gram, self.mass_csr),
+        ):
+            pivots = _symmetric_pivots(csr)
+            if pivots is None or np.any(pivots <= 0):
+                _cholesky(gram, name)
 
-    # CSR copies of the Grams, built on first use by the nodal solves
+    @cached_property
+    def _energy_chol(self) -> np.ndarray:
+        """Dense Cholesky factor of the energy Gram; only general subspaces use it."""
+        return _cholesky(self.energy_gram, "energy_gram")
+
+    # CSR copies of the Grams
     @cached_property
     def energy_csr(self) -> sp.csr_array:
         return sp.csr_array(self.energy_gram)
@@ -245,17 +293,15 @@ class Subspace:
         return self.parent.energy_csr[np.ix_(self._indices, self._indices)]
 
     @cached_property
+    def _mass_block(self) -> sp.csr_array:
+        """The CSR block M_II of a nodal subspace."""
+        return self.parent.mass_csr[np.ix_(self._indices, self._indices)]
+
+    @cached_property
     def _restricted_energy_solve(self):
         """Solver for the restricted energy Gram, factored on first use."""
         if self.kind == "nodal":
-            # A_II is s.p.d., so a symmetric ordering without pivoting is
-            # stable and has about half the fill of the default ordering
-            return splu(
-                self._energy_block.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve
+            return _symmetric_splu(self._energy_block).solve
         return partial(sla.cho_solve, sla.cho_factor(self.restricted_grams()[0], lower=True))
 
     def _nodal_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -264,11 +310,11 @@ class Subspace:
         out[self._indices] = self._restricted_energy_solve(rhs[self._indices])
         return out
 
-    def restricted_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """Energy and mass Grams restricted to this subspace's coordinates."""
+    def restricted_grams(self):
+        """Energy and mass Grams restricted to this subspace's coordinates:
+        the CSR blocks A_II, M_II of a nodal subspace, dense ones otherwise."""
         if self.kind == "nodal":
-            idx = np.ix_(self._indices, self._indices)
-            return self.parent.energy_gram[idx], self.parent.mass_gram[idx]
+            return self._energy_block, self._mass_block
         b = self.orthonormal_basis()
         a_res = b.T @ self.parent.energy_gram @ b
         m_res = b.T @ self.parent.mass_gram @ b
@@ -487,8 +533,10 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
     space = h1.parent
     inter = intersection_subspace(h1, h2)
     if _nodal_pair(h1, h2):
-        if np.array_equal(h1.indices, h2.indices):
-            return 0.0
+        if inter is h1 or inter is h2:
+            # nested: the sum is the larger operand and the intersection the
+            # smaller, so S_sum - S_inter = +-(S1 - S2) and sigma* = sigma
+            return sigma_distance(h1, h2)
         union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
         return _nodal_pencil_max(union, union, inter)
     ell = space._energy_chol
@@ -523,15 +571,26 @@ def solve_operator_eigs(
     relative gap is at most ``group_tol``; each group's basis is
     energy-orthonormal in the ambient coordinates.  ``n_lowest`` asks for a
     partial spectrum (the trailing, possibly split group is dropped).
+
+    A partial solve on a nodal subspace runs shift-invert Lanczos on its
+    sparse blocks, and the count of eigenvalues below a shift between the
+    kept groups and the dropped one must equal the number kept, or
+    :class:`PencilError` is raised.  Complete spectra and general subspaces
+    are solved densely.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
+    # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
     a_res, m_res = sub.restricted_grams()
-    d = a_res.shape[0]
+    d = sub.dim
     partial = n_lowest is not None and n_lowest < d
     request = min(d, n_lowest + 3) if partial else None
-    # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
-    lam, coords = solve_pencil(SymmetricPencil(a_res, m_res), n_lowest=request)
+    lanczos = partial and sub.kind == "nodal" and request < d - 1
+    if lanczos:
+        lam, coords = _lanczos_lowest(sub, request)
+    else:
+        dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
+        lam, coords = solve_pencil(SymmetricPencil(*dense), n_lowest=request)
     groups = _group_boundaries(lam, group_tol)
     if partial and len(groups) > 1:
         groups = groups[:-1]
@@ -539,13 +598,23 @@ def solve_operator_eigs(
         raise ValueError(
             "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
         )
+    if lanczos:
+        # Lanczos can miss a copy of a degenerate eigenvalue; the dense solve cannot
+        kept = groups[-1].stop
+        shift = 0.5 * (lam[kept - 1] + lam[kept])
+        below = _count_below(a_res, m_res, shift)
+        if below != kept:
+            raise PencilError(
+                f"Lanczos kept {kept} eigenvalues, but {below} lie below {shift:.6e} "
+                "by Sylvester inertia"
+            )
     values, spaces, mults, spreads = [], [], [], []
     for sel in groups:
         lam_g = float(lam[sel].mean())
         block = coords[:, sel]
         # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
         block = block / np.sqrt(lam[sel])[np.newaxis, :]
-        gram = block.T @ a_res @ block
+        gram = block.T @ (a_res @ block)
         block = block @ _inv_sqrt(gram)
         ambient = sub.embed(block)
         _certify_group(sub, a_res, m_res, block, lam_g, lam[sel])
@@ -562,6 +631,30 @@ def solve_operator_eigs(
         complete=not partial,
         spreads=np.array(spreads),
     )
+
+
+def _lanczos_lowest(sub: Subspace, request: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``request`` eigenpairs of (A_II, M_II), ascending and
+    M_II-orthonormal, by shift-invert Lanczos at 0 through the subspace's
+    factor of A_II, from a seeded start vector; certified like solve_pencil."""
+    a_res, m_res = sub.restricted_grams()
+    n = sub.dim
+    try:
+        lam, coords = eigsh(
+            a_res,
+            k=request,
+            M=m_res,
+            sigma=0.0,
+            OPinv=LinearOperator((n, n), matvec=sub._restricted_energy_solve, dtype=float),
+            tol=0,
+            v0=np.random.default_rng(0).standard_normal(n),
+        )
+    except ArpackError as exc:
+        raise PencilError(f"shift-invert Lanczos eigensolve failed: {exc}") from exc
+    order = np.argsort(lam, kind="stable")
+    lam, coords = lam[order], coords[:, order]
+    _certify(a_res, m_res, lam, coords)
+    return lam, coords
 
 
 def _group_boundaries(lam: np.ndarray, tol: float) -> list:

@@ -185,6 +185,8 @@ def localize(
     In strict mode the distance gate and the window count are enforced as
     errors; otherwise failures are recorded on the result (``admitted``,
     ``counted``) and the nearest J_m eigenvalues are returned regardless.
+    A partial perturbed spectrum that stops below the window's upper
+    eigenvalue end 1/lo leaves the count unproven, which fails it too.
     """
     lam_m, _, j_m = eigs1.group(m)
     gate_value = float(np.sqrt(eigs1.cumulative_sum(m) * max(sigma, 0.0)))
@@ -198,11 +200,18 @@ def localize(
     mu_inv_all = 1.0 / flat_mu
     in_window = (mu_inv_all > lo) & (mu_inv_all < hi)
     count = count_in_interval(mu_inv_all, lo, hi)
-    counted = count == j_m
+    # eigenvalues past a partial spectrum lie below its smallest reciprocal
+    proven = eigs2.complete or mu_inv_all.min() <= lo
+    counted = proven and count == j_m
     if strict and not counted:
+        found = (
+            f"contains {count} eigenvalues, expected {j_m}"
+            if proven
+            else f"is not covered: the partial spectrum stops at {mu_inv_all.min():.6e}"
+        )
         raise LocalizationError(
             f"localization failed for group m={m}: window ({lo:.6e}, {hi:.6e}) "
-            f"in the reciprocal scale contains {count} eigenvalues, expected {j_m} "
+            f"in the reciprocal scale {found} "
             f"(lambda_m^-1 = {1.0 / lam_m:.6e}, sqrt(sigma) = {np.sqrt(max(sigma, 0)):.3e})",
             window=(lo, hi),
             count=count,

@@ -4,12 +4,14 @@ Everything here deliberately avoids the package's own code paths: projectors
 come from explicit Gram inversion of raw bases, eigenvalues from a
 non-symmetric solve of inv(b) a, and sigma from an exhaustive Rayleigh
 quotient search on a spherical grid of the active subspace.  Intended for
-dimensions up to about 12.
+dimensions up to about 12, except the dense solves of nodal subspaces
+(``nodal_sigmas``, ``nodal_lowest_eigs``), which serve small meshes.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def projector_matrix(energy, basis):
@@ -198,3 +200,25 @@ def nodal_sigmas(energy, mass, idx1, idx2):
     sigma = pencil_eigs(moved.T @ mass @ moved, den)[-1]
     star = pencil_eigs(cols.T @ mass @ cols, den)[-1]
     return float(sigma), float(star)
+
+
+def nodal_lowest_eigs(energy, mass, idx, count, group_tol):
+    """Dense partial eigensolve of a nodal subspace.
+
+    The lowest ``count`` eigenpairs of the blocks (A_II, M_II) by LAPACK's
+    generalized symmetric solver, grouped wherever the relative gap exceeds
+    ``group_tol``, with the trailing (possibly split) group dropped.  Returns
+    the kept group means and one ambient N x J basis per group.
+    """
+    block = np.ix_(idx, idx)
+    lam, vecs = sla.eigh(
+        energy[block], mass[block], subset_by_index=(0, count - 1), driver="gvx"
+    )
+    cuts = [i for i in range(1, count) if lam[i] - lam[i - 1] > group_tol * lam[i]]
+    means, bases = [], []
+    for start, stop in zip([0] + cuts[:-1], cuts):
+        ambient = np.zeros((energy.shape[0], stop - start))
+        ambient[idx] = vecs[:, start:stop]
+        means.append(lam[start:stop].mean())
+        bases.append(ambient)
+    return np.array(means), bases

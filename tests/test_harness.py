@@ -127,6 +127,17 @@ def test_run_surfaces_cell_errors(tmp_path):
     assert data["cells"][0]["lambda"] is None
 
 
+def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
+    def solved_again(h1, h2):
+        raise AssertionError("sigma* solved for a nested pair")
+
+    monkeypatch.setattr(hilbert, "sigma_star", solved_again)
+    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[1])
+    cell = run_scenario(config).cells[0]
+    assert cell.error is None
+    assert cell.sigma_star == cell.sigma > 0.0
+
+
 def test_report_json_deterministic(tiny_report, tmp_path):
     a = write_report(tiny_report, tmp_path / "a").read_bytes()
     b = write_report(run_scenario(tiny_report.config), tmp_path / "b").read_bytes()

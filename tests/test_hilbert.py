@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -356,7 +358,7 @@ def test_nodal_sigmas_match_dense_oracle(n, kind):
         assert not (i1 <= i2 or i2 <= i1) and i1 & i2
     else:
         assert i1 < i2 or i2 < i1
-        assert sigma == pytest.approx(star, rel=1e-12)
+        assert sigma == star
 
 
 def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
@@ -373,6 +375,95 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
         sigma_distance(h1, h2)
     with pytest.raises(PencilError, match="certification"):
         sigma_star(h1, h2)
+    # the shift-invert eigensolve goes through the same eigsh
+    with pytest.raises(PencilError, match="certification"):
+        solve_operator_eigs(h1, group_tol=1e-6, n_lowest=8)
+
+
+# -- lowest eigenpairs of nodal subspaces by shift-invert Lanczos ---------------
+
+
+def _lanczos_case(n, kind):
+    """A nodal subspace whose partial solve runs Lanczos.  ``degenerate`` is
+    the square's problem doubled into a block-diagonal pair of copies, so each
+    eigenvalue is exactly degenerate; the structured mesh itself splits the
+    square's degenerate continuum pairs by O(h^2)."""
+    mesh = fem2d.unit_square_mesh(n)
+    coeff = CoefficientField.checker(0.5) if kind == "notch_checker" else CoefficientField.identity()
+    space = fem2d.assemble(mesh, coeff)
+    dom = {
+        "shrink": DomainSpec("square_shrink", eps=1.0 / n),
+        "notch_checker": DomainSpec("boundary_notch", eps=2.0 / n, anchor=(0.5, 1.0)),
+        "degenerate": DomainSpec("square_shrink", eps=0.0),
+    }[kind]
+    sub = fem2d.carve_subspace(space, mesh, dom)
+    if kind == "degenerate":
+        block = np.ix_(sub.indices, sub.indices)
+        space = EnergySpace(
+            sla.block_diag(space.energy_gram[block], space.energy_gram[block]),
+            sla.block_diag(space.mass_gram[block], space.mass_gram[block]),
+        )
+        sub = space.whole()
+    return space, sub
+
+
+def _energy_projector(energy, x):
+    return x @ np.linalg.solve(x.T @ energy @ x, x.T @ energy)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("kind", ["shrink", "notch_checker", "degenerate"])
+def test_nodal_lanczos_eigs_match_dense_oracle(n, kind):
+    space, sub = _lanczos_case(n, kind)
+    eigs = solve_operator_eigs(sub, group_tol=1e-6, n_lowest=8)
+    assert not eigs.complete
+    means, bases = oracles.nodal_lowest_eigs(
+        space.energy_gram, space.mass_gram, sub.indices, 11, 1e-6
+    )
+    assert eigs.multiplicities.tolist() == [b.shape[1] for b in bases]
+    if kind == "degenerate":
+        assert set(eigs.multiplicities.tolist()) == {2}
+    assert np.abs(eigs.values / means - 1.0).max() <= 1e-10
+    for x, want in zip(eigs.spaces, bases):
+        gap = _energy_projector(space.energy_gram, x) - _energy_projector(space.energy_gram, want)
+        assert np.abs(gap).max() <= 1e-8
+
+
+def test_lanczos_completeness_certificate_catches_dropped_copy(monkeypatch):
+    space, sub = _lanczos_case(12, "degenerate")
+    true_eigsh = hilbert.eigsh
+
+    def drop_one_copy(*args, **kwargs):
+        theta, vecs = true_eigsh(*args, **kwargs)
+        order = np.argsort(theta)
+        keep = np.delete(order, 1)  # the second copy of the lowest eigenvalue
+        return theta[keep], vecs[:, keep]
+
+    monkeypatch.setattr(hilbert, "eigsh", drop_one_copy)
+    with pytest.raises(PencilError, match="Sylvester inertia"):
+        solve_operator_eigs(sub, group_tol=1e-6, n_lowest=8)
+
+
+def test_lanczos_no_convergence_is_pencil_error(monkeypatch):
+    space, sub = _lanczos_case(12, "shrink")
+    true_eigsh = hilbert.eigsh
+    monkeypatch.setattr(hilbert, "eigsh", lambda *a, **k: true_eigsh(*a, maxiter=1, **k))
+    with pytest.raises(PencilError, match="Lanczos eigensolve failed") as err:
+        solve_operator_eigs(sub, group_tol=1e-6, n_lowest=8)
+    assert isinstance(err.value.__cause__, hilbert.ArpackError)
+
+
+def test_inertia_count_matches_dense_eigenvalue_count():
+    space, sub = _lanczos_case(12, "notch_checker")
+    a, m = sub.restricted_grams()
+    lam = sla.eigh(a.toarray(), m.toarray(), eigvals_only=True)
+    shifts = [0.5 * lam[0], *(0.5 * (lam[:-1] + lam[1:]))[[0, 3, 10, 50]], 2.0 * lam[-1]]
+    for shift in shifts:
+        assert hilbert._count_below(a, m, shift) == np.count_nonzero(lam < shift)
+    # a zero diagonal breaks the sparse factor's symmetry: dense LDL' counts
+    swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert hilbert._symmetric_pivots(swap) is None
+    assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), 0.0) == 1
 
 
 # -- operator eigendecomposition ----------------------------------------------

@@ -111,6 +111,29 @@ def test_localize_lenient_records_flags():
     assert loc.mu.shape == (1,)
 
 
+def test_localize_truncated_partial_spectrum_is_unproven():
+    # the partial solve keeps 1, 2, 3 and drops 3.2, which also lies in the
+    # m=3 window, eigenvalues in (2.4, 3.43): counting only the kept ones
+    # would find J_3 = 1 and undercount
+    eigs1 = solve_operator_eigs(
+        EnergySpace(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.eye(6)).whole(), group_tol=1e-9
+    )
+    space2 = EnergySpace(np.diag([1.0, 2.0, 3.0, 3.2, 5.0, 6.0]), np.eye(6))
+    eigs2 = solve_operator_eigs(space2.whole(), group_tol=1e-9, n_lowest=1)
+    assert not eigs2.complete
+    assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)
+    loc = localize(eigs1, eigs2, 3, sigma=1e-4, strict=False)
+    assert loc.mu.shape == (1,) and not loc.counted and not loc.admitted
+    with pytest.raises(LocalizationError, match="not covered"):
+        localize(eigs1, eigs2, 3, sigma=1e-4)
+    # the partial spectrum does reach past the m=2 window, eigenvalues in (1.33, 2.4)
+    assert localize(eigs1, eigs2, 2, sigma=1e-4).counted
+    # the complete spectrum shows the true count
+    with pytest.raises(LocalizationError) as err:
+        localize(eigs1, solve_operator_eigs(space2.whole(), group_tol=1e-9), 3, sigma=1e-4)
+    assert err.value.count == 2
+
+
 def test_localize_small_shrink_matches_scaled_square():
     # eps = h keeps the first eigenvalue well inside its window and the gate open
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=24, eps_cells=1)
