@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import EnergySpace, Subspace
 
@@ -119,8 +120,10 @@ def unit_square_mesh(n: int) -> BackgroundMesh:
 class CoefficientField:
     """Symmetric 2x2 coefficient A(x) with a declared ellipticity constant.
 
-    The declared nu is verified against probe directions at every quadrature
-    point during assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
+    The evaluator maps an (n, 2) array of points to their (n, 2, 2)
+    matrices, or to one (2, 2) matrix shared by all of them.  The declared
+    nu is verified against probe directions at every quadrature point during
+    assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
     """
 
     def __init__(self, evaluator, nu: float, name: str = "custom"):
@@ -147,17 +150,19 @@ class CoefficientField:
         """Checkerboard of identity and nu*identity tiles, cells x cells."""
         eye = np.eye(2)
 
-        def evaluate(point):
-            ix = int(np.floor(point[0] * cells))
-            iy = int(np.floor(point[1] * cells))
-            return eye if (ix + iy) % 2 == 0 else nu * eye
+        def evaluate(points):
+            tile = np.floor(points * cells).astype(int).sum(axis=1)
+            return np.where((tile % 2 == 0)[:, None, None], eye, nu * eye)
 
         return cls(evaluate, nu=nu, name=f"checker({nu})")
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        mats = np.array([np.asarray(self.evaluator(p), dtype=float) for p in points])
-        if mats.shape[1:] != (2, 2):
-            raise ValueError("coefficient evaluator must return 2x2 matrices")
+        points = np.asarray(points, dtype=float)
+        values = np.asarray(self.evaluator(points), dtype=float)
+        try:
+            mats = np.broadcast_to(values, (len(points), 2, 2))
+        except ValueError:
+            raise ValueError("coefficient evaluator must return 2x2 matrices") from None
         asym = np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max() if len(mats) else 0.0
         if asym > 1e-12:
             raise ValueError("coefficient matrices must be symmetric")
@@ -287,17 +292,16 @@ def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
     stiff_loc, mass_loc = _element_matrices(mesh, coeff_mats)
     n = mesh.n_dofs
     dofs = mesh.dof_of_vertex[mesh.triangles]  # (nt, 3), -1 for boundary vertices
-    stiffness = np.zeros((n, n))
-    mass = np.zeros((n, n))
-    for i in range(3):
-        for j in range(3):
-            rows, cols = dofs[:, i], dofs[:, j]
-            ok = (rows >= 0) & (cols >= 0)
-            np.add.at(stiffness, (rows[ok], cols[ok]), stiff_loc[ok, i, j])
-            np.add.at(mass, (rows[ok], cols[ok]), mass_loc[ok, i, j])
-    stiffness = 0.5 * (stiffness + stiffness.T)
-    mass = 0.5 * (mass + mass.T)
-    return EnergySpace(stiffness, mass)
+    rows = np.repeat(dofs, 3, axis=1)  # local entry (i, j) at column 3 i + j
+    cols = np.tile(dofs, 3)
+    ok = (rows >= 0) & (cols >= 0)
+    index = (rows[ok], cols[ok])
+
+    def gram(local):
+        # COO -> CSR sums the duplicate entries; EnergySpace symmetrizes
+        return sp.coo_array((local.reshape(-1, 9)[ok], index), shape=(n, n)).tocsr()
+
+    return EnergySpace(gram(stiff_loc), gram(mass_loc))
 
 
 def carve_subspace(space: EnergySpace, mesh: BackgroundMesh, dom: DomainSpec) -> Subspace:
@@ -409,7 +413,7 @@ def hadamard_slope(
     lam, phi = eigenpair
     if space.dim != mesh.n_dofs:
         raise MeshError("energy space does not match the mesh")
-    norm = float(phi @ space.mass_gram @ phi)
+    norm = float(phi @ (space.mass_csr @ phi))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"eigenfunction must be L2-normalized, got |phi|^2={norm:.6e}")
     if np.isscalar(shift_profile):

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fem2d, hilbert, perturbation
-from .fem2d import CoefficientField, DomainSpec, unit_square_mesh
+from .eigsolve import PencilError
+from .fem2d import CoefficientField, DomainSpec, MeshError, unit_square_mesh
 from .hilbert import Subspace
 
 __all__ = [
@@ -51,6 +52,21 @@ CSV_COLUMNS = [
 
 _SCENARIOS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 
+# the failures a run records as error cells; any other exception is a bug
+# and propagates
+_CELL_ERRORS = (
+    MeshError,
+    PencilError,
+    hilbert.DimensionMismatchError,
+    hilbert.SubspaceRankError,
+    hilbert.NotInSubspaceError,
+    hilbert.IllConditionedIntersectionError,
+    perturbation.GateError,
+    perturbation.LocalizationError,
+    perturbation.CorrectionGramError,
+    np.linalg.LinAlgError,
+)
+
 
 @dataclass
 class ScenarioConfig:
@@ -79,7 +95,7 @@ class ScenarioConfig:
         for eps in self.eps:
             ratio = eps / self.h
             if eps < 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError(f"eps={eps} is not a nonnegative multiple of h={self.h}")
+                raise MeshError(f"eps={eps} is not a nonnegative multiple of h={self.h}")
         if any(int(m) < 1 for m in self.m) or not self.m:
             raise ValueError("m list must contain positive group indices")
         kind = self.coefficient.get("kind", "identity")
@@ -238,7 +254,7 @@ def _json_scalar(value):
 
 def _norm_range(space, block) -> tuple:
     """Min and max of the squared energy norm over the unit coefficient sphere."""
-    return hilbert.form_extremes(block.T @ space.energy_gram @ block)
+    return hilbert.form_extremes(block.T @ (space.energy_csr @ block))
 
 
 def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
@@ -348,7 +364,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             moved = direction != "equal"
             collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved and eps > 0 else None
             area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
-        except Exception as exc:  # noqa: BLE001 - surfaced with coordinates
+        except _CELL_ERRORS as exc:
             cells.extend(_error_cell(config, eps, int(m), exc, sigma, sig_star) for m in config.m)
             continue
         for m in config.m:
@@ -359,7 +375,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                         direction, collar, area, eps, int(m),
                     )
                 )
-            except Exception as exc:  # noqa: BLE001 - surfaced with coordinates
+            except _CELL_ERRORS as exc:
                 cells.append(_error_cell(config, eps, int(m), exc, sigma, sig_star))
     failures = [cell.error for cell in cells if cell.error]
     failures.extend(_gated_assertions(config, cells))

@@ -8,16 +8,22 @@ associated compact operators move from one subspace to another: the
 projector distance sigma, the complement constant sigma*, the bridge
 operator B, correctors, and the remainder magnitudes rho and rho0.
 
-Nodal subspaces (index sets, as carved from a mesh) solve with one cached
-sparse LU factor of their CSR energy block A_II.  Their lowest eigenpairs
-come from shift-invert Lanczos through that factor; each pair passes the
-residual allowance of :func:`eigsolve.solve_pencil`, and the number kept must
-equal the number of eigenvalues below a separating shift, counted by
-Sylvester inertia.  For nodal pairs, sigma and sigma* are the largest
-eigenvalue of the pencil (D' M D, A) on the coordinates of I1 u I2, by
-matrix-free Lanczos from a seeded start vector, certified like
-:func:`eigsolve.solve_pencil`.  Complete spectra and subspaces with an
-explicit basis keep dense factors and dense pencils.
+The Grams are stored as CSR matrices only, and every form on a block of
+vectors applies the sparse Gram to the N x J block first.  Nodal subspaces
+(index sets, as carved from a mesh) solve with one cached sparse LU factor
+of their CSR energy block A_II.  Their lowest eigenpairs come from
+shift-invert Lanczos through that factor; each pair passes the residual
+allowance of :func:`eigsolve.solve_pencil`, and the number kept must equal
+the number of eigenvalues below a separating shift, counted by Sylvester
+inertia.  For nodal pairs, sigma and sigma* are the largest eigenvalue of
+the pencil (D' M D, A) on the coordinates of I1 u I2, by matrix-free Lanczos
+from a seeded start vector, certified like :func:`eigsolve.solve_pencil`.
+Subspaces with an explicit basis are energy-orthonormalized through a square
+root of A taken from the sparse factor that proved A definite.  What stays
+dense is sized by a subspace, not by the space: complete spectra, the small
+per-cell pencils, and, for small explicit-basis pairs only, the general
+branch of sigma_distance and :func:`embedding_constant`, which read the
+dense Gram views.
 """
 
 from __future__ import annotations
@@ -90,12 +96,15 @@ class IllConditionedIntersectionError(ValueError):
         )
 
 
-def _check_gram(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+def _check_gram(mat, name: str) -> sp.csr_array:
+    """The symmetrized CSR form of a square Gram, given dense or sparse."""
+    if not sp.issparse(mat):
+        mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    scale = np.abs(mat).max()
-    if scale > 0 and np.abs(mat - mat.T).max() > 1e-12 * scale:
+    mat = sp.csr_array(mat, dtype=float)
+    scale = abs(mat).max()
+    if scale > 0 and abs(mat - mat.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric to 1e-12 relative")
     return 0.5 * (mat + mat.T)
 
@@ -112,20 +121,22 @@ def _symmetric_splu(mat: sp.csr_array):
     )
 
 
-def _symmetric_pivots(mat: sp.csr_array) -> np.ndarray | None:
-    """Pivots D = diag(U) of a symmetric matrix, whose signs are its inertia.
-
-    With P mat P' = L U and L unit lower triangular, U = D L', so mat is
-    congruent to D.  None when the factor is exactly singular or SuperLU
-    left the diagonal (perm_r != perm_c), where that congruence fails.
-    """
+def _symmetric_factor(mat: sp.csr_array):
+    """Symmetric sparse factor P mat P' = L U with U = D L', L unit lower
+    triangular, so that mat is congruent to the pivots D = diag(U).  None
+    when the factor is exactly singular or SuperLU left the diagonal
+    (perm_r != perm_c), where that congruence fails."""
     try:
         lu = _symmetric_splu(mat)
     except RuntimeError:
         return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return lu.U.diagonal()
+    return lu if np.array_equal(lu.perm_r, lu.perm_c) else None
+
+
+def _symmetric_pivots(mat: sp.csr_array) -> np.ndarray | None:
+    """Pivots of a symmetric matrix, whose signs are its inertia (Sylvester)."""
+    lu = _symmetric_factor(mat)
+    return None if lu is None else lu.U.diagonal()
 
 
 def _count_below(a: sp.csr_array, m: sp.csr_array, shift: float) -> int:
@@ -143,42 +154,66 @@ def _count_below(a: sp.csr_array, m: sp.csr_array, shift: float) -> int:
 class EnergySpace:
     """Ambient space: dimension plus energy and mass Gram matrices.
 
-    Both Grams must be symmetric positive definite (which also guarantees
-    the embedding constant is finite and positive).  Positive pivots of a
-    symmetric sparse factorization prove it at construction; where they do
-    not, a dense Cholesky factorization decides, and its failure raises
-    :class:`NotPositiveDefiniteError`.
+    The Grams, given dense or sparse, are kept in CSR form (``energy_csr``,
+    ``mass_csr``); ``energy_gram`` and ``mass_gram`` are dense views built
+    on first use, for small spaces and reference checks.  Both Grams must be
+    symmetric positive definite (which also guarantees the embedding
+    constant is finite and positive).  Positive pivots of a symmetric sparse
+    factorization prove it at construction, and the energy factor is kept:
+    it gives the square root of A that energy-orthonormalizes explicit
+    bases.  Where the pivots do not prove it, a dense Cholesky factorization
+    decides, its failure raises :class:`NotPositiveDefiniteError`, and the
+    dense energy factor stands in as the root.
     """
 
-    def __init__(self, energy_gram: np.ndarray, mass_gram: np.ndarray):
-        energy_gram = _check_gram(energy_gram, "energy_gram")
-        mass_gram = _check_gram(mass_gram, "mass_gram")
-        if energy_gram.shape != mass_gram.shape:
+    def __init__(self, energy_gram, mass_gram):
+        self.energy_csr = _check_gram(energy_gram, "energy_gram")
+        self.mass_csr = _check_gram(mass_gram, "mass_gram")
+        if self.energy_csr.shape != self.mass_csr.shape:
             raise ValueError("energy_gram and mass_gram must have the same shape")
-        self.energy_gram = energy_gram
-        self.mass_gram = mass_gram
-        self.dim = energy_gram.shape[0]
-        for name, gram, csr in (
-            ("energy_gram", energy_gram, self.energy_csr),
-            ("mass_gram", mass_gram, self.mass_csr),
-        ):
-            pivots = _symmetric_pivots(csr)
-            if pivots is None or np.any(pivots <= 0):
-                _cholesky(gram, name)
+        self.dim = self.energy_csr.shape[0]
+        self._energy_lu = self._definite_factor(self.energy_csr, "energy_gram")
+        self._definite_factor(self.mass_csr, "mass_gram")
+
+    def _definite_factor(self, csr: sp.csr_array, name: str):
+        """The symmetric sparse factor whose positive pivots prove the Gram
+        definite, or None once a dense Cholesky factorization proved it."""
+        lu = _symmetric_factor(csr)
+        if lu is not None and np.all(lu.U.diagonal() > 0):
+            return lu
+        _cholesky(getattr(self, name), name)
+        return None
+
+    @cached_property
+    def energy_gram(self) -> np.ndarray:
+        return self.energy_csr.toarray()
+
+    @cached_property
+    def mass_gram(self) -> np.ndarray:
+        return self.mass_csr.toarray()
 
     @cached_property
     def _energy_chol(self) -> np.ndarray:
-        """Dense Cholesky factor of the energy Gram; only general subspaces use it."""
+        """Dense Cholesky factor of the energy Gram, the root where the sparse
+        pivots did not prove it definite."""
         return _cholesky(self.energy_gram, "energy_gram")
 
-    # CSR copies of the Grams
     @cached_property
-    def energy_csr(self) -> sp.csr_array:
-        return sp.csr_array(self.energy_gram)
+    def _root_t(self):
+        """R' for a square root R R' = A of the energy Gram.  From the sparse
+        factor P A P' = L U with U = D L': R' = D^-1/2 U P, so R = P' L D^1/2;
+        otherwise the transposed dense Cholesky factor."""
+        if self._energy_lu is None:
+            return self._energy_chol.T
+        u = self._energy_lu.U
+        scaled = sp.diags_array(1.0 / np.sqrt(u.diagonal())) @ u
+        return scaled.tocsc()[:, self._energy_lu.perm_r]
 
-    @cached_property
-    def mass_csr(self) -> sp.csr_array:
-        return sp.csr_array(self.mass_gram)
+    def _root_t_solve(self, block: np.ndarray) -> np.ndarray:
+        """R'^-1 block, as A^-1 R block through the sparse factor."""
+        if self._energy_lu is None:
+            return sla.solve_triangular(self._energy_chol, block, lower=True, trans="T")
+        return self._energy_lu.solve(self._root_t.T @ block)
 
     def check_vector(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -189,10 +224,10 @@ class EnergySpace:
         return u
 
     def energy_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(self.check_vector(u) @ self.energy_gram @ self.check_vector(v))
+        return float(self.check_vector(u) @ (self.energy_csr @ self.check_vector(v)))
 
     def mass_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(self.check_vector(u) @ self.mass_gram @ self.check_vector(v))
+        return float(self.check_vector(u) @ (self.mass_csr @ self.check_vector(v)))
 
     def energy_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.energy_inner(u, u), 0.0)))
@@ -212,8 +247,10 @@ class Subspace:
     general (spanned by the columns of an explicit basis).  Projections are
     energy orthogonal.  A factor of the restricted energy Gram is cached:
     a sparse LU of the CSR block A_II for nodal subspaces, through which
-    every nodal solve goes, and a dense Cholesky factor for general ones.
-    The energy-orthonormalized basis of a general subspace is cached too.
+    every nodal solve goes, and a dense Cholesky factor of the small
+    restricted Gram for general ones.  The energy-orthonormalized basis of
+    a general subspace is cached too; it comes from the parent's square
+    root of A, so no dense N x N matrix is formed.
     """
 
     def __init__(self, parent: EnergySpace, basis: np.ndarray, *, _indices=None):
@@ -271,10 +308,10 @@ class Subspace:
         return self._basis_raw
 
     def orthonormal_basis(self) -> np.ndarray:
-        """Energy-orthonormal basis B with B' A B = I (cached)."""
+        """Energy-orthonormal basis with Q' A Q = I (cached): with R R' = A
+        and R' B = q r, Q = B r^-1."""
         if self._onb is None:
-            ell = self.parent._energy_chol
-            yb = ell.T @ self.basis
+            yb = self.parent._root_t @ self.basis
             scale = np.linalg.norm(yb, axis=0)
             if np.any(scale <= 0.0):
                 raise SubspaceRankError("basis contains a zero column")
@@ -283,8 +320,8 @@ class Subspace:
                 raise SubspaceRankError(
                     f"basis is rank deficient: smallest singular value {svals[-1]:.3e}"
                 )
-            q, _ = np.linalg.qr(yb)
-            self._onb = sla.solve_triangular(ell, q, lower=True, trans="T")
+            _, r = np.linalg.qr(yb)
+            self._onb = sla.solve_triangular(r, self.basis.T, trans="T").T
         return self._onb
 
     @cached_property
@@ -316,9 +353,7 @@ class Subspace:
         if self.kind == "nodal":
             return self._energy_block, self._mass_block
         b = self.orthonormal_basis()
-        a_res = b.T @ self.parent.energy_gram @ b
-        m_res = b.T @ self.parent.mass_gram @ b
-        return a_res, m_res
+        return b.T @ (self.parent.energy_csr @ b), b.T @ (self.parent.mass_csr @ b)
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Map subspace coordinates back to ambient vectors."""
@@ -342,7 +377,7 @@ class Subspace:
         if self.kind == "nodal":
             return self._nodal_solve(self.parent.energy_csr @ u)
         b = self.orthonormal_basis()
-        return b @ (b.T @ (self.parent.energy_gram @ u))
+        return b @ (b.T @ (self.parent.energy_csr @ u))
 
     def apply_k(self, u: np.ndarray) -> np.ndarray:
         """Compact solution operator on this subspace: (K u, v) = <u, v>."""
@@ -350,7 +385,7 @@ class Subspace:
         if self.kind == "nodal":
             return self._nodal_solve(self.parent.mass_csr @ u)
         b = self.orthonormal_basis()
-        return b @ (b.T @ (self.parent.mass_gram @ u))
+        return b @ (b.T @ (self.parent.mass_csr @ u))
 
     def contains(self, u: np.ndarray, tol: float = 1e-8) -> bool:
         u = self.parent.check_vector(u)
@@ -511,9 +546,8 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
     if _nodal_pair(h1, h2):
         inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
         return None if inter.size == 0 else _nodal_on(h1, h2, inter)
-    ell = space._energy_chol
-    q1 = ell.T @ h1.orthonormal_basis()
-    q2 = ell.T @ h2.orthonormal_basis()
+    b1 = h1.orthonormal_basis()
+    q1, q2 = space._root_t @ b1, space._root_t @ h2.orthonormal_basis()
     u, cosines, _ = np.linalg.svd(q1.T @ q2)
     cosines = np.clip(cosines, 0.0, None)
     ambiguous = (cosines > _COS_AMBIGUOUS) & (cosines < _COS_INTERSECT)
@@ -522,8 +556,7 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
     k = int(np.count_nonzero(cosines >= _COS_INTERSECT))
     if k == 0:
         return None
-    basis = sla.solve_triangular(ell, q1 @ u[:, :k], lower=True, trans="T")
-    return Subspace.from_basis(space, basis)
+    return Subspace.from_basis(space, b1 @ u[:, :k])
 
 
 def sigma_star(h1: Subspace, h2: Subspace) -> float:
@@ -539,10 +572,8 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
             return sigma_distance(h1, h2)
         union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
         return _nodal_pencil_max(union, union, inter)
-    ell = space._energy_chol
-    q1 = ell.T @ h1.orthonormal_basis()
-    q2 = ell.T @ h2.orthonormal_basis()
-    stacked = np.hstack([q1, q2])
+    root_t = space._root_t
+    stacked = root_t @ np.hstack([h1.orthonormal_basis(), h2.orthonormal_basis()])
     u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
     q_sum = u[:, :rank]
@@ -550,14 +581,14 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
     if rank == k_int:
         return 0.0
     if k_int:
-        q_int = ell.T @ inter.orthonormal_basis()
+        q_int = root_t @ inter.orthonormal_basis()
         resid = q_sum - q_int @ (q_int.T @ q_sum)
         uu, _, _ = np.linalg.svd(resid, full_matrices=False)
         comp = uu[:, : rank - k_int]
     else:
         comp = q_sum
-    vecs = sla.solve_triangular(ell, comp, lower=True, trans="T")
-    gram = vecs.T @ space.mass_gram @ vecs
+    vecs = space._root_t_solve(comp)
+    gram = vecs.T @ (space.mass_csr @ vecs)
     theta = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     return float(max(theta[-1], 0.0))
 
@@ -595,7 +626,7 @@ def solve_operator_eigs(
     if partial and len(groups) > 1:
         groups = groups[:-1]
     elif partial and len(groups) == 1 and request < d:
-        raise ValueError(
+        raise PencilError(
             "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
         )
     if lanczos:
@@ -684,14 +715,14 @@ def _certify_group(sub, a_res, m_res, block, lam_g, lam_members) -> None:
     den = np.sqrt(np.maximum(np.einsum("ij,ij->j", block, a_res @ block), 0.0))
     spread = float(np.abs(1.0 / lam_members - 1.0 / lam_g).max())
     if np.any(num > (1e-8 + spread) * den):
-        raise ValueError(
+        raise PencilError(
             f"eigenrelation residual {num.max():.3e} exceeds the certified bound"
         )
 
 
 def _energy_norms(space: EnergySpace, block: np.ndarray) -> np.ndarray:
     """Energy norm of a vector, or of each column of a block."""
-    return np.sqrt(np.maximum(np.sum(block * (space.energy_gram @ block), axis=0), 0.0))
+    return np.sqrt(np.maximum(np.sum(block * (space.energy_csr @ block), axis=0), 0.0))
 
 
 def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray:
@@ -701,9 +732,9 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
     share one factorization.
     """
     space = h2.parent
+    rhs = space.energy_csr @ block - lam_m * (space.mass_csr @ block)
     if h2.kind == "nodal":
-        return h2._nodal_solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
-    rhs = space.energy_gram @ block - lam_m * (space.mass_gram @ block)
+        return h2._nodal_solve(rhs)
     b = h2.orthonormal_basis()
     value = b @ (b.T @ rhs)
     # the value lies in h2 by construction; a defect means the basis is suspect
@@ -753,7 +784,7 @@ def eigenspace_images(
     x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
     if x_m.shape[0] != space.dim:
         x_m = x_m.T
-    gram = x_m.T @ space.energy_gram @ x_m
+    gram = x_m.T @ (space.energy_csr @ x_m)
     if np.abs(gram - np.eye(gram.shape[0])).max() > 1e-8:
         raise ValueError("eigenspace basis must be energy-orthonormal")
     s_block = h2.project_block(x_m)
@@ -781,15 +812,15 @@ def compute_rho(images: EigenspaceImages, sigma: float) -> float:
     Assembled exactly as the largest eigenvalue of the induced quadratic
     form on the eigenspace coordinates.
     """
-    a, m = images.space.energy_gram, images.space.mass_gram
+    a, m = images.space.energy_csr, images.space.mass_csr
     t, psi = images.t, images.psi
-    form = sigma * (psi.T @ a @ psi) + t.T @ m @ t + psi.T @ m @ psi
+    form = sigma * (psi.T @ (a @ psi)) + t.T @ (m @ t) + psi.T @ (m @ psi)
     return form_extremes(form)[1]
 
 
 def compute_rho0(images: EigenspaceImages) -> float:
     """Intersection-based remainder magnitude: max over unit-energy phi of
     ||T0 phi||^2 + ||Psi_phi||^2 with T0 = I - (projector onto H1 cap H2)."""
-    a = images.space.energy_gram
+    a = images.space.energy_csr
     t0, psi = images.t0, images.psi
-    return form_extremes(t0.T @ a @ t0 + psi.T @ a @ psi)[1]
+    return form_extremes(t0.T @ (a @ t0) + psi.T @ (a @ psi))[1]

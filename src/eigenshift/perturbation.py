@@ -259,13 +259,14 @@ def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionPro
     negative semidefinite; for a growing one the T terms vanish and it is
     positive semidefinite.
     """
-    a = images.space.energy_gram
+    a = images.space.energy_csr
     x, s, t, psi = images.x, images.s, images.t, images.psi
-    pp = psi.T @ a @ psi
-    tt = t.T @ a @ t
-    px = psi.T @ a @ x
+    a_psi = a @ psi
+    pp = psi.T @ a_psi
+    tt = t.T @ (a @ t)
+    px = a_psi.T @ x
     lhs = (pp - tt - px - px.T) / images.lam
-    gram = s.T @ a @ s
+    gram = s.T @ (a @ s)
     try:
         pencil = SymmetricPencil(lhs, gram)
     except NotPositiveDefiniteError as exc:

@@ -16,6 +16,18 @@ from eigenshift.fem2d import CoefficientField, unit_square_mesh
 from eigenshift.harness import ScenarioConfig, run_scenario
 
 
+@pytest.fixture
+def dense_free(monkeypatch):
+    """Make every dense N x N view of an energy space raise: its dense Grams
+    and its dense energy Cholesky factor."""
+
+    def refuse(self):
+        raise AssertionError("a dense N x N Gram or factor was built")
+
+    for name in ("energy_gram", "mass_gram", "_energy_chol"):
+        monkeypatch.setattr(hilbert.EnergySpace, name, property(refuse))
+
+
 @pytest.fixture(scope="session")
 def square64():
     """Background problem on the unit square at h = 1/64."""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eigenshift.fem2d import (
     BackgroundMesh,
@@ -63,6 +65,24 @@ def test_coefficient_ellipticity_validated():
     mesh = unit_square_mesh(4)
     with pytest.raises(ValueError, match="ellipticity"):
         assemble(mesh, bad)
+
+
+def test_checker_sampling_matches_pointwise_evaluation():
+    nu, cells = 0.5, 4
+    eye = np.eye(2)
+
+    def one_point(point):
+        ix = int(np.floor(point[0] * cells))
+        iy = int(np.floor(point[1] * cells))
+        return eye if (ix + iy) % 2 == 0 else nu * eye
+
+    points = unit_square_mesh(12).centroids()
+    want = np.array([one_point(p) for p in points])
+    got = CoefficientField.checker(nu, cells).sample(points)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    wrong = CoefficientField(lambda pts: np.ones((len(pts), 3, 3)), nu=0.5)
+    with pytest.raises(ValueError, match="2x2"):
+        wrong.sample(points)
 
 
 def test_degenerate_triangle_rejected():
@@ -200,6 +220,30 @@ def test_domain_monotonicity_discrete():
     lam_inner = inner.flat_values()
     k = min(lam_inner.size, 20)
     assert np.all(lam_inner[:k] >= lam_outer[:k] - 1e-9)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    drop_f=st.lists(st.integers(0, 127), max_size=24),
+    drop_e=st.lists(st.integers(0, 127), min_size=1, max_size=24),
+)
+def test_element_mask_nesting_orders_eigenvalues(drop_f, drop_e):
+    # E within F carves a nodal subspace within F's, so by min-max each of the
+    # lowest eigenvalues of E is at least the matching one of F
+    mesh = unit_square_mesh(8)
+    space = assemble(mesh, CoefficientField.checker(0.5))
+    keep_f = np.setdiff1d(np.arange(mesh.n_triangles), drop_f)
+    keep_e = np.setdiff1d(keep_f, drop_e)
+    try:
+        sub_e = carve_subspace(space, mesh, DomainSpec("element_mask", elements=keep_e.tolist()))
+    except MeshError:
+        assume(False)
+    sub_f = carve_subspace(space, mesh, DomainSpec("element_mask", elements=keep_f.tolist()))
+    assert np.isin(sub_e.indices, sub_f.indices).all()
+    lam_e = solve_operator_eigs(sub_e, group_tol=1e-9).flat_values()
+    lam_f = solve_operator_eigs(sub_f, group_tol=1e-9).flat_values()
+    k = min(lam_e.size, 6)
+    assert np.all(lam_e[:k] >= lam_f[:k] * (1.0 - 1e-9))
 
 
 def test_embedding_constant_matches_first_eigenvalue():

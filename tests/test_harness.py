@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenshift import hilbert
 from eigenshift.cli import main
+from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
     CSV_COLUMNS,
     ScenarioConfig,
@@ -67,6 +71,43 @@ def test_config_roundtrip_and_unknown_fields():
     assert clone == config
     with pytest.raises(ValueError, match="unknown config fields"):
         ScenarioConfig.from_dict({**config.to_dict(), "surprise": 1})
+
+
+@st.composite
+def scenario_configs(draw):
+    n = draw(st.integers(2, 64))
+    h = 1.0 / n
+    coefficient = draw(
+        st.sampled_from(
+            [
+                {"kind": "identity"},
+                {"kind": "checker", "nu": 0.5},
+                {"kind": "constant", "matrix": [[1.0, 0.1], [0.1, 0.8]], "nu": 0.7},
+            ]
+        )
+    )
+    scenarios = ["square_shrink", "square_expand", "boundary_notch", "l_shape"]
+    return ScenarioConfig(
+        scenario=draw(st.sampled_from(scenarios)),
+        h=h,
+        eps=[k * h for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4))],
+        m=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+        coefficient=coefficient,
+        q=draw(st.floats(1.5, 4.0)),
+        group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
+        seed=draw(st.integers(0, 99)),
+        anchor=draw(st.sampled_from([(0.5, 1.0), (0.0, 0.25)])),
+        n_lowest=draw(st.integers(1, 20)),
+    )
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(config=scenario_configs(), frac=st.floats(0.01, 0.99))
+def test_config_roundtrip_property(config, frac):
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    bad = {**config.to_dict(), "eps": [config.eps[0] + frac * config.h]}
+    with pytest.raises(MeshError, match="multiple"):
+        ScenarioConfig.from_dict(bad)
 
 
 # -- run and outputs ---------------------------------------------------------------
@@ -136,6 +177,33 @@ def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
     cell = run_scenario(config).cells[0]
     assert cell.error is None
     assert cell.sigma_star == cell.sigma > 0.0
+
+
+def test_programming_errors_propagate(monkeypatch):
+    # only numerical and geometric failures become error cells
+    def broken(*args):
+        raise TypeError("broken layer")
+
+    monkeypatch.setattr(hilbert, "eigenspace_images", broken)
+    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[1])
+    with pytest.raises(TypeError, match="broken layer"):
+        run_scenario(config)
+
+
+def test_notch_checker_run_is_dense_free(dense_free):
+    path = Path(__file__).parent.parent / "configs" / "notch_checker.json"
+    h = 1.0 / 12.0
+    data = {**json.loads(path.read_text()), "h": h, "eps": [2 * h, 4 * h]}
+    report = run_scenario(ScenarioConfig.from_dict(data))
+    assert report.passed, report.failures
+
+
+def test_shrink_at_h128_is_dense_free(dense_free):
+    # at h=1/128 one dense Gram alone would take 2.1 GB
+    h = 1.0 / 128.0
+    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1]))
+    assert report.passed, report.failures
+    assert report.cells[0].tracked and report.cells[0].admitted
 
 
 def test_report_json_deterministic(tiny_report, tmp_path):

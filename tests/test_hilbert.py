@@ -21,6 +21,7 @@ from eigenshift.hilbert import (
     eigenspace_images,
     embedding_constant,
     intersection_subspace,
+    SubspaceRankError,
     sigma_distance,
     sigma_star,
     solve_operator_eigs,
@@ -136,6 +137,40 @@ def test_projection_matches_oracle():
         s_mat = oracles.projector_matrix(space.energy_gram, basis)
         u = rng.normal(size=n)
         assert np.allclose(sub.project_block(u), s_mat @ u, atol=1e-9)
+
+
+@pytest.mark.parametrize("root", ["sparse", "dense"])
+def test_fem_general_subspace_matches_dense_oracle(root, request):
+    # explicit bases on a FEM space are energy-orthonormalized through the
+    # square root of A from the space's sparse factor; the dense Cholesky
+    # root stands in only when that factor is absent
+    mesh = fem2d.unit_square_mesh(12)
+    space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
+    energy = space.energy_csr.toarray()
+    if root == "sparse":
+        request.getfixturevalue("dense_free")
+    else:
+        space._energy_lu = None
+    rng = np.random.default_rng(21)
+    basis = rng.normal(size=(space.dim, 5))
+    sub = Subspace.from_basis(space, basis)
+    q = sub.orthonormal_basis()
+    assert np.abs(q.T @ energy @ q - np.eye(5)).max() < 1e-10
+    u = rng.normal(size=(space.dim, 3))
+    want = oracles.projector_matrix(energy, basis) @ u
+    assert np.abs(sub.project_block(u) - want).max() <= 1e-10 * np.abs(want).max()
+    # the general intersection basis is a combination of the first operand's
+    h1, h2 = Subspace.from_basis(space, basis[:, :3]), Subspace.from_basis(space, basis[:, 1:])
+    inter = intersection_subspace(h1, h2)
+    assert inter.dim == 2
+    want = oracles.projector_matrix(energy, basis[:, 1:3]) @ u
+    assert np.abs(inter.project_block(u) - want).max() <= 1e-10 * np.abs(want).max()
+    mass = space.mass_csr.toarray()
+    want = oracles.sigma_star_direct(energy, mass, basis[:, :3], basis[:, 1:])
+    assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-10)
+    near = np.column_stack([basis, basis[:, 0] + 1e-13 * rng.normal(size=space.dim)])
+    with pytest.raises(SubspaceRankError, match="rank deficient"):
+        Subspace.from_basis(space, near).orthonormal_basis()
 
 
 def test_cross_symmetry_property():
