@@ -7,8 +7,6 @@ touch the Cholesky-based code paths it double-checks.  Small dimensions
 only (active subspace up to 5).
 """
 
-import itertools
-
 import numpy as np
 
 
@@ -24,14 +22,12 @@ def _sphere_grid(k, n_per_angle):
         raise ValueError("grid search limited to active dimension 5")
     angles = [np.linspace(0.0, np.pi, n_per_angle) for _ in range(k - 2)]
     angles.append(np.linspace(0.0, 2.0 * np.pi, 2 * n_per_angle, endpoint=False))
-    pts = []
-    for combo in itertools.product(*angles):
-        vec = np.ones(k)
-        for i, ang in enumerate(combo):
-            vec[i] *= np.cos(ang)
-            vec[i + 1 :] *= np.sin(ang)
-        pts.append(vec)
-    return np.array(pts)
+    # one row per angle tuple, in itertools.product order; point j is
+    # sin(a_0) ... sin(a_j-1) cos(a_j), multiplied left to right
+    ang = np.stack(np.meshgrid(*angles, indexing="ij"), axis=-1).reshape(-1, k - 1)
+    pts = np.column_stack([np.cos(ang), np.ones(len(ang))])
+    pts[:, 1:] *= np.cumprod(np.sin(ang), axis=1)
+    return pts
 
 
 def _grid_max(num_form, den_form, n_per_angle):

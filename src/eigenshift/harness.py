@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem2d, hilbert, perturbation
+from . import _oracle_grid, fem2d, hilbert, perturbation
 from .eigsolve import PencilError
 from .fem2d import CoefficientField, DomainSpec, MeshError, unit_square_mesh
 from .hilbert import Subspace
@@ -51,6 +51,8 @@ CSV_COLUMNS = [
 ]
 
 _SCENARIOS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
+# the fields each coefficient kind takes, besides "kind"
+_COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": ("nu",)}
 
 # the failures a run records as error cells; any other exception is a bug
 # and propagates
@@ -99,8 +101,13 @@ class ScenarioConfig:
         if any(int(m) < 1 for m in self.m) or not self.m:
             raise ValueError("m list must contain positive group indices")
         kind = self.coefficient.get("kind", "identity")
-        if kind not in ("identity", "constant", "checker"):
+        if kind not in _COEFFICIENT_FIELDS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
+        given, needed = set(self.coefficient) - {"kind"}, set(_COEFFICIENT_FIELDS[kind])
+        if given != needed:
+            raise ValueError(
+                f"coefficient kind {kind!r} takes the fields {sorted(needed)}, got {sorted(given)}"
+            )
         nu = self.coefficient.get("nu", 1.0)
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"coefficient nu must be in (0, 1], got {nu}")
@@ -650,8 +657,6 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         # oracle subsample: dedicated pairs with dim <= 2 keep the active
         # subspace of the projector difference within the grid's reach
         if case_index % 10 == 0:
-            from . import _oracle_grid
-
             b1o = rng.normal(size=(space.dim, int(rng.integers(1, 3))))
             b2o = rng.normal(size=(space.dim, int(rng.integers(1, 3))))
             val = hilbert.sigma_distance(

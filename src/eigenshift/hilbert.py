@@ -19,11 +19,11 @@ inertia.  For nodal pairs, sigma and sigma* are the largest eigenvalue of
 the pencil (D' M D, A) on the coordinates of I1 u I2, by matrix-free Lanczos
 from a seeded start vector, certified like :func:`eigsolve.solve_pencil`.
 Subspaces with an explicit basis are energy-orthonormalized through a square
-root of A taken from the sparse factor that proved A definite.  What stays
-dense is sized by a subspace, not by the space: complete spectra, the small
-per-cell pencils, and, for small explicit-basis pairs only, the general
-branch of sigma_distance and :func:`embedding_constant`, which read the
-dense Gram views.
+root of A taken from the sparse factor that proved A definite; for such
+pairs, sigma and sigma* are the top eigenvalue of a form on an
+energy-orthonormal basis of H1 + H2.  What stays dense is sized by a
+subspace, not by the space: complete spectra and the small pencils.  Only
+:func:`embedding_constant`, for small spaces, reads the dense Gram views.
 """
 
 from __future__ import annotations
@@ -514,6 +514,22 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     return max(theta, 0.0)
 
 
+def _sum_basis(h1: Subspace, h2: Subspace) -> np.ndarray:
+    """Energy-orthonormal basis R'^-1 U of H1 + H2, R R' = A, from the SVD
+    R' [Q1 Q2] = U S V' with the singular values above 1e-10 of the largest."""
+    space = h1.parent
+    stacked = space._root_t @ np.hstack([h1.orthonormal_basis(), h2.orthonormal_basis()])
+    u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
+    return space._root_t_solve(u[:, :rank])
+
+
+def _top_mass_form(space: EnergySpace, dq: np.ndarray) -> float:
+    """Largest eigenvalue of (D Q)' M (D Q): the maximum of |D u|^2 over the
+    unit-energy u in the span of the energy-orthonormal Q."""
+    return form_extremes(dq.T @ (space.mass_csr @ dq))[1]
+
+
 def sigma_distance(h1: Subspace, h2: Subspace) -> float:
     """Best constant in |(S1 - S2) u|^2 <= sigma ||u||^2 over the parent space."""
     h1.same_parent(h2)
@@ -522,13 +538,9 @@ def sigma_distance(h1: Subspace, h2: Subspace) -> float:
         if np.array_equal(h1.indices, h2.indices):
             return 0.0
         return _nodal_pencil_max(_nodal_on(h1, h2, np.union1d(h1.indices, h2.indices)), h1, h2)
-    b1, b2 = h1.orthonormal_basis(), h2.orthonormal_basis()
-    s1 = b1 @ (b1.T @ space.energy_gram)
-    s2 = b2 @ (b2.T @ space.energy_gram)
-    diff = s1 - s2
-    num = diff.T @ space.mass_gram @ diff
-    theta, _ = solve_pencil(SymmetricPencil(num, space.energy_gram))
-    return float(max(theta[-1], 0.0))
+    # S1 - S2 vanishes on the energy-orthogonal complement of H1 + H2
+    q = _sum_basis(h1, h2)
+    return _top_mass_form(space, h1.project_block(q) - h2.project_block(q))
 
 
 def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
@@ -572,25 +584,10 @@ def sigma_star(h1: Subspace, h2: Subspace) -> float:
             return sigma_distance(h1, h2)
         union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
         return _nodal_pencil_max(union, union, inter)
-    root_t = space._root_t
-    stacked = root_t @ np.hstack([h1.orthonormal_basis(), h2.orthonormal_basis()])
-    u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
-    q_sum = u[:, :rank]
-    k_int = 0 if inter is None else inter.dim
-    if rank == k_int:
+    q = _sum_basis(h1, h2)
+    if inter is not None and q.shape[1] == inter.dim:
         return 0.0
-    if k_int:
-        q_int = root_t @ inter.orthonormal_basis()
-        resid = q_sum - q_int @ (q_int.T @ q_sum)
-        uu, _, _ = np.linalg.svd(resid, full_matrices=False)
-        comp = uu[:, : rank - k_int]
-    else:
-        comp = q_sum
-    vecs = space._root_t_solve(comp)
-    gram = vecs.T @ (space.mass_csr @ vecs)
-    theta = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return float(max(theta[-1], 0.0))
+    return _top_mass_form(space, q if inter is None else q - inter.project_block(q))
 
 
 def solve_operator_eigs(

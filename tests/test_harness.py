@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import hilbert
+from eigenshift import _oracle_grid, hilbert
 from eigenshift.cli import main
 from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
@@ -17,6 +18,8 @@ from eigenshift.harness import (
     write_csv,
     write_report,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,20 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             scenario="l_shape", h=1.0 / 16.0, eps=[0.0], m=[1],
             coefficient={"kind": "checker", "nu": 2.0},
         )
+    # a missing field would otherwise surface as a bare KeyError in `run`,
+    # and an unknown one would be recorded in report.json but never used
+    for coefficient, field_name in [
+        ({"kind": "checker"}, "nu"),
+        ({"kind": "constant", "nu": 0.5}, "matrix"),
+        ({"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "nu"),
+        ({"kind": "checker", "nu": 0.5, "cells": 3}, "cells"),
+        ({"kind": "identity", "nu": 0.5}, "nu"),
+    ]:
+        with pytest.raises(ValueError, match=field_name):
+            ScenarioConfig(
+                scenario="l_shape", h=1.0 / 16.0, eps=[0.0], m=[1],
+                coefficient=coefficient,
+            )
 
 
 def test_config_roundtrip_and_unknown_fields():
@@ -253,6 +270,13 @@ def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
     assert summary["passed"] is False
     (case,) = summary["distance_symmetry"]["violations"]
     assert case["case"] == 0 and len(case["bases"]) == 3
+
+
+def test_sphere_grid_matches_oracle_loop():
+    # the suite's grid is built in one vectorized pass; the test oracle keeps
+    # the per-point loop, and both multiply in the same order
+    for k in range(1, 6):
+        assert np.array_equal(_oracle_grid._sphere_grid(k, 6), oracles._sphere_grid(k, 6))
 
 
 def test_verify_fem_suite():

@@ -168,6 +168,12 @@ def test_fem_general_subspace_matches_dense_oracle(root, request):
     mass = space.mass_csr.toarray()
     want = oracles.sigma_star_direct(energy, mass, basis[:, :3], basis[:, 1:])
     assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-10)
+    # general sigma reads no dense view either: its pencil lives on H1 + H2
+    d = oracles.projector_matrix(energy, basis[:, :3]) - oracles.projector_matrix(
+        energy, basis[:, 1:]
+    )
+    want = oracles.pencil_eigs(d.T @ mass @ d, energy)[-1]
+    assert sigma_distance(h1, h2) == pytest.approx(want, rel=1e-10)
     near = np.column_stack([basis, basis[:, 0] + 1e-13 * rng.normal(size=space.dim)])
     with pytest.raises(SubspaceRankError, match="rank deficient"):
         Subspace.from_basis(space, near).orthonormal_basis()
