@@ -57,7 +57,7 @@ def _cmd_verify(args) -> int:
         _print_margins("abstract", summary)
         ok = ok and summary["passed"]
     if args.suite in ("fem", "all"):
-        summary = verify_fem(seed=args.seed)
+        summary = verify_fem()
         _print_margins("fem", summary)
         ok = ok and summary["passed"]
     return 0 if ok else 1
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run the invariant suites")
     verify_p.add_argument("--suite", choices=("abstract", "fem", "all"), default="all")
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=int, default=0, help="seed of the abstract suite")
     verify_p.add_argument("--cases", type=int, default=500)
     verify_p.set_defaults(func=_cmd_verify)
     return parser

@@ -2,10 +2,11 @@
 
 Dense spectral computations funnel through :func:`solve_pencil`, so their
 ordering, sign conventions and residual checks are uniform.  The lowest
-eigenpairs of a nodal subspace come instead from shift-invert Lanczos in
-:func:`hilbert.solve_operator_eigs`; those pairs pass the same residual
-allowance (:func:`_certify`, on the sparse blocks), and a Sylvester inertia
-count certifies that no eigenvalue below the kept ones was missed.
+eigenpairs of a nodal subspace come instead from the Lanczos routine of
+:mod:`hilbert`, as the top eigenpairs of (M_II, A_II); those pairs pass the
+same residual allowance (:func:`_certify`, on the sparse blocks), and a
+Sylvester inertia count certifies that no eigenvalue below the kept ones
+was missed.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -70,6 +71,14 @@ _CELL_ERRORS = (
 )
 
 
+def _check_number(value, name: str, kind=numbers.Real) -> None:
+    """ValueError naming the field unless value is a number of ``kind``; a
+    bool is not a number here, though Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """One experiment: scenario family, mesh, coefficients, sweeps."""
@@ -89,16 +98,22 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {_SCENARIOS}")
+        _check_number(self.h, "h")
+        if not 0.0 < self.h <= 1.0:
+            raise ValueError(f"mesh size h must be in (0, 1], got {self.h}")
         n = 1.0 / self.h
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"mesh size h={self.h} must be the reciprocal of an integer")
         if not self.eps:
             raise ValueError("eps sweep must not be empty")
         for eps in self.eps:
+            _check_number(eps, "eps")
             ratio = eps / self.h
             if eps < 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise MeshError(f"eps={eps} is not a nonnegative multiple of h={self.h}")
-        if any(int(m) < 1 for m in self.m) or not self.m:
+        for m in self.m:
+            _check_number(m, "m", numbers.Integral)
+        if any(m < 1 for m in self.m) or not self.m:
             raise ValueError("m list must contain positive group indices")
         kind = self.coefficient.get("kind", "identity")
         if kind not in _COEFFICIENT_FIELDS:
@@ -109,6 +124,7 @@ class ScenarioConfig:
                 f"coefficient kind {kind!r} takes the fields {sorted(needed)}, got {sorted(given)}"
             )
         nu = self.coefficient.get("nu", 1.0)
+        _check_number(nu, "coefficient nu")
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"coefficient nu must be in (0, 1], got {nu}")
 
@@ -688,7 +704,7 @@ _PANEL_FUNCS = (
 )
 
 
-def verify_fem(seed: int = 0) -> dict:
+def verify_fem() -> dict:
     """Mesh-based invariant suite: spectral convergence, degenerate-pair
     detection, discrete domain monotonicity, and the vanishing-distance
     family (sigma, sigma*, and projections converge together)."""

@@ -9,21 +9,25 @@ projector distance sigma, the complement constant sigma*, the bridge
 operator B, correctors, and the remainder magnitudes rho and rho0.
 
 The Grams are stored as CSR matrices only, and every form on a block of
-vectors applies the sparse Gram to the N x J block first.  Nodal subspaces
-(index sets, as carved from a mesh) solve with one cached sparse LU factor
-of their CSR energy block A_II.  Their lowest eigenpairs come from
-shift-invert Lanczos through that factor; each pair passes the residual
-allowance of :func:`eigsolve.solve_pencil`, and the number kept must equal
-the number of eigenvalues below a separating shift, counted by Sylvester
+vectors applies the sparse Gram to the N x J block first.  Every subspace
+operator (projector, solution operator, corrector) is one representer
+solve, :meth:`Subspace._solve`.  Nodal subspaces (index sets, as carved
+from a mesh) solve with one cached sparse LU factor of their CSR energy
+block A_II, and one Lanczos routine, :func:`_lanczos_top`, finds the top
+eigenpairs of a pencil (K, A_II) through that factor from a seeded start
+vector.  It serves two callers.  The lowest eigenpairs of a nodal subspace
+are the top ones of (M_II, A_II); each pair passes the residual allowance
+of :func:`eigsolve.solve_pencil`, and the number kept must equal the
+number of eigenvalues below a separating shift, counted by Sylvester
 inertia.  For nodal pairs, sigma and sigma* are the largest eigenvalue of
-the pencil (D' M D, A) on the coordinates of I1 u I2, by matrix-free Lanczos
-from a seeded start vector, certified like :func:`eigsolve.solve_pencil`.
-Subspaces with an explicit basis are energy-orthonormalized through a square
-root of A taken from the sparse factor that proved A definite; for such
-pairs, sigma and sigma* are the top eigenvalue of a form on an
-energy-orthonormal basis of H1 + H2.  What stays dense is sized by a
-subspace, not by the space: complete spectra and the small pencils.  Only
-:func:`embedding_constant`, for small spaces, reads the dense Gram views.
+the pencil (D' M D, A) on the coordinates of I1 u I2, certified like
+:func:`eigsolve.solve_pencil`.  Subspaces with an explicit basis are
+energy-orthonormalized through a square root of A taken from the sparse
+factor that proved A definite; for such pairs, sigma and sigma* are the top
+eigenvalue of a form on an energy-orthonormal basis of H1 + H2.  What stays
+dense is sized by a subspace, not by the space: complete spectra and the
+small pencils.  Only :func:`embedding_constant`, for small spaces, reads the
+dense Gram views.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .eigsolve import PencilError, SymmetricPencil, solve_pencil
-from .eigsolve import _certify, _cholesky, _fix_signs
+from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
+from .eigsolve import _certify, _fix_signs
 
 __all__ = [
     "EnergySpace",
@@ -159,11 +163,9 @@ class EnergySpace:
     on first use, for small spaces and reference checks.  Both Grams must be
     symmetric positive definite (which also guarantees the embedding
     constant is finite and positive).  Positive pivots of a symmetric sparse
-    factorization prove it at construction, and the energy factor is kept:
-    it gives the square root of A that energy-orthonormalizes explicit
-    bases.  Where the pivots do not prove it, a dense Cholesky factorization
-    decides, its failure raises :class:`NotPositiveDefiniteError`, and the
-    dense energy factor stands in as the root.
+    factorization must prove it at construction, or
+    :class:`NotPositiveDefiniteError` is raised.  The energy factor is kept:
+    it gives the square root of A that energy-orthonormalizes explicit bases.
     """
 
     def __init__(self, energy_gram, mass_gram):
@@ -177,12 +179,12 @@ class EnergySpace:
 
     def _definite_factor(self, csr: sp.csr_array, name: str):
         """The symmetric sparse factor whose positive pivots prove the Gram
-        definite, or None once a dense Cholesky factorization proved it."""
+        definite; NotPositiveDefiniteError, with the smallest eigenvalue of
+        the dense Gram, when they do not."""
         lu = _symmetric_factor(csr)
-        if lu is not None and np.all(lu.U.diagonal() > 0):
-            return lu
-        _cholesky(getattr(self, name), name)
-        return None
+        if lu is None or not np.all(lu.U.diagonal() > 0):
+            raise NotPositiveDefiniteError(name, float(np.linalg.eigvalsh(csr.toarray())[0]))
+        return lu
 
     @cached_property
     def energy_gram(self) -> np.ndarray:
@@ -193,26 +195,15 @@ class EnergySpace:
         return self.mass_csr.toarray()
 
     @cached_property
-    def _energy_chol(self) -> np.ndarray:
-        """Dense Cholesky factor of the energy Gram, the root where the sparse
-        pivots did not prove it definite."""
-        return _cholesky(self.energy_gram, "energy_gram")
-
-    @cached_property
     def _root_t(self):
         """R' for a square root R R' = A of the energy Gram.  From the sparse
-        factor P A P' = L U with U = D L': R' = D^-1/2 U P, so R = P' L D^1/2;
-        otherwise the transposed dense Cholesky factor."""
-        if self._energy_lu is None:
-            return self._energy_chol.T
+        factor P A P' = L U with U = D L': R' = D^-1/2 U P, so R = P' L D^1/2."""
         u = self._energy_lu.U
         scaled = sp.diags_array(1.0 / np.sqrt(u.diagonal())) @ u
         return scaled.tocsc()[:, self._energy_lu.perm_r]
 
     def _root_t_solve(self, block: np.ndarray) -> np.ndarray:
         """R'^-1 block, as A^-1 R block through the sparse factor."""
-        if self._energy_lu is None:
-            return sla.solve_triangular(self._energy_chol, block, lower=True, trans="T")
         return self._energy_lu.solve(self._root_t.T @ block)
 
     def check_vector(self, u: np.ndarray) -> np.ndarray:
@@ -245,12 +236,12 @@ class Subspace:
 
     Either nodal (spanned by coordinate vectors at a recorded index set) or
     general (spanned by the columns of an explicit basis).  Projections are
-    energy orthogonal.  A factor of the restricted energy Gram is cached:
-    a sparse LU of the CSR block A_II for nodal subspaces, through which
-    every nodal solve goes, and a dense Cholesky factor of the small
-    restricted Gram for general ones.  The energy-orthonormalized basis of
-    a general subspace is cached too; it comes from the parent's square
-    root of A, so no dense N x N matrix is formed.
+    energy orthogonal.  Every operator goes through one representer solve,
+    :meth:`_solve`: E A_II^-1 rhs_I through a cached sparse LU of the CSR
+    block A_II for a nodal subspace, and Q Q' rhs for a general one, whose
+    energy-orthonormal basis Q is cached and comes from the parent's square
+    root of A, so no dense N x N matrix is formed.  A nodal subspace has no
+    explicit basis, so a pair of one nodal and one general subspace raises.
     """
 
     def __init__(self, parent: EnergySpace, basis: np.ndarray, *, _indices=None):
@@ -300,11 +291,9 @@ class Subspace:
 
     @property
     def basis(self) -> np.ndarray:
-        """Raw spanning columns (identity columns for nodal subspaces)."""
+        """Raw spanning columns of a general subspace."""
         if self._basis_raw is None:
-            eye = np.zeros((self.parent.dim, self.dim))
-            eye[self._indices, np.arange(self.dim)] = 1.0
-            self._basis_raw = eye
+            raise ValueError("nodal subspace has no explicit basis")
         return self._basis_raw
 
     def orthonormal_basis(self) -> np.ndarray:
@@ -341,11 +330,13 @@ class Subspace:
             return _symmetric_splu(self._energy_block).solve
         return partial(sla.cho_solve, sla.cho_factor(self.restricted_grams()[0], lower=True))
 
-    def _nodal_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Ambient vector(s) equal to A_II^-1 rhs_I on I and zero elsewhere."""
-        out = np.zeros(rhs.shape)
-        out[self._indices] = self._restricted_energy_solve(rhs[self._indices])
-        return out
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The w in this subspace with (w, v) = rhs' v for every v in it,
+        columnwise: E A_II^-1 rhs_I for a nodal subspace, Q Q' rhs otherwise."""
+        if self.kind == "general":
+            b = self.orthonormal_basis()
+            return b @ (b.T @ rhs)
+        return self.embed(self._restricted_energy_solve(rhs[self._indices]))
 
     def restricted_grams(self):
         """Energy and mass Grams restricted to this subspace's coordinates:
@@ -359,8 +350,7 @@ class Subspace:
         """Map subspace coordinates back to ambient vectors."""
         coords = np.asarray(coords, dtype=float)
         if self.kind == "nodal":
-            out_shape = (self.parent.dim,) + coords.shape[1:]
-            out = np.zeros(out_shape)
+            out = np.zeros((self.parent.dim,) + coords.shape[1:])
             out[self._indices] = coords
             return out
         return self.orthonormal_basis() @ coords
@@ -369,23 +359,11 @@ class Subspace:
 
     def project_block(self, u: np.ndarray) -> np.ndarray:
         """Energy-orthogonal projection, applied columnwise."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != self.parent.dim:
-            raise DimensionMismatchError(
-                f"vector of length {u.shape[0]} in a space of dimension {self.parent.dim}"
-            )
-        if self.kind == "nodal":
-            return self._nodal_solve(self.parent.energy_csr @ u)
-        b = self.orthonormal_basis()
-        return b @ (b.T @ (self.parent.energy_csr @ u))
+        return self._solve(self.parent.energy_csr @ self.parent.check_vector(u))
 
     def apply_k(self, u: np.ndarray) -> np.ndarray:
         """Compact solution operator on this subspace: (K u, v) = <u, v>."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "nodal":
-            return self._nodal_solve(self.parent.mass_csr @ u)
-        b = self.orthonormal_basis()
-        return b @ (b.T @ (self.parent.mass_csr @ u))
+        return self._solve(self.parent.mass_csr @ self.parent.check_vector(u))
 
     def contains(self, u: np.ndarray, tol: float = 1e-8) -> bool:
         u = self.parent.check_vector(u)
@@ -412,8 +390,6 @@ class EigenDecomposition:
     values: np.ndarray
     spaces: list
     multiplicities: np.ndarray
-    group_tol: float
-    dim_solved: int
     complete: bool
     spreads: np.ndarray = None  # per group: max |1/lam_i - 1/lam_mean| over members
 
@@ -468,6 +444,26 @@ def _nodal_on(h1: Subspace, h2: Subspace, idx: np.ndarray) -> Subspace:
     return Subspace.nodal(h1.parent, idx)
 
 
+def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k eigenpairs of the pencil (K, A_II) on the coordinates of a nodal
+    subspace, K symmetric and applied by ``matvec``: Lanczos in the
+    A_II-inner product on A_II^-1 K through the subspace's factor, from a
+    seeded start vector.  The eigenvectors are A_II-orthonormal."""
+    n = sub.dim
+    try:
+        return eigsh(
+            LinearOperator((n, n), matvec=matvec, dtype=float),
+            k=k,
+            M=sub._energy_block,
+            Minv=LinearOperator((n, n), matvec=sub._restricted_energy_solve, dtype=float),
+            which="LA",
+            tol=0,
+            v0=np.random.default_rng(0).standard_normal(n),
+        )
+    except ArpackError as exc:
+        raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
+
+
 def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -> float:
     """Largest eigenvalue of the pencil (D' M D, A) on the coordinates of union.
 
@@ -475,32 +471,20 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     lie in ``union`` and D vanishes on its energy-orthogonal complement, so
     this is the maximum over the whole space.  A nodal projector is
     S = E A_II^-1 E' A, so D = G A and D' = A G with G the difference of the
-    two embedded sparse solves.  Lanczos starts from a seeded vector, and the
-    eigenpair is certified against the residual allowance of solve_pencil,
-    with |K x| / |x| standing in for |K|_F, which it never exceeds.
+    two embedded solves.  The eigenpair from :func:`_lanczos_top` is
+    certified against the residual allowance of solve_pencil, with
+    |K x| / |x| standing in for |K|_F, which it never exceeds.
     """
     a, m, a_uu = union.parent.energy_csr, union.parent.mass_csr, union._energy_block
 
     def g(w):
-        gw = plus._nodal_solve(w)
-        return gw if minus is None else gw - minus._nodal_solve(w)
+        gw = plus._solve(w)
+        return gw if minus is None else gw - minus._solve(w)
 
     def numerator(coords):
         return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
 
-    n = union.dim
-    try:
-        theta, vecs = eigsh(
-            LinearOperator((n, n), matvec=numerator, dtype=float),
-            k=1,
-            M=a_uu,
-            Minv=LinearOperator((n, n), matvec=union._restricted_energy_solve, dtype=float),
-            which="LA",
-            tol=0,
-            v0=np.random.default_rng(0).standard_normal(n),
-        )
-    except ArpackError as exc:
-        raise PencilError(f"Lanczos solve for the largest eigenvalue failed: {exc}") from exc
+    theta, vecs = _lanczos_top(union, numerator, 1)
     theta = float(theta[0])
     x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (a_uu @ vecs[:, 0]))  # A-normalized, as in solve_pencil
     kx, x_norm = numerator(x), np.linalg.norm(x)
@@ -600,11 +584,12 @@ def solve_operator_eigs(
     energy-orthonormal in the ambient coordinates.  ``n_lowest`` asks for a
     partial spectrum (the trailing, possibly split group is dropped).
 
-    A partial solve on a nodal subspace runs shift-invert Lanczos on its
-    sparse blocks, and the count of eigenvalues below a shift between the
-    kept groups and the dropped one must equal the number kept, or
-    :class:`PencilError` is raised.  Complete spectra and general subspaces
-    are solved densely.
+    A partial solve on a nodal subspace takes the top eigenpairs of
+    (M_II, A_II), whose eigenvalues are 1/lambda, from :func:`_lanczos_top`;
+    each pair is certified like solve_pencil, and the count of eigenvalues
+    below a shift between the kept groups and the dropped one must equal the
+    number kept, or :class:`PencilError` is raised.  Complete spectra and
+    general subspaces are solved densely.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
@@ -615,7 +600,13 @@ def solve_operator_eigs(
     request = min(d, n_lowest + 3) if partial else None
     lanczos = partial and sub.kind == "nodal" and request < d - 1
     if lanczos:
-        lam, coords = _lanczos_lowest(sub, request)
+        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, request)
+        order = np.argsort(-theta, kind="stable")
+        lam = 1.0 / theta[order]
+        # A_II-orthonormal pairs of (M_II, A_II) become M_II-orthonormal ones
+        coords = coords[:, order]
+        coords *= np.sqrt(lam)
+        _certify(a_res, m_res, lam, coords)
     else:
         dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
         lam, coords = solve_pencil(SymmetricPencil(*dense), n_lowest=request)
@@ -654,35 +645,9 @@ def solve_operator_eigs(
         values=np.array(values),
         spaces=spaces,
         multiplicities=np.array(mults, dtype=int),
-        group_tol=group_tol,
-        dim_solved=d,
         complete=not partial,
         spreads=np.array(spreads),
     )
-
-
-def _lanczos_lowest(sub: Subspace, request: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``request`` eigenpairs of (A_II, M_II), ascending and
-    M_II-orthonormal, by shift-invert Lanczos at 0 through the subspace's
-    factor of A_II, from a seeded start vector; certified like solve_pencil."""
-    a_res, m_res = sub.restricted_grams()
-    n = sub.dim
-    try:
-        lam, coords = eigsh(
-            a_res,
-            k=request,
-            M=m_res,
-            sigma=0.0,
-            OPinv=LinearOperator((n, n), matvec=sub._restricted_energy_solve, dtype=float),
-            tol=0,
-            v0=np.random.default_rng(0).standard_normal(n),
-        )
-    except ArpackError as exc:
-        raise PencilError(f"shift-invert Lanczos eigensolve failed: {exc}") from exc
-    order = np.argsort(lam, kind="stable")
-    lam, coords = lam[order], coords[:, order]
-    _certify(a_res, m_res, lam, coords)
-    return lam, coords
 
 
 def _group_boundaries(lam: np.ndarray, tol: float) -> list:
@@ -729,11 +694,9 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
     share one factorization.
     """
     space = h2.parent
-    rhs = space.energy_csr @ block - lam_m * (space.mass_csr @ block)
+    value = h2._solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
     if h2.kind == "nodal":
-        return h2._nodal_solve(rhs)
-    b = h2.orthonormal_basis()
-    value = b @ (b.T @ rhs)
+        return value
     # the value lies in h2 by construction; a defect means the basis is suspect
     defect = _energy_norms(space, value - h2.project_block(value))
     if np.any(defect > 1e-10 * np.maximum(_energy_norms(space, value), 1.0)):

@@ -18,13 +18,12 @@ from eigenshift.harness import ScenarioConfig, run_scenario
 
 @pytest.fixture
 def dense_free(monkeypatch):
-    """Make every dense N x N view of an energy space raise: its dense Grams
-    and its dense energy Cholesky factor."""
+    """Make every dense N x N view of an energy space raise: its dense Grams."""
 
     def refuse(self):
-        raise AssertionError("a dense N x N Gram or factor was built")
+        raise AssertionError("a dense N x N Gram was built")
 
-    for name in ("energy_gram", "mass_gram", "_energy_chol"):
+    for name in ("energy_gram", "mass_gram"):
         monkeypatch.setattr(hilbert.EnergySpace, name, property(refuse))
 
 

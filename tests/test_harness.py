@@ -77,6 +77,25 @@ def test_config_rejects_unknown_scenario_and_coefficient():
                 scenario="l_shape", h=1.0 / 16.0, eps=[0.0], m=[1],
                 coefficient=coefficient,
             )
+    # wrongly typed numbers (a bool is no number, and m = 1.5 must not run as 1)
+    # and mesh sizes that give no mesh
+    valid = {"scenario": "l_shape", "h": 1.0 / 16.0, "eps": [0.0], "m": [1]}
+    for change, message in [
+        ({"coefficient": {"kind": "checker", "nu": "0.5"}}, "nu must be a real number"),
+        ({"coefficient": {"kind": "checker", "nu": True}}, "nu must be a real number"),
+        ({"m": [1.5]}, "m must be an integer"),
+        ({"m": ["1"]}, "m must be an integer"),
+        ({"m": [True]}, "m must be an integer"),
+        ({"eps": ["0.125"]}, "eps must be a real number"),
+        ({"eps": [True]}, "eps must be a real number"),
+        ({"h": "0.0625"}, "h must be a real number"),
+        ({"h": True}, "h must be a real number"),
+        ({"h": 0.0}, "h must be in"),
+        ({"h": -0.125}, "h must be in"),
+        ({"h": float("inf")}, "h must be in"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**{**valid, **change})
 
 
 def test_config_roundtrip_and_unknown_fields():

@@ -139,18 +139,14 @@ def test_projection_matches_oracle():
         assert np.allclose(sub.project_block(u), s_mat @ u, atol=1e-9)
 
 
-@pytest.mark.parametrize("root", ["sparse", "dense"])
+@pytest.mark.parametrize("root", ["sparse"])
 def test_fem_general_subspace_matches_dense_oracle(root, request):
     # explicit bases on a FEM space are energy-orthonormalized through the
-    # square root of A from the space's sparse factor; the dense Cholesky
-    # root stands in only when that factor is absent
+    # square root of A from the space's sparse factor
     mesh = fem2d.unit_square_mesh(12)
     space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
     energy = space.energy_csr.toarray()
-    if root == "sparse":
-        request.getfixturevalue("dense_free")
-    else:
-        space._energy_lu = None
+    request.getfixturevalue("dense_free")
     rng = np.random.default_rng(21)
     basis = rng.normal(size=(space.dim, 5))
     sub = Subspace.from_basis(space, basis)
@@ -265,6 +261,11 @@ def test_shared_parent_required():
     s1, s2 = euclid_space(3), euclid_space(3)
     with pytest.raises(ValueError, match="parent"):
         sigma_distance(Subspace.nodal(s1, [0]), Subspace.nodal(s2, [0]))
+    # a nodal subspace has no explicit basis, so a mixed pair has no common form
+    mixed = (Subspace.nodal(s1, [0]), Subspace.from_basis(s1, np.eye(3)[:, 1:]))
+    for pair in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError, match="no explicit basis"):
+            sigma_distance(*pair)
 
 
 # -- sigma* and intersection --------------------------------------------------
@@ -421,7 +422,7 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
         solve_operator_eigs(h1, group_tol=1e-6, n_lowest=8)
 
 
-# -- lowest eigenpairs of nodal subspaces by shift-invert Lanczos ---------------
+# -- lowest eigenpairs of nodal subspaces by Lanczos ---------------------------
 
 
 def _lanczos_case(n, kind):
@@ -470,14 +471,17 @@ def test_nodal_lanczos_eigs_match_dense_oracle(n, kind):
         assert np.abs(gap).max() <= 1e-8
 
 
-def test_lanczos_completeness_certificate_catches_dropped_copy(monkeypatch):
+@pytest.mark.parametrize("lowest", [False, True], ids=["highest_copy", "lowest_copy"])
+def test_lanczos_completeness_certificate_catches_dropped_copy(monkeypatch, lowest):
+    # eigsh returns theta = 1 / lambda: the second of ascending theta is a copy
+    # of the highest lambda computed, the second of descending of the lowest
     space, sub = _lanczos_case(12, "degenerate")
     true_eigsh = hilbert.eigsh
 
     def drop_one_copy(*args, **kwargs):
         theta, vecs = true_eigsh(*args, **kwargs)
-        order = np.argsort(theta)
-        keep = np.delete(order, 1)  # the second copy of the lowest eigenvalue
+        order = np.argsort(-theta if lowest else theta)
+        keep = np.delete(order, 1)
         return theta[keep], vecs[:, keep]
 
     monkeypatch.setattr(hilbert, "eigsh", drop_one_copy)
