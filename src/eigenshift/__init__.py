@@ -6,7 +6,7 @@ predicts eigenvalue shifts through a small correction eigenproblem, with a
 2D P1 finite element realization and a reproducible experiment harness.
 """
 
-from .eigsolve import SymmetricPencil, count_in_interval, solve_pencil
+from .eigsolve import SymmetricPencil, solve_pencil
 from .hilbert import (
     EigenDecomposition,
     EigenspaceImages,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SymmetricPencil",
     "solve_pencil",
-    "count_in_interval",
     "EnergySpace",
     "Subspace",
     "EigenDecomposition",

@@ -1,12 +1,13 @@
 """Dense symmetric generalized eigenvalue kernel with residual certification.
 
 Dense spectral computations funnel through :func:`solve_pencil`, so their
-ordering, sign conventions and residual checks are uniform.  The lowest
-eigenpairs of a nodal subspace come instead from the Lanczos routine of
-:mod:`hilbert`, as the top eigenpairs of (M_II, A_II); those pairs pass the
-same residual allowance (:func:`_certify`, on the sparse blocks), and a
-Sylvester inertia count certifies that no eigenvalue below the kept ones
-was missed.
+ordering, sign conventions and residual checks are uniform.  It always
+solves the complete pencil; a caller that needs only the lowest pairs keeps
+a leading slice.  The lowest eigenpairs of a nodal subspace come instead
+from the Lanczos routine of :mod:`hilbert`, as the top eigenpairs of
+(M_II, A_II); those pairs pass the same residual allowance (:func:`_certify`,
+on the sparse blocks), and a Sylvester inertia count certifies that no
+eigenvalue below the kept ones was missed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "PencilError",
     "NotPositiveDefiniteError",
     "solve_pencil",
-    "count_in_interval",
 ]
 
 # relative asymmetry above which symmetrization is reported loudly
@@ -126,49 +126,26 @@ def _certify(a, b, theta: np.ndarray, vectors: np.ndarray) -> None:
         )
 
 
-def solve_pencil(
-    pencil: SymmetricPencil, n_lowest: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a x = theta b x.
+def solve_pencil(pencil: SymmetricPencil) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a x = theta b x completely.
 
     Returns eigenvalues ascending and b-orthonormal eigenvectors (columns),
     signs fixed so the largest-magnitude entry of each vector is positive.
     Residuals are certified against 1e-9*(|a|_F + |theta| |b|_F) per vector.
-
-    ``n_lowest`` limits the solve to the lowest eigenpairs (same reduction,
-    partial back-end extraction); None means the full spectrum.
+    The pencil is reduced through the Cholesky factor of b to a dense
+    symmetric eigenproblem.
     """
-    n = pencil.dim
-    if n_lowest is not None and not 1 <= n_lowest <= n:
-        raise PencilError(f"n_lowest must be in [1, {n}], got {n_lowest}")
-    if n_lowest is None or n_lowest >= n:
-        # reduce via the Cholesky factor of b, then a dense symmetric solve
-        ell = pencil._b_cho
-        c = sla.solve_triangular(ell, pencil.a, lower=True)
-        c = sla.solve_triangular(ell, c.T, lower=True).T
-        c = 0.5 * (c + c.T)
-        try:
-            theta, y = np.linalg.eigh(c)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise PencilError(f"dense symmetric eigensolve failed: {exc}") from exc
-        vectors = sla.solve_triangular(ell, y, lower=True, trans="T")
-    else:
-        try:
-            theta, vectors = sla.eigh(
-                pencil.a, pencil.b, subset_by_index=(0, n_lowest - 1), driver="gvx"
-            )
-        except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise PencilError(f"partial generalized eigensolve failed: {exc}") from exc
+    ell = pencil._b_cho
+    c = sla.solve_triangular(ell, pencil.a, lower=True)
+    c = sla.solve_triangular(ell, c.T, lower=True).T
+    c = 0.5 * (c + c.T)
+    try:
+        theta, y = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise PencilError(f"dense symmetric eigensolve failed: {exc}") from exc
+    vectors = sla.solve_triangular(ell, y, lower=True, trans="T")
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     vectors = _fix_signs(vectors[:, order])
     _certify(pencil.a, pencil.b, theta, vectors)
     return theta, vectors
-
-
-def count_in_interval(eigenvalues: np.ndarray, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the open interval (lo, hi), with multiplicity."""
-    if not lo < hi:
-        raise ValueError(f"interval bounds must satisfy lo < hi, got ({lo}, {hi})")
-    vals = np.asarray(eigenvalues, dtype=float)
-    return int(np.count_nonzero((vals > lo) & (vals < hi)))

@@ -90,17 +90,6 @@ class BackgroundMesh:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackgroundMesh":
-        return cls(np.array(data["vertices"]), np.array(data["triangles"]), data["h"])
-
 
 def unit_square_mesh(n: int) -> BackgroundMesh:
     """Structured mesh with n x n cells, diagonals along y = x."""
@@ -240,26 +229,6 @@ class DomainSpec:
         elif self.kind == "l_shape":
             keep = ~((cen[:, 0] > 1.0 - self.eps) & (cen[:, 1] > 1.0 - self.eps))
         return np.flatnonzero(keep)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "eps": self.eps}
-        if self.kind == "boundary_notch":
-            out["anchor"] = list(self.anchor)
-        if self.kind == "square_expand":
-            out["base"] = self.base
-        if self.kind == "element_mask":
-            out["elements"] = [int(e) for e in self.elements]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DomainSpec":
-        return cls(
-            kind=data["kind"],
-            eps=data.get("eps", 0.0),
-            anchor=tuple(data.get("anchor", (0.5, 1.0))),
-            base=data.get("base", 0.25),
-            elements=data.get("elements", []),
-        )
 
 
 def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:

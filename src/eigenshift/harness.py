@@ -51,6 +51,9 @@ CSV_COLUMNS = [
     "ratio",
 ]
 
+# the ScenarioCell scalars that an error cell leaves NaN
+_NAN_FIELDS = ("lam_m", "sigma", "sigma_star", "rho", "rho0", "gate_value")
+
 _SCENARIOS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 # the fields each coefficient kind takes, besides "kind"
 _COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": ("nu",)}
@@ -127,6 +130,28 @@ class ScenarioConfig:
         _check_number(nu, "coefficient nu")
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"coefficient nu must be in (0, 1], got {nu}")
+        if kind == "constant":
+            matrix = np.asarray(self.coefficient["matrix"], dtype=object)
+            if matrix.shape != (2, 2):
+                raise ValueError(f"coefficient matrix must be 2x2, got shape {matrix.shape}")
+            for entry in matrix.flat:
+                _check_number(entry, "coefficient matrix entry")
+            self.coefficient_field()  # the field's own symmetry check
+        _check_number(self.n_lowest, "n_lowest", numbers.Integral)
+        if self.n_lowest < 1:
+            raise ValueError(f"n_lowest must be at least 1, got {self.n_lowest}")
+        if self.group_tol is not None:
+            _check_number(self.group_tol, "group_tol")
+            if not self.group_tol > 0.0:
+                raise ValueError(f"group_tol must be positive or None, got {self.group_tol}")
+        _check_number(self.q, "q")
+        if not self.q > 1.0:
+            raise ValueError(f"q must be greater than 1, got {self.q}")
+        _check_number(self.base, "base")
+        if not isinstance(self.anchor, (tuple, list)) or len(self.anchor) != 2:
+            raise ValueError(f"anchor must be two real numbers, got {self.anchor!r}")
+        for coordinate in self.anchor:
+            _check_number(coordinate, "anchor")
 
     @property
     def subdivisions(self) -> int:
@@ -207,60 +232,26 @@ class ScenarioReport:
     failures: list
     passed: bool
 
+    def _sorted_cells(self) -> list:
+        return sorted(self.cells, key=lambda c: (c.eps, c.m))
+
     def csv_rows(self) -> list:
-        rows = []
-        for cell in sorted(self.cells, key=lambda c: (c.eps, c.m)):
-            for row in cell.rows:
-                rows.append(
-                    [
-                        self.config.scenario,
-                        self.config.h,
-                        cell.eps,
-                        cell.m,
-                        row.k,
-                        row.lambda_inv,
-                        row.mu_inv,
-                        row.tau,
-                        cell.sigma,
-                        cell.sigma_star,
-                        cell.rho,
-                        cell.rho0,
-                        row.remainder,
-                        row.bound,
-                        row.ratio,
-                    ]
-                )
-        return rows
+        """One list of CSV_COLUMNS values per row; a row's field overrides its
+        cell's, and a cell's overrides the config's."""
+        config = vars(self.config)
+        return [
+            [{**config, **vars(cell), **vars(row)}[name] for name in CSV_COLUMNS]
+            for cell in self._sorted_cells()
+            for row in cell.rows
+        ]
 
     def to_dict(self) -> dict:
         cells = []
-        for cell in sorted(self.cells, key=lambda c: (c.eps, c.m)):
-            cells.append(
-                {
-                    "eps": cell.eps,
-                    "m": cell.m,
-                    "lambda": _json_scalar(cell.lam_m),
-                    "multiplicity": cell.multiplicity,
-                    "sigma": _json_scalar(cell.sigma),
-                    "sigma_star": _json_scalar(cell.sigma_star),
-                    "rho": _json_scalar(cell.rho),
-                    "rho0": _json_scalar(cell.rho0),
-                    "gate_value": _json_scalar(cell.gate_value),
-                    "admitted": cell.admitted,
-                    "tracked": cell.tracked,
-                    "direction": cell.direction,
-                    "mu_inv": list(cell.mu_inv),
-                    "tau": list(cell.tau),
-                    "proximity": list(cell.proximity),
-                    "t_norm2_range": list(cell.t_norm2_range),
-                    "psi_norm2_range": list(cell.psi_norm2_range),
-                    "collar_energy_max": cell.collar_energy_max,
-                    "sym_diff_area": cell.sym_diff_area,
-                    "group_spread": cell.group_spread,
-                    "rows": [vars(row) for row in cell.rows],
-                    "error": cell.error,
-                }
-            )
+        for cell in self._sorted_cells():
+            record = asdict(cell)
+            record.update({name: _json_scalar(record[name]) for name in _NAN_FIELDS})
+            record["lambda"] = record.pop("lam_m")
+            cells.append(record)
         return {
             "config": self.config.to_dict(),
             "cells": cells,
@@ -314,40 +305,29 @@ def _cell_for(
             sym_diff_area=0.0,
         )
     loc = perturbation.localize(eigs1, eigs2, m, sigma, strict=False)
-    cell = perturbation.ScenarioCell(
-        eps=eps,
-        m=m,
-        lam_m=lam_m,
-        multiplicity=j_m,
-        sigma=sigma,
-        sigma_star=sigma_star,
-        rho=0.0,
-        rho0=0.0,
-        gate_value=loc.gate_value,
-        admitted=loc.admitted,
-        tracked=loc.counted,
+    images = hilbert.eigenspace_images(h1, h2, x_m, lam_m, inter)
+    cp = perturbation.assemble_correction(images, sigma)
+    p_m = Subspace.from_basis(space, images.s)
+    collar_max = 0.0
+    if collar is not None:
+        collar_max = hilbert.form_extremes(fem2d.gradient_energy_form(space, mesh, collar, x_m))[1]
+    return perturbation.ScenarioCell(
+        eps=eps, m=m, lam_m=lam_m, multiplicity=j_m,
+        sigma=sigma, sigma_star=sigma_star, rho=cp.rho, rho0=hilbert.compute_rho0(images),
+        gate_value=loc.gate_value, admitted=loc.admitted, tracked=loc.counted,
         direction=direction,
+        mu_inv=[float(v) for v in loc.mu_inv],
+        tau=[float(t) for t in cp.tau],
+        rows=perturbation.predict_and_check(cp, loc.mu),
+        proximity=[
+            float(perturbation.eigenvector_proximity(u, p_m, sigma)) for u in loc.vectors.T
+        ],
+        t_norm2_range=_norm_range(space, images.t),
+        psi_norm2_range=_norm_range(space, images.psi),
+        collar_energy_max=collar_max,
+        sym_diff_area=area,
         group_spread=float(eigs1.spreads[m - 1]),
     )
-    cell.mu_inv = [float(v) for v in loc.mu_inv]
-    images = hilbert.eigenspace_images(h1, h2, x_m, lam_m, inter)
-    cell.rho0 = hilbert.compute_rho0(images)
-    cell.t_norm2_range = _norm_range(space, images.t)
-    cell.psi_norm2_range = _norm_range(space, images.psi)
-    cp = perturbation.assemble_correction(images, sigma)
-    cell.rho = cp.rho
-    cell.tau = [float(t) for t in cp.tau]
-    cell.rows = perturbation.predict_and_check(cp, loc.mu)
-    p_m = Subspace.from_basis(space, images.s)
-    cell.proximity = [
-        float(perturbation.eigenvector_proximity(loc.vectors[:, j], p_m, sigma))
-        for j in range(loc.vectors.shape[1])
-    ]
-    if collar is not None:
-        form = fem2d.gradient_energy_form(space, mesh, collar, x_m)
-        cell.collar_energy_max = float(max(np.linalg.eigvalsh(form)[-1], 0.0))
-    cell.sym_diff_area = area
-    return cell
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -357,10 +337,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     space = fem2d.assemble(mesh, coeff)
     dom1 = config.reference_domain()
     h1 = fem2d.carve_subspace(space, mesh, dom1)
-    n_lowest = config.n_lowest if config.n_lowest < h1.dim else None
-    eigs1 = hilbert.solve_operator_eigs(
-        h1, config.group_tol_for(dom1), n_lowest=n_lowest
-    )
+    eigs1 = hilbert.solve_operator_eigs(h1, config.group_tol_for(dom1), n_lowest=config.n_lowest)
     max_m = max(int(m) for m in config.m)
     if eigs1.n_groups < max_m + (0 if eigs1.complete else 1):
         raise ValueError(
@@ -374,9 +351,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             dom2 = config.perturbed_domain(eps)
             h2 = fem2d.carve_subspace(space, mesh, dom2)
             inter = hilbert.intersection_subspace(h1, h2)
-            n2 = config.n_lowest if config.n_lowest < h2.dim else None
             eigs2 = hilbert.solve_operator_eigs(
-                h2, config.group_tol_for(dom2), n_lowest=n2
+                h2, config.group_tol_for(dom2), n_lowest=config.n_lowest
             )
             direction = perturbation._direction_of(h1, h2)
             s12 = hilbert.sigma_distance(h1, h2)

@@ -26,8 +26,8 @@ energy-orthonormalized through a square root of A taken from the sparse
 factor that proved A definite; for such pairs, sigma and sigma* are the top
 eigenvalue of a form on an energy-orthonormal basis of H1 + H2.  What stays
 dense is sized by a subspace, not by the space: complete spectra and the
-small pencils.  Only :func:`embedding_constant`, for small spaces, reads the
-dense Gram views.
+small pencils.  Only the abstract suite's small spaces read the dense Gram
+views: :func:`embedding_constant`, its grid oracle and its counterexamples.
 """
 
 from __future__ import annotations
@@ -588,8 +588,8 @@ def solve_operator_eigs(
     (M_II, A_II), whose eigenvalues are 1/lambda, from :func:`_lanczos_top`;
     each pair is certified like solve_pencil, and the count of eigenvalues
     below a shift between the kept groups and the dropped one must equal the
-    number kept, or :class:`PencilError` is raised.  Complete spectra and
-    general subspaces are solved densely.
+    number kept, or :class:`PencilError` is raised.  Every other request is
+    solved densely in full, and a partial one keeps the leading pairs.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
@@ -609,7 +609,8 @@ def solve_operator_eigs(
         _certify(a_res, m_res, lam, coords)
     else:
         dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
-        lam, coords = solve_pencil(SymmetricPencil(*dense), n_lowest=request)
+        lam, coords = solve_pencil(SymmetricPencil(*dense))
+        lam, coords = lam[:request], coords[:, :request]
     groups = _group_boundaries(lam, group_tol)
     if partial and len(groups) > 1:
         groups = groups[:-1]

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigsolve import (
-    NotPositiveDefiniteError,
-    SymmetricPencil,
-    count_in_interval,
-    solve_pencil,
-)
+from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, solve_pencil
 from .hilbert import EigenDecomposition, EigenspaceImages, Subspace, compute_rho
 
 __all__ = [
@@ -199,7 +194,7 @@ def localize(
     flat_mu = eigs2.flat_values()
     mu_inv_all = 1.0 / flat_mu
     in_window = (mu_inv_all > lo) & (mu_inv_all < hi)
-    count = count_in_interval(mu_inv_all, lo, hi)
+    count = int(np.count_nonzero(in_window))
     # eigenvalues past a partial spectrum lie below its smallest reciprocal
     proven = eigs2.complete or mu_inv_all.min() <= lo
     counted = proven and count == j_m

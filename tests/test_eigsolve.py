@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from eigenshift.eigsolve import (
     NotPositiveDefiniteError,
-    PencilError,
     SymmetricPencil,
-    count_in_interval,
     solve_pencil,
 )
 
@@ -70,17 +68,6 @@ def test_asymmetry_warns():
         SymmetricPencil(a, np.eye(2))
 
 
-def test_partial_matches_full():
-    rng = np.random.default_rng(13)
-    a = random_spd(rng, 12)
-    b = random_spd(rng, 12)
-    full, fvecs = solve_pencil(SymmetricPencil(a, b))
-    part, pvecs = solve_pencil(SymmetricPencil(a, b), n_lowest=4)
-    assert part.shape == (4,)
-    assert np.allclose(part, full[:4], rtol=1e-10)
-    assert np.allclose(np.abs(pvecs), np.abs(fvecs[:, :4]), atol=1e-8)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_spectrum_invariant_under_congruence(seed):
@@ -113,20 +100,3 @@ def test_matches_independent_oracle():
         b = random_spd(rng, n)
         theta, _ = solve_pencil(SymmetricPencil(a, b))
         assert np.allclose(theta, pencil_eigs(a, b), rtol=1e-8, atol=1e-10)
-
-
-def test_count_in_interval():
-    vals = np.array([1.0, 2.0, 3.0])
-    assert count_in_interval(vals, 1.5, 3.5) == 2
-    assert count_in_interval(vals, 10.0, 11.0) == 0
-    assert count_in_interval(np.array([0.5, 0.5]), 0.4, 0.6) == 2
-    with pytest.raises(ValueError):
-        count_in_interval(vals, 2.0, 2.0)
-
-
-def test_n_lowest_validation():
-    p = SymmetricPencil(np.eye(3), np.eye(3))
-    with pytest.raises(PencilError):
-        solve_pencil(p, n_lowest=0)
-    with pytest.raises(PencilError):
-        solve_pencil(p, n_lowest=4)

@@ -92,17 +92,6 @@ def test_degenerate_triangle_rejected():
         )
 
 
-def test_mesh_roundtrip_json_dict():
-    mesh = unit_square_mesh(4)
-    clone = BackgroundMesh.from_dict(mesh.to_dict())
-    assert np.allclose(clone.vertices, mesh.vertices)
-    assert np.array_equal(clone.triangles, mesh.triangles)
-
-    spec = DomainSpec("boundary_notch", eps=0.25, anchor=(0.5, 1.0))
-    clone_spec = DomainSpec.from_dict(spec.to_dict())
-    assert clone_spec == spec
-
-
 # -- carving -------------------------------------------------------------------
 
 

@@ -21,11 +21,11 @@ for nested shrinks and notches, ``t_norm2_range`` for the expand: squared
 norms of an eigen-residual, 1e-30 to 1e-26), so no relative comparison
 applies; its fresh values must stay below 1e-20 instead.  The goldens were
 written by dense factorizations and dense pencils; nodal subspaces now solve
-through sparse LU factors, get sigma and sigma* from a Lanczos iteration and
-their lowest eigenpairs from shift-invert Lanczos in place of the dense
-partial eigensolve, which changes results in the last bits (about 1e-14
-relative for the eigenvalues), so byte identity no longer holds across these
-backend swaps.  Run-to-run byte identity is still checked by
+through sparse LU factors, and one Lanczos routine gives them sigma and
+sigma* and, as the top eigenpairs of (M_II, A_II), their lowest eigenpairs
+in place of the dense partial eigensolve.  That changes results in the last
+bits (about 1e-14 relative for the eigenvalues), so byte identity no longer
+holds across these backend swaps.  Run-to-run byte identity is still checked by
 ``test_harness.py::test_report_json_deterministic``.
 """
 

@@ -93,6 +93,29 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"h": 0.0}, "h must be in"),
         ({"h": -0.125}, "h must be in"),
         ({"h": float("inf")}, "h must be in"),
+        ({"n_lowest": 2.5}, "n_lowest must be an integer"),
+        ({"n_lowest": True}, "n_lowest must be an integer"),
+        ({"n_lowest": 0}, "n_lowest must be at least 1"),
+        ({"group_tol": "1e-6"}, "group_tol must be a real number"),
+        ({"group_tol": 0.0}, "group_tol must be positive"),
+        ({"q": "2"}, "q must be a real number"),
+        ({"q": 1.0}, "q must be greater than 1"),
+        ({"base": "0.25"}, "base must be a real number"),
+        ({"anchor": ("a", 1.0)}, "anchor must be a real number"),
+        ({"anchor": (0.5,)}, "anchor must be two real numbers"),
+        ({"anchor": 0.5}, "anchor must be two real numbers"),
+        (
+            {"coefficient": {"kind": "constant", "matrix": "x", "nu": 0.5}},
+            "coefficient matrix must be 2x2",
+        ),
+        (
+            {"coefficient": {"kind": "constant", "matrix": [[1.0, "0"], [0.0, 1.0]], "nu": 0.5}},
+            "coefficient matrix entry must be a real number",
+        ),
+        (
+            {"coefficient": {"kind": "constant", "matrix": [[1.0, 0.5], [0.0, 1.0]], "nu": 0.5}},
+            "symmetric",
+        ),
     ]:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**{**valid, **change})

@@ -550,15 +550,29 @@ def test_eigs_match_oracle_and_are_orthonormal():
             assert np.abs(gram - np.eye(mult)).max() < 1e-8
 
 
+def _check_partial_against_full(sub, n_lowest):
+    full = solve_operator_eigs(sub, group_tol=1e-9)
+    part = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=n_lowest)
+    assert not part.complete
+    assert part.n_computed <= n_lowest + 3
+    assert np.allclose(part.values, full.values[: part.n_groups], rtol=1e-9)
+
+
 def test_partial_decomposition():
     rng = np.random.default_rng(15)
+    _check_partial_against_full(random_space(rng, 12).whole(), n_lowest=5)
+
+
+@pytest.mark.parametrize("kind", ["general", "nodal_small"])
+def test_partial_decomposition_dense(kind):
+    # partial requests that Lanczos does not serve: a general subspace, and a
+    # nodal one with n_lowest < d <= n_lowest + 4, where the request n_lowest + 3
+    # leaves too few dropped eigenvalues; both solve the complete dense pencil
+    # and keep its leading pairs
+    rng = np.random.default_rng(15)
     space = random_space(rng, 12)
-    sub = space.whole()
-    full = solve_operator_eigs(sub, group_tol=1e-9)
-    part = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=5)
-    assert not part.complete
-    assert part.n_computed <= 5 + 3
-    assert np.allclose(part.values, full.values[: part.n_groups], rtol=1e-9)
+    sub = random_subspace(rng, space, 9) if kind == "general" else Subspace.nodal(space, range(9))
+    _check_partial_against_full(sub, n_lowest=5)
 
 
 # -- complement map, corrector, bridge operator --------------------------------
