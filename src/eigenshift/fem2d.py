@@ -47,7 +47,9 @@ class BackgroundMesh:
 
     vertices: (nv, 2) array; triangles: (nt, 3) int array, positively
     oriented; h: nominal edge length.  Vertices strictly inside D are the
-    degrees of freedom of the background space, in vertex order.
+    degrees of freedom of the background space, in vertex order.  The
+    centroids and the P1 gradients (``gradients``, (nt, 3, 2)) are computed
+    once, as read-only arrays that assembly, domains and forms index into.
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray, h: float):
@@ -69,6 +71,10 @@ class BackgroundMesh:
         # per-vertex incident triangle counts, for interiority of carved domains
         self._incident_total = np.zeros(len(self.vertices), dtype=int)
         np.add.at(self._incident_total, self.triangles.ravel(), 1)
+        # read-only geometry shared by assembly, domains, collars and forms
+        corners = self.vertices[self.triangles]
+        self._centroids = _read_only(corners.mean(axis=1))
+        self.gradients = _read_only(_p1_gradients(corners))
 
     def _validate_geometry(self) -> None:
         p = self.vertices[self.triangles]
@@ -88,7 +94,13 @@ class BackgroundMesh:
         return len(self.triangles)
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        """Triangle centroids, (nt, 2), computed once and read-only."""
+        return self._centroids
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def unit_square_mesh(n: int) -> BackgroundMesh:
@@ -236,9 +248,9 @@ def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (points[:, 0] > lo) & (points[:, 0] < hi) & (points[:, 1] > lo) & (points[:, 1] < hi)
 
 
-def _p1_gradients(mesh: BackgroundMesh, triangles: np.ndarray) -> np.ndarray:
-    """Physical gradients of the three P1 hat functions on each triangle, (nt, 3, 2)."""
-    p = mesh.vertices[triangles]
+def _p1_gradients(p: np.ndarray) -> np.ndarray:
+    """Physical gradients of the three P1 hat functions on each triangle with
+    vertex coordinates p, (nt, 3, 2)."""
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # columns are edges
     inv_jac = np.linalg.inv(jac)
     return np.einsum("tji,kj->tki", inv_jac, _REF_GRADS)
@@ -246,7 +258,7 @@ def _p1_gradients(mesh: BackgroundMesh, triangles: np.ndarray) -> np.ndarray:
 
 def _element_matrices(mesh: BackgroundMesh, coeff_mats: np.ndarray):
     """Per-triangle 3x3 stiffness (with coefficients) and mass matrices."""
-    grads = _p1_gradients(mesh, mesh.triangles)
+    grads = mesh.gradients
     a_grads = np.einsum("tij,tkj->tki", coeff_mats, grads)
     stiff = np.einsum("tki,tli->tkl", grads, a_grads) * mesh.areas[:, None, None]
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -321,7 +333,7 @@ def gradient_energy_form(
         block = block.T
     values = np.zeros((len(mesh.vertices), block.shape[1]))
     values[mesh.interior_vertices] = block
-    grads = _p1_gradients(mesh, mesh.triangles[region])
+    grads = mesh.gradients[region]
     local = values[mesh.triangles[region]]  # (nt, 3, nb)
     grad_u = np.einsum("tkb,tki->tib", local, grads)
     return np.einsum("tib,tic,t->bc", grad_u, grad_u, mesh.areas[region])

@@ -325,8 +325,11 @@ class Subspace:
 
     @cached_property
     def _restricted_energy_solve(self):
-        """Solver for the restricted energy Gram, factored on first use."""
+        """Solver for the restricted energy Gram, factored on first use; a
+        nodal subspace on every index solves with the parent's factor."""
         if self.kind == "nodal":
+            if self.dim == self.parent.dim:
+                return self.parent._energy_lu.solve
             return _symmetric_splu(self._energy_block).solve
         return partial(sla.cho_solve, sla.cho_factor(self.restricted_grams()[0], lower=True))
 
@@ -628,18 +631,21 @@ def solve_operator_eigs(
                 f"Lanczos kept {kept} eigenvalues, but {below} lie below {shift:.6e} "
                 "by Sylvester inertia"
             )
+    blocks = np.empty((d, groups[-1].stop))
+    for sel in groups:
+        # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
+        block = coords[:, sel] / np.sqrt(lam[sel])[np.newaxis, :]
+        gram = block.T @ (a_res @ block)
+        blocks[:, sel] = block @ _inv_sqrt(gram)
+    # one certificate solve for all kept pairs
+    k_blocks = sub._restricted_energy_solve(m_res @ blocks)
     values, spaces, mults, spreads = [], [], [], []
     for sel in groups:
         lam_g = float(lam[sel].mean())
-        block = coords[:, sel]
-        # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
-        block = block / np.sqrt(lam[sel])[np.newaxis, :]
-        gram = block.T @ (a_res @ block)
-        block = block @ _inv_sqrt(gram)
-        ambient = sub.embed(block)
-        _certify_group(sub, a_res, m_res, block, lam_g, lam[sel])
+        block = blocks[:, sel]
+        _certify_group(a_res, block, k_blocks[:, sel], lam_g, lam[sel])
         values.append(lam_g)
-        spaces.append(_fix_signs(ambient))
+        spaces.append(_fix_signs(sub.embed(block)))
         mults.append(block.shape[1])
         spreads.append(float(np.abs(1.0 / lam[sel] - 1.0 / lam_g).max()))
     return EigenDecomposition(
@@ -668,11 +674,11 @@ def _inv_sqrt(gram: np.ndarray) -> np.ndarray:
     return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
-def _certify_group(sub, a_res, m_res, block, lam_g, lam_members) -> None:
-    # residual of K x = lambda_m^-1 x in the restricted energy norm; grouped
-    # eigenvalues that are merely close (not equal) contribute their spread
-    # in the reciprocal scale on top of the 1e-8 solver allowance
-    k_block = sub._restricted_energy_solve(m_res @ block)
+def _certify_group(a_res, block, k_block, lam_g, lam_members) -> None:
+    # residual of K x = lambda_m^-1 x in the restricted energy norm, with
+    # k_block = K block; grouped eigenvalues that are merely close (not equal)
+    # contribute their spread in the reciprocal scale on top of the 1e-8
+    # solver allowance
     resid = k_block - block / lam_g
     num = np.sqrt(np.maximum(np.einsum("ij,ij->j", resid, a_res @ resid), 0.0))
     den = np.sqrt(np.maximum(np.einsum("ij,ij->j", block, a_res @ block), 0.0))
