@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -75,11 +76,14 @@ _CELL_ERRORS = (
 
 
 def _check_number(value, name: str, kind=numbers.Real) -> None:
-    """ValueError naming the field unless value is a number of ``kind``; a
-    bool is not a number here, though Python counts it as one."""
+    """ValueError naming the field unless value is a finite number of
+    ``kind``; a bool is not a number here, though Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # every integer is finite, and one beyond the float range overflows isfinite
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass

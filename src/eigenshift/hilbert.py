@@ -13,14 +13,15 @@ vectors applies the sparse Gram to the N x J block first.  Every subspace
 operator (projector, solution operator, corrector) is one representer
 solve, :meth:`Subspace._solve`.  Nodal subspaces (index sets, as carved
 from a mesh) solve with one cached sparse LU factor of their CSR energy
-block A_II, and one Lanczos routine, :func:`_lanczos_top`, finds the top
-eigenpairs of a pencil (K, A_II) through that factor from a seeded start
-vector.  It serves two callers.  The lowest eigenpairs of a nodal subspace
-are the top ones of (M_II, A_II); each pair passes the residual allowance
-of :func:`eigsolve.solve_pencil`, and the number kept must equal the
-number of eigenvalues below a separating shift, counted by Sylvester
-inertia.  For nodal pairs, sigma and sigma* are the largest eigenvalue of
-the pencil (D' M D, A) on the coordinates of I1 u I2, certified like
+block A_II (on every index, the parent's factor of A), and one Lanczos
+routine, :func:`_lanczos_top`, finds the top eigenpairs of a pencil
+(K, A_II) through that factor from a seeded start vector.  It serves two
+callers.  The lowest eigenpairs of a nodal subspace are the top ones of
+(M_II, A_II); each pair passes the residual allowance of
+:func:`eigsolve.solve_pencil`, and the number kept must equal the number of
+eigenvalues below a separating shift, counted by Sylvester inertia.  For
+nodal pairs, sigma and sigma* are the largest eigenvalue of the pencil
+(D' M D, A) on the coordinates of I1 u I2, certified like
 :func:`eigsolve.solve_pencil`.  Subspaces with an explicit basis are
 energy-orthonormalized through a square root of A taken from the sparse
 factor that proved A definite; for such pairs, sigma and sigma* are the top
@@ -474,18 +475,35 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     lie in ``union`` and D vanishes on its energy-orthogonal complement, so
     this is the maximum over the whole space.  A nodal projector is
     S = E A_II^-1 E' A, so D = G A and D' = A G with G the difference of the
-    two embedded solves.  The eigenpair from :func:`_lanczos_top` is
-    certified against the residual allowance of solve_pencil, with
-    |K x| / |x| standing in for |K|_F, which it never exceeds.
+    two embedded solves.  When ``union`` is an operand (nested sigma, and
+    sigma*), its projector is the identity on the union coordinates U, so
+    D u = +-(u - S_inner u) for the other operand, inner, and the numerator
+    is (M d)_U - (A E A_inner^-1 (M d)_inner)_U with d = u - S_inner u: two
+    solves with the inner factor per Lanczos step, against four with both
+    operands' factors for a crossing pair.  The eigenpair from
+    :func:`_lanczos_top` is certified against the residual allowance of
+    solve_pencil, with |K x| / |x| standing in for |K|_F, which it never
+    exceeds.
     """
     a, m, a_uu = union.parent.energy_csr, union.parent.mass_csr, union._energy_block
 
-    def g(w):
-        gw = plus._solve(w)
-        return gw if minus is None else gw - minus._solve(w)
+    if union is plus or union is minus:
+        inner = minus if union is plus else plus
 
-    def numerator(coords):
-        return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
+        def numerator(coords):
+            u = union.embed(coords)
+            if inner is None:
+                return (m @ u)[union.indices]
+            md = m @ (u - inner._solve(a @ u))
+            return md[union.indices] - (a @ inner._solve(md))[union.indices]
+
+    else:
+
+        def g(w):
+            return plus._solve(w) - minus._solve(w)
+
+        def numerator(coords):
+            return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
 
     theta, vecs = _lanczos_top(union, numerator, 1)
     theta = float(theta[0])

@@ -266,6 +266,38 @@ def test_gradient_energy_unknown_element():
         gradient_energy(space, mesh, np.array([10**6]), np.zeros(space.dim))
 
 
+def test_mesh_geometry_is_computed_once_read_only_and_exact():
+    from eigenshift.fem2d import _p1_gradients, gradient_energy_form
+
+    n = 12
+    mesh = unit_square_mesh(n)
+    corners = mesh.vertices[mesh.triangles]
+    assert mesh.centroids() is mesh.centroids()
+    for cached, fresh in [
+        (mesh.centroids(), corners.mean(axis=1)),
+        (mesh.gradients, _p1_gradients(corners)),
+    ]:
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    # the collar form indexes the cached gradients; the region's own
+    # Jacobians give the same bits
+    space = assemble(mesh, CoefficientField.identity())
+    block = np.random.default_rng(0).normal(size=(space.dim, 3))
+    values = np.zeros((len(mesh.vertices), 3))
+    values[mesh.interior_vertices] = block
+    for dom in (
+        DomainSpec("square_shrink", eps=1.0 / n),
+        DomainSpec("boundary_notch", eps=2.0 / n, anchor=(0.5, 1.0)),
+    ):
+        region = collar_elements(mesh, dom, q=2.0)
+        grads = _p1_gradients(mesh.vertices[mesh.triangles[region]])
+        grad_u = np.einsum("tkb,tki->tib", values[mesh.triangles[region]], grads)
+        want = np.einsum("tib,tic,t->bc", grad_u, grad_u, mesh.areas[region])
+        assert np.array_equal(gradient_energy_form(space, mesh, region, block), want)
+
+
 def test_gradient_energy_collar_closed_form():
     # first eigenfunction interpolant; collar of width 0.1 on a 1/20 mesh
     n = 20

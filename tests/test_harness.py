@@ -92,7 +92,7 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"h": True}, "h must be a real number"),
         ({"h": 0.0}, "h must be in"),
         ({"h": -0.125}, "h must be in"),
-        ({"h": float("inf")}, "h must be in"),
+        ({"h": float("inf")}, "h must be finite"),
         ({"n_lowest": 2.5}, "n_lowest must be an integer"),
         ({"n_lowest": True}, "n_lowest must be an integer"),
         ({"n_lowest": 0}, "n_lowest must be at least 1"),
@@ -119,6 +119,30 @@ def test_config_rejects_unknown_scenario_and_coefficient():
     ]:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**{**valid, **change})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize(
+    "field_name", ["eps", "base", "anchor", "q", "group_tol", "nu", "matrix"]
+)
+def test_config_rejects_non_finite_reals(field_name, bad):
+    # eps=inf once raised OverflowError and eps=nan "cannot convert float NaN
+    # to integer"; a NaN base, anchor or matrix entry, or an infinite q or
+    # group_tol, constructed and failed later or not at all
+    changes = {
+        "eps": {"eps": [bad]},
+        "base": {"base": bad},
+        "anchor": {"anchor": (bad, 1.0)},
+        "q": {"q": bad},
+        "group_tol": {"group_tol": bad},
+        "nu": {"coefficient": {"kind": "checker", "nu": bad}},
+        "matrix": {
+            "coefficient": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, bad]], "nu": 0.5}
+        },
+    }
+    valid = {"scenario": "l_shape", "h": 1.0 / 16.0, "eps": [0.0], "m": [1]}
+    with pytest.raises(ValueError, match=f"{field_name}.* must be finite"):
+        ScenarioConfig(**{**valid, **changes[field_name]})
 
 
 def test_config_roundtrip_and_unknown_fields():

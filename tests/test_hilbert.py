@@ -422,6 +422,52 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
         solve_operator_eigs(h1, group_tol=1e-6, n_lowest=8)
 
 
+@pytest.mark.parametrize("kind", ["shrink", "expand", "notches"])
+def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
+    # a nested pair's union is its larger operand, whose projector is the
+    # identity on the union coordinates, and so is the union of sigma*'s
+    # difference: those pencils need only the solves of the intersection
+    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)[kind])
+    inter = np.intersect1d(h1.indices, h2.indices)
+    solved = []
+    true_solve = Subspace._solve
+
+    def spy(self, rhs):
+        solved.append(self.indices)
+        return true_solve(self, rhs)
+
+    monkeypatch.setattr(Subspace, "_solve", spy)
+    if kind != "notches":
+        sigma_distance(h1, h2)
+    sigma_star(h1, h2)
+    assert solved
+    assert all(np.array_equal(indices, inter) for indices in solved)
+
+
+def test_whole_space_shares_the_parent_factor(monkeypatch):
+    space, whole, h2 = _fem_pair(12, *_fem_pairs(12)["shrink"])
+    assert whole.dim == space.dim
+    for sub in (whole, space.whole()):
+        assert sub._restricted_energy_solve.__self__ is space._energy_lu
+    rhs = np.random.default_rng(0).standard_normal((space.dim, 3))
+    fresh = hilbert._symmetric_splu(whole._energy_block).solve(rhs)
+    assert np.array_equal(whole._solve(rhs), fresh)
+    # a crossing pair's union is neither operand, and is factored on its own
+    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
+    union = np.union1d(h1.indices, h2.indices)
+    assert h1.dim < union.size < space.dim and h2.dim < union.size
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat.shape[0])
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    sigma_distance(h1, h2)
+    assert sorted(factored) == sorted([h1.dim, h2.dim, union.size])
+
+
 # -- lowest eigenpairs of nodal subspaces by Lanczos ---------------------------
 
 
