@@ -71,7 +71,6 @@ class BackgroundMesh:
         # per-vertex incident triangle counts, for interiority of carved domains
         self._incident_total = np.zeros(len(self.vertices), dtype=int)
         np.add.at(self._incident_total, self.triangles.ravel(), 1)
-        # read-only geometry shared by assembly, domains, collars and forms
         corners = self.vertices[self.triangles]
         self._centroids = _read_only(corners.mean(axis=1))
         self.gradients = _read_only(_p1_gradients(corners))
