@@ -92,6 +92,21 @@ def test_degenerate_triangle_rejected():
         )
 
 
+def test_edge_on_three_triangles_rejected():
+    # three positively oriented triangles above the edge from vertex 0 to 1
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.2, 0.5], [0.8, 0.3]])
+    BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, 3]]), 1.0)
+    with pytest.raises(MeshError, match="not conforming"):
+        BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_triangle_vertex_index_out_of_range_rejected(bad):
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.2, 0.5], [0.8, 0.3]])
+    with pytest.raises(MeshError, match="out of range"):
+        BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, bad]]), 1.0)
+
+
 # -- carving -------------------------------------------------------------------
 
 

@@ -468,6 +468,76 @@ def test_whole_space_shares_the_parent_factor(monkeypatch):
     assert sorted(factored) == sorted([h1.dim, h2.dim, union.size])
 
 
+def test_crossing_pair_factors_its_union_once(monkeypatch):
+    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
+    union = np.union1d(h1.indices, h2.indices)
+    inter = np.intersect1d(h1.indices, h2.indices)
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat.shape[0])
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    sigma_distance(h1, h2)
+    sigma_star(h1, h2)
+    # the union once, not once for each call
+    assert sorted(factored) == sorted([h1.dim, h2.dim, union.size, inter.size])
+
+
+@pytest.mark.parametrize("kind", ["shrink", "expand", "notches"])
+def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
+    # when the union is an operand, Lanczos applies P' M alone: one solve with
+    # the inner factor per operator application, one to project the start
+    # vector, and two for the certificate's full numerator P' M P
+    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)[kind])
+    solves, steps = [], []
+    true_solve, true_lanczos = Subspace._solve, hilbert._lanczos_top
+
+    def spy_solve(self, rhs):
+        solves.append(self.dim)
+        return true_solve(self, rhs)
+
+    def spy_lanczos(sub, matvec, *rest):
+        def counted(coords):
+            steps.append(None)
+            return matvec(coords)
+
+        return true_lanczos(sub, counted, *rest)
+
+    monkeypatch.setattr(Subspace, "_solve", spy_solve)
+    monkeypatch.setattr(hilbert, "_lanczos_top", spy_lanczos)
+    if kind == "notches":
+        sigma_star(h1, h2)
+    else:
+        sigma_distance(h1, h2)
+    assert steps
+    assert len(solves) == len(steps) + 3
+    assert set(solves) == {np.intersect1d(h1.indices, h2.indices).size}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["whole_first", "notch_first"])
+@pytest.mark.parametrize("cells, rank", [(1, 3), (2, 8)])
+def test_rank_deficient_nested_sigmas_match_dense_oracle(cells, rank, swap):
+    # the pencil's rank |U| - |inner| lies below ARPACK's Krylov size of 20,
+    # so Lanczos exhausts range(P) and restarts from vectors outside it
+    n = 12
+    mesh = fem2d.unit_square_mesh(n)
+    space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
+    notch = fem2d.carve_subspace(
+        space, mesh, DomainSpec("boundary_notch", eps=cells / n, anchor=(0.5, 1.0))
+    )
+    whole = space.whole()
+    assert whole.dim - notch.dim == rank
+    h1, h2 = (notch, whole) if swap else (whole, notch)
+    want_sigma, want_star = oracles.nodal_sigmas(
+        space.energy_gram, space.mass_gram, h1.indices, h2.indices
+    )
+    assert sigma_distance(h1, h2) == pytest.approx(want_sigma, rel=1e-10)
+    assert sigma_star(h1, h2) == pytest.approx(want_star, rel=1e-10)
+
+
 # -- lowest eigenpairs of nodal subspaces by Lanczos ---------------------------
 
 
