@@ -167,8 +167,6 @@ class EnergySpace:
     factorization must prove it at construction, or
     :class:`NotPositiveDefiniteError` is raised.  The energy factor is kept:
     it gives the square root of A that energy-orthonormalizes explicit bases.
-    So is the last union of a crossing nodal pair, with its factor, so that
-    sigma and sigma* of the pair share it.
     """
 
     def __init__(self, energy_gram, mass_gram):
@@ -179,7 +177,6 @@ class EnergySpace:
         self.dim = self.energy_csr.shape[0]
         self._energy_lu = self._definite_factor(self.energy_csr, "energy_gram")
         self._definite_factor(self.mass_csr, "mass_gram")
-        self._last_union = None
 
     def _definite_factor(self, csr: sp.csr_array, name: str):
         """The symmetric sparse factor whose positive pivots prove the Gram
@@ -444,33 +441,21 @@ def _nodal_pair(h1: Subspace, h2: Subspace) -> bool:
 
 def _nodal_on(h1: Subspace, h2: Subspace, idx: np.ndarray) -> Subspace:
     """Nodal subspace on idx, a subset or a superset of both index sets; an
-    operand with that index set is returned itself, so its factor is shared.
-    The parent keeps the last union that is neither operand, so sigma and
-    sigma* of one crossing pair factor it once."""
+    operand with that index set is returned itself, so its factor is shared."""
     for sub in (h2, h1):
         if idx.size == sub.dim:
             return sub
-    if idx.size < h1.dim:
-        return Subspace.nodal(h1.parent, idx)
-    last = h1.parent._last_union
-    if last is None or not np.array_equal(last.indices, idx):
-        last = h1.parent._last_union = Subspace.nodal(h1.parent, idx)
-    return last
+    return Subspace.nodal(h1.parent, idx)
 
 
-def _seeded_start(n: int) -> np.ndarray:
-    return np.random.default_rng(0).standard_normal(n)
-
-
-def _lanczos_top(
-    sub: Subspace, matvec, k: int, v0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top k eigenpairs of the pencil (K, A_II) on the coordinates of a nodal
     subspace, K applied by ``matvec``: Lanczos in the A_II-inner product on
-    A_II^-1 K through the subspace's factor, from ``v0`` (by default a seeded
-    start vector).  A_II^-1 K need only be A_II-self-adjoint on the Krylov
-    space it builds from v0, as for every v0 when K is symmetric.  The
-    eigenvectors are A_II-orthonormal."""
+    A_II^-1 K through the subspace's factor, from a seeded start vector.
+    A_II^-1 K need only be A_II-self-adjoint on the range of A_II^-1 K:
+    ARPACK (mode 2, bmat='G') applies the operator to the start vector and
+    to every restart vector before it uses them (dgetv0), so the Krylov
+    space lies in that range.  The eigenvectors are A_II-orthonormal."""
     n = sub.dim
     try:
         return eigsh(
@@ -480,7 +465,7 @@ def _lanczos_top(
             Minv=LinearOperator((n, n), matvec=sub._restricted_energy_solve, dtype=float),
             which="LA",
             tol=0,
-            v0=_seeded_start(n) if v0 is None else v0,
+            v0=np.random.default_rng(0).standard_normal(n),
         )
     except ArpackError as exc:
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
@@ -498,10 +483,10 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     the identity on the union coordinates U, so D = +-P with P u = u - S_inner u
     for the other operand, inner, and the numerator is P' M P.  P is
     A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps every vector into
-    range(P), where P' M P = P' M.  Lanczos therefore starts from the
-    projected seeded vector and applies P' M alone,
+    range(P), where P' M P = P' M.  Lanczos therefore applies P' M alone,
     (M u)_U - (A E A_inner^-1 (M u)_inner)_U: one solve with the inner factor
-    per step.  The eigenpair from :func:`_lanczos_top` is certified with the
+    per step (see :func:`_lanczos_top` for why the start vector needs no
+    projection).  The eigenpair from :func:`_lanczos_top` is certified with the
     full numerator against the residual allowance of solve_pencil, with
     |K x| / |x| standing in for |K|_F, which it never exceeds.
     """
@@ -513,23 +498,18 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
         def numerator(coords):
             return (m @ union.embed(coords))[union.indices]
 
-        step, v0 = numerator, None
+        step = numerator
 
     elif union is plus or union is minus:
         inner = minus if union is plus else plus
-
-        def project(coords):
-            u = union.embed(coords)
-            return (u - inner._solve(a @ u))[union.indices]
 
         def step(coords):
             md = m @ union.embed(coords)
             return md[union.indices] - (a @ inner._solve(md))[union.indices]
 
         def numerator(coords):
-            return step(project(coords))
-
-        v0 = project(_seeded_start(union.dim))
+            u = union.embed(coords)
+            return step((u - inner._solve(a @ u))[union.indices])
 
     else:
 
@@ -539,9 +519,9 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
         def numerator(coords):
             return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
 
-        step, v0 = numerator, None
+        step = numerator
 
-    theta, vecs = _lanczos_top(union, step, 1, v0)
+    theta, vecs = _lanczos_top(union, step, 1)
     theta = float(theta[0])
     x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (a_uu @ vecs[:, 0]))  # A-normalized, as in solve_pencil
     kx, x_norm = numerator(x), np.linalg.norm(x)
