@@ -334,20 +334,54 @@ def _cell_for(
     )
 
 
+def _lowest_eigs(sub, group_tol, n, cap, enough):
+    """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
+    for the decomposition, it is complete, or n has reached cap."""
+    while True:
+        n = min(n, cap)
+        eigs = hilbert.solve_operator_eigs(
+            sub, group_tol, n_lowest=n if n < sub.dim else None
+        )
+        if eigs.complete or n == cap or enough(eigs):
+            return eigs
+        n *= 2
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Execute the full pipeline for one scenario config."""
+    """Execute the full pipeline for one scenario config.
+
+    Each eigensolve asks for the pairs the run reads, up to ``n_lowest``: the
+    reference for the groups up to max(m) + 1, which fix the windows, and
+    each perturbed solve for J_m eigenvalues past every window's lower end in
+    the reciprocal scale.  Uncomputed eigenvalues lie below those, so none can
+    fall in a window or lie nearer 1/lambda_m than the J_m that ``localize``
+    falls back to.  A request that proves too short is doubled.
+    """
     mesh = unit_square_mesh(config.subdivisions)
     coeff = config.coefficient_field()
     space = fem2d.assemble(mesh, coeff)
     dom1 = config.reference_domain()
     h1 = fem2d.carve_subspace(space, mesh, dom1)
-    eigs1 = hilbert.solve_operator_eigs(h1, config.group_tol_for(dom1), n_lowest=config.n_lowest)
     max_m = max(int(m) for m in config.m)
+    eigs1 = _lowest_eigs(
+        h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest,
+        lambda eigs: eigs.n_groups >= max_m + 1,
+    )
     if eigs1.n_groups < max_m + (0 if eigs1.complete else 1):
         raise ValueError(
             f"reference decomposition resolves {eigs1.n_groups} groups, "
             f"but m up to {max_m} was requested; increase n_lowest"
         )
+    # (lo, J_m) of each window
+    floors = [
+        (perturbation.spectral_window(eigs1, int(m))[0], eigs1.group(int(m))[2])
+        for m in config.m
+    ]
+
+    def covered(eigs):
+        mu_inv = 1.0 / eigs.flat_values()
+        return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in floors)
+
     cells = []
     for eps in sorted(config.eps):
         sigma = sig_star = np.nan
@@ -355,8 +389,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             dom2 = config.perturbed_domain(eps)
             h2 = fem2d.carve_subspace(space, mesh, dom2)
             inter = hilbert.intersection_subspace(h1, h2)
-            eigs2 = hilbert.solve_operator_eigs(
-                h2, config.group_tol_for(dom2), n_lowest=config.n_lowest
+            eigs2 = _lowest_eigs(
+                h2, config.group_tol_for(dom2), eigs1.n_computed, config.n_lowest, covered
             )
             direction = perturbation._direction_of(h1, h2)
             s12 = hilbert.sigma_distance(h1, h2)

@@ -179,9 +179,11 @@ def localize(
 
     In strict mode the distance gate and the window count are enforced as
     errors; otherwise failures are recorded on the result (``admitted``,
-    ``counted``) and the nearest J_m eigenvalues are returned regardless.
-    A partial perturbed spectrum that stops below the window's upper
-    eigenvalue end 1/lo leaves the count unproven, which fails it too.
+    ``counted``) and the nearest J_m eigenvalues are returned regardless;
+    a perturbed spectrum with fewer than J_m eigenvalues raises
+    :class:`LocalizationError` in either mode.  A partial perturbed spectrum
+    that stops below the window's upper eigenvalue end 1/lo leaves the count
+    unproven, which fails it too.
     """
     lam_m, _, j_m = eigs1.group(m)
     gate_value = float(np.sqrt(eigs1.cumulative_sum(m) * max(sigma, 0.0)))
@@ -214,6 +216,14 @@ def localize(
         )
     if counted:
         chosen = np.flatnonzero(in_window)
+    elif flat_mu.size < j_m:
+        raise LocalizationError(
+            f"localization failed for group m={m}: the perturbed spectrum has "
+            f"{flat_mu.size} eigenvalue(s), fewer than the multiplicity {j_m}",
+            window=(lo, hi),
+            count=count,
+            expected=j_m,
+        )
     else:
         chosen = np.argsort(np.abs(mu_inv_all - 1.0 / lam_m), kind="stable")[:j_m]
     vectors_flat = np.hstack(eigs2.spaces)

@@ -290,7 +290,7 @@ def test_mesh_geometry_is_computed_once_read_only_and_exact():
     assert mesh.centroids() is mesh.centroids()
     for cached, fresh in [
         (mesh.centroids(), corners.mean(axis=1)),
-        (mesh.gradients, _p1_gradients(corners)),
+        (mesh.gradients, _p1_gradients(corners, mesh.areas)),
     ]:
         assert not cached.flags.writeable
         assert np.array_equal(cached, fresh)
@@ -307,10 +307,31 @@ def test_mesh_geometry_is_computed_once_read_only_and_exact():
         DomainSpec("boundary_notch", eps=2.0 / n, anchor=(0.5, 1.0)),
     ):
         region = collar_elements(mesh, dom, q=2.0)
-        grads = _p1_gradients(mesh.vertices[mesh.triangles[region]])
+        grads = _p1_gradients(mesh.vertices[mesh.triangles[region]], mesh.areas[region])
         grad_u = np.einsum("tkb,tki->tib", values[mesh.triangles[region]], grads)
         want = np.einsum("tib,tic,t->bc", grad_u, grad_u, mesh.areas[region])
         assert np.array_equal(gradient_energy_form(space, mesh, region, block), want)
+
+
+def test_p1_gradients_match_inverse_jacobian():
+    from eigenshift.fem2d import _p1_gradients
+
+    p = np.random.default_rng(7).uniform(-3.0, 3.0, size=(2000, 3, 2))
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    p[cross < 0] = p[cross < 0][:, [0, 2, 1]]  # positive orientation
+    areas = 0.5 * np.abs(cross)
+    longest = np.linalg.norm(p - p[:, [1, 2, 0]], axis=2).max(axis=1)
+    keep = areas > 0.05 * longest**2  # non-degenerate
+    p, areas = p[keep], areas[keep]
+    # gradients of the reference hats (0,0), (1,0), (0,1) through J^-T
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    want = np.einsum("tji,kj->tki", np.linalg.inv(jac), ref)
+    got = _p1_gradients(p, areas)
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert keep.sum() > 1000
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_gradient_energy_collar_closed_form():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import _oracle_grid, hilbert
+from eigenshift import _oracle_grid, hilbert, perturbation
 from eigenshift.cli import main
 from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
@@ -287,6 +287,80 @@ def test_shrink_at_h128_is_dense_free(dense_free):
     report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1]))
     assert report.passed, report.failures
     assert report.cells[0].tracked and report.cells[0].admitted
+
+
+def test_too_few_perturbed_eigenvalues_is_an_error_cell():
+    # eps = 14h leaves one dof, so the perturbed spectrum has one eigenvalue
+    # for the double group m=2
+    h = 1.0 / 30.0
+    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[14 * h], m=[2]))
+    (cell,) = report.cells
+    assert not report.passed
+    assert cell.error is not None and "fewer than the multiplicity 2" in cell.error
+
+
+# -- eigensolve requests ---------------------------------------------------------
+
+
+def _spy_eigensolves(monkeypatch):
+    """(n_lowest, decomposition) of every solve_operator_eigs call."""
+    calls = []
+    solve = hilbert.solve_operator_eigs
+
+    def spy(sub, group_tol, n_lowest=None):
+        calls.append((n_lowest, solve(sub, group_tol, n_lowest=n_lowest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hilbert, "solve_operator_eigs", spy)
+    return calls
+
+
+def test_reference_request_starts_at_max_m_plus_two(monkeypatch):
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 16.0
+    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[1, 2]))
+    assert calls[0][0] == 4
+    # the perturbed solve starts where the reference ended
+    assert calls[1][0] == calls[0][1].n_computed
+
+
+def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch):
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 16.0
+    run_scenario(
+        ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2], n_lowest=40)
+    )
+    assert [n for n, _ in calls] == [4, 6, 12]
+    (_, eigs1), (_, short), (_, grown) = calls
+    lo, _ = perturbation.spectral_window(eigs1, 2)
+    j_m = eigs1.group(2)[2]
+
+    def past_window(eigs):
+        return np.count_nonzero(1.0 / eigs.flat_values() <= lo)
+
+    assert past_window(short) < j_m <= past_window(grown)
+
+
+def test_requests_never_exceed_n_lowest(monkeypatch):
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 8.0
+    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[2], n_lowest=3))
+    assert calls and all(n is not None and n <= 3 for n, _ in calls)
+
+
+def test_result_does_not_depend_on_an_unbinding_cap(monkeypatch):
+    calls = _spy_eigensolves(monkeypatch)
+    path = Path(__file__).parent.parent / "configs" / "notch_checker.json"
+    h = 1.0 / 12.0
+    data = {**json.loads(path.read_text()), "h": h, "eps": [2 * h, 4 * h]}
+    runs = []
+    for cap in (12, 40):
+        calls.clear()
+        report = run_scenario(ScenarioConfig.from_dict({**data, "n_lowest": cap}))
+        runs.append(([n for n, _ in calls], {**report.to_dict(), "config": None}))
+    assert runs[0][0] == runs[1][0]
+    assert max(runs[0][0]) < 12
+    assert json.dumps(runs[0][1], sort_keys=True) == json.dumps(runs[1][1], sort_keys=True)
 
 
 def test_report_json_deterministic(tiny_report, tmp_path):
