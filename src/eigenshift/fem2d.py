@@ -132,24 +132,23 @@ class CoefficientField:
     assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
     """
 
-    def __init__(self, evaluator, nu: float, name: str = "custom"):
+    def __init__(self, evaluator, nu: float):
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"ellipticity constant must be in (0, 1], got {nu}")
         self.evaluator = evaluator
         self.nu = float(nu)
-        self.name = name
 
     @classmethod
     def identity(cls) -> "CoefficientField":
         eye = np.eye(2)
-        return cls(lambda _: eye, nu=1.0, name="identity")
+        return cls(lambda _: eye, nu=1.0)
 
     @classmethod
     def constant(cls, matrix, nu: float) -> "CoefficientField":
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (2, 2) or abs(matrix[0, 1] - matrix[1, 0]) > 1e-14:
             raise ValueError("constant coefficient must be a symmetric 2x2 matrix")
-        return cls(lambda _: matrix, nu=nu, name="constant")
+        return cls(lambda _: matrix, nu=nu)
 
     @classmethod
     def checker(cls, nu: float, cells: int = 4) -> "CoefficientField":
@@ -160,7 +159,7 @@ class CoefficientField:
             tile = np.floor(points * cells).astype(int).sum(axis=1)
             return np.where((tile % 2 == 0)[:, None, None], eye, nu * eye)
 
-        return cls(evaluate, nu=nu, name=f"checker({nu})")
+        return cls(evaluate, nu=nu)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -68,7 +68,6 @@ _CELL_ERRORS = (
     hilbert.SubspaceRankError,
     hilbert.NotInSubspaceError,
     hilbert.IllConditionedIntersectionError,
-    perturbation.GateError,
     perturbation.LocalizationError,
     perturbation.CorrectionGramError,
     np.linalg.LinAlgError,
@@ -111,6 +110,9 @@ class ScenarioConfig:
         n = 1.0 / self.h
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"mesh size h={self.h} must be the reciprocal of an integer")
+        for name, value in (("eps", self.eps), ("m", self.m)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         if not self.eps:
             raise ValueError("eps sweep must not be empty")
         for eps in self.eps:
@@ -122,8 +124,10 @@ class ScenarioConfig:
             _check_number(m, "m", numbers.Integral)
         if any(m < 1 for m in self.m) or not self.m:
             raise ValueError("m list must contain positive group indices")
+        if not isinstance(self.coefficient, dict):
+            raise ValueError(f"coefficient must be an object, got {self.coefficient!r}")
         kind = self.coefficient.get("kind", "identity")
-        if kind not in _COEFFICIENT_FIELDS:
+        if not isinstance(kind, str) or kind not in _COEFFICIENT_FIELDS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
         given, needed = set(self.coefficient) - {"kind"}, set(_COEFFICIENT_FIELDS[kind])
         if given != needed:
@@ -213,11 +217,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {data!r}")
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        missing = {"scenario", "h", "eps", "m"} - set(data)
+        if missing:
+            raise ValueError(f"missing config fields: {sorted(missing)}")
         kwargs = dict(data)
-        if "anchor" in kwargs:
+        if isinstance(kwargs.get("anchor"), list):
             kwargs["anchor"] = tuple(kwargs["anchor"])
         return cls(**kwargs)
 
@@ -270,11 +279,6 @@ def _json_scalar(value):
     return value if np.isfinite(value) else None
 
 
-def _norm_range(space, block) -> tuple:
-    """Min and max of the squared energy norm over the unit coefficient sphere."""
-    return hilbert.form_extremes(block.T @ (space.energy_csr @ block))
-
-
 def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
     return perturbation.ScenarioCell(
         eps=eps, m=m, lam_m=np.nan, multiplicity=0,
@@ -308,10 +312,9 @@ def _cell_for(
             proximity=[0.0] * j_m,
             sym_diff_area=0.0,
         )
-    loc = perturbation.localize(eigs1, eigs2, m, sigma, strict=False)
+    loc = perturbation.localize(eigs1, eigs2, m, sigma)
     images = hilbert.eigenspace_images(h1, h2, x_m, lam_m, inter)
     cp = perturbation.assemble_correction(images, sigma)
-    p_m = Subspace.from_basis(space, images.s)
     collar_max = 0.0
     if collar is not None:
         collar_max = hilbert.form_extremes(fem2d.gradient_energy_form(space, mesh, collar, x_m))[1]
@@ -323,11 +326,10 @@ def _cell_for(
         mu_inv=[float(v) for v in loc.mu_inv],
         tau=[float(t) for t in cp.tau],
         rows=perturbation.predict_and_check(cp, loc.mu),
-        proximity=[
-            float(perturbation.eigenvector_proximity(u, p_m, sigma)) for u in loc.vectors.T
-        ],
-        t_norm2_range=_norm_range(space, images.t),
-        psi_norm2_range=_norm_range(space, images.psi),
+        proximity=perturbation.eigenvector_proximity(loc.vectors, images, sigma).tolist(),
+        # squared energy norms over the unit coefficient sphere
+        t_norm2_range=hilbert.form_extremes(images.t_a_t),
+        psi_norm2_range=hilbert.form_extremes(images.psi_a_psi),
         collar_energy_max=collar_max,
         sym_diff_area=area,
         group_spread=float(eigs1.spreads[m - 1]),
@@ -666,7 +668,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
 
         # reported (non-asserted) fit for the localized-pair inner products
         eigs2 = hilbert.solve_operator_eigs(h2, group_tol=1e-8)
-        loc = perturbation.localize(eigs1, eigs2, 1, s12, strict=False)
+        loc = perturbation.localize(eigs1, eigs2, 1, s12)
         if loc.counted and s12 > 1e-12:
             lam1, x1, _ = eigs1.group(1)
             basis = h2.project_block(x1)

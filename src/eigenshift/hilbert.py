@@ -22,13 +22,16 @@ callers.  The lowest eigenpairs of a nodal subspace are the top ones of
 eigenvalues below a separating shift, counted by Sylvester inertia.  For
 nodal pairs, sigma and sigma* are the largest eigenvalue of the pencil
 (D' M D, A) on the coordinates of I1 u I2, certified like
-:func:`eigsolve.solve_pencil`.  Subspaces with an explicit basis are
-energy-orthonormalized through a square root of A taken from the sparse
-factor that proved A definite; for such pairs, sigma and sigma* are the top
-eigenvalue of a form on an energy-orthonormal basis of H1 + H2.  What stays
-dense is sized by a subspace, not by the space: complete spectra and the
-small pencils.  Only the abstract suite's small spaces read the dense Gram
-views: :func:`embedding_constant`, its grid oracle and its counterexamples.
+:func:`eigsolve.solve_pencil`.  A FEM cell stays on this nodal backend:
+:func:`eigenspace_images` makes its two solves (S2 X and the correctors)
+and takes every J x J form the cell reads, once.  Only the abstract suite
+builds subspaces with an explicit basis.  They are energy-orthonormalized
+through a square root of A taken from the sparse factor that proved A
+definite; for such pairs, sigma and sigma* are the top eigenvalue of a form
+on an energy-orthonormal basis of H1 + H2.  What stays dense is sized by a
+subspace, not by the space: complete spectra and the small pencils.  Only
+the abstract suite's small spaces read the dense Gram views:
+:func:`embedding_constant`, its grid oracle and its counterexamples.
 """
 
 from __future__ import annotations
@@ -758,45 +761,65 @@ def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenspaceImages:
-    """Images of a reference eigenspace under the operators of a subspace pair.
+    """J x J forms on the images of a reference eigenspace under a subspace pair.
 
-    ``x`` is the energy-orthonormal N x J basis X of the eigenspace at
-    eigenvalue ``lam``; ``s`` = S2 X, ``t`` = X - S2 X, ``psi`` holds the
-    correctors of the columns in H2, and ``t0`` = X - S0 X with S0 the
-    projector onto H1 cap H2.  Every per-cell quantity is a small J x J
-    form in these blocks.
+    X is the energy-orthonormal N x J basis of the eigenspace at eigenvalue
+    ``lam``, with the images S2 X (kept as ``s``), T X = X - S2 X, the
+    correctors Psi in H2, and T0 X = X - S0 X for S0 the projector onto
+    H1 cap H2.  Every form a cell reads is taken once, and every per-cell
+    quantity is built from them: ``psi_a_psi`` = Psi' A Psi, ``t_a_t`` =
+    (T X)' A (T X), ``psi_a_x`` = Psi' A X, ``s_a_s`` = (S2 X)' A (S2 X),
+    ``t0_a_t0`` = (T0 X)' A (T0 X), ``t_m_t`` = (T X)' M (T X) and
+    ``psi_m_psi`` = Psi' M Psi.  A projection onto span(S2 X) solves with
+    ``s_a_s``, so a cell builds no explicit-basis subspace; only the
+    abstract suite does.
     """
 
     space: EnergySpace
     lam: float
-    x: np.ndarray
     s: np.ndarray
-    t: np.ndarray
-    psi: np.ndarray
-    t0: np.ndarray
+    psi_a_psi: np.ndarray
+    t_a_t: np.ndarray
+    psi_a_x: np.ndarray
+    s_a_s: np.ndarray
+    t0_a_t0: np.ndarray
+    t_m_t: np.ndarray
+    psi_m_psi: np.ndarray
 
 
 def eigenspace_images(
     h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float, inter: Subspace | None
 ) -> EigenspaceImages:
-    """Compute the images of X once; ``inter`` is intersection_subspace(h1, h2)."""
+    """Apply A and M to the images of X once; ``inter`` is
+    intersection_subspace(h1, h2).  T0 X is read from the pair where it can
+    be: it is T X when the intersection is H2, and zero when it is H1, which
+    holds X.  Only another intersection is solved for."""
     h1.same_parent(h2)
     space = h1.parent
+    a, m = space.energy_csr, space.mass_csr
     x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
     if x_m.shape[0] != space.dim:
         x_m = x_m.T
-    gram = x_m.T @ (space.energy_csr @ x_m)
+    gram = x_m.T @ (a @ x_m)
     if np.abs(gram - np.eye(gram.shape[0])).max() > 1e-8:
         raise ValueError("eigenspace basis must be energy-orthonormal")
     s_block = h2.project_block(x_m)
+    t_block = x_m - s_block
+    psi = corrector_block(h2, x_m, lam_m)
+    a_psi = a @ psi
+    t_a_t = t_block.T @ (a @ t_block)
+    if inter is h2:
+        t0_a_t0 = t_a_t
+    elif inter is h1:
+        t0_a_t0 = np.zeros_like(t_a_t)
+    else:
+        t0 = x_m if inter is None else x_m - inter.project_block(x_m)
+        t0_a_t0 = t0.T @ (a @ t0)
     return EigenspaceImages(
-        space=space,
-        lam=lam_m,
-        x=x_m,
-        s=s_block,
-        t=x_m - s_block,
-        psi=corrector_block(h2, x_m, lam_m),
-        t0=x_m if inter is None else x_m - inter.project_block(x_m),
+        space=space, lam=lam_m, s=s_block,
+        psi_a_psi=psi.T @ a_psi, t_a_t=t_a_t, psi_a_x=a_psi.T @ x_m,
+        s_a_s=s_block.T @ (a @ s_block), t0_a_t0=t0_a_t0,
+        t_m_t=t_block.T @ (m @ t_block), psi_m_psi=psi.T @ (m @ psi),
     )
 
 
@@ -813,15 +836,10 @@ def compute_rho(images: EigenspaceImages, sigma: float) -> float:
     Assembled exactly as the largest eigenvalue of the induced quadratic
     form on the eigenspace coordinates.
     """
-    a, m = images.space.energy_csr, images.space.mass_csr
-    t, psi = images.t, images.psi
-    form = sigma * (psi.T @ (a @ psi)) + t.T @ (m @ t) + psi.T @ (m @ psi)
-    return form_extremes(form)[1]
+    return form_extremes(sigma * images.psi_a_psi + images.t_m_t + images.psi_m_psi)[1]
 
 
 def compute_rho0(images: EigenspaceImages) -> float:
     """Intersection-based remainder magnitude: max over unit-energy phi of
     ||T0 phi||^2 + ||Psi_phi||^2 with T0 = I - (projector onto H1 cap H2)."""
-    a = images.space.energy_csr
-    t0, psi = images.t0, images.psi
-    return form_extremes(t0.T @ (a @ t0) + psi.T @ (a @ psi))[1]
+    return form_extremes(images.t0_a_t0 + images.psi_a_psi)[1]

@@ -12,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, solve_pencil
 from .hilbert import EigenDecomposition, EigenspaceImages, Subspace, compute_rho
+from .hilbert import _energy_norms
 
 __all__ = [
     "CorrectionProblem",
     "LocalizationResult",
     "PredictionRow",
     "ScenarioCell",
-    "GateError",
     "LocalizationError",
     "CorrectionGramError",
     "SIGMA_GATE",
@@ -38,10 +39,6 @@ __all__ = [
 # sqrt(lambda_1 + ... + lambda_m) * sqrt(sigma) reaches 1/2, which keeps the
 # projected-eigenspace Gram safely positive definite
 SIGMA_GATE = 0.5
-
-
-class GateError(RuntimeError):
-    """Subspace distance too large for the asymptotic pipeline."""
 
 
 class LocalizationError(RuntimeError):
@@ -173,25 +170,18 @@ def localize(
     eigs2: EigenDecomposition,
     m: int,
     sigma: float,
-    strict: bool = True,
 ) -> LocalizationResult:
     """The J_m perturbed eigenvalues nearest the m-th reference group.
 
-    In strict mode the distance gate and the window count are enforced as
-    errors; otherwise failures are recorded on the result (``admitted``,
-    ``counted``) and the nearest J_m eigenvalues are returned regardless;
-    a perturbed spectrum with fewer than J_m eigenvalues raises
-    :class:`LocalizationError` in either mode.  A partial perturbed spectrum
-    that stops below the window's upper eigenvalue end 1/lo leaves the count
-    unproven, which fails it too.
+    The window count and the distance gate are recorded on the result
+    (``counted``, ``admitted``), and the nearest J_m eigenvalues are returned
+    whether they pass or not; a perturbed spectrum with fewer than J_m
+    eigenvalues raises :class:`LocalizationError`.  A partial perturbed
+    spectrum that stops below the window's upper eigenvalue end 1/lo leaves
+    the count unproven, which fails it.
     """
     lam_m, _, j_m = eigs1.group(m)
     gate_value = float(np.sqrt(eigs1.cumulative_sum(m) * max(sigma, 0.0)))
-    if strict and gate_value >= SIGMA_GATE:
-        raise GateError(
-            f"distance gate: sqrt(sum of the first {m} eigenvalues) * sqrt(sigma) "
-            f"= {gate_value:.3f} >= {SIGMA_GATE}; the subspaces are too far apart"
-        )
     lo, hi = spectral_window(eigs1, m)
     flat_mu = eigs2.flat_values()
     mu_inv_all = 1.0 / flat_mu
@@ -200,20 +190,6 @@ def localize(
     # eigenvalues past a partial spectrum lie below its smallest reciprocal
     proven = eigs2.complete or mu_inv_all.min() <= lo
     counted = proven and count == j_m
-    if strict and not counted:
-        found = (
-            f"contains {count} eigenvalues, expected {j_m}"
-            if proven
-            else f"is not covered: the partial spectrum stops at {mu_inv_all.min():.6e}"
-        )
-        raise LocalizationError(
-            f"localization failed for group m={m}: window ({lo:.6e}, {hi:.6e}) "
-            f"in the reciprocal scale {found} "
-            f"(lambda_m^-1 = {1.0 / lam_m:.6e}, sqrt(sigma) = {np.sqrt(max(sigma, 0)):.3e})",
-            window=(lo, hi),
-            count=count,
-            expected=j_m,
-        )
     if counted:
         chosen = np.flatnonzero(in_window)
     elif flat_mu.size < j_m:
@@ -239,19 +215,25 @@ def localize(
     )
 
 
-def eigenvector_proximity(u: np.ndarray, p_m: Subspace, sigma: float) -> float:
-    """||U - P_m U|| / (sqrt(sigma) ||U||), with p_m the span of S2 X_m."""
-    space = p_m.parent
-    u = space.check_vector(u)
-    num = space.energy_norm(u - p_m.project_block(u))
-    denom_u = space.energy_norm(u)
-    if sigma <= 0.0:
-        if num <= 1e-12 * max(denom_u, 1.0):
-            return 0.0
-        raise ValueError(
-            f"zero distance but nonzero projection defect {num:.3e}; inputs inconsistent"
-        )
-    return float(num / (np.sqrt(sigma) * denom_u))
+def eigenvector_proximity(
+    vectors: np.ndarray, images: EigenspaceImages, sigma: float
+) -> np.ndarray:
+    """||U - P_m U|| / (sqrt(sigma) ||U||) for each column U of ``vectors``,
+    with P_m the energy projector onto span(S2 X_m).  P_m U = S2 X_m c with
+    (S2 X_m)' A (S2 X_m) c = (S2 X_m)' A U; the correction pencil has proved
+    that Gram definite, and a singular one raises LinAlgError."""
+    space, s = images.space, images.s
+    u = space.check_vector(vectors).reshape(space.dim, -1)
+    coeffs = sla.cho_solve(sla.cho_factor(images.s_a_s), s.T @ (space.energy_csr @ u))
+    num = _energy_norms(space, u - s @ coeffs)
+    denom_u = _energy_norms(space, u)
+    if sigma > 0.0:
+        return num / (np.sqrt(sigma) * denom_u)
+    if np.all(num <= 1e-12 * np.maximum(denom_u, 1.0)):
+        return np.zeros(u.shape[1])
+    raise ValueError(
+        f"zero distance but nonzero projection defect {num.max():.3e}; inputs inconsistent"
+    )
 
 
 def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionProblem:
@@ -264,16 +246,10 @@ def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionPro
     negative semidefinite; for a growing one the T terms vanish and it is
     positive semidefinite.
     """
-    a = images.space.energy_csr
-    x, s, t, psi = images.x, images.s, images.t, images.psi
-    a_psi = a @ psi
-    pp = psi.T @ a_psi
-    tt = t.T @ (a @ t)
-    px = a_psi.T @ x
-    lhs = (pp - tt - px - px.T) / images.lam
-    gram = s.T @ (a @ s)
+    px = images.psi_a_x
+    lhs = (images.psi_a_psi - images.t_a_t - px - px.T) / images.lam
     try:
-        pencil = SymmetricPencil(lhs, gram)
+        pencil = SymmetricPencil(lhs, images.s_a_s)
     except NotPositiveDefiniteError as exc:
         raise CorrectionGramError(
             "projected eigenspace Gram is not positive definite "

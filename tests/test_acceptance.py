@@ -7,9 +7,8 @@ fitted constants with no stated tolerance are asserted finite and reported.
 
 import numpy as np
 
-from eigenshift import fem2d, hilbert
 from eigenshift.fem2d import hadamard_slope
-from eigenshift.harness import verify_abstract
+from eigenshift.harness import verify_abstract, verify_fem
 from eigenshift.perturbation import collar_stability_check, inclusion_bounds
 
 PI2_2 = 2.0 * np.pi**2
@@ -203,37 +202,16 @@ def test_abstract_inequality_suite():
 def test_vanishing_distance_family():
     """Shrinking-square family: sigma and sigma* decrease monotonically to
     below 1e-2 as eps approaches h, and the projections converge on a fixed
-    5-vector panel."""
-    mesh = fem2d.unit_square_mesh(32)
-    space = fem2d.assemble(mesh, fem2d.CoefficientField.identity())
-    whole = space.whole()
-    pts = mesh.vertices[mesh.interior_vertices]
-    panel = [
-        np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]),
-        np.sin(2 * np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]),
-        np.sin(np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1]),
-        pts[:, 0] * (1 - pts[:, 0]) * pts[:, 1] * (1 - pts[:, 1]),
-        np.sin(3 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1]),
-    ]
-    sigmas, stars, defects = [], [], []
-    for eps in (4.0 / 32.0, 2.0 / 32.0, 1.0 / 32.0):
-        sub = fem2d.carve_subspace(space, mesh, fem2d.DomainSpec("square_shrink", eps=eps))
-        sigmas.append(hilbert.sigma_distance(whole, sub))
-        stars.append(hilbert.sigma_star(whole, sub))
-        defects.append(
-            max(space.mass_norm(u - sub.project_block(u)) / space.mass_norm(u) for u in panel)
-        )
-    ok = (
-        sigmas[0] > sigmas[1] > sigmas[2]
-        and stars[0] > stars[1] > stars[2]
-        and sigmas[2] < 1e-2
-        and stars[2] < 1e-2
-        and defects[0] > defects[1] > defects[2]
-        and defects[2] < 0.5 * defects[0]
+    5-vector panel (the family of ``verify_fem``)."""
+    report = verify_fem()
+    sigmas, stars, defects = (
+        report[key] for key in ("sigma_family", "sigma_star_family", "panel_defects")
     )
     _criterion(
         "vanishing-distance-family",
-        ok,
+        report["sigma_decreases_to_small"]
+        and report["sigma_star_decreases"]
+        and report["panel_converges"],
         f"sigma {sigmas[0]:.2e}->{sigmas[2]:.2e}, sigma* {stars[0]:.2e}->{stars[2]:.2e}, "
         f"panel defect {defects[0]:.2e}->{defects[2]:.2e}",
     )

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import _oracle_grid, hilbert, perturbation
+from eigenshift import _oracle_grid, harness, hilbert, perturbation
 from eigenshift.cli import main
 from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
@@ -77,10 +78,19 @@ def test_config_rejects_unknown_scenario_and_coefficient():
                 scenario="l_shape", h=1.0 / 16.0, eps=[0.0], m=[1],
                 coefficient=coefficient,
             )
-    # wrongly typed numbers (a bool is no number, and m = 1.5 must not run as 1)
-    # and mesh sizes that give no mesh
+    # wrongly typed numbers (a bool is no number, and m = 1.5 must not run as 1),
+    # mesh sizes that give no mesh, and malformed JSON; a row that is not a
+    # dict replaces the whole config
     valid = {"scenario": "l_shape", "h": 1.0 / 16.0, "eps": [0.0], "m": [1]}
     for change, message in [
+        (None, "config must be an object"),
+        ([], "config must be an object"),
+        ([{}], "config must be an object"),
+        ({"eps": 0.125}, "eps must be a list"),
+        ({"m": 1}, "m must be a list"),
+        ({"coefficient": "identity"}, "coefficient must be an object"),
+        ({"coefficient": None}, "coefficient must be an object"),
+        ({"coefficient": {"kind": ["identity"]}}, "unknown coefficient kind"),
         ({"coefficient": {"kind": "checker", "nu": "0.5"}}, "nu must be a real number"),
         ({"coefficient": {"kind": "checker", "nu": True}}, "nu must be a real number"),
         ({"m": [1.5]}, "m must be an integer"),
@@ -117,8 +127,11 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             "symmetric",
         ),
     ]:
+        data = {**valid, **change} if isinstance(change, dict) else change
         with pytest.raises(ValueError, match=message):
-            ScenarioConfig(**{**valid, **change})
+            ScenarioConfig.from_dict(data)
+    with pytest.raises(ValueError, match=r"missing config fields: \['h'\]"):
+        ScenarioConfig.from_dict({key: valid[key] for key in ("scenario", "eps", "m")})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
@@ -287,6 +300,80 @@ def test_shrink_at_h128_is_dense_free(dense_free):
     report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1]))
     assert report.passed, report.failures
     assert report.cells[0].tracked and report.cells[0].admitted
+
+
+# one small config per scenario family: shrink and notch nest H2 in H1, the
+# expand nests H1 in H2, and the l_shape cuts a corner
+_FAMILY_CONFIGS = {
+    "square_shrink": {"h": 1.0 / 12.0, "eps": [1.0 / 12.0, 2.0 / 12.0]},
+    "square_expand": {"h": 1.0 / 16.0, "eps": [1.0 / 16.0, 2.0 / 16.0]},
+    "boundary_notch": {"h": 1.0 / 12.0, "eps": [1.0 / 12.0, 2.0 / 12.0]},
+    "l_shape": {"h": 1.0 / 12.0, "eps": [2.0 / 12.0, 4.0 / 12.0]},
+}
+
+
+def _family_config(scenario):
+    return ScenarioConfig(scenario=scenario, m=[1, 2], **_FAMILY_CONFIGS[scenario])
+
+
+@pytest.mark.parametrize("scenario", sorted(_FAMILY_CONFIGS))
+def test_runs_need_no_explicit_basis(monkeypatch, scenario):
+    # a FEM cell works on the nodal backend alone: no energy-orthonormal
+    # basis and no square root of A
+    def refuse(*args):
+        raise AssertionError("an explicit-basis subspace was built")
+
+    monkeypatch.setattr(hilbert.Subspace, "orthonormal_basis", refuse)
+    monkeypatch.setattr(hilbert.EnergySpace, "_root_t", property(refuse))
+    report = run_scenario(_family_config(scenario))
+    assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("scenario", sorted(_FAMILY_CONFIGS))
+def test_each_cell_makes_two_nodal_solves(monkeypatch, scenario):
+    # S2 X and the correctors; T0 X is read from the pair, and the
+    # proximities project through the Gram of S2 X
+    kinds, per_cell = [], []
+    solve, cell_for = hilbert.Subspace._solve, harness._cell_for
+
+    def spy_solve(self, rhs):
+        kinds.append(self.kind)
+        return solve(self, rhs)
+
+    def spy_cell(*args):
+        kinds.clear()
+        cell = cell_for(*args)
+        per_cell.append(sorted(kinds))
+        return cell
+
+    monkeypatch.setattr(hilbert.Subspace, "_solve", spy_solve)
+    monkeypatch.setattr(harness, "_cell_for", spy_cell)
+    report = run_scenario(_family_config(scenario))
+    assert report.passed, report.failures
+    assert per_cell == [["nodal", "nodal"]] * len(report.cells)
+
+
+def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
+    # the spans and the per-cell count that the benchmark's traced run reads,
+    # with its tracer loaded from its file
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    h = 1.0 / 8.0
+    config = ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1, 2])
+    probe = tracer.Tracer("tier1")
+    probe.install()
+    try:
+        report = harness.run_scenario(config)
+    finally:
+        probe.uninstall()
+    assert report.passed, report.failures
+    spans = probe.spans
+    rho = [span for span in spans if span[2] == "hilbert.compute_rho"]
+    assert rho and all(spans[span[1]][2] == "perturbation.assemble_correction" for span in rho)
+    metrics = tracer.layer_metrics(spans, len(report.cells))
+    assert metrics["hilbert.corrector_block.per_cell"] == 1.0
 
 
 def test_too_few_perturbed_eigenvalues_is_an_error_cell():

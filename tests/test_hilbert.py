@@ -854,3 +854,22 @@ def test_rho0_nested_equals_T2_form():
     psi = corrector_block(h2, x_m[:, 0], lam)
     want = space.energy_norm(t0) ** 2 + space.energy_norm(psi) ** 2
     assert compute_rho0(eigenspace_images(h1, h2, x_m, lam, inter)) == pytest.approx(want, rel=1e-9)
+
+
+def test_rho0_expand_is_the_corrector_form():
+    # H1 inside H2: the intersection is H1, which holds X, so T0 X = 0 and
+    # rho0 is the largest eigenvalue of Psi' A Psi alone
+    rng = np.random.default_rng(27)
+    space = random_space(rng, 8)
+    h1 = Subspace.nodal(space, [1, 3, 5])
+    h2 = Subspace.nodal(space, [0, 1, 2, 3, 5, 6])
+    eigs = solve_operator_eigs(h1, group_tol=1e-9)
+    lam, x_m, _ = eigs.group(1)
+    inter = intersection_subspace(h1, h2)
+    assert inter is h1
+    t0 = x_m - inter.project_block(x_m)
+    assert np.abs(t0).max() < 1e-12 * np.abs(x_m).max()
+    images = eigenspace_images(h1, h2, x_m, lam, inter)
+    assert not images.t0_a_t0.any()
+    psi = corrector_block(h2, x_m[:, 0], lam)
+    assert compute_rho0(images) == pytest.approx(space.energy_norm(psi) ** 2, rel=1e-9)

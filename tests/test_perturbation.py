@@ -12,8 +12,8 @@ from eigenshift.hilbert import (
     solve_operator_eigs,
 )
 from eigenshift.perturbation import (
+    SIGMA_GATE,
     CorrectionGramError,
-    GateError,
     LocalizationError,
     PredictionRow,
     ScenarioCell,
@@ -81,10 +81,18 @@ def test_localize_needs_next_group_on_partial():
         spectral_window(eigs, eigs.n_groups)
 
 
+def _count_in(window, eigs):
+    lo, hi = window
+    mu_inv = 1.0 / eigs.flat_values()
+    return int(np.count_nonzero((mu_inv > lo) & (mu_inv < hi)))
+
+
 def test_localize_strict_gate():
+    # a cell past the distance gate is recorded as not admitted
     space, h1, h2, eigs1, eigs2 = small_shrink_setup()
-    with pytest.raises(GateError, match="gate"):
-        localize(eigs1, eigs2, 1, sigma=1.0)
+    loc = localize(eigs1, eigs2, 1, sigma=1.0)
+    assert loc.gate_value == pytest.approx(np.sqrt(eigs1.values[0]), rel=1e-14)
+    assert loc.gate_value >= SIGMA_GATE and not loc.admitted
 
 
 def test_localize_count_error_is_detailed():
@@ -94,11 +102,12 @@ def test_localize_count_error_is_detailed():
     mesh = unit_square_mesh(16)
     tiny = carve_subspace(space, mesh, DomainSpec("square_shrink", eps=6.0 / 16.0))
     eigs_tiny = solve_operator_eigs(tiny, group_tol=1e-6)
-    with pytest.raises(LocalizationError) as err:
-        localize(eigs1, eigs_tiny, 1, sigma=1e-4)
-    assert err.value.expected == 1
-    assert err.value.count == 0
-    assert err.value.window is not None
+    loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4)
+    assert not loc.counted and not loc.admitted
+    assert loc.window == spectral_window(eigs1, 1)
+    assert _count_in(loc.window, eigs_tiny) == 0
+    # the J_1 = 1 nearest eigenvalue is still returned
+    assert loc.mu.shape == (1,)
 
 
 def test_localize_lenient_records_flags():
@@ -106,7 +115,7 @@ def test_localize_lenient_records_flags():
     mesh = unit_square_mesh(16)
     tiny = carve_subspace(space, mesh, DomainSpec("square_shrink", eps=6.0 / 16.0))
     eigs_tiny = solve_operator_eigs(tiny, group_tol=1e-6)
-    loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4, strict=False)
+    loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4)
     assert not loc.counted and not loc.admitted
     assert loc.mu.shape == (1,)
 
@@ -122,16 +131,15 @@ def test_localize_truncated_partial_spectrum_is_unproven():
     eigs2 = solve_operator_eigs(space2.whole(), group_tol=1e-9, n_lowest=1)
     assert not eigs2.complete
     assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)
-    loc = localize(eigs1, eigs2, 3, sigma=1e-4, strict=False)
+    loc = localize(eigs1, eigs2, 3, sigma=1e-4)
     assert loc.mu.shape == (1,) and not loc.counted and not loc.admitted
-    with pytest.raises(LocalizationError, match="not covered"):
-        localize(eigs1, eigs2, 3, sigma=1e-4)
+    assert _count_in(loc.window, eigs2) == 1
     # the partial spectrum does reach past the m=2 window, eigenvalues in (1.33, 2.4)
     assert localize(eigs1, eigs2, 2, sigma=1e-4).counted
     # the complete spectrum shows the true count
-    with pytest.raises(LocalizationError) as err:
-        localize(eigs1, solve_operator_eigs(space2.whole(), group_tol=1e-9), 3, sigma=1e-4)
-    assert err.value.count == 2
+    complete = solve_operator_eigs(space2.whole(), group_tol=1e-9)
+    loc = localize(eigs1, complete, 3, sigma=1e-4)
+    assert not loc.counted and _count_in(loc.window, complete) == 2
 
 
 def test_localize_small_shrink_matches_scaled_square():
@@ -147,7 +155,7 @@ def test_localize_small_shrink_matches_scaled_square():
 def test_localize_degenerate_pair_returned_together():
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=20, eps_cells=1)
     sigma = sigma_distance(h1, h2)
-    loc = localize(eigs1, eigs2, 2, sigma, strict=False)
+    loc = localize(eigs1, eigs2, 2, sigma)
     assert loc.mu.shape == (2,)
     scaled = 5.0 * np.pi**2 / (1.0 - 2.0 / 20.0) ** 2
     assert np.allclose(loc.mu, scaled, rtol=0.03)
@@ -159,18 +167,36 @@ def test_localize_degenerate_pair_returned_together():
 def test_proximity_zero_distance():
     space, h1, _, eigs1, _ = small_shrink_setup()
     lam, x1, _ = eigs1.group(1)
-    p_m = Subspace.from_basis(space, h1.project_block(x1))
-    assert eigenvector_proximity(x1[:, 0], p_m, sigma=0.0) == 0.0
+    images = _images(h1, h1, x1, lam)
+    assert eigenvector_proximity(x1, images, sigma=0.0).tolist() == [0.0]
 
 
 def test_proximity_idempotent_input():
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=16, eps_cells=1)
     sigma = sigma_distance(h1, h2)
-    lam, x1, _ = eigs1.group(1)
-    basis = h2.project_block(x1)
-    p_m = Subspace.from_basis(space, basis)
-    u = p_m.project_block(eigs2.spaces[0][:, 0])
-    assert eigenvector_proximity(u, p_m, sigma) < 1e-9
+    lam, x2, _ = eigs1.group(2)
+    images = _images(h1, h2, x2, lam)
+    # vectors in span(S2 X), next to the eigenvector they are compared with
+    inside = images.s @ np.array([[1.0, 0.3], [-0.5, 2.0]])
+    u = np.column_stack([inside, eigs2.spaces[1][:, 0]])
+    prox = eigenvector_proximity(u, images, sigma)
+    assert prox.shape == (3,)
+    assert np.all(prox[:2] < 1e-9) and prox[2] > 1e-3
+
+
+def test_proximity_matches_explicit_basis_projection():
+    # the Gram route against an energy-orthonormal basis of span(S2 X)
+    space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=16, eps_cells=1)
+    sigma = sigma_distance(h1, h2)
+    lam, x2, _ = eigs1.group(2)
+    images = _images(h1, h2, x2, lam)
+    p_m = Subspace.from_basis(space, h2.project_block(x2))
+    u = np.hstack(eigs2.spaces[:2])
+    want = [
+        space.energy_norm(v - p_m.project_block(v)) / (np.sqrt(sigma) * space.energy_norm(v))
+        for v in u.T
+    ]
+    assert np.allclose(eigenvector_proximity(u, images, sigma), want, rtol=1e-12, atol=0.0)
 
 
 def test_proximity_zero_sigma_with_mismatch_raises():
@@ -178,7 +204,7 @@ def test_proximity_zero_sigma_with_mismatch_raises():
     lam, x1, _ = eigs1.group(1)
     rogue = eigs1.spaces[1][:, 0]
     with pytest.raises(ValueError, match="inconsistent"):
-        eigenvector_proximity(rogue, Subspace.from_basis(space, h1.project_block(x1)), sigma=0.0)
+        eigenvector_proximity(rogue, _images(h1, h1, x1, lam), sigma=0.0)
 
 
 # -- correction problem ------------------------------------------------------------
@@ -223,8 +249,13 @@ def test_correction_gram_failure():
     eigs1 = solve_operator_eigs(h1, group_tol=1e-9)
     lam, x1, _ = eigs1.group(1)
     # the first eigenvector is e1, orthogonal to h2: projected Gram is singular
+    images = _images(h1, h2, x1, lam)
     with pytest.raises(CorrectionGramError):
-        assemble_correction(_images(h1, h2, x1, lam), sigma=1.0)
+        assemble_correction(images, sigma=1.0)
+    # the proximities project through the same Gram, and a harness cell
+    # records either failure as an error cell
+    with pytest.raises(np.linalg.LinAlgError):
+        eigenvector_proximity(x1, images, sigma=1.0)
 
 
 def test_correction_first_order_magnitude():
