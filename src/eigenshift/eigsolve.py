@@ -6,8 +6,9 @@ solves the complete pencil; a caller that needs only the lowest pairs keeps
 a leading slice.  The lowest eigenpairs of a nodal subspace come instead
 from the Lanczos routine of :mod:`hilbert`, as the top eigenpairs of
 (M_II, A_II); those pairs pass the same residual allowance (:func:`_certify`,
-on the sparse blocks), and a Sylvester inertia count certifies that no
-eigenvalue below the kept ones was missed.
+on the sparse blocks), and a Sylvester inertia count from sparse pivots
+inside the gap above the kept ones, with no dense fallback, certifies that
+no eigenvalue below them was missed.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ class PencilError(ValueError):
 class NotPositiveDefiniteError(PencilError):
     """Matrix expected to be positive definite is not.
 
-    Carries the offending matrix's smallest eigenvalue in ``smallest_eig``.
+    Carries the offending matrix's smallest eigenvalue in ``smallest_eig``,
+    or the smallest pivot of its sparse factor where ``quantity`` is "pivot".
     """
 
-    def __init__(self, name: str, smallest_eig: float):
+    def __init__(self, name: str, smallest_eig: float, quantity: str = "eigenvalue"):
         self.name = name
         self.smallest_eig = smallest_eig
         super().__init__(
-            f"{name} is not positive definite (smallest eigenvalue {smallest_eig:.6e})"
+            f"{name} is not positive definite (smallest {quantity} {smallest_eig:.6e})"
         )
 
 

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import _oracle_grid, fem2d, hilbert, perturbation
 from .eigsolve import PencilError
@@ -670,19 +671,20 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         eigs2 = hilbert.solve_operator_eigs(h2, group_tol=1e-8)
         loc = perturbation.localize(eigs1, eigs2, 1, s12)
         if loc.counted and s12 > 1e-12:
+            # P_m through the Gram of S2 X_1, as in eigenvector_proximity; a
+            # Gram that is not definite means S2 X_1 lost rank: no fit
             lam1, x1, _ = eigs1.group(1)
-            basis = h2.project_block(x1)
+            s_x = h2.project_block(x1)
+            a_s = space.energy_csr @ s_x
             try:
-                p_m = Subspace.from_basis(space, basis)
-            except hilbert.SubspaceRankError:
-                p_m = None
-            if p_m is not None:
+                chol = sla.cho_factor(s_x.T @ a_s)
+            except np.linalg.LinAlgError:
+                pass
+            else:
                 uu = loc.vectors[:, 0]
                 vv = loc.vectors[:, -1]
-                defect = abs(
-                    space.energy_inner(uu, vv)
-                    - space.energy_inner(p_m.project_block(uu), p_m.project_block(vv))
-                )
+                pu, pv = (s_x @ sla.cho_solve(chol, a_s.T @ np.column_stack([uu, vv]))).T
+                defect = abs(space.energy_inner(uu, vv) - space.energy_inner(pu, pv))
                 denom = s12 * (space.energy_norm(uu) ** 2 + space.energy_norm(vv) ** 2)
                 fitted_okt = max(fitted_okt, defect / denom)
 

@@ -18,14 +18,14 @@ routine, :func:`_lanczos_top`, finds the top eigenpairs of a pencil
 (K, A_II) through that factor from a seeded start vector.  It serves two
 callers.  The lowest eigenpairs of a nodal subspace are the top ones of
 (M_II, A_II); each pair passes the residual allowance of
-:func:`eigsolve.solve_pencil`, and the number kept must equal the number of
-eigenvalues below a separating shift, counted by Sylvester inertia.  For
-nodal pairs, sigma and sigma* are the largest eigenvalue of the pencil
-(D' M D, A) on the coordinates of I1 u I2, certified like
-:func:`eigsolve.solve_pencil`.  A FEM cell stays on this nodal backend:
-:func:`eigenspace_images` makes its two solves (S2 X and the correctors)
-and takes every J x J form the cell reads, once.  Only the abstract suite
-builds subspaces with an explicit basis.  They are energy-orthonormalized
+:func:`eigsolve.solve_pencil`, and the number kept must equal the Sylvester
+inertia count below the gap above them, read from sparse pivots at a shift
+inside that gap (spectrum slicing; no dense fallback).  For nodal pairs,
+sigma and sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
+coordinates of I1 u I2, certified like :func:`eigsolve.solve_pencil`.  A FEM
+cell stays on this nodal backend: :func:`eigenspace_images` makes its two
+solves (S2 X and the correctors) and takes every J x J form the cell reads,
+once.  Only the abstract suite builds subspaces with an explicit basis.  They are energy-orthonormalized
 through a square root of A taken from the sparse factor that proved A
 definite; for such pairs, sigma and sigma* are the top eigenvalue of a form
 on an energy-orthonormal basis of H1 + H2.  What stays dense is sized by a
@@ -147,16 +147,19 @@ def _symmetric_pivots(mat: sp.csr_array) -> np.ndarray | None:
     return None if lu is None else lu.U.diagonal()
 
 
-def _count_below(a: sp.csr_array, m: sp.csr_array, shift: float) -> int:
-    """Number of eigenvalues of the pencil (a, m) below shift, m s.p.d.:
-    the negative inertia of a - shift m, from sparse pivots or, when they
-    do not show it, from the 1x1 and 2x2 blocks of a dense LDL' factor."""
-    shifted = a - shift * m
-    pivots = _symmetric_pivots(shifted)
-    if pivots is None:
-        _, d, _ = sla.ldl(shifted.toarray())
-        pivots = sla.eigvalsh_tridiagonal(np.diag(d).copy(), np.diag(d, 1).copy())
-    return int(np.count_nonzero(pivots < 0))
+def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> int:
+    """Number of eigenvalues of the pencil (a, m), m s.p.d., below the gap
+    (lo, hi) between two of them: the negative inertia of a - shift m at
+    every shift inside the gap (spectrum slicing), read from sparse pivots at
+    the midpoint or else other points of it; PencilError if none shows it."""
+    lo, hi = gap
+    for shift in (0.5 * (lo + hi), *(lo + t * (hi - lo) for t in (0.25, 0.75, 0.125, 0.875))):
+        pivots = _symmetric_pivots(a - shift * m)
+        if pivots is not None and lo < shift < hi:
+            return int(np.count_nonzero(pivots < 0))
+    raise PencilError(
+        f"no shift inside the gap ({lo:.6e}, {hi:.6e}) gives symmetric sparse pivots"
+    )
 
 
 class EnergySpace:
@@ -168,8 +171,9 @@ class EnergySpace:
     symmetric positive definite (which also guarantees the embedding
     constant is finite and positive).  Positive pivots of a symmetric sparse
     factorization must prove it at construction, or
-    :class:`NotPositiveDefiniteError` is raised.  The energy factor is kept:
-    it gives the square root of A that energy-orthonormalizes explicit bases.
+    :class:`NotPositiveDefiniteError` is raised with the smallest pivot; no
+    dense matrix is formed.  The energy factor is kept: it gives the square
+    root of A that energy-orthonormalizes explicit bases.
     """
 
     def __init__(self, energy_gram, mass_gram):
@@ -183,11 +187,12 @@ class EnergySpace:
 
     def _definite_factor(self, csr: sp.csr_array, name: str):
         """The symmetric sparse factor whose positive pivots prove the Gram
-        definite; NotPositiveDefiniteError, with the smallest eigenvalue of
-        the dense Gram, when they do not."""
+        definite; NotPositiveDefiniteError when they do not, carrying the
+        factor's smallest pivot (NaN when no symmetric factor forms)."""
         lu = _symmetric_factor(csr)
-        if lu is None or not np.all(lu.U.diagonal() > 0):
-            raise NotPositiveDefiniteError(name, float(np.linalg.eigvalsh(csr.toarray())[0]))
+        smallest = np.nan if lu is None else float(lu.U.diagonal().min())
+        if not smallest > 0:
+            raise NotPositiveDefiniteError(name, smallest, "pivot")
         return lu
 
     @cached_property
@@ -484,35 +489,31 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     two embedded solves: four solves per Lanczos step for a crossing pair.
     When ``union`` is an operand (nested sigma, and sigma*), its projector is
     the identity on the union coordinates U, so D = +-P with P u = u - S_inner u
-    for the other operand, inner, and the numerator is P' M P.  P is
-    A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps every vector into
-    range(P), where P' M P = P' M.  Lanczos therefore applies P' M alone,
-    (M u)_U - (A E A_inner^-1 (M u)_inner)_U: one solve with the inner factor
-    per step (see :func:`_lanczos_top` for why the start vector needs no
+    for the other operand, inner (P = I if there is none), and the numerator
+    is P' M P.  P is A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps every
+    vector into range(P), where P' M P = P' M.  Lanczos therefore applies
+    P' M alone, (M u)_U - (A E A_inner^-1 (M u)_inner)_U: one solve with the
+    inner factor per step (see :func:`_lanczos_top` for why the start vector needs no
     projection).  The eigenpair from :func:`_lanczos_top` is certified with the
     full numerator against the residual allowance of solve_pencil, with
     |K x| / |x| standing in for |K|_F, which it never exceeds.
     """
     a, m, a_uu = union.parent.energy_csr, union.parent.mass_csr, union._energy_block
 
-    if minus is None:
-        # D = S_union, the identity on U: the numerator is symmetric as it stands
-
-        def numerator(coords):
-            return (m @ union.embed(coords))[union.indices]
-
-        step = numerator
-
-    elif union is plus or union is minus:
+    if union is plus or union is minus:
         inner = minus if union is plus else plus
 
         def step(coords):
             md = m @ union.embed(coords)
-            return md[union.indices] - (a @ inner._solve(md))[union.indices]
+            if inner is not None:
+                md -= a @ inner._solve(md)
+            return md[union.indices]
 
         def numerator(coords):
-            u = union.embed(coords)
-            return step((u - inner._solve(a @ u))[union.indices])
+            if inner is not None:
+                u = union.embed(coords)
+                coords = (u - inner._solve(a @ u))[union.indices]
+            return step(coords)
 
     else:
 
@@ -597,17 +598,14 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
 
 def sigma_star(h1: Subspace, h2: Subspace) -> float:
     """Best constant in |u|^2 <= sigma* ||u||^2 on (H1+H2) energy-orthogonal
-    to H1 cap H2; zero when the sum equals the intersection."""
+    to H1 cap H2; zero when the sum equals the intersection.  A nested nodal
+    pair solves the pencil of :func:`sigma_distance`, so sigma* = sigma."""
     h1.same_parent(h2)
     space = h1.parent
     inter = intersection_subspace(h1, h2)
     if _nodal_pair(h1, h2):
-        if inter is h1 or inter is h2:
-            # nested: the sum is the larger operand and the intersection the
-            # smaller, so S_sum - S_inter = +-(S1 - S2) and sigma* = sigma
-            return sigma_distance(h1, h2)
         union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
-        return _nodal_pencil_max(union, union, inter)
+        return 0.0 if union is inter else _nodal_pencil_max(union, union, inter)
     q = _sum_basis(h1, h2)
     if inter is not None and q.shape[1] == inter.dim:
         return 0.0
@@ -661,12 +659,11 @@ def solve_operator_eigs(
     if lanczos:
         # Lanczos can miss a copy of a degenerate eigenvalue; the dense solve cannot
         kept = groups[-1].stop
-        shift = 0.5 * (lam[kept - 1] + lam[kept])
-        below = _count_below(a_res, m_res, shift)
+        below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))
         if below != kept:
             raise PencilError(
-                f"Lanczos kept {kept} eigenvalues, but {below} lie below {shift:.6e} "
-                "by Sylvester inertia"
+                f"Lanczos kept {kept} eigenvalues, but {below} lie below the gap "
+                f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
             )
     blocks = np.empty((d, groups[-1].stop))
     for sel in groups:
@@ -751,10 +748,7 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
 def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
     """Bridge operator K2 S2 v - S2 K1 v for v in H1."""
     h1.same_parent(h2)
-    space = h1.parent
-    v = space.check_vector(v)
-    norm = space.energy_norm(v)
-    if norm > 0 and space.energy_norm(v - h1.project_block(v)) > 1e-8 * norm:
+    if not h1.contains(v):
         raise NotInSubspaceError("apply_B requires its argument to lie in H1")
     return h2.apply_k(h2.project_block(v)) - h2.project_block(h1.apply_k(v))
 

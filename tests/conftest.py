@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,15 +17,41 @@ from eigenshift.fem2d import CoefficientField, unit_square_mesh
 from eigenshift.harness import ScenarioConfig, run_scenario
 
 
+# a FEM run densifies only complete spectra of subspaces sized by the
+# eigenpairs it reads (at most a few times n_lowest = 12); a larger dense
+# matrix is sized by the mesh
+DENSE_ROWS_LIMIT = 64
+
+
+def _refuse_toarray(monkeypatch, limit):
+    """Make toarray raise on every sparse matrix with more than limit rows."""
+    for cls in (sp.csr_array, sp.csc_array, sp.coo_array):
+
+        def toarray(self, *args, _original=cls.toarray, **kwargs):
+            if self.shape[0] > limit:
+                raise AssertionError(f"a sparse {self.shape} matrix was densified")
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "toarray", toarray)
+
+
 @pytest.fixture
 def dense_free(monkeypatch):
-    """Make every dense N x N view of an energy space raise: its dense Grams."""
+    """Make every dense array sized by the mesh raise: the dense Grams of an
+    energy space, and any sparse matrix larger than DENSE_ROWS_LIMIT."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")
 
     for name in ("energy_gram", "mass_gram"):
         monkeypatch.setattr(hilbert.EnergySpace, name, property(refuse))
+    _refuse_toarray(monkeypatch, DENSE_ROWS_LIMIT)
+
+
+@pytest.fixture
+def sparse_only(monkeypatch):
+    """Make every sparse-to-dense conversion raise, whatever its size."""
+    _refuse_toarray(monkeypatch, 0)
 
 
 @pytest.fixture(scope="session")

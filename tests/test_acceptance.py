@@ -121,40 +121,52 @@ def test_inclusion_signs(sweep_reports, zero_report):
     nonnegative (up to the grouped-reference resolution); matched
     eigenvalues move monotonically on admitted cells; zero perturbation
     reports exact zeros."""
-    ok = True
-    details = []
+    def verdict(check):
+        return "ok" if check else "FAILED"
+
+    checks, details = [], []
     for name, direction in (("square_shrink", "shrink"), ("boundary_notch", "shrink"),
                             ("l_shape", "shrink"), ("square_expand", "expand")):
         report = sweep_reports[name]
+        signs = True
         for cell in report.cells:
             if cell.error:
                 continue
             floor = 4.0 * cell.group_spread + 1e-12
             lam_inv = 1.0 / cell.lam_m
             if direction == "shrink":
-                ok = ok and all(t <= floor for t in cell.tau)
+                signs = signs and all(t <= floor for t in cell.tau)
                 if cell.admitted:
-                    ok = ok and all(mi <= lam_inv + floor + 1e-9 * lam_inv for mi in cell.mu_inv)
+                    signs = signs and all(
+                        mi <= lam_inv + floor + 1e-9 * lam_inv for mi in cell.mu_inv
+                    )
             else:
-                ok = ok and all(t >= -floor for t in cell.tau)
+                signs = signs and all(t >= -floor for t in cell.tau)
                 if cell.admitted:
-                    ok = ok and all(mi >= lam_inv - floor - 1e-9 * lam_inv for mi in cell.mu_inv)
-        details.append(f"{name} signs ok")
+                    signs = signs and all(
+                        mi >= lam_inv - floor - 1e-9 * lam_inv for mi in cell.mu_inv
+                    )
+        checks.append(signs)
+        details.append(f"{name} signs {verdict(signs)}")
     # fitted sandwich constants for the inclusion directions
     shrink_cells = [c for c in sweep_reports["square_shrink"].cells if not c.error]
     c_lo, c_hi = inclusion_bounds(shrink_cells, "shrink")
-    ok = ok and 0 < c_lo and 0 < c_hi and c_hi / c_lo <= 100.0
-    details.append(f"shrink sandwich c={c_lo:.3f}, C={c_hi:.3f}")
+    sandwich = 0 < c_lo and 0 < c_hi and c_hi / c_lo <= 100.0
+    checks.append(sandwich)
+    details.append(f"shrink sandwich c={c_lo:.3f}, C={c_hi:.3f} {verdict(sandwich)}")
     expand_cells = [c for c in sweep_reports["square_expand"].cells if not c.error]
     ce_lo, ce_hi = inclusion_bounds(expand_cells, "expand")
-    ok = ok and 0 < ce_hi and np.isfinite(ce_hi)
-    details.append(f"expand sandwich c={ce_lo:.3f}, C={ce_hi:.3f}")
+    sandwich = 0 < ce_hi and np.isfinite(ce_hi)
+    checks.append(sandwich)
+    details.append(f"expand sandwich c={ce_lo:.3f}, C={ce_hi:.3f} {verdict(sandwich)}")
+    exact = True
     for cell in zero_report.cells:
         zeros = [cell.sigma, cell.sigma_star, cell.rho, cell.rho0]
         zeros += [abs(t) for t in cell.tau] + [r.remainder for r in cell.rows]
-        ok = ok and max(zeros) <= 1e-12
-    details.append("zero perturbation exact")
-    _criterion("inclusion-signs", ok, "; ".join(details))
+        exact = exact and max(zeros) <= 1e-12
+    checks.append(exact)
+    details.append(f"zero perturbation exact {verdict(exact)}")
+    _criterion("inclusion-signs", all(checks), "; ".join(details))
 
 
 def test_hadamard_consistency(square64, shrink64_report):

@@ -483,6 +483,19 @@ def test_verify_abstract_small_run_passes_and_is_deterministic():
     assert first["fitted_projected_pair_constant"] >= 0.0
 
 
+def test_verify_abstract_skips_fit_on_rank_deficient_projection(monkeypatch):
+    # H2 is energy-orthogonal to the first eigenvector of H1, so S2 X_1 = 0
+    # while the pair is still localized: the projected-pair fit has no
+    # projector and is skipped instead of raising out of the suite
+    e = np.eye(4)
+    space = hilbert.EnergySpace(np.eye(4), np.diag([4.0, 1.0, 3.0, 2.0]))
+    subs = [hilbert.Subspace.from_basis(space, e[:, cols]) for cols in ([0, 1], [1, 2], [3])]
+    monkeypatch.setattr(harness, "_random_case", lambda rng: (space, subs))
+    summary = verify_abstract(seed=0, n_cases=1)
+    assert summary["fitted_projected_pair_constant"] == 0.0
+    assert summary["passed"]
+
+
 def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
     # an asymmetric distance must be reported as a violation with its case,
     # not crash the suite

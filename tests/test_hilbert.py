@@ -145,7 +145,7 @@ def test_fem_general_subspace_matches_dense_oracle(root, request):
     # square root of A from the space's sparse factor
     mesh = fem2d.unit_square_mesh(12)
     space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
-    energy = space.energy_csr.toarray()
+    energy, mass = space.energy_csr.toarray(), space.mass_csr.toarray()
     request.getfixturevalue("dense_free")
     rng = np.random.default_rng(21)
     basis = rng.normal(size=(space.dim, 5))
@@ -161,7 +161,6 @@ def test_fem_general_subspace_matches_dense_oracle(root, request):
     assert inter.dim == 2
     want = oracles.projector_matrix(energy, basis[:, 1:3]) @ u
     assert np.abs(inter.project_block(u) - want).max() <= 1e-10 * np.abs(want).max()
-    mass = space.mass_csr.toarray()
     want = oracles.sigma_star_direct(energy, mass, basis[:, :3], basis[:, 1:])
     assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-10)
     # general sigma reads no dense view either: its pencil lives on H1 + H2
@@ -600,13 +599,28 @@ def test_inertia_count_matches_dense_eigenvalue_count():
     space, sub = _lanczos_case(12, "notch_checker")
     a, m = sub.restricted_grams()
     lam = sla.eigh(a.toarray(), m.toarray(), eigvals_only=True)
-    shifts = [0.5 * lam[0], *(0.5 * (lam[:-1] + lam[1:]))[[0, 3, 10, 50]], 2.0 * lam[-1]]
-    for shift in shifts:
-        assert hilbert._count_below(a, m, shift) == np.count_nonzero(lam < shift)
-    # a zero diagonal breaks the sparse factor's symmetry: dense LDL' counts
+    idx = np.array([0, 3, 10, 50])
+    gaps = [(0.0, lam[0]), *zip(lam[idx], lam[idx + 1]), (lam[-1], 3.0 * lam[-1])]
+    for lo, hi in gaps:
+        assert hilbert._count_below(a, m, (lo, hi)) == np.count_nonzero(lam <= lo)
+    # a zero diagonal breaks the sparse factor's symmetry at the midpoint 0,
+    # so the count is read at another shift inside the gap
     swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert hilbert._symmetric_pivots(swap) is None
-    assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), 0.0) == 1
+    assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0)) == 1
+
+
+def test_inertia_and_definiteness_need_no_dense_matrix(sparse_only, monkeypatch):
+    # the midpoint of the swap pencil's gap gives no symmetric sparse factor
+    swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0)) == 1
+    with pytest.raises(NotPositiveDefiniteError, match="energy_gram") as err:
+        EnergySpace(np.diag([1.0, -1.0]), np.eye(2))
+    assert err.value.smallest_eig == -1.0
+    # no shift inside the gap gives symmetric pivots: the count is refused
+    monkeypatch.setattr(hilbert, "_symmetric_pivots", lambda mat: None)
+    with pytest.raises(PencilError, match=r"gap \(-1.000000e\+00, 1.000000e\+00\)"):
+        hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0))
 
 
 # -- operator eigendecomposition ----------------------------------------------
@@ -624,6 +638,32 @@ def test_grouping_of_near_degenerate():
     eigs = solve_operator_eigs(space.whole(), group_tol=1e-3)
     assert eigs.n_groups == 1
     assert eigs.multiplicities.tolist() == [2]
+
+
+def test_group_certificate_widens_only_its_own_columns(monkeypatch):
+    # eigenvalues 1 and 1.1 form one group whose spread in the reciprocal
+    # scale (about 0.048) is part of its own columns' allowance; the simple
+    # group at 4 keeps the bare 1e-8 allowance, so a defect of 1e-4 in K x
+    # passes in the pair and is rejected in the simple group, and one of 0.1
+    # in one column of the pair is rejected
+    space = EnergySpace(np.diag([1.0, 1.1, 4.0]), np.eye(3))
+    true_certify = hilbert._certify_group
+
+    def corrupting(width, defect):
+        def certify(a_res, block, k_block, lam_g, lam_members):
+            if block.shape[1] == width:
+                k_block = k_block.copy()
+                k_block[:, -1] += defect * np.linalg.norm(k_block[:, -1])
+            true_certify(a_res, block, k_block, lam_g, lam_members)
+
+        return certify
+
+    monkeypatch.setattr(hilbert, "_certify_group", corrupting(2, 1e-4))
+    assert solve_operator_eigs(space.whole(), group_tol=0.2).multiplicities.tolist() == [2, 1]
+    for width, defect in ((1, 1e-4), (2, 0.1)):
+        monkeypatch.setattr(hilbert, "_certify_group", corrupting(width, defect))
+        with pytest.raises(PencilError, match="eigenrelation residual"):
+            solve_operator_eigs(space.whole(), group_tol=0.2)
 
 
 def test_group_tol_validation():
