@@ -2,13 +2,13 @@
 
 Dense spectral computations funnel through :func:`solve_pencil`, so their
 ordering, sign conventions and residual checks are uniform.  It always
-solves the complete pencil; a caller that needs only the lowest pairs keeps
-a leading slice.  The lowest eigenpairs of a nodal subspace come instead
-from the Lanczos routine of :mod:`hilbert`, as the top eigenpairs of
-(M_II, A_II); those pairs pass the same residual allowance (:func:`_certify`,
-on the sparse blocks), and a Sylvester inertia count from sparse pivots
-inside the gap above the kept ones, with no dense fallback, certifies that
-no eigenvalue below them was missed.
+solves, and returns, the complete pencil.  A partial spectrum comes only
+from the Lanczos routine of :mod:`hilbert`: the lowest eigenpairs of a
+nodal subspace, as the top eigenpairs of (M_II, A_II).  Those pairs pass
+the same residual allowance (:func:`_certify`, on the sparse blocks), and
+a Sylvester inertia count from sparse pivots inside the gap above the kept
+ones, with no dense fallback, certifies that no eigenvalue below them was
+missed.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _oracle_grid, fem2d, hilbert, perturbation
 from .eigsolve import PencilError
@@ -161,6 +160,7 @@ class ScenarioConfig:
             raise ValueError(f"anchor must be two real numbers, got {self.anchor!r}")
         for coordinate in self.anchor:
             _check_number(coordinate, "anchor")
+        _check_number(self.seed, "seed", numbers.Integral)
 
     @property
     def subdivisions(self) -> int:
@@ -342,9 +342,7 @@ def _lowest_eigs(sub, group_tol, n, cap, enough):
     for the decomposition, it is complete, or n has reached cap."""
     while True:
         n = min(n, cap)
-        eigs = hilbert.solve_operator_eigs(
-            sub, group_tol, n_lowest=n if n < sub.dim else None
-        )
+        eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n)
         if eigs.complete or n == cap or enough(eigs):
             return eigs
         n *= 2
@@ -671,19 +669,18 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         eigs2 = hilbert.solve_operator_eigs(h2, group_tol=1e-8)
         loc = perturbation.localize(eigs1, eigs2, 1, s12)
         if loc.counted and s12 > 1e-12:
-            # P_m through the Gram of S2 X_1, as in eigenvector_proximity; a
+            # P_m projects onto span(S2 X_1), as in eigenvector_proximity; a
             # Gram that is not definite means S2 X_1 lost rank: no fit
-            lam1, x1, _ = eigs1.group(1)
-            s_x = h2.project_block(x1)
-            a_s = space.energy_csr @ s_x
+            s_x = h2.project_block(x1_first)
+            uu = loc.vectors[:, 0]
+            vv = loc.vectors[:, -1]
             try:
-                chol = sla.cho_factor(s_x.T @ a_s)
+                pu, pv = perturbation.project_onto_span(
+                    space, s_x, s_x.T @ (space.energy_csr @ s_x), np.column_stack([uu, vv])
+                ).T
             except np.linalg.LinAlgError:
                 pass
             else:
-                uu = loc.vectors[:, 0]
-                vv = loc.vectors[:, -1]
-                pu, pv = (s_x @ sla.cho_solve(chol, a_s.T @ np.column_stack([uu, vv]))).T
                 defect = abs(space.energy_inner(uu, vv) - space.energy_inner(pu, pv))
                 denom = s12 * (space.energy_norm(uu) ** 2 + space.energy_norm(vv) ** 2)
                 fitted_okt = max(fitted_okt, defect / denom)

@@ -396,7 +396,7 @@ class EigenDecomposition:
     ``values[g]`` is the g-th distinct eigenvalue, ``spaces[g]`` the ambient
     N x J_g matrix of energy-orthonormal eigenvectors, ``multiplicities[g]``
     its dimension.  ``complete`` records whether the whole spectrum was
-    computed; for partial solves ``n_computed`` = sum of multiplicities.
+    computed; only a Lanczos solve keeps fewer pairs (``n_computed``).
     """
 
     values: np.ndarray
@@ -619,45 +619,37 @@ def solve_operator_eigs(
 
     Eigenvalues come out ascending, grouped into eigenspaces wherever the
     relative gap is at most ``group_tol``; each group's basis is
-    energy-orthonormal in the ambient coordinates.  ``n_lowest`` asks for a
-    partial spectrum (the trailing, possibly split group is dropped).
+    energy-orthonormal in the ambient coordinates.
 
-    A partial solve on a nodal subspace takes the top eigenpairs of
-    (M_II, A_II), whose eigenvalues are 1/lambda, from :func:`_lanczos_top`;
-    each pair is certified like solve_pencil, and the count of eigenvalues
-    below a shift between the kept groups and the dropped one must equal the
-    number kept, or :class:`PencilError` is raised.  Every other request is
-    solved densely in full, and a partial one keeps the leading pairs.
+    ``n_lowest`` on a nodal subspace of more than ``n_lowest + 4`` dofs takes
+    the top ``n_lowest + 3`` eigenpairs of (M_II, A_II), whose eigenvalues
+    are 1/lambda, from :func:`_lanczos_top`, certifies each like solve_pencil
+    and drops the trailing, possibly split group; :class:`PencilError` is
+    raised unless the Sylvester count below the gap above the kept groups
+    equals the number kept.  Every other request solves the complete dense
+    pencil and returns all of it.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
     a_res, m_res = sub.restricted_grams()
     d = sub.dim
-    partial = n_lowest is not None and n_lowest < d
-    request = min(d, n_lowest + 3) if partial else None
-    lanczos = partial and sub.kind == "nodal" and request < d - 1
+    lanczos = n_lowest is not None and sub.kind == "nodal" and n_lowest + 3 < d - 1
     if lanczos:
-        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, request)
+        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, n_lowest + 3)
         order = np.argsort(-theta, kind="stable")
         lam = 1.0 / theta[order]
         # A_II-orthonormal pairs of (M_II, A_II) become M_II-orthonormal ones
         coords = coords[:, order]
         coords *= np.sqrt(lam)
         _certify(a_res, m_res, lam, coords)
-    else:
-        dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
-        lam, coords = solve_pencil(SymmetricPencil(*dense))
-        lam, coords = lam[:request], coords[:, :request]
-    groups = _group_boundaries(lam, group_tol)
-    if partial and len(groups) > 1:
+        groups = _group_boundaries(lam, group_tol)
+        if len(groups) == 1:
+            raise PencilError(
+                "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
+            )
         groups = groups[:-1]
-    elif partial and len(groups) == 1 and request < d:
-        raise PencilError(
-            "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
-        )
-    if lanczos:
-        # Lanczos can miss a copy of a degenerate eigenvalue; the dense solve cannot
+        # Lanczos can miss a copy of a degenerate eigenvalue
         kept = groups[-1].stop
         below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))
         if below != kept:
@@ -665,6 +657,10 @@ def solve_operator_eigs(
                 f"Lanczos kept {kept} eigenvalues, but {below} lie below the gap "
                 f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
             )
+    else:
+        dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
+        lam, coords = solve_pencil(SymmetricPencil(*dense))
+        groups = _group_boundaries(lam, group_tol)
     blocks = np.empty((d, groups[-1].stop))
     for sel in groups:
         # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
@@ -676,17 +672,18 @@ def solve_operator_eigs(
     values, spaces, mults, spreads = [], [], [], []
     for sel in groups:
         lam_g = float(lam[sel].mean())
+        spread = float(np.abs(1.0 / lam[sel] - 1.0 / lam_g).max())
         block = blocks[:, sel]
-        _certify_group(a_res, block, k_blocks[:, sel], lam_g, lam[sel])
+        _certify_group(a_res, block, k_blocks[:, sel], lam_g, spread)
         values.append(lam_g)
         spaces.append(_fix_signs(sub.embed(block)))
         mults.append(block.shape[1])
-        spreads.append(float(np.abs(1.0 / lam[sel] - 1.0 / lam_g).max()))
+        spreads.append(spread)
     return EigenDecomposition(
         values=np.array(values),
         spaces=spaces,
         multiplicities=np.array(mults, dtype=int),
-        complete=not partial,
+        complete=not lanczos,
         spreads=np.array(spreads),
     )
 
@@ -708,7 +705,7 @@ def _inv_sqrt(gram: np.ndarray) -> np.ndarray:
     return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
-def _certify_group(a_res, block, k_block, lam_g, lam_members) -> None:
+def _certify_group(a_res, block, k_block, lam_g, spread) -> None:
     # residual of K x = lambda_m^-1 x in the restricted energy norm, with
     # k_block = K block; grouped eigenvalues that are merely close (not equal)
     # contribute their spread in the reciprocal scale on top of the 1e-8
@@ -716,7 +713,6 @@ def _certify_group(a_res, block, k_block, lam_g, lam_members) -> None:
     resid = k_block - block / lam_g
     num = np.sqrt(np.maximum(np.einsum("ij,ij->j", resid, a_res @ resid), 0.0))
     den = np.sqrt(np.maximum(np.einsum("ij,ij->j", block, a_res @ block), 0.0))
-    spread = float(np.abs(1.0 / lam_members - 1.0 / lam_g).max())
     if np.any(num > (1e-8 + spread) * den):
         raise PencilError(
             f"eigenrelation residual {num.max():.3e} exceeds the certified bound"

@@ -29,6 +29,7 @@ __all__ = [
     "spectral_window",
     "localize",
     "eigenvector_proximity",
+    "project_onto_span",
     "assemble_correction",
     "predict_and_check",
     "inclusion_bounds",
@@ -219,13 +220,11 @@ def eigenvector_proximity(
     vectors: np.ndarray, images: EigenspaceImages, sigma: float
 ) -> np.ndarray:
     """||U - P_m U|| / (sqrt(sigma) ||U||) for each column U of ``vectors``,
-    with P_m the energy projector onto span(S2 X_m).  P_m U = S2 X_m c with
-    (S2 X_m)' A (S2 X_m) c = (S2 X_m)' A U; the correction pencil has proved
-    that Gram definite, and a singular one raises LinAlgError."""
-    space, s = images.space, images.s
+    with P_m the energy projector onto span(S2 X_m); the correction pencil
+    has proved its Gram definite, and a singular one raises LinAlgError."""
+    space = images.space
     u = space.check_vector(vectors).reshape(space.dim, -1)
-    coeffs = sla.cho_solve(sla.cho_factor(images.s_a_s), s.T @ (space.energy_csr @ u))
-    num = _energy_norms(space, u - s @ coeffs)
+    num = _energy_norms(space, u - project_onto_span(space, images.s, images.s_a_s, u))
     denom_u = _energy_norms(space, u)
     if sigma > 0.0:
         return num / (np.sqrt(sigma) * denom_u)
@@ -234,6 +233,13 @@ def eigenvector_proximity(
     raise ValueError(
         f"zero distance but nonzero projection defect {num.max():.3e}; inputs inconsistent"
     )
+
+
+def project_onto_span(space, s: np.ndarray, gram: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Energy projection s c of the columns of u onto span(s): c solves
+    (s' A s) c = s' A u through the Cholesky factor of ``gram`` = s' A s, and
+    a Gram that is not definite raises LinAlgError."""
+    return s @ sla.cho_solve(sla.cho_factor(gram), s.T @ (space.energy_csr @ u))
 
 
 def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionProblem:

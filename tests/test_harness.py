@@ -114,6 +114,10 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"anchor": ("a", 1.0)}, "anchor must be a real number"),
         ({"anchor": (0.5,)}, "anchor must be two real numbers"),
         ({"anchor": 0.5}, "anchor must be two real numbers"),
+        ({"seed": float("nan")}, "seed must be an integer"),
+        ({"seed": "0"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 2.5}, "seed must be an integer"),
         (
             {"coefficient": {"kind": "constant", "matrix": "x", "nu": 0.5}},
             "coefficient matrix must be 2x2",
@@ -426,6 +430,17 @@ def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch
         return np.count_nonzero(1.0 / eigs.flat_values() <= lo)
 
     assert past_window(short) < j_m <= past_window(grown)
+
+
+def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):
+    # eps=2h leaves the h=1/8 square 9 dofs: a request for 6 is past what
+    # Lanczos serves, so the dense solve returns all 9 pairs at once
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 8.0
+    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2]))
+    assert [n for n, _ in calls] == [4, 6]
+    eigs2 = calls[1][1]
+    assert eigs2.complete and eigs2.n_computed == 9
 
 
 def test_requests_never_exceed_n_lowest(monkeypatch):
