@@ -31,6 +31,7 @@ __all__ = [
     "gradient_energy",
     "hadamard_slope",
     "collar_elements",
+    "check_conforming",
     "region_area",
     "symmetric_difference_area",
     "suggested_group_tol",
@@ -188,8 +189,11 @@ class DomainSpec:
     kinds: square_shrink (inset eps from the boundary), square_expand
     (outset eps from a base inset), boundary_notch (triangles near an
     anchor on the boundary removed), l_shape (corner square removed),
-    element_mask (explicit kept element ids).  eps must be a nonnegative
-    multiple of the mesh size; non-conforming values are rejected.
+    element_mask (explicit kept element ids).  Each family but element_mask
+    is one predicate, ``_keeps``: which centroids it keeps at width w.  The
+    kept set, the collar (see ``collar_elements``) and ``side`` derive from
+    it.  eps must be a nonnegative multiple of the mesh size; non-conforming
+    values are rejected.
     """
 
     kind: str
@@ -214,13 +218,23 @@ class DomainSpec:
             if not (on_boundary and inside):
                 raise MeshError(f"notch anchor {self.anchor} must lie on the boundary of D")
 
-    def _check_conforming(self, h: float, value: float, what: str) -> None:
-        ratio = value / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-            raise MeshError(
-                f"{what}={value} is not a multiple of the mesh size h={h}; "
-                "non-conforming perturbations are rejected, not approximated"
-            )
+    def _inset(self, w: float) -> float:
+        """Inset from D's boundary of the square that bounds the domain at width w."""
+        return {"square_shrink": w, "square_expand": self.base - w}.get(self.kind, 0.0)
+
+    @property
+    def side(self) -> float:
+        """Side of the square that bounds the domain."""
+        return 1.0 - 2.0 * self._inset(self.eps)
+
+    def _keeps(self, cen: np.ndarray, w: float) -> np.ndarray:
+        """Mask of the centroids that the family keeps at width w."""
+        if self.kind == "boundary_notch":
+            return np.linalg.norm(cen - np.asarray(self.anchor), axis=1) > w
+        if self.kind == "l_shape":
+            return ~((cen[:, 0] > 1.0 - w) & (cen[:, 1] > 1.0 - w))
+        inset = self._inset(w)
+        return _in_box(cen, inset, 1.0 - inset)
 
     def kept_elements(self, mesh: BackgroundMesh) -> np.ndarray:
         """Ids of the triangles making up the domain."""
@@ -229,22 +243,25 @@ class DomainSpec:
             if ids.size and (ids[0] < 0 or ids[-1] >= mesh.n_triangles):
                 raise MeshError("element_mask contains an unknown element id")
             return ids
-        self._check_conforming(mesh.h, self.eps, "eps")
-        cen = mesh.centroids()
-        if self.kind == "square_shrink":
-            keep = _in_box(cen, self.eps, 1.0 - self.eps)
-        elif self.kind == "square_expand":
-            self._check_conforming(mesh.h, self.base, "base")
+        check_conforming(mesh.h, self.eps, "eps")
+        if self.kind == "square_expand":
+            check_conforming(mesh.h, self.base, "base")
             if self.eps > self.base + 1e-12:
                 raise MeshError(
                     f"expansion eps={self.eps} exceeds the base inset {self.base}"
                 )
-            keep = _in_box(cen, self.base - self.eps, 1.0 - self.base + self.eps)
-        elif self.kind == "boundary_notch":
-            keep = np.linalg.norm(cen - np.asarray(self.anchor), axis=1) > self.eps
-        elif self.kind == "l_shape":
-            keep = ~((cen[:, 0] > 1.0 - self.eps) & (cen[:, 1] > 1.0 - self.eps))
-        return np.flatnonzero(keep)
+        return np.flatnonzero(self._keeps(mesh.centroids(), self.eps))
+
+
+def check_conforming(h: float, value: float, what: str) -> None:
+    """MeshError naming ``what`` unless value is a multiple of the mesh size h."""
+    ratio = value / h
+    # a finite value can overflow the ratio, which round() cannot take
+    if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
+        raise MeshError(
+            f"{what}={value} is not a multiple of the mesh size h={h}; "
+            "non-conforming perturbations are rejected, not approximated"
+        )
 
 
 def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -360,27 +377,18 @@ def symmetric_difference_area(
 def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np.ndarray:
     """Boundary layer of the reference domain matched to a perturbation.
 
-    For global perturbations (square_shrink / square_expand) this is the
-    strip of the reference domain within q*eps of its boundary; for local
-    ones (boundary_notch / l_shape) it is the part of the reference domain
-    within the q*eps neighborhood of the perturbation site.
+    The family at width 0, which is the whole reference domain, minus the
+    family at width q*eps (-q*eps for square_expand, inward of its base
+    square): a strip within q*eps of the boundary of a square reference, or
+    the q*eps neighborhood of a notch or corner cut.
     """
     if q <= 1.0:
         raise MeshError(f"collar factor q must exceed 1, got {q}")
-    cen = mesh.centroids()
-    reach = q * dom.eps
-    if dom.kind == "square_shrink":
-        collar = ~_in_box(cen, reach, 1.0 - reach)
-    elif dom.kind == "square_expand":
-        b = dom.base
-        collar = _in_box(cen, b, 1 - b) & ~_in_box(cen, b + reach, 1.0 - b - reach)
-    elif dom.kind == "boundary_notch":
-        collar = np.linalg.norm(cen - np.asarray(dom.anchor), axis=1) <= reach
-    elif dom.kind == "l_shape":
-        collar = (cen[:, 0] > 1.0 - reach) & (cen[:, 1] > 1.0 - reach)
-    else:
+    if dom.kind == "element_mask":
         raise MeshError(f"no collar notion for domain kind {dom.kind!r}")
-    ids = np.flatnonzero(collar)
+    cen = mesh.centroids()
+    reach = -q * dom.eps if dom.kind == "square_expand" else q * dom.eps
+    ids = np.flatnonzero(dom._keeps(cen, 0.0) & ~dom._keeps(cen, reach))
     if ids.size == 0:
         raise MeshError("collar region is empty")
     return ids

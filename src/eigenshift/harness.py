@@ -105,8 +105,8 @@ class ScenarioConfig:
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {_SCENARIOS}")
         _check_number(self.h, "h")
-        if not 0.0 < self.h <= 1.0:
-            raise ValueError(f"mesh size h must be in (0, 1], got {self.h}")
+        if not 0.0 < self.h <= 0.5:  # a mesh has at least 2 cells per side
+            raise ValueError(f"mesh size h must be in (0, 1/2], got {self.h}")
         n = 1.0 / self.h
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"mesh size h={self.h} must be the reciprocal of an integer")
@@ -117,13 +117,14 @@ class ScenarioConfig:
             raise ValueError("eps sweep must not be empty")
         for eps in self.eps:
             _check_number(eps, "eps")
-            ratio = eps / self.h
-            if eps < 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise MeshError(f"eps={eps} is not a nonnegative multiple of h={self.h}")
+            fem2d.check_conforming(self.h, eps, "eps")
         for m in self.m:
             _check_number(m, "m", numbers.Integral)
         if any(m < 1 for m in self.m) or not self.m:
             raise ValueError("m list must contain positive group indices")
+        for name, value in (("eps", self.eps), ("m", self.m)):
+            if len(set(value)) != len(value):  # a repeat gives rows of one key
+                raise ValueError(f"{name} must not repeat a value, got {value!r}")
         if not isinstance(self.coefficient, dict):
             raise ValueError(f"coefficient must be an object, got {self.coefficient!r}")
         kind = self.coefficient.get("kind", "identity")
@@ -161,6 +162,8 @@ class ScenarioConfig:
         for coordinate in self.anchor:
             _check_number(coordinate, "anchor")
         _check_number(self.seed, "seed", numbers.Integral)
+        for eps in self.eps:
+            self.perturbed_domain(eps)  # the family's own eps and anchor checks
 
     @property
     def subdivisions(self) -> int:
@@ -178,9 +181,7 @@ class ScenarioConfig:
         return CoefficientField.checker(self.coefficient["nu"])
 
     def reference_domain(self) -> DomainSpec:
-        if self.scenario == "square_expand":
-            return DomainSpec("square_expand", eps=0.0, base=self.base)
-        return DomainSpec("square_shrink", eps=0.0)
+        return self.perturbed_domain(0.0)
 
     def group_tol_for(self, dom: DomainSpec) -> float:
         """Relative grouping gap for a carved domain's spectrum.
@@ -191,22 +192,10 @@ class ScenarioConfig:
         """
         if self.group_tol is not None:
             return self.group_tol
-        inset = 0.0
-        if dom.kind == "square_shrink":
-            inset = dom.eps
-        elif dom.kind == "square_expand":
-            inset = dom.base - dom.eps
-        side = max(1.0 - 2.0 * inset, 2.0 * self.h)
-        return fem2d.suggested_group_tol(self.h) / side**2
+        return fem2d.suggested_group_tol(self.h) / max(dom.side, 2.0 * self.h) ** 2
 
     def perturbed_domain(self, eps: float) -> DomainSpec:
-        if self.scenario == "square_shrink":
-            return DomainSpec("square_shrink", eps=eps)
-        if self.scenario == "square_expand":
-            return DomainSpec("square_expand", eps=eps, base=self.base)
-        if self.scenario == "boundary_notch":
-            return DomainSpec("boundary_notch", eps=eps, anchor=tuple(self.anchor))
-        return DomainSpec("l_shape", eps=eps)
+        return DomainSpec(self.scenario, eps=eps, anchor=tuple(self.anchor), base=self.base)
 
     def to_dict(self) -> dict:
         return {
@@ -338,13 +327,13 @@ def _cell_for(
 
 
 def _lowest_eigs(sub, group_tol, n, cap, enough):
-    """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
-    for the decomposition, it is complete, or n has reached cap."""
+    """(final request, eigenpairs of sub) from the n lowest, doubling n until
+    ``enough`` holds for the decomposition, it is complete, or n reaches cap."""
     while True:
         n = min(n, cap)
         eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n)
         if eigs.complete or n == cap or enough(eigs):
-            return eigs
+            return n, eigs
         n *= 2
 
 
@@ -356,7 +345,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     each perturbed solve for J_m eigenvalues past every window's lower end in
     the reciprocal scale.  Uncomputed eigenvalues lie below those, so none can
     fall in a window or lie nearer 1/lambda_m than the J_m that ``localize``
-    falls back to.  A request that proves too short is doubled.
+    falls back to.  A request that proves too short is doubled, and the
+    next eps (eps ascending) starts from the last request that sufficed.
     """
     mesh = unit_square_mesh(config.subdivisions)
     coeff = config.coefficient_field()
@@ -364,7 +354,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     dom1 = config.reference_domain()
     h1 = fem2d.carve_subspace(space, mesh, dom1)
     max_m = max(int(m) for m in config.m)
-    eigs1 = _lowest_eigs(
+    _, eigs1 = _lowest_eigs(
         h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest,
         lambda eigs: eigs.n_groups >= max_m + 1,
     )
@@ -384,14 +374,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in floors)
 
     cells = []
+    request = eigs1.n_computed
     for eps in sorted(config.eps):
         sigma = sig_star = np.nan
         try:
             dom2 = config.perturbed_domain(eps)
             h2 = fem2d.carve_subspace(space, mesh, dom2)
             inter = hilbert.intersection_subspace(h1, h2)
-            eigs2 = _lowest_eigs(
-                h2, config.group_tol_for(dom2), eigs1.n_computed, config.n_lowest, covered
+            request, eigs2 = _lowest_eigs(
+                h2, config.group_tol_for(dom2), request, config.n_lowest, covered
             )
             direction = perturbation._direction_of(h1, h2)
             s12 = hilbert.sigma_distance(h1, h2)

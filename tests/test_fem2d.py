@@ -364,6 +364,50 @@ def test_collar_and_symmetric_difference_areas():
     assert symmetric_difference_area(mesh, shrink, shrink) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["square_shrink", "square_expand", "boundary_notch", "l_shape"])
+def test_kept_and_collar_sets_follow_each_family_shape(kind):
+    # each family's kept set, collar and bounding side, written out here as
+    # centroid predicates; q = 1.5 and 2.5 put the collar edge mid-cell
+    n, base, anchor = 16, 0.25, (0.25, 0.0)
+    mesh = unit_square_mesh(n)
+    x, y = mesh.centroids().T
+
+    def box(lo, hi):
+        return (x > lo) & (x < hi) & (y > lo) & (y < hi)
+
+    near = lambda r: np.hypot(x - anchor[0], y - anchor[1]) <= r  # noqa: E731
+    corner = lambda r: (x > 1.0 - r) & (y > 1.0 - r)  # noqa: E731
+    kept, collar, side = {
+        "square_shrink": (
+            lambda e: box(e, 1.0 - e), lambda r: ~box(r, 1.0 - r), lambda e: 1.0 - 2.0 * e
+        ),
+        "square_expand": (
+            lambda e: box(base - e, 1.0 - base + e),
+            lambda r: box(base, 1.0 - base) & ~box(base + r, 1.0 - base - r),
+            lambda e: 1.0 - 2.0 * (base - e),
+        ),
+        "boundary_notch": (lambda e: ~near(e), near, lambda e: 1.0),
+        "l_shape": (lambda e: ~corner(e), corner, lambda e: 1.0),
+    }[kind]
+    for cells in (1, 2, 3, 4):
+        eps = cells / n
+        dom = DomainSpec(kind, eps=eps, anchor=anchor, base=base)
+        assert np.array_equal(dom.kept_elements(mesh), np.flatnonzero(kept(eps)))
+        assert dom.side == pytest.approx(side(eps), abs=1e-15)
+        for q in (1.5, 2.0, 2.5, 3.0):
+            want = np.flatnonzero(collar(q * eps))
+            assert np.array_equal(collar_elements(mesh, dom, q=q), want), (cells, q)
+    # width 0 keeps the whole reference domain
+    whole = DomainSpec(kind, anchor=anchor, base=base).kept_elements(mesh)
+    assert np.array_equal(whole, np.flatnonzero(kept(0.0)))
+
+
+def test_element_mask_has_no_collar():
+    mesh = unit_square_mesh(4)
+    with pytest.raises(MeshError, match="no collar notion"):
+        collar_elements(mesh, DomainSpec("element_mask", elements=[0, 1]))
+
+
 def test_symmetric_difference_area_of_crossing_notches():
     mesh = unit_square_mesh(16)
     left = DomainSpec("boundary_notch", eps=3.0 / 16.0, anchor=(0.375, 1.0))

@@ -103,6 +103,16 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"h": 0.0}, "h must be in"),
         ({"h": -0.125}, "h must be in"),
         ({"h": float("inf")}, "h must be finite"),
+        ({"eps": [-0.0625]}, "eps must be nonnegative"),
+        # each of these once passed validation and could only fail in the run:
+        # h=1 gives a mesh of one cell, an off-boundary anchor an error cell
+        # per eps, and a repeat solves its eps twice into rows of one key; an
+        # eps whose ratio to h overflows raised an OverflowError
+        ({"h": 1.0}, "h must be in"),
+        ({"h": 1.0 / 64.0, "eps": [1e307]}, "eps=1e\\+307 is not a multiple"),
+        ({"scenario": "boundary_notch", "anchor": (0.5, 0.5)}, "anchor"),
+        ({"eps": [0.0625, 0.0625]}, "eps must not repeat"),
+        ({"m": [1, 2, 1]}, "m must not repeat"),
         ({"n_lowest": 2.5}, "n_lowest must be an integer"),
         ({"n_lowest": True}, "n_lowest must be an integer"),
         ({"n_lowest": 0}, "n_lowest must be at least 1"),
@@ -190,8 +200,10 @@ def scenario_configs(draw):
     return ScenarioConfig(
         scenario=draw(st.sampled_from(scenarios)),
         h=h,
-        eps=[k * h for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4))],
-        m=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+        eps=[
+            k * h for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4, unique=True))
+        ],
+        m=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)),
         coefficient=coefficient,
         q=draw(st.floats(1.5, 4.0)),
         group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
@@ -441,6 +453,18 @@ def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):
     assert [n for n, _ in calls] == [4, 6]
     eigs2 = calls[1][1]
     assert eigs2.complete and eigs2.n_computed == 9
+
+
+def test_next_eps_starts_from_the_last_request_that_sufficed(monkeypatch):
+    # the expand's eps=2h needs 12 pairs to cover the m=2 window; eps=3h, a
+    # larger domain, starts there instead of redoing the short request of 6
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 16.0
+    report = run_scenario(
+        ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h, 3 * h], m=[2])
+    )
+    assert all(cell.error is None for cell in report.cells)
+    assert [n for n, _ in calls] == [4, 6, 12, 12]
 
 
 def test_requests_never_exceed_n_lowest(monkeypatch):

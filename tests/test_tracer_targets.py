@@ -1,15 +1,19 @@
-"""The benchmark's span tracer binds package names, which must keep resolving.
+"""The benchmark's span tracer and setup task bind package names, which must keep resolving.
 
 ``perfbench/tracer.py`` wraps every ``(module, attr)`` in its ``TARGETS`` and
-reads call arguments by parameter name in its ``ATTRS``.  The benchmark's own
-self-tests lie outside this suite's test paths, so without these checks a
-rename that breaks the traced bench run would still pass here.  The tracer is
-loaded from its file and not modified.
+reads call arguments by parameter name in its ``ATTRS``; ``perfbench/child.py``
+times the calls ``run_scenario`` makes before its eps loop.  The benchmark's
+own self-tests lie outside this suite's test paths, so without these checks a
+rename that breaks the bench run would still pass here.  Both are loaded from
+their files and not modified.
 """
 
+import argparse
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +22,17 @@ from eigenshift import fem2d, hilbert
 from eigenshift.eigsolve import SymmetricPencil, solve_pencil
 from eigenshift.fem2d import CoefficientField
 
-TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 def test_tracer_targets_resolve():
@@ -59,3 +63,15 @@ def test_tracer_attrs_bind_by_parameter_name():
         bound = inspect.signature(func).bind(*args, **kwargs)
         bound.apply_defaults()
         tracer.ATTRS[name](bound, func(*args, **kwargs))
+
+
+def test_bench_setup_task_runs_on_the_smoke_config(monkeypatch, tmp_path):
+    # child.py imports its siblings by their bare names
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    child = _load("perfbench_child", PERFBENCH / "child.py")
+    config = tmp_path / "smoke.json"
+    config.write_text(json.dumps(workloads.FEM_CONFIGS["smoke"]))
+    out = child.task_setup(argparse.Namespace(config=str(config)))
+    assert out["setup_s"] > out["import_s"] >= 0.0
