@@ -31,7 +31,6 @@ __all__ = [
     "gradient_energy",
     "hadamard_slope",
     "collar_elements",
-    "check_conforming",
     "region_area",
     "symmetric_difference_area",
     "suggested_group_tol",
@@ -192,8 +191,9 @@ class DomainSpec:
     element_mask (explicit kept element ids).  Each family but element_mask
     is one predicate, ``_keeps``: which centroids it keeps at width w.  The
     kept set, the collar (see ``collar_elements``) and ``side`` derive from
-    it.  eps must be a nonnegative multiple of the mesh size; non-conforming
-    values are rejected.
+    it.  eps, and the base inset of square_expand, must be nonnegative
+    multiples of the mesh size (``check_conforming``); non-conforming values
+    are rejected.
     """
 
     kind: str
@@ -243,25 +243,25 @@ class DomainSpec:
             if ids.size and (ids[0] < 0 or ids[-1] >= mesh.n_triangles):
                 raise MeshError("element_mask contains an unknown element id")
             return ids
-        check_conforming(mesh.h, self.eps, "eps")
-        if self.kind == "square_expand":
-            check_conforming(mesh.h, self.base, "base")
-            if self.eps > self.base + 1e-12:
-                raise MeshError(
-                    f"expansion eps={self.eps} exceeds the base inset {self.base}"
-                )
+        self.check_conforming(mesh.h)
+        if self.kind == "square_expand" and self.eps > self.base + 1e-12:
+            raise MeshError(f"expansion eps={self.eps} exceeds the base inset {self.base}")
         return np.flatnonzero(self._keeps(mesh.centroids(), self.eps))
 
-
-def check_conforming(h: float, value: float, what: str) -> None:
-    """MeshError naming ``what`` unless value is a multiple of the mesh size h."""
-    ratio = value / h
-    # a finite value can overflow the ratio, which round() cannot take
-    if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-        raise MeshError(
-            f"{what}={value} is not a multiple of the mesh size h={h}; "
-            "non-conforming perturbations are rejected, not approximated"
-        )
+    def check_conforming(self, h: float) -> None:
+        """MeshError unless eps, and the base inset of square_expand, are
+        multiples of the mesh size h."""
+        widths = {"eps": self.eps}
+        if self.kind == "square_expand":
+            widths["base"] = self.base
+        for what, value in widths.items():
+            ratio = value / h
+            # a finite value can overflow the ratio, which round() cannot take
+            if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
+                raise MeshError(
+                    f"{what}={value} is not a multiple of the mesh size h={h}; "
+                    "non-conforming perturbations are rejected, not approximated"
+                )
 
 
 def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -67,7 +67,6 @@ _CELL_ERRORS = (
     hilbert.DimensionMismatchError,
     hilbert.SubspaceRankError,
     hilbert.NotInSubspaceError,
-    hilbert.IllConditionedIntersectionError,
     perturbation.LocalizationError,
     perturbation.CorrectionGramError,
     np.linalg.LinAlgError,
@@ -117,7 +116,6 @@ class ScenarioConfig:
             raise ValueError("eps sweep must not be empty")
         for eps in self.eps:
             _check_number(eps, "eps")
-            fem2d.check_conforming(self.h, eps, "eps")
         for m in self.m:
             _check_number(m, "m", numbers.Integral)
         if any(m < 1 for m in self.m) or not self.m:
@@ -163,7 +161,8 @@ class ScenarioConfig:
             _check_number(coordinate, "anchor")
         _check_number(self.seed, "seed", numbers.Integral)
         for eps in self.eps:
-            self.perturbed_domain(eps)  # the family's own eps and anchor checks
+            # the family's own checks: eps, anchor, and conformity to the mesh
+            self.perturbed_domain(eps).check_conforming(self.h)
 
     @property
     def subdivisions(self) -> int:
@@ -483,13 +482,17 @@ def write_report(report: ScenarioReport, out_dir) -> Path:
 # -- verification suites -------------------------------------------------------
 
 
+def _random_nodal(rng, space, dim):
+    return Subspace.nodal(space, rng.choice(space.dim, size=int(dim), replace=False))
+
+
 def _random_case(rng):
     n = int(rng.integers(3, 13))
     f1 = rng.normal(size=(n, n))
     f2 = rng.normal(size=(n, n))
     space = hilbert.EnergySpace(f1 @ f1.T + 0.5 * np.eye(n), f2 @ f2.T + 0.5 * np.eye(n))
     dims = rng.integers(1, min(4, n), size=3)
-    subs = [Subspace.from_basis(space, rng.normal(size=(n, int(d)))) for d in dims]
+    subs = [_random_nodal(rng, space, d) for d in dims]
     return space, subs
 
 
@@ -497,7 +500,7 @@ def _serialize_case(space, subs) -> dict:
     return {
         "energy_gram": space.energy_gram.tolist(),
         "mass_gram": space.mass_gram.tolist(),
-        "bases": [sub.basis.tolist() for sub in subs],
+        "indices": [sub.indices.tolist() for sub in subs],
     }
 
 
@@ -531,6 +534,13 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
     estimates, and re-verifies the projector distance against the
     grid-search oracle on a subsample.  Margins are 'amount of slack left';
     any negative margin is a violation and fails the suite.
+
+    Each case draws random s.p.d. Grams and three subspaces on random index
+    sets; a violation's counterexample carries the Grams and the ``indices``.
+    Any pair of subspaces is a pair of index sets after a congruence of the
+    Grams, so the pair properties cover every pair.  Three index sets do not
+    cover every triple: a generic triple with d1 + d2 + d3 > n is not three
+    coordinate spans in one basis, so the triangle check sees fewer triples.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
@@ -559,8 +569,8 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         space, subs = _random_case(rng)
         h1, h2, h3 = subs
         u = rng.normal(size=space.dim)
-        v1 = h1.basis @ rng.normal(size=h1.dim)
-        w2 = h2.basis @ rng.normal(size=h2.dim)
+        v1 = h1.embed(rng.normal(size=h1.dim))
+        w2 = h2.embed(rng.normal(size=h2.dim))
 
         def _case():
             return {"case": case_index, **_serialize_case(space, subs)}
@@ -679,13 +689,11 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         # oracle subsample: dedicated pairs with dim <= 2 keep the active
         # subspace of the projector difference within the grid's reach
         if case_index % 10 == 0:
-            b1o = rng.normal(size=(space.dim, int(rng.integers(1, 3))))
-            b2o = rng.normal(size=(space.dim, int(rng.integers(1, 3))))
-            val = hilbert.sigma_distance(
-                Subspace.from_basis(space, b1o), Subspace.from_basis(space, b2o)
-            )
+            h1o, h2o = (_random_nodal(rng, space, rng.integers(1, 3)) for _ in range(2))
+            val = hilbert.sigma_distance(h1o, h2o)
+            eye = np.eye(space.dim)
             grid = _oracle_grid.sigma_grid(
-                space.energy_gram, space.mass_gram, b1o, b2o
+                space.energy_gram, space.mass_gram, eye[:, h1o.indices], eye[:, h2o.indices]
             )
             props["sigma_grid_oracle"].record(
                 1e-3 - abs(grid - val) / max(val, 1e-3), _case

@@ -9,38 +9,36 @@ projector distance sigma, the complement constant sigma*, the bridge
 operator B, correctors, and the remainder magnitudes rho and rho0.
 
 The Grams are stored as CSR matrices only, and every form on a block of
-vectors applies the sparse Gram to the N x J block first.  Every subspace
+vectors applies the sparse Gram to the N x J block first.  A subspace is
+nodal: the span of the coordinate vectors at an index set, as carved from a
+mesh.  That is no loss for pairs: in a basis adapted to H1 cap H2, H1 and
+H2, any two subspaces are coordinate spans, and every quantity here is
+invariant under the congruence A -> B'AB, M -> B'MB.  Every subspace
 operator (projector, solution operator, corrector) is one representer
-solve, :meth:`Subspace._solve`.  Nodal subspaces (index sets, as carved
-from a mesh) solve with one cached sparse LU factor of their CSR energy
-block A_II (on every index, the parent's factor of A), and one Lanczos
-routine, :func:`_lanczos_top`, finds the top eigenpairs of a pencil
+solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
+energy block A_II (on every index, the parent's factor of A), and one
+Lanczos routine, :func:`_lanczos_top`, finds the top eigenpairs of a pencil
 (K, A_II) through that factor from a seeded start vector.  It serves two
-callers.  The lowest eigenpairs of a nodal subspace are the top ones of
+callers.  The lowest eigenpairs of a subspace are the top ones of
 (M_II, A_II); each pair passes the residual allowance of
 :func:`eigsolve.solve_pencil`, and the number kept must equal the Sylvester
 inertia count below the gap above them, read from sparse pivots at a shift
-inside that gap (spectrum slicing; no dense fallback).  For nodal pairs,
-sigma and sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
-coordinates of I1 u I2, certified like :func:`eigsolve.solve_pencil`.  A FEM
-cell stays on this nodal backend: :func:`eigenspace_images` makes its two
-solves (S2 X and the correctors) and takes every J x J form the cell reads,
-once.  Only the abstract suite builds subspaces with an explicit basis.  They are energy-orthonormalized
-through a square root of A taken from the sparse factor that proved A
-definite; for such pairs, sigma and sigma* are the top eigenvalue of a form
-on an energy-orthonormal basis of H1 + H2.  What stays dense is sized by a
-subspace, not by the space: complete spectra and the small pencils.  Only
-the abstract suite's small spaces read the dense Gram views:
+inside that gap (spectrum slicing; no dense fallback).  sigma and sigma*
+are the largest eigenvalue of the pencil (D' M D, A) on the coordinates of
+I1 u I2, certified like :func:`eigsolve.solve_pencil`.  A FEM cell's
+:func:`eigenspace_images` makes its two solves (S2 X and the correctors)
+and takes every J x J form the cell reads, once.  What stays dense is sized
+by a subspace, not by the space: complete spectra and the small pencils.
+Only the abstract suite's small spaces read the dense Gram views:
 :func:`embedding_constant`, its grid oracle and its counterexamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
@@ -54,7 +52,6 @@ __all__ = [
     "EigenspaceImages",
     "DimensionMismatchError",
     "SubspaceRankError",
-    "IllConditionedIntersectionError",
     "NotInSubspaceError",
     "DEFAULT_GROUP_TOL",
     "embedding_constant",
@@ -73,35 +70,17 @@ __all__ = [
 
 DEFAULT_GROUP_TOL = 1e-6
 
-# principal-angle cosine thresholds for intersection detection
-_COS_INTERSECT = 1.0 - 1e-10
-_COS_AMBIGUOUS = 1.0 - 1e-6
-
 
 class DimensionMismatchError(ValueError):
     """Vector or matrix does not match the ambient dimension."""
 
 
 class SubspaceRankError(ValueError):
-    """Basis is numerically rank deficient."""
+    """A subspace or an eigenspace block is empty or numerically rank deficient."""
 
 
 class NotInSubspaceError(ValueError):
     """A vector required to lie in a subspace does not."""
-
-
-class IllConditionedIntersectionError(ValueError):
-    """Principal angles too close to the detection threshold to classify.
-
-    The full cosine spectrum is attached as ``cosines``.
-    """
-
-    def __init__(self, cosines: np.ndarray):
-        self.cosines = np.asarray(cosines)
-        super().__init__(
-            "intersection detection is ill conditioned; principal-angle cosines: "
-            + np.array2string(self.cosines, precision=12)
-        )
 
 
 def _check_gram(mat, name: str) -> sp.csr_array:
@@ -172,8 +151,8 @@ class EnergySpace:
     constant is finite and positive).  Positive pivots of a symmetric sparse
     factorization must prove it at construction, or
     :class:`NotPositiveDefiniteError` is raised with the smallest pivot; no
-    dense matrix is formed.  The energy factor is kept: it gives the square
-    root of A that energy-orthonormalizes explicit bases.
+    dense matrix is formed.  The energy factor is kept: a subspace on every
+    index solves with it.
     """
 
     def __init__(self, energy_gram, mass_gram):
@@ -203,18 +182,6 @@ class EnergySpace:
     def mass_gram(self) -> np.ndarray:
         return self.mass_csr.toarray()
 
-    @cached_property
-    def _root_t(self):
-        """R' for a square root R R' = A of the energy Gram.  From the sparse
-        factor P A P' = L U with U = D L': R' = D^-1/2 U P, so R = P' L D^1/2."""
-        u = self._energy_lu.U
-        scaled = sp.diags_array(1.0 / np.sqrt(u.diagonal())) @ u
-        return scaled.tocsc()[:, self._energy_lu.perm_r]
-
-    def _root_t_solve(self, block: np.ndarray) -> np.ndarray:
-        """R'^-1 block, as A^-1 R block through the sparse factor."""
-        return self._energy_lu.solve(self._root_t.T @ block)
-
     def check_vector(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape[0] != self.dim:
@@ -241,131 +208,65 @@ class EnergySpace:
 
 
 class Subspace:
-    """Closed subspace of an :class:`EnergySpace`.
+    """Closed subspace of an :class:`EnergySpace`: the span of the coordinate
+    vectors at a sorted index set I (nodal).
 
-    Either nodal (spanned by coordinate vectors at a recorded index set) or
-    general (spanned by the columns of an explicit basis).  Projections are
-    energy orthogonal.  Every operator goes through one representer solve,
-    :meth:`_solve`: E A_II^-1 rhs_I through a cached sparse LU of the CSR
-    block A_II for a nodal subspace, and Q Q' rhs for a general one, whose
-    energy-orthonormal basis Q is cached and comes from the parent's square
-    root of A, so no dense N x N matrix is formed.  A nodal subspace has no
-    explicit basis, so a pair of one nodal and one general subspace raises.
+    Projections are energy orthogonal.  Every operator goes through one
+    representer solve, :meth:`_solve`: E A_II^-1 rhs_I through a cached
+    sparse LU of the CSR block A_II, so no dense N x N matrix is formed.  A
+    subspace spanned by other vectors is a coordinate span after a
+    congruence of the Grams (see the module docstring).
     """
 
-    def __init__(self, parent: EnergySpace, basis: np.ndarray, *, _indices=None):
-        self.parent = parent
-        self._indices = None if _indices is None else np.asarray(_indices, dtype=int)
-        if self._indices is not None:
-            self.dim = int(self._indices.size)
-            if self.dim < 1:
-                raise SubspaceRankError("nodal subspace needs a nonempty index set")
-            self._basis_raw = None
-        else:
-            basis = np.asarray(basis, dtype=float)
-            if basis.ndim != 2 or basis.shape[0] != parent.dim:
-                raise DimensionMismatchError(
-                    f"basis of shape {basis.shape} in a space of dimension {parent.dim}"
-                )
-            if basis.shape[1] < 1:
-                raise SubspaceRankError("basis needs at least one column")
-            self._basis_raw = basis
-            self.dim = basis.shape[1]
-        self._onb = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def nodal(cls, parent: EnergySpace, indices) -> "Subspace":
+    def __init__(self, parent: EnergySpace, indices):
         indices = np.unique(np.asarray(indices, dtype=int))
         if indices.size and (indices[0] < 0 or indices[-1] >= parent.dim):
             raise DimensionMismatchError("nodal index out of range")
-        return cls(parent, None, _indices=indices)
+        if indices.size < 1:
+            raise SubspaceRankError("nodal subspace needs a nonempty index set")
+        self.parent = parent
+        self.indices = indices
+        self.dim = int(indices.size)
 
     @classmethod
-    def from_basis(cls, parent: EnergySpace, basis: np.ndarray) -> "Subspace":
-        return cls(parent, basis)
+    def nodal(cls, parent: EnergySpace, indices) -> "Subspace":
+        return cls(parent, indices)
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def kind(self) -> str:
-        return "nodal" if self._indices is not None else "general"
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._indices is None:
-            raise ValueError("general subspace has no nodal index set")
-        return self._indices
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Raw spanning columns of a general subspace."""
-        if self._basis_raw is None:
-            raise ValueError("nodal subspace has no explicit basis")
-        return self._basis_raw
-
-    def orthonormal_basis(self) -> np.ndarray:
-        """Energy-orthonormal basis with Q' A Q = I (cached): with R R' = A
-        and R' B = q r, Q = B r^-1."""
-        if self._onb is None:
-            yb = self.parent._root_t @ self.basis
-            scale = np.linalg.norm(yb, axis=0)
-            if np.any(scale <= 0.0):
-                raise SubspaceRankError("basis contains a zero column")
-            svals = np.linalg.svd(yb / scale, compute_uv=False)
-            if svals[-1] < 1e-10:
-                raise SubspaceRankError(
-                    f"basis is rank deficient: smallest singular value {svals[-1]:.3e}"
-                )
-            _, r = np.linalg.qr(yb)
-            self._onb = sla.solve_triangular(r, self.basis.T, trans="T").T
-        return self._onb
-
     @cached_property
     def _energy_block(self) -> sp.csr_array:
-        """The CSR block A_II of a nodal subspace."""
-        return self.parent.energy_csr[np.ix_(self._indices, self._indices)]
+        """The CSR block A_II."""
+        return self.parent.energy_csr[np.ix_(self.indices, self.indices)]
 
     @cached_property
     def _mass_block(self) -> sp.csr_array:
-        """The CSR block M_II of a nodal subspace."""
-        return self.parent.mass_csr[np.ix_(self._indices, self._indices)]
+        """The CSR block M_II."""
+        return self.parent.mass_csr[np.ix_(self.indices, self.indices)]
 
     @cached_property
     def _restricted_energy_solve(self):
-        """Solver for the restricted energy Gram, factored on first use; a
-        nodal subspace on every index solves with the parent's factor."""
-        if self.kind == "nodal":
-            if self.dim == self.parent.dim:
-                return self.parent._energy_lu.solve
-            return _symmetric_splu(self._energy_block).solve
-        return partial(sla.cho_solve, sla.cho_factor(self.restricted_grams()[0], lower=True))
+        """Solver for A_II, factored on first use; a subspace on every index
+        solves with the parent's factor."""
+        if self.dim == self.parent.dim:
+            return self.parent._energy_lu.solve
+        return _symmetric_splu(self._energy_block).solve
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The w in this subspace with (w, v) = rhs' v for every v in it,
-        columnwise: E A_II^-1 rhs_I for a nodal subspace, Q Q' rhs otherwise."""
-        if self.kind == "general":
-            b = self.orthonormal_basis()
-            return b @ (b.T @ rhs)
-        return self.embed(self._restricted_energy_solve(rhs[self._indices]))
+        columnwise: E A_II^-1 rhs_I."""
+        return self.embed(self._restricted_energy_solve(rhs[self.indices]))
 
     def restricted_grams(self):
-        """Energy and mass Grams restricted to this subspace's coordinates:
-        the CSR blocks A_II, M_II of a nodal subspace, dense ones otherwise."""
-        if self.kind == "nodal":
-            return self._energy_block, self._mass_block
-        b = self.orthonormal_basis()
-        return b.T @ (self.parent.energy_csr @ b), b.T @ (self.parent.mass_csr @ b)
+        """The CSR blocks A_II, M_II of the energy and mass Grams."""
+        return self._energy_block, self._mass_block
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Map subspace coordinates back to ambient vectors."""
         coords = np.asarray(coords, dtype=float)
-        if self.kind == "nodal":
-            out = np.zeros((self.parent.dim,) + coords.shape[1:])
-            out[self._indices] = coords
-            return out
-        return self.orthonormal_basis() @ coords
+        out = np.zeros((self.parent.dim,) + coords.shape[1:])
+        out[self.indices] = coords
+        return out
 
     # -- operators ----------------------------------------------------------
 
@@ -441,10 +342,6 @@ def apply_T2(h2: Subspace, phi: np.ndarray) -> np.ndarray:
     """Complement part phi - S2 phi."""
     phi = h2.parent.check_vector(phi)
     return phi - h2.project_block(phi)
-
-
-def _nodal_pair(h1: Subspace, h2: Subspace) -> bool:
-    return h1.kind == "nodal" and h2.kind == "nodal"
 
 
 def _nodal_on(h1: Subspace, h2: Subspace, idx: np.ndarray) -> Subspace:
@@ -539,77 +436,30 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     return max(theta, 0.0)
 
 
-def _sum_basis(h1: Subspace, h2: Subspace) -> np.ndarray:
-    """Energy-orthonormal basis R'^-1 U of H1 + H2, R R' = A, from the SVD
-    R' [Q1 Q2] = U S V' with the singular values above 1e-10 of the largest."""
-    space = h1.parent
-    stacked = space._root_t @ np.hstack([h1.orthonormal_basis(), h2.orthonormal_basis()])
-    u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
-    return space._root_t_solve(u[:, :rank])
-
-
-def _top_mass_form(space: EnergySpace, dq: np.ndarray) -> float:
-    """Largest eigenvalue of (D Q)' M (D Q): the maximum of |D u|^2 over the
-    unit-energy u in the span of the energy-orthonormal Q."""
-    return form_extremes(dq.T @ (space.mass_csr @ dq))[1]
-
-
 def sigma_distance(h1: Subspace, h2: Subspace) -> float:
     """Best constant in |(S1 - S2) u|^2 <= sigma ||u||^2 over the parent space."""
     h1.same_parent(h2)
-    space = h1.parent
-    if _nodal_pair(h1, h2):
-        if np.array_equal(h1.indices, h2.indices):
-            return 0.0
-        return _nodal_pencil_max(_nodal_on(h1, h2, np.union1d(h1.indices, h2.indices)), h1, h2)
-    # S1 - S2 vanishes on the energy-orthogonal complement of H1 + H2
-    q = _sum_basis(h1, h2)
-    return _top_mass_form(space, h1.project_block(q) - h2.project_block(q))
+    if np.array_equal(h1.indices, h2.indices):
+        return 0.0
+    return _nodal_pencil_max(_nodal_on(h1, h2, np.union1d(h1.indices, h2.indices)), h1, h2)
 
 
 def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
-    """H1 cap H2, or None when it is trivial.
-
-    Nodal pairs intersect combinatorially through their index sets; when one
-    contains the other the contained operand itself is returned, so its
-    cached factorization is shared.  General pairs intersect through
-    principal angles with cosine threshold 1 - 1e-10.  Cosines falling in
-    the ambiguous band (1 - 1e-6, 1 - 1e-10) raise, with the full spectrum
-    attached.
-    """
+    """H1 cap H2, or None when it is trivial: the subspace on the common
+    indices.  When one operand contains the other, the contained operand
+    itself is returned, so its cached factorization is shared."""
     h1.same_parent(h2)
-    space = h1.parent
-    if _nodal_pair(h1, h2):
-        inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
-        return None if inter.size == 0 else _nodal_on(h1, h2, inter)
-    b1 = h1.orthonormal_basis()
-    q1, q2 = space._root_t @ b1, space._root_t @ h2.orthonormal_basis()
-    u, cosines, _ = np.linalg.svd(q1.T @ q2)
-    cosines = np.clip(cosines, 0.0, None)
-    ambiguous = (cosines > _COS_AMBIGUOUS) & (cosines < _COS_INTERSECT)
-    if np.any(ambiguous):
-        raise IllConditionedIntersectionError(cosines)
-    k = int(np.count_nonzero(cosines >= _COS_INTERSECT))
-    if k == 0:
-        return None
-    return Subspace.from_basis(space, b1 @ u[:, :k])
+    inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
+    return None if inter.size == 0 else _nodal_on(h1, h2, inter)
 
 
 def sigma_star(h1: Subspace, h2: Subspace) -> float:
     """Best constant in |u|^2 <= sigma* ||u||^2 on (H1+H2) energy-orthogonal
-    to H1 cap H2; zero when the sum equals the intersection.  A nested nodal
-    pair solves the pencil of :func:`sigma_distance`, so sigma* = sigma."""
-    h1.same_parent(h2)
-    space = h1.parent
+    to H1 cap H2; zero when the sum equals the intersection.  A nested pair
+    solves the pencil of :func:`sigma_distance`, so sigma* = sigma."""
     inter = intersection_subspace(h1, h2)
-    if _nodal_pair(h1, h2):
-        union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
-        return 0.0 if union is inter else _nodal_pencil_max(union, union, inter)
-    q = _sum_basis(h1, h2)
-    if inter is not None and q.shape[1] == inter.dim:
-        return 0.0
-    return _top_mass_form(space, q if inter is None else q - inter.project_block(q))
+    union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
+    return 0.0 if union is inter else _nodal_pencil_max(union, union, inter)
 
 
 def solve_operator_eigs(
@@ -621,7 +471,7 @@ def solve_operator_eigs(
     relative gap is at most ``group_tol``; each group's basis is
     energy-orthonormal in the ambient coordinates.
 
-    ``n_lowest`` on a nodal subspace of more than ``n_lowest + 4`` dofs takes
+    ``n_lowest`` on a subspace of more than ``n_lowest + 4`` dofs takes
     the top ``n_lowest + 3`` eigenpairs of (M_II, A_II), whose eigenvalues
     are 1/lambda, from :func:`_lanczos_top`, certifies each like solve_pencil
     and drops the trailing, possibly split group; :class:`PencilError` is
@@ -634,7 +484,7 @@ def solve_operator_eigs(
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
     a_res, m_res = sub.restricted_grams()
     d = sub.dim
-    lanczos = n_lowest is not None and sub.kind == "nodal" and n_lowest + 3 < d - 1
+    lanczos = n_lowest is not None and n_lowest + 3 < d - 1
     if lanczos:
         theta, coords = _lanczos_top(sub, lambda x: m_res @ x, n_lowest + 3)
         order = np.argsort(-theta, kind="stable")
@@ -658,8 +508,7 @@ def solve_operator_eigs(
                 f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
             )
     else:
-        dense = [g.toarray() if sp.issparse(g) else g for g in (a_res, m_res)]
-        lam, coords = solve_pencil(SymmetricPencil(*dense))
+        lam, coords = solve_pencil(SymmetricPencil(a_res.toarray(), m_res.toarray()))
         groups = _group_boundaries(lam, group_tol)
     blocks = np.empty((d, groups[-1].stop))
     for sel in groups:
@@ -731,14 +580,7 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
     share one factorization.
     """
     space = h2.parent
-    value = h2._solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
-    if h2.kind == "nodal":
-        return value
-    # the value lies in h2 by construction; a defect means the basis is suspect
-    defect = _energy_norms(space, value - h2.project_block(value))
-    if np.any(defect > 1e-10 * np.maximum(_energy_norms(space, value), 1.0)):
-        raise ValueError("corrector left its subspace; restricted Gram is suspect")
-    return value
+    return h2._solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
 
 
 def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
@@ -761,8 +603,7 @@ class EigenspaceImages:
     (T X)' A (T X), ``psi_a_x`` = Psi' A X, ``s_a_s`` = (S2 X)' A (S2 X),
     ``t0_a_t0`` = (T0 X)' A (T0 X), ``t_m_t`` = (T X)' M (T X) and
     ``psi_m_psi`` = Psi' M Psi.  A projection onto span(S2 X) solves with
-    ``s_a_s``, so a cell builds no explicit-basis subspace; only the
-    abstract suite does.
+    ``s_a_s``, so a cell builds no subspace of its own.
     """
 
     space: EnergySpace

@@ -309,9 +309,7 @@ def predict_and_check(cp: CorrectionProblem, measured_mu: np.ndarray) -> list:
 
 
 def _direction_of(h1: Subspace, h2: Subspace) -> str:
-    """DOF-set relation of a nodal pair: equal/shrink/expand/none."""
-    if h1.kind != "nodal" or h2.kind != "nodal":
-        return "none"
+    """DOF-set relation of a pair: equal/shrink/expand/none."""
     i1, i2 = h1.indices, h2.indices  # sorted and unique
     if np.array_equal(i1, i2):
         return "equal"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import _oracle_grid, harness, hilbert, perturbation
+from eigenshift import _oracle_grid, fem2d, harness, hilbert, perturbation
 from eigenshift.cli import main
 from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
@@ -111,6 +111,11 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"h": 1.0}, "h must be in"),
         ({"h": 1.0 / 64.0, "eps": [1e307]}, "eps=1e\\+307 is not a multiple"),
         ({"scenario": "boundary_notch", "anchor": (0.5, 0.5)}, "anchor"),
+        # a square_expand base inset off the mesh raised MeshError in the run
+        (
+            {"scenario": "square_expand", "h": 1.0 / 6.0, "eps": [1.0 / 6.0]},
+            "base=0.25 is not a multiple",
+        ),
         ({"eps": [0.0625, 0.0625]}, "eps must not repeat"),
         ({"m": [1, 2, 1]}, "m must not repeat"),
         ({"n_lowest": 2.5}, "n_lowest must be an integer"),
@@ -208,6 +213,7 @@ def scenario_configs(draw):
         q=draw(st.floats(1.5, 4.0)),
         group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
         seed=draw(st.integers(0, 99)),
+        base=draw(st.integers(1, n // 2)) * h,  # square_expand's base must conform to h
         anchor=draw(st.sampled_from([(0.5, 1.0), (0.0, 0.25)])),
         n_lowest=draw(st.integers(1, 20)),
     )
@@ -334,39 +340,49 @@ def _family_config(scenario):
 
 @pytest.mark.parametrize("scenario", sorted(_FAMILY_CONFIGS))
 def test_runs_need_no_explicit_basis(monkeypatch, scenario):
-    # a FEM cell works on the nodal backend alone: no energy-orthonormal
-    # basis and no square root of A
-    def refuse(*args):
-        raise AssertionError("an explicit-basis subspace was built")
+    # a run builds no subspace but its carved domains: the proximities
+    # project onto span(S2 X) through the Gram of S2 X, with no subspace
+    # spanned by that basis, and a nested pair's intersection is an operand
+    built, carved = [], []
+    init, carve = hilbert.Subspace.__init__, fem2d.carve_subspace
 
-    monkeypatch.setattr(hilbert.Subspace, "orthonormal_basis", refuse)
-    monkeypatch.setattr(hilbert.EnergySpace, "_root_t", property(refuse))
+    def spy_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def spy_carve(*args):
+        carved.append(carve(*args))
+        return carved[-1]
+
+    monkeypatch.setattr(hilbert.Subspace, "__init__", spy_init)
+    monkeypatch.setattr(fem2d, "carve_subspace", spy_carve)
     report = run_scenario(_family_config(scenario))
     assert report.passed, report.failures
+    assert built == carved and len(carved) == 1 + len(report.config.eps)
 
 
 @pytest.mark.parametrize("scenario", sorted(_FAMILY_CONFIGS))
 def test_each_cell_makes_two_nodal_solves(monkeypatch, scenario):
     # S2 X and the correctors; T0 X is read from the pair, and the
     # proximities project through the Gram of S2 X
-    kinds, per_cell = [], []
+    solves, per_cell = [], []
     solve, cell_for = hilbert.Subspace._solve, harness._cell_for
 
     def spy_solve(self, rhs):
-        kinds.append(self.kind)
+        solves.append(self.dim)
         return solve(self, rhs)
 
     def spy_cell(*args):
-        kinds.clear()
+        solves.clear()
         cell = cell_for(*args)
-        per_cell.append(sorted(kinds))
+        per_cell.append(len(solves))
         return cell
 
     monkeypatch.setattr(hilbert.Subspace, "_solve", spy_solve)
     monkeypatch.setattr(harness, "_cell_for", spy_cell)
     report = run_scenario(_family_config(scenario))
     assert report.passed, report.failures
-    assert per_cell == [["nodal", "nodal"]] * len(report.cells)
+    assert per_cell == [2] * len(report.cells)
 
 
 def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
@@ -526,9 +542,8 @@ def test_verify_abstract_skips_fit_on_rank_deficient_projection(monkeypatch):
     # H2 is energy-orthogonal to the first eigenvector of H1, so S2 X_1 = 0
     # while the pair is still localized: the projected-pair fit has no
     # projector and is skipped instead of raising out of the suite
-    e = np.eye(4)
     space = hilbert.EnergySpace(np.eye(4), np.diag([4.0, 1.0, 3.0, 2.0]))
-    subs = [hilbert.Subspace.from_basis(space, e[:, cols]) for cols in ([0, 1], [1, 2], [3])]
+    subs = [hilbert.Subspace.nodal(space, cols) for cols in ([0, 1], [1, 2], [3])]
     monkeypatch.setattr(harness, "_random_case", lambda rng: (space, subs))
     summary = verify_abstract(seed=0, n_cases=1)
     assert summary["fitted_projected_pair_constant"] == 0.0
@@ -542,13 +557,13 @@ def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
 
     def skewed(h1, h2):
         value = true_sigma(h1, h2)
-        return 2.0 * value if h1.basis.sum() > h2.basis.sum() else value
+        return 2.0 * value if h1.indices.tolist() > h2.indices.tolist() else value
 
     monkeypatch.setattr(hilbert, "sigma_distance", skewed)
     summary = verify_abstract(seed=3, n_cases=1)
     assert summary["passed"] is False
     (case,) = summary["distance_symmetry"]["violations"]
-    assert case["case"] == 0 and len(case["bases"]) == 3
+    assert case["case"] == 0 and len(case["indices"]) == 3
 
 
 def test_sphere_grid_matches_oracle_loop():

@@ -41,11 +41,21 @@ def random_space(rng, n):
 
 
 def random_subspace(rng, space, d):
-    return Subspace.from_basis(space, rng.normal(size=(space.dim, d)))
+    return Subspace.nodal(space, rng.choice(space.dim, size=d, replace=False))
 
 
-def line(space, theta):
-    return Subspace.from_basis(space, np.array([[np.cos(theta)], [np.sin(theta)]]))
+def coordinate_basis(sub):
+    """The identity columns that span a subspace, for the dense oracles."""
+    return np.eye(sub.parent.dim)[:, sub.indices]
+
+
+def rotated_lines(theta):
+    """The lines at angles 0 and theta of the Euclidean plane, as the
+    coordinate pair {0}, {1} after the congruence A = M = B'B with
+    B = [[1, cos theta], [0, sin theta]], whose columns span the lines."""
+    b = np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
+    space = EnergySpace(b.T @ b, b.T @ b)
+    return Subspace.nodal(space, [0]), Subspace.nodal(space, [1])
 
 
 # -- EnergySpace and embedding constant --------------------------------------
@@ -87,7 +97,7 @@ def test_projection_idempotent_on_members():
     rng = np.random.default_rng(0)
     space = random_space(rng, 6)
     sub = random_subspace(rng, space, 3)
-    u = sub.basis @ rng.normal(size=3)
+    u = sub.embed(rng.normal(size=3))
     assert np.allclose(sub.project_block(u), u, atol=1e-10)
 
 
@@ -102,6 +112,10 @@ def test_projection_dimension_mismatch():
     space = euclid_space(3)
     with pytest.raises(DimensionMismatchError):
         Subspace.nodal(space, [0]).project_block(np.ones(4))
+    with pytest.raises(DimensionMismatchError, match="out of range"):
+        Subspace.nodal(space, [0, 3])
+    with pytest.raises(SubspaceRankError, match="nonempty"):
+        Subspace.nodal(space, [])
 
 
 def test_projector_laws_random():
@@ -119,59 +133,15 @@ def test_projector_laws_random():
         assert lhs == pytest.approx(rhs, abs=1e-10 * scale * max(space.energy_norm(v), 1.0))
 
 
-def test_orthonormalized_basis_invariant():
-    rng = np.random.default_rng(3)
-    space = random_space(rng, 7)
-    sub = random_subspace(rng, space, 4)
-    b = sub.orthonormal_basis()
-    assert np.abs(b.T @ space.energy_gram @ b - np.eye(4)).max() < 1e-10
-
-
 def test_projection_matches_oracle():
     rng = np.random.default_rng(4)
     for _ in range(10):
         n = int(rng.integers(2, 12))
         space = random_space(rng, n)
-        basis = rng.normal(size=(n, int(rng.integers(1, n + 1))))
-        sub = Subspace.from_basis(space, basis)
-        s_mat = oracles.projector_matrix(space.energy_gram, basis)
+        sub = random_subspace(rng, space, int(rng.integers(1, n + 1)))
+        s_mat = oracles.projector_matrix(space.energy_gram, coordinate_basis(sub))
         u = rng.normal(size=n)
         assert np.allclose(sub.project_block(u), s_mat @ u, atol=1e-9)
-
-
-@pytest.mark.parametrize("root", ["sparse"])
-def test_fem_general_subspace_matches_dense_oracle(root, request):
-    # explicit bases on a FEM space are energy-orthonormalized through the
-    # square root of A from the space's sparse factor
-    mesh = fem2d.unit_square_mesh(12)
-    space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
-    energy, mass = space.energy_csr.toarray(), space.mass_csr.toarray()
-    request.getfixturevalue("dense_free")
-    rng = np.random.default_rng(21)
-    basis = rng.normal(size=(space.dim, 5))
-    sub = Subspace.from_basis(space, basis)
-    q = sub.orthonormal_basis()
-    assert np.abs(q.T @ energy @ q - np.eye(5)).max() < 1e-10
-    u = rng.normal(size=(space.dim, 3))
-    want = oracles.projector_matrix(energy, basis) @ u
-    assert np.abs(sub.project_block(u) - want).max() <= 1e-10 * np.abs(want).max()
-    # the general intersection basis is a combination of the first operand's
-    h1, h2 = Subspace.from_basis(space, basis[:, :3]), Subspace.from_basis(space, basis[:, 1:])
-    inter = intersection_subspace(h1, h2)
-    assert inter.dim == 2
-    want = oracles.projector_matrix(energy, basis[:, 1:3]) @ u
-    assert np.abs(inter.project_block(u) - want).max() <= 1e-10 * np.abs(want).max()
-    want = oracles.sigma_star_direct(energy, mass, basis[:, :3], basis[:, 1:])
-    assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-10)
-    # general sigma reads no dense view either: its pencil lives on H1 + H2
-    d = oracles.projector_matrix(energy, basis[:, :3]) - oracles.projector_matrix(
-        energy, basis[:, 1:]
-    )
-    want = oracles.pencil_eigs(d.T @ mass @ d, energy)[-1]
-    assert sigma_distance(h1, h2) == pytest.approx(want, rel=1e-10)
-    near = np.column_stack([basis, basis[:, 0] + 1e-13 * rng.normal(size=space.dim)])
-    with pytest.raises(SubspaceRankError, match="rank deficient"):
-        Subspace.from_basis(space, near).orthonormal_basis()
 
 
 def test_cross_symmetry_property():
@@ -181,8 +151,8 @@ def test_cross_symmetry_property():
         space = random_space(rng, n)
         h1 = random_subspace(rng, space, int(rng.integers(1, n)))
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
-        v = h1.basis @ rng.normal(size=h1.dim)
-        w = h2.basis @ rng.normal(size=h2.dim)
+        v = h1.embed(rng.normal(size=h1.dim))
+        w = h2.embed(rng.normal(size=h2.dim))
         lhs = space.energy_inner(h2.project_block(v), w)
         rhs = space.energy_inner(v, h1.project_block(w))
         scale = max(space.energy_norm(v) * space.energy_norm(w), 1.0)
@@ -196,23 +166,20 @@ def test_sigma_zero_for_identical():
     rng = np.random.default_rng(6)
     space = random_space(rng, 5)
     sub = random_subspace(rng, space, 2)
-    assert sigma_distance(sub, sub) == pytest.approx(0.0, abs=1e-12)
-    nodal = Subspace.nodal(space, [1, 3])
-    assert sigma_distance(nodal, nodal) == 0.0
+    assert sigma_distance(sub, sub) == 0.0
+    assert sigma_distance(Subspace.nodal(space, [1, 3]), Subspace.nodal(space, [3, 1])) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(min_value=0.02, max_value=np.pi / 2))
 def test_sigma_rotated_line_closed_form(theta):
-    space = euclid_space(2)
-    h1 = line(space, 0.0)
-    h2 = line(space, theta)
+    h1, h2 = rotated_lines(theta)
     assert sigma_distance(h1, h2) == pytest.approx(np.sin(theta) ** 2, rel=1e-9)
 
 
 def test_sigma_orthogonal_lines_is_one():
-    space = euclid_space(2)
-    assert sigma_distance(line(space, 0.0), line(space, np.pi / 2)) == pytest.approx(1.0)
+    h1, h2 = rotated_lines(np.pi / 2)
+    assert sigma_distance(h1, h2) == pytest.approx(1.0)
 
 
 def test_sigma_symmetry_and_triangle():
@@ -234,10 +201,11 @@ def test_sigma_matches_grid_oracle():
     for _ in range(8):
         n = int(rng.integers(3, 8))
         space = random_space(rng, n)
-        b1 = rng.normal(size=(n, int(rng.integers(1, 3))))
-        b2 = rng.normal(size=(n, int(rng.integers(1, 3))))
-        val = sigma_distance(Subspace.from_basis(space, b1), Subspace.from_basis(space, b2))
-        grid = oracles.sigma_grid(space.energy_gram, space.mass_gram, b1, b2)
+        h1, h2 = (random_subspace(rng, space, int(rng.integers(1, 3))) for _ in range(2))
+        val = sigma_distance(h1, h2)
+        grid = oracles.sigma_grid(
+            space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2)
+        )
         assert grid == pytest.approx(val, rel=1e-3, abs=1e-6)
 
 
@@ -249,10 +217,13 @@ def test_sigma_nodal_fast_path_matches_general():
         i1 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         i2 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         nodal = sigma_distance(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
+        # the general formula on identity columns: the top eigenvalue of
+        # (D' M D, A) over the whole space, with explicit projectors in D
         eye = np.eye(n)
-        general = sigma_distance(
-            Subspace.from_basis(space, eye[:, i1]), Subspace.from_basis(space, i2 and eye[:, i2])
+        d = oracles.projector_matrix(space.energy_gram, eye[:, i1]) - oracles.projector_matrix(
+            space.energy_gram, eye[:, i2]
         )
+        general = oracles.pencil_eigs(d.T @ space.mass_gram @ d, space.energy_gram)[-1]
         assert nodal == pytest.approx(general, rel=1e-8, abs=1e-10)
 
 
@@ -260,11 +231,6 @@ def test_shared_parent_required():
     s1, s2 = euclid_space(3), euclid_space(3)
     with pytest.raises(ValueError, match="parent"):
         sigma_distance(Subspace.nodal(s1, [0]), Subspace.nodal(s2, [0]))
-    # a nodal subspace has no explicit basis, so a mixed pair has no common form
-    mixed = (Subspace.nodal(s1, [0]), Subspace.from_basis(s1, np.eye(3)[:, 1:]))
-    for pair in (mixed, mixed[::-1]):
-        with pytest.raises(ValueError, match="no explicit basis"):
-            sigma_distance(*pair)
 
 
 # -- sigma* and intersection --------------------------------------------------
@@ -278,8 +244,7 @@ def test_sigma_star_identical_subspaces():
 
 
 def test_sigma_star_rotated_lines():
-    space = euclid_space(2)
-    h1, h2 = line(space, 0.0), line(space, 0.7)
+    h1, h2 = rotated_lines(0.7)
     # sum is the plane, intersection trivial: best constant over R^2 is 1
     assert sigma_star(h1, h2) == pytest.approx(1.0, rel=1e-9)
 
@@ -299,28 +264,8 @@ def test_intersection_nodal_combinatorial():
     h1 = Subspace.nodal(space, [0, 1, 2, 3])
     h2 = Subspace.nodal(space, [2, 3, 4])
     inter = intersection_subspace(h1, h2)
-    assert inter.kind == "nodal"
     assert inter.indices.tolist() == [2, 3]
     assert intersection_subspace(Subspace.nodal(space, [0]), Subspace.nodal(space, [5])) is None
-
-
-def test_intersection_general_principal_angles():
-    rng = np.random.default_rng(12)
-    space = random_space(rng, 8)
-    shared = rng.normal(size=(8, 2))
-    b1 = np.hstack([shared, rng.normal(size=(8, 2))])
-    b2 = np.hstack([shared, rng.normal(size=(8, 1))])
-    inter = intersection_subspace(
-        Subspace.from_basis(space, b1), Subspace.from_basis(space, b2)
-    )
-    assert inter is not None and inter.dim == 2
-    # intersection vectors lie in both subspaces
-    h1 = Subspace.from_basis(space, b1)
-    h2 = Subspace.from_basis(space, b2)
-    for j in range(2):
-        v = inter.basis[:, j]
-        assert h1.contains(v, tol=1e-8)
-        assert h2.contains(v, tol=1e-8)
 
 
 def test_sigma_star_nodal_matches_general():
@@ -332,8 +277,9 @@ def test_sigma_star_nodal_matches_general():
         i2 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         nodal = sigma_star(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
         eye = np.eye(n)
-        general = sigma_star(
-            Subspace.from_basis(space, eye[:, i1]), Subspace.from_basis(space, eye[:, i2])
+        # the general formula on identity columns, by principal angles and SVDs
+        general = oracles.sigma_star_direct(
+            space.energy_gram, space.mass_gram, eye[:, i1], eye[:, i2]
         )
         assert nodal == pytest.approx(general, rel=1e-8, abs=1e-10)
 
@@ -343,10 +289,11 @@ def test_sigma_star_matches_direct_oracle():
     for _ in range(10):
         n = int(rng.integers(3, 10))
         space = random_space(rng, n)
-        b1 = rng.normal(size=(n, int(rng.integers(1, 4))))
-        b2 = rng.normal(size=(n, int(rng.integers(1, 4))))
-        val = sigma_star(Subspace.from_basis(space, b1), Subspace.from_basis(space, b2))
-        want = oracles.sigma_star_direct(space.energy_gram, space.mass_gram, b1, b2)
+        h1, h2 = (random_subspace(rng, space, int(rng.integers(1, 4))) for _ in range(2))
+        val = sigma_star(h1, h2)
+        want = oracles.sigma_star_direct(
+            space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2)
+        )
         assert val == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
@@ -677,11 +624,9 @@ def test_eigs_match_oracle_and_are_orthonormal():
     for _ in range(10):
         n = int(rng.integers(3, 12))
         space = random_space(rng, n)
-        d = int(rng.integers(1, n + 1))
-        basis = rng.normal(size=(n, d))
-        sub = Subspace.from_basis(space, basis)
+        sub = random_subspace(rng, space, int(rng.integers(1, n + 1)))
         eigs = solve_operator_eigs(sub, group_tol=1e-9)
-        oracle = oracles.operator_eigs(space.energy_gram, space.mass_gram, basis)
+        oracle = oracles.operator_eigs(space.energy_gram, space.mass_gram, coordinate_basis(sub))
         assert np.allclose(eigs.flat_values(), oracle, rtol=1e-7)
         for lam_g, x_g, mult in [eigs.group(m) for m in range(1, eigs.n_groups + 1)]:
             gram = x_g.T @ space.energy_gram @ x_g
@@ -701,15 +646,14 @@ def test_partial_decomposition():
     _check_partial_against_full(random_space(rng, 12).whole(), n_lowest=5)
 
 
-@pytest.mark.parametrize("kind", ["general", "nodal_small"])
+@pytest.mark.parametrize("kind", ["nodal_small"])
 def test_partial_decomposition_dense(kind):
-    # requests that Lanczos does not serve: a general subspace, and a nodal
-    # one with n_lowest < d <= n_lowest + 4, where the request n_lowest + 3
-    # leaves too few dropped eigenvalues; both solve the complete dense pencil
-    # and return all of it
+    # a request that Lanczos does not serve: n_lowest < d <= n_lowest + 4,
+    # where the request n_lowest + 3 leaves too few dropped eigenvalues; it
+    # solves the complete dense pencil and returns all of it
     rng = np.random.default_rng(15)
     space = random_space(rng, 12)
-    sub = random_subspace(rng, space, 9) if kind == "general" else Subspace.nodal(space, range(9))
+    sub = Subspace.nodal(space, range(9))
     full = solve_operator_eigs(sub, group_tol=1e-9)
     part = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=5)
     assert part.complete and part.n_computed == sub.dim
@@ -757,8 +701,8 @@ def test_corrector_defining_equation_and_oracle():
         n = int(rng.integers(3, 10))
         space = random_space(rng, n)
         h1 = random_subspace(rng, space, int(rng.integers(1, n)))
-        b2 = rng.normal(size=(n, int(rng.integers(1, n))))
-        h2 = Subspace.from_basis(space, b2)
+        h2 = random_subspace(rng, space, int(rng.integers(1, n)))
+        b2 = coordinate_basis(h2)
         eigs = solve_operator_eigs(h1, group_tol=1e-9)
         lam, x_m, _ = eigs.group(1)
         phi = x_m[:, 0]
@@ -783,8 +727,7 @@ def test_apply_B_zero_for_identical():
 
 
 def test_apply_B_orthogonal_lines():
-    space = euclid_space(2)
-    h1, h2 = line(space, 0.0), line(space, np.pi / 2)
+    h1, h2 = rotated_lines(np.pi / 2)
     v = np.array([2.0, 0.0])
     # S2 v = 0, so only the -S2 K1 v term survives
     expected = -h2.project_block(h1.apply_k(v))
@@ -800,7 +743,7 @@ def test_apply_B_norm_bound():
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
         sigma = sigma_distance(h1, h2)
         c0 = embedding_constant(space)
-        v = h1.basis @ rng.normal(size=h1.dim)
+        v = h1.embed(rng.normal(size=h1.dim))
         bv = apply_B(h1, h2, v)
         bound = 2.0 * c0 * np.sqrt(sigma) * space.energy_norm(v)
         assert space.energy_norm(bv) <= bound + 1e-9
@@ -821,13 +764,13 @@ def test_apply_B_matches_oracle():
     for _ in range(10):
         n = int(rng.integers(3, 10))
         space = random_space(rng, n)
-        b1 = rng.normal(size=(n, int(rng.integers(1, n))))
-        b2 = rng.normal(size=(n, int(rng.integers(1, n))))
-        h1 = Subspace.from_basis(space, b1)
-        h2 = Subspace.from_basis(space, b2)
-        v = b1 @ rng.normal(size=b1.shape[1])
+        h1 = random_subspace(rng, space, int(rng.integers(1, n)))
+        h2 = random_subspace(rng, space, int(rng.integers(1, n)))
+        v = h1.embed(rng.normal(size=h1.dim))
         got = apply_B(h1, h2, v)
-        want = oracles.bridge_apply(space.energy_gram, space.mass_gram, b1, b2, v)
+        want = oracles.bridge_apply(
+            space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2), v
+        )
         assert np.allclose(got, want, atol=1e-8 * max(1.0, np.abs(want).max()))
 
 
@@ -917,3 +860,44 @@ def test_rho0_expand_is_the_corrector_form():
     assert not images.t0_a_t0.any()
     psi = corrector_block(h2, x_m[:, 0], lam)
     assert compute_rho0(images) == pytest.approx(space.energy_norm(psi) ** 2, rel=1e-9)
+
+
+# -- the congruence that makes index sets cover every pair ----------------------
+
+
+def test_adapted_basis_congruence_matches_dense_oracles():
+    # explicit bases b1 = [s, r1] and b2 = [s, r2], sharing the direction s,
+    # are the coordinate spans I1, I2 of the adapted basis B = [s, r1, r2, c];
+    # each quantity of the coordinate pair in (B'AB, B'MB) is the dense one
+    # of the explicit pair in (A, M), mapped back through B
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        n = int(rng.integers(5, 10))
+        w1, w2 = (int(w) for w in rng.integers(1, 3, size=2))
+        ambient = random_space(rng, n)
+        energy, mass = ambient.energy_gram, ambient.mass_gram
+        b = rng.normal(size=(n, n))
+        i1, i2 = np.arange(1 + w1), np.r_[0, 1 + w1 : 1 + w1 + w2]
+        b1, b2 = b[:, i1], b[:, i2]
+        space = EnergySpace(b.T @ energy @ b, b.T @ mass @ b)
+        h1, h2 = Subspace.nodal(space, i1), Subspace.nodal(space, i2)
+        assert intersection_subspace(h1, h2).indices.tolist() == [0]
+
+        d = oracles.projector_matrix(energy, b1) - oracles.projector_matrix(energy, b2)
+        want = oracles.pencil_eigs(d.T @ mass @ d, energy)[-1]
+        assert sigma_distance(h1, h2) == pytest.approx(want, rel=1e-8)
+        want = oracles.sigma_star_direct(energy, mass, b1, b2)
+        assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-8)
+
+        coeffs = rng.normal(size=h1.dim)
+        got = b @ apply_B(h1, h2, h1.embed(coeffs))
+        want = oracles.bridge_apply(energy, mass, b1, b2, b1 @ coeffs)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+        eigs = solve_operator_eigs(h1, group_tol=1e-9)
+        want = oracles.operator_eigs(energy, mass, b1)
+        assert eigs.flat_values() == pytest.approx(want, rel=1e-8)
+        for lam, x, _ in (eigs.group(g) for g in range(1, eigs.n_groups + 1)):
+            phi = b @ x  # the eigenvectors in the original coordinates
+            resid = b1.T @ (energy @ phi - lam * (mass @ phi))
+            assert np.abs(resid).max() <= 1e-8 * np.abs(b1.T @ (energy @ phi)).max()
