@@ -12,6 +12,7 @@ from .hilbert import (
     EigenspaceImages,
     EnergySpace,
     Subspace,
+    SubspacePair,
     apply_B,
     apply_T2,
     compute_rho,
@@ -32,6 +33,7 @@ __all__ = [
     "solve_pencil",
     "EnergySpace",
     "Subspace",
+    "SubspacePair",
     "EigenDecomposition",
     "EigenspaceImages",
     "embedding_constant",

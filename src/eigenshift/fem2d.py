@@ -339,20 +339,19 @@ def gradient_energy(
     space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, u: np.ndarray
 ) -> float:
     """Integral of |grad u|^2 over a set of triangles (coefficients ignored)."""
-    _vertex_values(mesh, u)  # checks the length of u
-    return float(gradient_energy_form(space, mesh, region, u)[0, 0])
+    # item() refuses a block of more than one column
+    return gradient_energy_form(space, mesh, region, u).item()
 
 
 def gradient_energy_form(
     space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
-    """Quadratic form of the region gradient energy on a block of vectors."""
+    """Quadratic form of the region gradient energy on a vector or an N x J
+    block of vectors."""
     region = np.asarray(region, dtype=int)
     if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
         raise MeshError("region contains an unknown element id")
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    if block.shape[0] != mesh.n_dofs:
-        block = block.T
+    block = space.check_vector(block).reshape(space.dim, -1)
     values = np.zeros((len(mesh.vertices), block.shape[1]))
     values[mesh.interior_vertices] = block
     grads = mesh.gradients[region]

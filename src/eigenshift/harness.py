@@ -278,11 +278,9 @@ def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
     )
 
 
-def _cell_for(
-    space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sigma_star, direction, collar, area, eps, m
-):
+def _cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m):
     lam_m, x_m, j_m = eigs1.group(m)
-    if direction == "equal":
+    if pair.direction == "equal":
         # identical subspaces: the problems coincide, and the resolved spectral
         # object is the group itself, so the cell is an exact fixed point
         lam_inv = 1.0 / lam_m
@@ -301,17 +299,19 @@ def _cell_for(
             proximity=[0.0] * j_m,
             sym_diff_area=0.0,
         )
+    # the run asked the pair for both distances, which it solves once
+    sigma = pair.sigma
     loc = perturbation.localize(eigs1, eigs2, m, sigma)
-    images = hilbert.eigenspace_images(h1, h2, x_m, lam_m, inter)
+    images = hilbert.eigenspace_images(pair, x_m, lam_m)
     cp = perturbation.assemble_correction(images, sigma)
     collar_max = 0.0
     if collar is not None:
         collar_max = hilbert.form_extremes(fem2d.gradient_energy_form(space, mesh, collar, x_m))[1]
     return perturbation.ScenarioCell(
         eps=eps, m=m, lam_m=lam_m, multiplicity=j_m,
-        sigma=sigma, sigma_star=sigma_star, rho=cp.rho, rho0=hilbert.compute_rho0(images),
+        sigma=sigma, sigma_star=pair.sigma_star, rho=cp.rho, rho0=hilbert.compute_rho0(images),
         gate_value=loc.gate_value, admitted=loc.admitted, tracked=loc.counted,
-        direction=direction,
+        direction=pair.direction,
         mu_inv=[float(v) for v in loc.mu_inv],
         tau=[float(t) for t in cp.tau],
         rows=perturbation.predict_and_check(cp, loc.mu),
@@ -378,18 +378,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         sigma = sig_star = np.nan
         try:
             dom2 = config.perturbed_domain(eps)
-            h2 = fem2d.carve_subspace(space, mesh, dom2)
-            inter = hilbert.intersection_subspace(h1, h2)
+            pair = hilbert.SubspacePair(h1, fem2d.carve_subspace(space, mesh, dom2))
             request, eigs2 = _lowest_eigs(
-                h2, config.group_tol_for(dom2), request, config.n_lowest, covered
+                pair.h2, config.group_tol_for(dom2), request, config.n_lowest, covered
             )
-            direction = perturbation._direction_of(h1, h2)
-            s12 = hilbert.sigma_distance(h1, h2)
-            # sigma* of a nested pair is sigma (see hilbert.sigma_star)
-            nested = direction in ("shrink", "expand")
-            sigma, sig_star = s12, s12 if nested else hilbert.sigma_star(h1, h2)
+            sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
             # an equal pair is an exact fixed point and needs no geometry
-            moved = direction != "equal"
+            moved = pair.direction != "equal"
             collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved and eps > 0 else None
             area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
         except _CELL_ERRORS as exc:
@@ -397,12 +392,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             continue
         for m in config.m:
             try:
-                cells.append(
-                    _cell_for(
-                        space, mesh, h1, eigs1, h2, eigs2, inter, sigma, sig_star,
-                        direction, collar, area, eps, int(m),
-                    )
-                )
+                cells.append(_cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, int(m)))
             except _CELL_ERRORS as exc:
                 cells.append(_error_cell(config, eps, int(m), exc, sigma, sig_star))
     failures = [cell.error for cell in cells if cell.error]
@@ -591,20 +581,22 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         props["cross_symmetry"].record(1e-10 - cross / cross_scale, _case)
 
         # distance axioms and the complement constant
-        s12 = hilbert.sigma_distance(h1, h2)
-        s21 = hilbert.sigma_distance(h2, h1)
+        pair = hilbert.SubspacePair(h1, h2)
+        s12 = hilbert.sigma_distance(pair)
+        # (h2, h1) is a pair of its own, so the symmetry check compares two
+        # independent solves
+        s21, s13, s23, s11 = (
+            hilbert.sigma_distance(hilbert.SubspacePair(a, b))
+            for a, b in ((h2, h1), (h1, h3), (h2, h3), (h1, h1))
+        )
         props["distance_symmetry"].record(
             1e-9 - abs(s12 - s21) / max(s12, 1e-30), _case
         )
-        s13 = hilbert.sigma_distance(h1, h3)
-        s23 = hilbert.sigma_distance(h2, h3)
         props["distance_triangle"].record(
             np.sqrt(s12) + np.sqrt(s23) - np.sqrt(s13) + 1e-9, _case
         )
-        props["distance_zero_on_equal"].record(
-            1e-12 - hilbert.sigma_distance(h1, h1), _case
-        )
-        star = hilbert.sigma_star(h1, h2)
+        props["distance_zero_on_equal"].record(1e-12 - s11, _case)
+        star = hilbert.sigma_star(pair)
         props["sigma_le_4_sigma_star"].record(4.0 * star - s12 + 1e-10, _case)
 
         # spectral estimates on the first groups of H1
@@ -634,7 +626,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         props["projected_inner_product"].record(ip_bound - ip_defect + 1e-10, _case)
 
         # bridge operator and mass-norm transfer
-        bv = hilbert.apply_B(h1, h2, v1)
+        bv = hilbert.apply_B(pair, v1)
         bridge_slack = 2.0 * c0 * root_sigma * space.energy_norm(v1) - space.energy_norm(bv)
         props["bridge_norm"].record(bridge_slack + 1e-10, _case)
         transfer = (
@@ -657,9 +649,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
             psi_phi = hilbert.corrector_block(h2, phi1, lam1)
             p_slack = star * space.energy_norm(psi_phi) ** 2 - space.mass_norm(psi_phi) ** 2
             props["complement_membership"].record(p_slack + 1e-10, _case)
-            images = hilbert.eigenspace_images(
-                h1, h2, x1_first, lam1, hilbert.intersection_subspace(h1, h2)
-            )
+            images = hilbert.eigenspace_images(pair, x1_first, lam1)
             rho_val = hilbert.compute_rho(images, s12)
             rho_star = space.energy_norm(t_phi) ** 2 + space.energy_norm(psi_phi) ** 2
             props["remainder_via_complement"].record(
@@ -690,7 +680,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         # subspace of the projector difference within the grid's reach
         if case_index % 10 == 0:
             h1o, h2o = (_random_nodal(rng, space, rng.integers(1, 3)) for _ in range(2))
-            val = hilbert.sigma_distance(h1o, h2o)
+            val = hilbert.sigma_distance(hilbert.SubspacePair(h1o, h2o))
             eye = np.eye(space.dim)
             grid = _oracle_grid.sigma_grid(
                 space.energy_gram, space.mass_gram, eye[:, h1o.indices], eye[:, h2o.indices]
@@ -760,8 +750,9 @@ def verify_fem() -> dict:
     sigmas, stars, panel_defects = [], [], []
     for eps in (4.0 / 32.0, 2.0 / 32.0, 1.0 / 32.0):
         sub = fem2d.carve_subspace(space, mesh, DomainSpec("square_shrink", eps=eps))
-        sigmas.append(hilbert.sigma_distance(h_star, sub))
-        stars.append(hilbert.sigma_star(h_star, sub))
+        pair = hilbert.SubspacePair(h_star, sub)
+        sigmas.append(hilbert.sigma_distance(pair))
+        stars.append(hilbert.sigma_star(pair))
         defect = max(
             space.mass_norm(u - sub.project_block(u)) / space.mass_norm(u) for u in panel
         )

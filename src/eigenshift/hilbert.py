@@ -23,12 +23,15 @@ callers.  The lowest eigenpairs of a subspace are the top ones of
 (M_II, A_II); each pair passes the residual allowance of
 :func:`eigsolve.solve_pencil`, and the number kept must equal the Sylvester
 inertia count below the gap above them, read from sparse pivots at a shift
-inside that gap (spectrum slicing; no dense fallback).  sigma and sigma*
-are the largest eigenvalue of the pencil (D' M D, A) on the coordinates of
-I1 u I2, certified like :func:`eigsolve.solve_pencil`.  A FEM cell's
-:func:`eigenspace_images` makes its two solves (S2 X and the correctors)
-and takes every J x J form the cell reads, once.  What stays dense is sized
-by a subspace, not by the space: complete spectra and the small pencils.
+inside that gap (spectrum slicing; no dense fallback).  A
+:class:`SubspacePair` decides once how two subspaces relate (their union,
+intersection and direction), and the pair quantities take it: sigma and
+sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
+coordinates of I1 u I2, certified like :func:`eigsolve.solve_pencil` and
+solved once per pair, and a FEM cell's :func:`eigenspace_images` makes its
+two solves (S2 X and the correctors) and takes every J x J form the cell
+reads, once.  What stays dense is sized by a subspace, not by the space:
+complete spectra and the small pencils.
 Only the abstract suite's small spaces read the dense Gram views:
 :func:`embedding_constant`, its grid oracle and its counterexamples.
 """
@@ -50,6 +53,7 @@ __all__ = [
     "Subspace",
     "EigenDecomposition",
     "EigenspaceImages",
+    "SubspacePair",
     "DimensionMismatchError",
     "SubspaceRankError",
     "NotInSubspaceError",
@@ -110,20 +114,15 @@ def _symmetric_splu(mat: sp.csr_array):
 
 def _symmetric_factor(mat: sp.csr_array):
     """Symmetric sparse factor P mat P' = L U with U = D L', L unit lower
-    triangular, so that mat is congruent to the pivots D = diag(U).  None
-    when the factor is exactly singular or SuperLU left the diagonal
-    (perm_r != perm_c), where that congruence fails."""
+    triangular, and its pivots D = diag(U), to which mat is congruent, so
+    their signs are its inertia (Sylvester).  None when the factor is
+    exactly singular or SuperLU left the diagonal (perm_r != perm_c), where
+    that congruence fails."""
     try:
         lu = _symmetric_splu(mat)
     except RuntimeError:
         return None
-    return lu if np.array_equal(lu.perm_r, lu.perm_c) else None
-
-
-def _symmetric_pivots(mat: sp.csr_array) -> np.ndarray | None:
-    """Pivots of a symmetric matrix, whose signs are its inertia (Sylvester)."""
-    lu = _symmetric_factor(mat)
-    return None if lu is None else lu.U.diagonal()
+    return (lu, lu.U.diagonal()) if np.array_equal(lu.perm_r, lu.perm_c) else None
 
 
 def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> int:
@@ -133,9 +132,9 @@ def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> 
     the midpoint or else other points of it; PencilError if none shows it."""
     lo, hi = gap
     for shift in (0.5 * (lo + hi), *(lo + t * (hi - lo) for t in (0.25, 0.75, 0.125, 0.875))):
-        pivots = _symmetric_pivots(a - shift * m)
-        if pivots is not None and lo < shift < hi:
-            return int(np.count_nonzero(pivots < 0))
+        factor = _symmetric_factor(a - shift * m)
+        if factor is not None and lo < shift < hi:
+            return int(np.count_nonzero(factor[1] < 0))
     raise PencilError(
         f"no shift inside the gap ({lo:.6e}, {hi:.6e}) gives symmetric sparse pivots"
     )
@@ -168,11 +167,11 @@ class EnergySpace:
         """The symmetric sparse factor whose positive pivots prove the Gram
         definite; NotPositiveDefiniteError when they do not, carrying the
         factor's smallest pivot (NaN when no symmetric factor forms)."""
-        lu = _symmetric_factor(csr)
-        smallest = np.nan if lu is None else float(lu.U.diagonal().min())
+        factor = _symmetric_factor(csr)
+        smallest = np.nan if factor is None else float(factor[1].min())
         if not smallest > 0:
             raise NotPositiveDefiniteError(name, smallest, "pivot")
-        return lu
+        return factor[0]
 
     @cached_property
     def energy_gram(self) -> np.ndarray:
@@ -285,10 +284,6 @@ class Subspace:
             return True
         return self.parent.energy_norm(u - self.project_block(u)) <= tol * norm
 
-    def same_parent(self, other: "Subspace") -> None:
-        if self.parent is not other.parent:
-            raise ValueError("subspaces must share the same parent space")
-
 
 @dataclass
 class EigenDecomposition:
@@ -344,15 +339,6 @@ def apply_T2(h2: Subspace, phi: np.ndarray) -> np.ndarray:
     return phi - h2.project_block(phi)
 
 
-def _nodal_on(h1: Subspace, h2: Subspace, idx: np.ndarray) -> Subspace:
-    """Nodal subspace on idx, a subset or a superset of both index sets; an
-    operand with that index set is returned itself, so its factor is shared."""
-    for sub in (h2, h1):
-        if idx.size == sub.dim:
-            return sub
-    return Subspace.nodal(h1.parent, idx)
-
-
 def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top k eigenpairs of the pencil (K, A_II) on the coordinates of a nodal
     subspace, K applied by ``matvec``: Lanczos in the A_II-inner product on
@@ -376,52 +362,14 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
 
 
-def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -> float:
-    """Largest eigenvalue of the pencil (D' M D, A) on the coordinates of union.
-
-    D = S_plus - S_minus (S_minus = 0 when ``minus`` is None).  Both operands
-    lie in ``union`` and D vanishes on its energy-orthogonal complement, so
-    this is the maximum over the whole space.  A nodal projector is
-    S = E A_II^-1 E' A, so D = G A and D' = A G with G the difference of the
-    two embedded solves: four solves per Lanczos step for a crossing pair.
-    When ``union`` is an operand (nested sigma, and sigma*), its projector is
-    the identity on the union coordinates U, so D = +-P with P u = u - S_inner u
-    for the other operand, inner (P = I if there is none), and the numerator
-    is P' M P.  P is A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps every
-    vector into range(P), where P' M P = P' M.  Lanczos therefore applies
-    P' M alone, (M u)_U - (A E A_inner^-1 (M u)_inner)_U: one solve with the
-    inner factor per step (see :func:`_lanczos_top` for why the start vector needs no
-    projection).  The eigenpair from :func:`_lanczos_top` is certified with the
-    full numerator against the residual allowance of solve_pencil, with
-    |K x| / |x| standing in for |K|_F, which it never exceeds.
-    """
-    a, m, a_uu = union.parent.energy_csr, union.parent.mass_csr, union._energy_block
-
-    if union is plus or union is minus:
-        inner = minus if union is plus else plus
-
-        def step(coords):
-            md = m @ union.embed(coords)
-            if inner is not None:
-                md -= a @ inner._solve(md)
-            return md[union.indices]
-
-        def numerator(coords):
-            if inner is not None:
-                u = union.embed(coords)
-                coords = (u - inner._solve(a @ u))[union.indices]
-            return step(coords)
-
-    else:
-
-        def g(w):
-            return plus._solve(w) - minus._solve(w)
-
-        def numerator(coords):
-            return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
-
-        step = numerator
-
+def _pencil_max(union: Subspace, step, numerator) -> float:
+    """Largest eigenvalue, clipped at 0, of a pencil (K, A_UU) on the
+    coordinates of ``union``: Lanczos applies ``step``, which need only agree
+    with K on the Krylov space, and the eigenpair from :func:`_lanczos_top`
+    is certified with the full numerator K (``numerator``) against the
+    residual allowance of solve_pencil, with |K x| / |x| standing in for
+    |K|_F, which it never exceeds."""
+    a_uu = union._energy_block
     theta, vecs = _lanczos_top(union, step, 1)
     theta = float(theta[0])
     x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (a_uu @ vecs[:, 0]))  # A-normalized, as in solve_pencil
@@ -436,30 +384,103 @@ def _nodal_pencil_max(union: Subspace, plus: Subspace, minus: Subspace | None) -
     return max(theta, 0.0)
 
 
-def sigma_distance(h1: Subspace, h2: Subspace) -> float:
-    """Best constant in |(S1 - S2) u|^2 <= sigma ||u||^2 over the parent space."""
-    h1.same_parent(h2)
-    if np.array_equal(h1.indices, h2.indices):
-        return 0.0
-    return _nodal_pencil_max(_nodal_on(h1, h2, np.union1d(h1.indices, h2.indices)), h1, h2)
+class SubspacePair:
+    """An ordered pair (H1, H2) of nodal subspaces of one parent, and how
+    they relate, decided once from their index sets.
+
+    ``union`` and ``inter`` are the subspaces on I1 u I2 and I1 cap I2 (None
+    when trivial); an operand with that index set is used itself, so each
+    index set is factored once.  ``direction`` follows: "equal" when the
+    union is the intersection, "shrink" when it is H1, "expand" when it is
+    H2, and "none" for a crossing pair.
+
+    Each distance is the largest eigenvalue of a pencil (D' M D, A) on the
+    union coordinates U, where D vanishes on the union's energy-orthogonal
+    complement, and is solved once.  ``sigma_star`` takes D = S_union -
+    S_inter = P with P u = u - S_inter u (P = I with no intersection).  P is
+    A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps into range(P), where
+    P' M P = P' M: Lanczos applies P' M alone, one solve with the
+    intersection's factor per step (see :func:`_lanczos_top` for the start
+    vector).  ``sigma`` takes D = S1 - S2, which is +-P for a nested pair, so
+    it is ``sigma_star``; a crossing pair solves D = G A, G the difference
+    of the two embedded solves: four solves per step.
+    """
+
+    def __init__(self, h1: Subspace, h2: Subspace):
+        if h1.parent is not h2.parent:
+            raise ValueError("subspaces must share the same parent space")
+        self.h1, self.h2 = h1, h2
+        self.union = self._on(np.union1d(h1.indices, h2.indices))
+        inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
+        self.inter = None if inter.size == 0 else self._on(inter)
+
+    def _on(self, idx: np.ndarray) -> Subspace:
+        # idx holds or lies in both index sets, so an operand of its size is it
+        for sub in (self.h2, self.h1):
+            if idx.size == sub.dim:
+                return sub
+        return Subspace.nodal(self.h1.parent, idx)
+
+    @property
+    def direction(self) -> str:
+        if self.union is self.inter:
+            return "equal"
+        if self.union is self.h1:
+            return "shrink"
+        return "expand" if self.union is self.h2 else "none"
+
+    @cached_property
+    def sigma_star(self) -> float:
+        union, inter = self.union, self.inter
+        if union is inter:
+            return 0.0
+        a, m = union.parent.energy_csr, union.parent.mass_csr
+
+        def step(coords):
+            md = m @ union.embed(coords)
+            if inter is not None:
+                md -= a @ inter._solve(md)
+            return md[union.indices]
+
+        def numerator(coords):
+            if inter is not None:
+                u = union.embed(coords)
+                coords = (u - inter._solve(a @ u))[union.indices]
+            return step(coords)
+
+        return _pencil_max(union, step, numerator)
+
+    @cached_property
+    def sigma(self) -> float:
+        if self.direction != "none":
+            return self.sigma_star
+        h1, h2, union = self.h1, self.h2, self.union
+        a, m = union.parent.energy_csr, union.parent.mass_csr
+
+        def g(w):
+            return h1._solve(w) - h2._solve(w)
+
+        def numerator(coords):
+            return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
+
+        return _pencil_max(union, numerator, numerator)
+
+
+def sigma_distance(pair: SubspacePair) -> float:
+    """Best constant in |(S1 - S2) u|^2 <= sigma ||u||^2 over the parent
+    space: ``pair.sigma``, which a nested pair shares with sigma*."""
+    return pair.sigma
+
+
+def sigma_star(pair: SubspacePair) -> float:
+    """Best constant in |u|^2 <= sigma* ||u||^2 on (H1+H2) energy-orthogonal
+    to H1 cap H2, zero when the sum equals the intersection: ``pair.sigma_star``."""
+    return pair.sigma_star
 
 
 def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
-    """H1 cap H2, or None when it is trivial: the subspace on the common
-    indices.  When one operand contains the other, the contained operand
-    itself is returned, so its cached factorization is shared."""
-    h1.same_parent(h2)
-    inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
-    return None if inter.size == 0 else _nodal_on(h1, h2, inter)
-
-
-def sigma_star(h1: Subspace, h2: Subspace) -> float:
-    """Best constant in |u|^2 <= sigma* ||u||^2 on (H1+H2) energy-orthogonal
-    to H1 cap H2; zero when the sum equals the intersection.  A nested pair
-    solves the pencil of :func:`sigma_distance`, so sigma* = sigma."""
-    inter = intersection_subspace(h1, h2)
-    union = _nodal_on(h1, h2, np.union1d(h1.indices, h2.indices))
-    return 0.0 if union is inter else _nodal_pencil_max(union, union, inter)
+    """H1 cap H2, or None when it is trivial: ``SubspacePair(h1, h2).inter``."""
+    return SubspacePair(h1, h2).inter
 
 
 def solve_operator_eigs(
@@ -583,9 +604,9 @@ def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray
     return h2._solve(space.energy_csr @ block - lam_m * (space.mass_csr @ block))
 
 
-def apply_B(h1: Subspace, h2: Subspace, v: np.ndarray) -> np.ndarray:
+def apply_B(pair: SubspacePair, v: np.ndarray) -> np.ndarray:
     """Bridge operator K2 S2 v - S2 K1 v for v in H1."""
-    h1.same_parent(h2)
+    h1, h2 = pair.h1, pair.h2
     if not h1.contains(v):
         raise NotInSubspaceError("apply_B requires its argument to lie in H1")
     return h2.apply_k(h2.project_block(v)) - h2.project_block(h1.apply_k(v))
@@ -618,19 +639,15 @@ class EigenspaceImages:
     psi_m_psi: np.ndarray
 
 
-def eigenspace_images(
-    h1: Subspace, h2: Subspace, x_m: np.ndarray, lam_m: float, inter: Subspace | None
-) -> EigenspaceImages:
-    """Apply A and M to the images of X once; ``inter`` is
-    intersection_subspace(h1, h2).  T0 X is read from the pair where it can
-    be: it is T X when the intersection is H2, and zero when it is H1, which
-    holds X.  Only another intersection is solved for."""
-    h1.same_parent(h2)
-    space = h1.parent
+def eigenspace_images(pair: SubspacePair, x_m: np.ndarray, lam_m: float) -> EigenspaceImages:
+    """Apply A and M to the images of X, a vector or an N x J block, once.
+    T0 X is read from ``pair.direction``: it is T X when the intersection
+    is H2 (equal and shrinking pairs), and zero when it is H1 (expanding
+    pairs), which holds X.  Only a crossing pair's intersection is solved
+    for."""
+    space, h2 = pair.h1.parent, pair.h2
     a, m = space.energy_csr, space.mass_csr
-    x_m = np.atleast_2d(np.asarray(x_m, dtype=float))
-    if x_m.shape[0] != space.dim:
-        x_m = x_m.T
+    x_m = space.check_vector(x_m).reshape(space.dim, -1)
     gram = x_m.T @ (a @ x_m)
     if np.abs(gram - np.eye(gram.shape[0])).max() > 1e-8:
         raise ValueError("eigenspace basis must be energy-orthonormal")
@@ -639,12 +656,12 @@ def eigenspace_images(
     psi = corrector_block(h2, x_m, lam_m)
     a_psi = a @ psi
     t_a_t = t_block.T @ (a @ t_block)
-    if inter is h2:
+    if pair.direction in ("equal", "shrink"):
         t0_a_t0 = t_a_t
-    elif inter is h1:
+    elif pair.direction == "expand":
         t0_a_t0 = np.zeros_like(t_a_t)
     else:
-        t0 = x_m if inter is None else x_m - inter.project_block(x_m)
+        t0 = x_m if pair.inter is None else x_m - pair.inter.project_block(x_m)
         t0_a_t0 = t0.T @ (a @ t0)
     return EigenspaceImages(
         space=space, lam=lam_m, s=s_block,

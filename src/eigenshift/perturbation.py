@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, solve_pencil
-from .hilbert import EigenDecomposition, EigenspaceImages, Subspace, compute_rho
+from .hilbert import EigenDecomposition, EigenspaceImages, compute_rho
 from .hilbert import _energy_norms
 
 __all__ = [
@@ -306,18 +306,6 @@ def predict_and_check(cp: CorrectionProblem, measured_mu: np.ndarray) -> list:
             )
         )
     return rows
-
-
-def _direction_of(h1: Subspace, h2: Subspace) -> str:
-    """DOF-set relation of a pair: equal/shrink/expand/none."""
-    i1, i2 = h1.indices, h2.indices  # sorted and unique
-    if np.array_equal(i1, i2):
-        return "equal"
-    if np.isin(i2, i1, assume_unique=True).all():
-        return "shrink"
-    if np.isin(i1, i2, assume_unique=True).all():
-        return "expand"
-    return "none"
 
 
 def inclusion_bounds(cells: list, direction: str) -> tuple:

@@ -287,14 +287,27 @@ def test_run_surfaces_cell_errors(tmp_path):
 
 
 def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
-    def solved_again(h1, h2):
-        raise AssertionError("sigma* solved for a nested pair")
+    # the run asks each eps's pair for sigma and sigma*; a nested pair's sigma
+    # is its sigma* pencil, so one pencil is solved per eps
+    asked, solved = [], []
+    true_star, true_max = hilbert.sigma_star, hilbert._pencil_max
 
-    monkeypatch.setattr(hilbert, "sigma_star", solved_again)
-    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[1])
-    cell = run_scenario(config).cells[0]
-    assert cell.error is None
-    assert cell.sigma_star == cell.sigma > 0.0
+    def spy_star(pair):
+        asked.append(pair.direction)
+        return true_star(pair)
+
+    def spy_max(union, *rest):
+        solved.append(union.dim)
+        return true_max(union, *rest)
+
+    monkeypatch.setattr(hilbert, "sigma_star", spy_star)
+    monkeypatch.setattr(hilbert, "_pencil_max", spy_max)
+    h = 1.0 / 8.0
+    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1]))
+    assert report.passed, report.failures
+    assert asked == ["shrink", "shrink"]
+    assert len(solved) == 2
+    assert all(cell.sigma_star == cell.sigma > 0.0 for cell in report.cells)
 
 
 def test_programming_errors_propagate(monkeypatch):
@@ -555,9 +568,9 @@ def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
     # not crash the suite
     true_sigma = hilbert.sigma_distance
 
-    def skewed(h1, h2):
-        value = true_sigma(h1, h2)
-        return 2.0 * value if h1.indices.tolist() > h2.indices.tolist() else value
+    def skewed(pair):
+        value = true_sigma(pair)
+        return 2.0 * value if pair.h1.indices.tolist() > pair.h2.indices.tolist() else value
 
     monkeypatch.setattr(hilbert, "sigma_distance", skewed)
     summary = verify_abstract(seed=3, n_cases=1)

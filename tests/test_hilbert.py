@@ -13,6 +13,7 @@ from eigenshift.hilbert import (
     EnergySpace,
     NotInSubspaceError,
     Subspace,
+    SubspacePair,
     apply_B,
     apply_T2,
     compute_rho,
@@ -166,20 +167,21 @@ def test_sigma_zero_for_identical():
     rng = np.random.default_rng(6)
     space = random_space(rng, 5)
     sub = random_subspace(rng, space, 2)
-    assert sigma_distance(sub, sub) == 0.0
-    assert sigma_distance(Subspace.nodal(space, [1, 3]), Subspace.nodal(space, [3, 1])) == 0.0
+    assert sigma_distance(SubspacePair(sub, sub)) == 0.0
+    pair = SubspacePair(Subspace.nodal(space, [1, 3]), Subspace.nodal(space, [3, 1]))
+    assert pair.direction == "equal" and sigma_distance(pair) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(min_value=0.02, max_value=np.pi / 2))
 def test_sigma_rotated_line_closed_form(theta):
     h1, h2 = rotated_lines(theta)
-    assert sigma_distance(h1, h2) == pytest.approx(np.sin(theta) ** 2, rel=1e-9)
+    assert sigma_distance(SubspacePair(h1, h2)) == pytest.approx(np.sin(theta) ** 2, rel=1e-9)
 
 
 def test_sigma_orthogonal_lines_is_one():
     h1, h2 = rotated_lines(np.pi / 2)
-    assert sigma_distance(h1, h2) == pytest.approx(1.0)
+    assert sigma_distance(SubspacePair(h1, h2)) == pytest.approx(1.0)
 
 
 def test_sigma_symmetry_and_triangle():
@@ -188,11 +190,11 @@ def test_sigma_symmetry_and_triangle():
         n = int(rng.integers(3, 9))
         space = random_space(rng, n)
         subs = [random_subspace(rng, space, int(rng.integers(1, n))) for _ in range(3)]
-        s12 = sigma_distance(subs[0], subs[1])
-        s21 = sigma_distance(subs[1], subs[0])
+        s12 = sigma_distance(SubspacePair(subs[0], subs[1]))
+        s21 = sigma_distance(SubspacePair(subs[1], subs[0]))
         assert s12 == pytest.approx(s21, rel=1e-9, abs=1e-12)
-        s13 = sigma_distance(subs[0], subs[2])
-        s23 = sigma_distance(subs[1], subs[2])
+        s13 = sigma_distance(SubspacePair(subs[0], subs[2]))
+        s23 = sigma_distance(SubspacePair(subs[1], subs[2]))
         assert np.sqrt(s13) <= np.sqrt(s12) + np.sqrt(s23) + 1e-9
 
 
@@ -202,7 +204,7 @@ def test_sigma_matches_grid_oracle():
         n = int(rng.integers(3, 8))
         space = random_space(rng, n)
         h1, h2 = (random_subspace(rng, space, int(rng.integers(1, 3))) for _ in range(2))
-        val = sigma_distance(h1, h2)
+        val = sigma_distance(SubspacePair(h1, h2))
         grid = oracles.sigma_grid(
             space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2)
         )
@@ -216,7 +218,9 @@ def test_sigma_nodal_fast_path_matches_general():
         space = random_space(rng, n)
         i1 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         i2 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
-        nodal = sigma_distance(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
+        nodal = sigma_distance(
+            SubspacePair(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
+        )
         # the general formula on identity columns: the top eigenvalue of
         # (D' M D, A) over the whole space, with explicit projectors in D
         eye = np.eye(n)
@@ -230,7 +234,7 @@ def test_sigma_nodal_fast_path_matches_general():
 def test_shared_parent_required():
     s1, s2 = euclid_space(3), euclid_space(3)
     with pytest.raises(ValueError, match="parent"):
-        sigma_distance(Subspace.nodal(s1, [0]), Subspace.nodal(s2, [0]))
+        SubspacePair(Subspace.nodal(s1, [0]), Subspace.nodal(s2, [0]))
 
 
 # -- sigma* and intersection --------------------------------------------------
@@ -240,13 +244,13 @@ def test_sigma_star_identical_subspaces():
     rng = np.random.default_rng(10)
     space = random_space(rng, 6)
     sub = Subspace.nodal(space, [0, 2, 4])
-    assert sigma_star(sub, sub) == 0.0
+    assert sigma_star(SubspacePair(sub, sub)) == 0.0
 
 
 def test_sigma_star_rotated_lines():
     h1, h2 = rotated_lines(0.7)
     # sum is the plane, intersection trivial: best constant over R^2 is 1
-    assert sigma_star(h1, h2) == pytest.approx(1.0, rel=1e-9)
+    assert sigma_star(SubspacePair(h1, h2)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sigma_le_four_sigma_star_random():
@@ -256,7 +260,8 @@ def test_sigma_le_four_sigma_star_random():
         space = random_space(rng, n)
         h1 = random_subspace(rng, space, int(rng.integers(1, n)))
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
-        assert sigma_distance(h1, h2) <= 4.0 * sigma_star(h1, h2) + 1e-10
+        pair = SubspacePair(h1, h2)
+        assert sigma_distance(pair) <= 4.0 * sigma_star(pair) + 1e-10
 
 
 def test_intersection_nodal_combinatorial():
@@ -265,7 +270,13 @@ def test_intersection_nodal_combinatorial():
     h2 = Subspace.nodal(space, [2, 3, 4])
     inter = intersection_subspace(h1, h2)
     assert inter.indices.tolist() == [2, 3]
+    assert SubspacePair(h1, h2).union.indices.tolist() == [0, 1, 2, 3, 4]
     assert intersection_subspace(Subspace.nodal(space, [0]), Subspace.nodal(space, [5])) is None
+    # a nested pair's union and intersection are its operands, whose factors
+    # it shares
+    h3 = Subspace.nodal(space, [1, 2])
+    for pair in (SubspacePair(h1, h3), SubspacePair(h3, h1)):
+        assert pair.union is h1 and pair.inter is h3
 
 
 def test_sigma_star_nodal_matches_general():
@@ -275,7 +286,9 @@ def test_sigma_star_nodal_matches_general():
         space = random_space(rng, n)
         i1 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         i2 = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
-        nodal = sigma_star(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
+        nodal = sigma_star(
+            SubspacePair(Subspace.nodal(space, i1), Subspace.nodal(space, i2))
+        )
         eye = np.eye(n)
         # the general formula on identity columns, by principal angles and SVDs
         general = oracles.sigma_star_direct(
@@ -290,7 +303,7 @@ def test_sigma_star_matches_direct_oracle():
         n = int(rng.integers(3, 10))
         space = random_space(rng, n)
         h1, h2 = (random_subspace(rng, space, int(rng.integers(1, 4))) for _ in range(2))
-        val = sigma_star(h1, h2)
+        val = sigma_star(SubspacePair(h1, h2))
         want = oracles.sigma_star_direct(
             space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2)
         )
@@ -330,7 +343,8 @@ def _fem_pairs(n):
 @pytest.mark.parametrize("kind", ["shrink", "expand", "notches", "equal"])
 def test_nodal_sigmas_match_dense_oracle(n, kind):
     space, h1, h2 = _fem_pair(n, *_fem_pairs(n)[kind])
-    sigma, star = sigma_distance(h1, h2), sigma_star(h1, h2)
+    pair = SubspacePair(h1, h2)
+    sigma, star = sigma_distance(pair), sigma_star(pair)
     want_sigma, want_star = oracles.nodal_sigmas(
         space.energy_gram, space.mass_gram, h1.indices, h2.indices
     )
@@ -360,9 +374,9 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
 
     monkeypatch.setattr(hilbert, "eigsh", perturbed)
     with pytest.raises(PencilError, match="certification"):
-        sigma_distance(h1, h2)
+        sigma_distance(SubspacePair(h1, h2))
     with pytest.raises(PencilError, match="certification"):
-        sigma_star(h1, h2)
+        sigma_star(SubspacePair(h1, h2))
     # the shift-invert eigensolve goes through the same eigsh
     with pytest.raises(PencilError, match="certification"):
         solve_operator_eigs(h1, group_tol=1e-6, n_lowest=8)
@@ -384,8 +398,8 @@ def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
 
     monkeypatch.setattr(Subspace, "_solve", spy)
     if kind != "notches":
-        sigma_distance(h1, h2)
-    sigma_star(h1, h2)
+        sigma_distance(SubspacePair(h1, h2))
+    sigma_star(SubspacePair(h1, h2))
     assert solved
     assert all(np.array_equal(indices, inter) for indices in solved)
 
@@ -410,7 +424,7 @@ def test_whole_space_shares_the_parent_factor(monkeypatch):
         return true_splu(mat)
 
     monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    sigma_distance(h1, h2)
+    sigma_distance(SubspacePair(h1, h2))
     assert sorted(factored) == sorted([h1.dim, h2.dim, union.size])
 
 
@@ -437,9 +451,9 @@ def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
     monkeypatch.setattr(Subspace, "_solve", spy_solve)
     monkeypatch.setattr(hilbert, "_lanczos_top", spy_lanczos)
     if kind == "notches":
-        sigma_star(h1, h2)
+        sigma_star(SubspacePair(h1, h2))
     else:
-        sigma_distance(h1, h2)
+        sigma_distance(SubspacePair(h1, h2))
     assert steps
     assert len(solves) == len(steps) + 2
     assert set(solves) == {np.intersect1d(h1.indices, h2.indices).size}
@@ -462,8 +476,50 @@ def test_rank_deficient_nested_sigmas_match_dense_oracle(cells, rank, swap):
     want_sigma, want_star = oracles.nodal_sigmas(
         space.energy_gram, space.mass_gram, h1.indices, h2.indices
     )
-    assert sigma_distance(h1, h2) == pytest.approx(want_sigma, rel=1e-10)
-    assert sigma_star(h1, h2) == pytest.approx(want_star, rel=1e-10)
+    assert sigma_distance(SubspacePair(h1, h2)) == pytest.approx(want_sigma, rel=1e-10)
+    assert sigma_star(SubspacePair(h1, h2)) == pytest.approx(want_star, rel=1e-10)
+
+
+def test_crossing_pair_factors_each_index_set_once(monkeypatch):
+    # after the reference solve has factored H1, the images, sigma and sigma*
+    # of the h=1/12 crossing notches factor H2, the intersection and the
+    # union once each: the pair holds one union and one intersection
+    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
+    lam, x_m, _ = solve_operator_eigs(h1, group_tol=1e-6, n_lowest=4).group(1)
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat.shape[0])
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    pair = SubspacePair(h1, h2)
+    assert pair.direction == "none"
+    eigenspace_images(pair, x_m, lam)
+    sigma_distance(pair)
+    sigma_star(pair)
+    assert factored == [h2.dim, pair.inter.dim, pair.union.dim] == [113, 107, 119]
+
+
+def test_a_j_by_n_block_is_refused_not_transposed():
+    # blocks are N x J (or one vector); a J x N block with J != N raises
+    mesh = fem2d.unit_square_mesh(8)
+    space = fem2d.assemble(mesh, CoefficientField.identity())
+    eigs = solve_operator_eigs(space.whole(), group_tol=1e-6)
+    lam = float(eigs.values[0])
+    x_m = np.hstack([eigs.spaces[0], eigs.spaces[1]])[:, :2]
+    shrunk = fem2d.carve_subspace(space, mesh, DomainSpec("square_shrink", eps=1.0 / 8.0))
+    pair = SubspacePair(space.whole(), shrunk)
+    column = eigenspace_images(pair, x_m[:, 0], lam)
+    assert np.array_equal(column.t_a_t, eigenspace_images(pair, x_m[:, :1], lam).t_a_t)
+    with pytest.raises(DimensionMismatchError):
+        eigenspace_images(pair, x_m.T, lam)
+    region = np.arange(mesh.n_triangles)
+    form = fem2d.gradient_energy_form(space, mesh, region, x_m)
+    assert form.shape == (2, 2)
+    with pytest.raises(DimensionMismatchError):
+        fem2d.gradient_energy_form(space, mesh, region, x_m.T)
 
 
 # -- lowest eigenpairs of nodal subspaces by Lanczos ---------------------------
@@ -553,7 +609,7 @@ def test_inertia_count_matches_dense_eigenvalue_count():
     # a zero diagonal breaks the sparse factor's symmetry at the midpoint 0,
     # so the count is read at another shift inside the gap
     swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert hilbert._symmetric_pivots(swap) is None
+    assert hilbert._symmetric_factor(swap) is None
     assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0)) == 1
 
 
@@ -565,7 +621,7 @@ def test_inertia_and_definiteness_need_no_dense_matrix(sparse_only, monkeypatch)
         EnergySpace(np.diag([1.0, -1.0]), np.eye(2))
     assert err.value.smallest_eig == -1.0
     # no shift inside the gap gives symmetric pivots: the count is refused
-    monkeypatch.setattr(hilbert, "_symmetric_pivots", lambda mat: None)
+    monkeypatch.setattr(hilbert, "_symmetric_factor", lambda mat: None)
     with pytest.raises(PencilError, match=r"gap \(-1.000000e\+00, 1.000000e\+00\)"):
         hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0))
 
@@ -723,7 +779,7 @@ def test_apply_B_zero_for_identical():
     space = random_space(rng, 6)
     sub = Subspace.nodal(space, [0, 2, 3])
     v = sub.embed(rng.normal(size=3))
-    assert space.energy_norm(apply_B(sub, sub, v)) < 1e-10 * space.energy_norm(v)
+    assert space.energy_norm(apply_B(SubspacePair(sub, sub), v)) < 1e-10 * space.energy_norm(v)
 
 
 def test_apply_B_orthogonal_lines():
@@ -731,7 +787,7 @@ def test_apply_B_orthogonal_lines():
     v = np.array([2.0, 0.0])
     # S2 v = 0, so only the -S2 K1 v term survives
     expected = -h2.project_block(h1.apply_k(v))
-    assert np.allclose(apply_B(h1, h2, v), expected, atol=1e-12)
+    assert np.allclose(apply_B(SubspacePair(h1, h2), v), expected, atol=1e-12)
 
 
 def test_apply_B_norm_bound():
@@ -741,10 +797,10 @@ def test_apply_B_norm_bound():
         space = random_space(rng, n)
         h1 = random_subspace(rng, space, int(rng.integers(1, n)))
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
-        sigma = sigma_distance(h1, h2)
+        sigma = sigma_distance(SubspacePair(h1, h2))
         c0 = embedding_constant(space)
         v = h1.embed(rng.normal(size=h1.dim))
-        bv = apply_B(h1, h2, v)
+        bv = apply_B(SubspacePair(h1, h2), v)
         bound = 2.0 * c0 * np.sqrt(sigma) * space.energy_norm(v)
         assert space.energy_norm(bv) <= bound + 1e-9
 
@@ -756,7 +812,7 @@ def test_apply_B_rejects_outsiders():
     h2 = Subspace.nodal(space, [2, 3])
     outsider = np.ones(5)
     with pytest.raises(NotInSubspaceError):
-        apply_B(h1, h2, outsider)
+        apply_B(SubspacePair(h1, h2), outsider)
 
 
 def test_apply_B_matches_oracle():
@@ -767,7 +823,7 @@ def test_apply_B_matches_oracle():
         h1 = random_subspace(rng, space, int(rng.integers(1, n)))
         h2 = random_subspace(rng, space, int(rng.integers(1, n)))
         v = h1.embed(rng.normal(size=h1.dim))
-        got = apply_B(h1, h2, v)
+        got = apply_B(SubspacePair(h1, h2), v)
         want = oracles.bridge_apply(
             space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2), v
         )
@@ -783,7 +839,7 @@ def test_rho_zero_for_identical():
     sub = Subspace.nodal(space, [0, 1, 2, 3])
     eigs = solve_operator_eigs(sub, group_tol=1e-9)
     lam, x_m, _ = eigs.group(1)
-    images = eigenspace_images(sub, sub, x_m, lam, intersection_subspace(sub, sub))
+    images = eigenspace_images(SubspacePair(sub, sub), x_m, lam)
     assert compute_rho(images, sigma=0.0) == pytest.approx(0.0, abs=1e-12)
     assert compute_rho0(images) == pytest.approx(0.0, abs=1e-12)
 
@@ -796,7 +852,7 @@ def test_rho_scalar_case_matches_direct():
     eigs = solve_operator_eigs(h1, group_tol=1e-9)
     lam, x_m, mult = eigs.group(1)
     assert mult == 1
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     phi = x_m[:, 0]
     t_phi = apply_T2(h2, phi)
     psi = corrector_block(h2, phi, lam)
@@ -805,7 +861,7 @@ def test_rho_scalar_case_matches_direct():
         + space.mass_norm(t_phi) ** 2
         + space.mass_norm(psi) ** 2
     )
-    images = eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
+    images = eigenspace_images(SubspacePair(h1, h2), x_m, lam)
     assert compute_rho(images, sigma) == pytest.approx(direct, rel=1e-10)
 
 
@@ -818,11 +874,11 @@ def test_rho_matches_sphere_grid():
     eigs = solve_operator_eigs(h1, group_tol=1e-6)
     lam, x_m, mult = eigs.group(1)
     assert mult == 3
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     t_block = x_m - h2.project_block(x_m)
     psi_block = corrector_block(h2, x_m, lam)
     grid = oracles.rho_grid(space.energy_gram, space.mass_gram, t_block, psi_block, sigma)
-    images = eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
+    images = eigenspace_images(SubspacePair(h1, h2), x_m, lam)
     assert compute_rho(images, sigma) == pytest.approx(grid, rel=2e-3)
 
 
@@ -840,7 +896,8 @@ def test_rho0_nested_equals_T2_form():
     assert np.allclose(t0, t2, atol=1e-10)
     psi = corrector_block(h2, x_m[:, 0], lam)
     want = space.energy_norm(t0) ** 2 + space.energy_norm(psi) ** 2
-    assert compute_rho0(eigenspace_images(h1, h2, x_m, lam, inter)) == pytest.approx(want, rel=1e-9)
+    images = eigenspace_images(SubspacePair(h1, h2), x_m, lam)
+    assert compute_rho0(images) == pytest.approx(want, rel=1e-9)
 
 
 def test_rho0_expand_is_the_corrector_form():
@@ -856,7 +913,7 @@ def test_rho0_expand_is_the_corrector_form():
     assert inter is h1
     t0 = x_m - inter.project_block(x_m)
     assert np.abs(t0).max() < 1e-12 * np.abs(x_m).max()
-    images = eigenspace_images(h1, h2, x_m, lam, inter)
+    images = eigenspace_images(SubspacePair(h1, h2), x_m, lam)
     assert not images.t0_a_t0.any()
     psi = corrector_block(h2, x_m[:, 0], lam)
     assert compute_rho0(images) == pytest.approx(space.energy_norm(psi) ** 2, rel=1e-9)
@@ -885,12 +942,12 @@ def test_adapted_basis_congruence_matches_dense_oracles():
 
         d = oracles.projector_matrix(energy, b1) - oracles.projector_matrix(energy, b2)
         want = oracles.pencil_eigs(d.T @ mass @ d, energy)[-1]
-        assert sigma_distance(h1, h2) == pytest.approx(want, rel=1e-8)
+        assert sigma_distance(SubspacePair(h1, h2)) == pytest.approx(want, rel=1e-8)
         want = oracles.sigma_star_direct(energy, mass, b1, b2)
-        assert sigma_star(h1, h2) == pytest.approx(want, rel=1e-8)
+        assert sigma_star(SubspacePair(h1, h2)) == pytest.approx(want, rel=1e-8)
 
         coeffs = rng.normal(size=h1.dim)
-        got = b @ apply_B(h1, h2, h1.embed(coeffs))
+        got = b @ apply_B(SubspacePair(h1, h2), h1.embed(coeffs))
         want = oracles.bridge_apply(energy, mass, b1, b2, b1 @ coeffs)
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 

@@ -5,9 +5,9 @@ from eigenshift.fem2d import CoefficientField, DomainSpec, assemble, carve_subsp
 from eigenshift.hilbert import (
     EnergySpace,
     Subspace,
+    SubspacePair,
     corrector_block,
     eigenspace_images,
-    intersection_subspace,
     sigma_distance,
     solve_operator_eigs,
 )
@@ -25,7 +25,6 @@ from eigenshift.perturbation import (
     predict_and_check,
     spectral_window,
 )
-from eigenshift.perturbation import _direction_of
 
 import oracles
 
@@ -43,7 +42,7 @@ def small_shrink_setup(n=16, eps_cells=2):
 
 
 def _images(h1, h2, x_m, lam):
-    return eigenspace_images(h1, h2, x_m, lam, intersection_subspace(h1, h2))
+    return eigenspace_images(SubspacePair(h1, h2), x_m, lam)
 
 
 # -- localization ---------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_localize_truncated_partial_spectrum_is_unproven():
 def test_localize_small_shrink_matches_scaled_square():
     # eps = h keeps the first eigenvalue well inside its window and the gate open
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=24, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     loc = localize(eigs1, eigs2, 1, sigma)
     scaled = PI2_2 / (1.0 - 2.0 / 24.0) ** 2
     assert loc.counted and loc.admitted
@@ -156,7 +155,7 @@ def test_localize_small_shrink_matches_scaled_square():
 
 def test_localize_degenerate_pair_returned_together():
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=20, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     loc = localize(eigs1, eigs2, 2, sigma)
     assert loc.mu.shape == (2,)
     scaled = 5.0 * np.pi**2 / (1.0 - 2.0 / 20.0) ** 2
@@ -175,7 +174,7 @@ def test_proximity_zero_distance():
 
 def test_proximity_idempotent_input():
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=16, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x2, _ = eigs1.group(2)
     images = _images(h1, h2, x2, lam)
     # vectors in span(S2 X), next to the eigenvector they are compared with
@@ -190,7 +189,7 @@ def test_proximity_matches_explicit_basis_projection():
     # the Gram route against the dense projector onto span(S2 X) from its
     # explicit basis S2 X
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=16, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x2, _ = eigs1.group(2)
     images = _images(h1, h2, x2, lam)
     p_m = oracles.projector_matrix(space.energy_gram, h2.project_block(x2))
@@ -214,7 +213,7 @@ def test_proximity_zero_sigma_with_mismatch_raises():
 
 def test_correction_shrink_reduces_to_complement_form():
     space, h1, h2, eigs1, _ = small_shrink_setup(n=16, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x1, _ = eigs1.group(1)
     cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     phi = x1[:, 0]
@@ -236,7 +235,7 @@ def test_correction_expand_is_positive():
     h1 = carve_subspace(space, mesh, DomainSpec("square_shrink", eps=2.0 / 16.0))
     h2 = space.whole()
     eigs1 = solve_operator_eigs(h1, group_tol=1e-6)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x1, _ = eigs1.group(1)
     cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     t_phi = x1[:, 0] - h2.project_block(x1[:, 0])
@@ -264,7 +263,7 @@ def test_correction_first_order_magnitude():
     # eps = h = 0.05: tau within 35% of the leading-order -2 eps/pi^2 (the
     # pencil eigenvalue carries a genuine ~ +4 eps relative second-order term)
     space, h1, h2, eigs1, _ = small_shrink_setup(n=20, eps_cells=1)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x1, _ = eigs1.group(1)
     cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
     eps = 1.0 / 20.0
@@ -409,7 +408,7 @@ def test_correction_non_nested_domains():
     assert i1 - i2 and i2 - i1  # genuinely non-nested
     eigs1 = solve_operator_eigs(h1, group_tol=10.0 / n**2)
     eigs2 = solve_operator_eigs(h2, group_tol=10.0 / n**2)
-    sigma = sigma_distance(h1, h2)
+    sigma = sigma_distance(SubspacePair(h1, h2))
     loc = localize(eigs1, eigs2, 1, sigma)
     assert loc.admitted
     lam, x1, _ = eigs1.group(1)
@@ -494,7 +493,7 @@ def test_th1_pencil_regression(th1_report):
 def test_direction_of_index_sets():
     space = EnergySpace(np.eye(5), np.eye(5))
     abc, ab, bcd = (Subspace.nodal(space, idx) for idx in ([0, 1, 2], [0, 1], [1, 2, 3]))
-    assert _direction_of(abc, Subspace.nodal(space, [2, 1, 0])) == "equal"
-    assert _direction_of(abc, ab) == "shrink"
-    assert _direction_of(ab, abc) == "expand"
-    assert _direction_of(abc, bcd) == "none"
+    assert SubspacePair(abc, Subspace.nodal(space, [2, 1, 0])).direction == "equal"
+    assert SubspacePair(abc, ab).direction == "shrink"
+    assert SubspacePair(ab, abc).direction == "expand"
+    assert SubspacePair(abc, bcd).direction == "none"

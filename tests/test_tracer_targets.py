@@ -14,11 +14,12 @@ import importlib.util
 import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from eigenshift import fem2d, hilbert
+from eigenshift import fem2d, harness, hilbert
 from eigenshift.eigsolve import SymmetricPencil, solve_pencil
 from eigenshift.fem2d import CoefficientField
 
@@ -75,3 +76,34 @@ def test_bench_setup_task_runs_on_the_smoke_config(monkeypatch, tmp_path):
     config.write_text(json.dumps(workloads.FEM_CONFIGS["smoke"]))
     out = child.task_setup(argparse.Namespace(config=str(config)))
     assert out["setup_s"] > out["import_s"] >= 0.0
+
+
+def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
+    # the bench's sigma metrics read the hilbert.sigma_distance spans: one per
+    # eps, with the Lanczos solve of the pair's pencil inside it, and none in
+    # the hilbert.sigma_star span, which reads the same solve
+    importlib.import_module("eigenshift.cli")  # the tracer wraps cli.main too
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS["smoke"])
+    started = []
+    true_lanczos = hilbert._lanczos_top
+
+    def spy(*args):
+        started.append(time.perf_counter())
+        return true_lanczos(*args)
+
+    monkeypatch.setattr(hilbert, "_lanczos_top", spy)
+    probe = tracer.Tracer("tier1")
+    probe.install()
+    try:
+        report = harness.run_scenario(config)
+    finally:
+        probe.uninstall()
+    assert report.passed, report.failures
+
+    def solves_inside(name):
+        spans = [span for span in probe.spans if span[2] == name]
+        return [sum(span[3] <= t <= span[4] for t in started) for span in spans]
+
+    assert solves_inside("hilbert.sigma_distance") == [1] * len(config.eps)
+    assert solves_inside("hilbert.sigma_star") == [0] * len(config.eps)
