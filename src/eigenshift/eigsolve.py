@@ -1,14 +1,13 @@
 """Dense symmetric generalized eigenvalue kernel with residual certification.
 
-Dense spectral computations funnel through :func:`solve_pencil`, so their
-ordering, sign conventions and residual checks are uniform.  It always
-solves, and returns, the complete pencil.  A partial spectrum comes only
-from the Lanczos routine of :mod:`hilbert`: the lowest eigenpairs of a
-nodal subspace, as the top eigenpairs of (M_II, A_II).  Those pairs pass
-the same residual allowance (:func:`_certify`, on the sparse blocks), and
-a Sylvester inertia count from sparse pivots inside the gap above the kept
-ones, with no dense fallback, certifies that no eigenvalue below them was
-missed.
+:func:`solve_pencil` solves, and returns, a complete dense pencil with a
+uniform ordering, sign convention and residual check (:func:`_certify`).
+The one routine for the top eigenpairs of a nodal pencil (K, A_II),
+``hilbert._top_eigs``, calls it up to scipy's default Krylov size
+max(2k + 1, 20) and runs Lanczos above it; its callers certify every pair
+with :func:`_certify`, which also takes K as a callback.  Only Lanczos gives
+a partial spectrum, and a Sylvester inertia count from sparse pivots inside
+the gap above the kept pairs certifies that none below them was missed.
 """
 
 from __future__ import annotations
@@ -111,14 +110,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _certify(a, b, theta: np.ndarray, vectors: np.ndarray) -> None:
-    """Residual check of the pairs of a x = theta b x; a and b are dense or sparse."""
-    norm = spla.norm if sp.issparse(a) else np.linalg.norm
-    norm_a = norm(a)
-    norm_b = norm(b)
-    resid = a @ vectors - b @ vectors * theta[np.newaxis, :]
+    """Residual check of the pairs of a x = theta b x, b dense or sparse, a of the same kind
+    or a callback applying it, whose |a x| / |x| stands in for |a|_F (never above it)."""
+    norm = spla.norm if sp.issparse(b) else np.linalg.norm
+    if callable(a):
+        a_vecs = a(vectors)
+        norm_a = np.linalg.norm(a_vecs, axis=0) / np.linalg.norm(vectors, axis=0)
+    else:
+        a_vecs, norm_a = a @ vectors, norm(a)
+    resid = a_vecs - b @ vectors * theta[np.newaxis, :]
     resid_norms = np.linalg.norm(resid, axis=0)
     vec_norms = np.maximum(1.0, np.linalg.norm(vectors, axis=0))
-    allowed = 1e-9 * (norm_a + np.abs(theta) * norm_b) * vec_norms
+    allowed = 1e-9 * (norm_a + np.abs(theta) * norm(b)) * vec_norms
     bad = resid_norms > allowed
     if np.any(bad):
         k = int(np.argmax(resid_norms - allowed))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import EnergySpace, Subspace
+from .hilbert import EnergySpace, Subspace, _index_array
 
 __all__ = [
     "BackgroundMesh",
@@ -239,7 +239,7 @@ class DomainSpec:
     def kept_elements(self, mesh: BackgroundMesh) -> np.ndarray:
         """Ids of the triangles making up the domain."""
         if self.kind == "element_mask":
-            ids = np.unique(np.asarray(self.elements, dtype=int))
+            ids = np.unique(_index_array(self.elements, MeshError))
             if ids.size and (ids[0] < 0 or ids[-1] >= mesh.n_triangles):
                 raise MeshError("element_mask contains an unknown element id")
             return ids
@@ -348,7 +348,7 @@ def gradient_energy_form(
 ) -> np.ndarray:
     """Quadratic form of the region gradient energy on a vector or an N x J
     block of vectors."""
-    region = np.asarray(region, dtype=int)
+    region = _index_array(region, MeshError)
     if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
         raise MeshError("region contains an unknown element id")
     block = space.check_vector(block).reshape(space.dim, -1)
@@ -361,7 +361,7 @@ def gradient_energy_form(
 
 
 def region_area(mesh: BackgroundMesh, region: np.ndarray) -> float:
-    return float(mesh.areas[np.asarray(region, dtype=int)].sum())
+    return float(mesh.areas[_index_array(region, MeshError)].sum())
 
 
 def symmetric_difference_area(

@@ -16,24 +16,19 @@ H2, any two subspaces are coordinate spans, and every quantity here is
 invariant under the congruence A -> B'AB, M -> B'MB.  Every subspace
 operator (projector, solution operator, corrector) is one representer
 solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
-energy block A_II (on every index, the parent's factor of A), and one
-Lanczos routine, :func:`_lanczos_top`, finds the top eigenpairs of a pencil
-(K, A_II) through that factor from a seeded start vector.  It serves two
-callers.  The lowest eigenpairs of a subspace are the top ones of
-(M_II, A_II); each pair passes the residual allowance of
-:func:`eigsolve.solve_pencil`, and the number kept must equal the Sylvester
-inertia count below the gap above them, read from sparse pivots at a shift
-inside that gap (spectrum slicing; no dense fallback).  A
-:class:`SubspacePair` decides once how two subspaces relate (their union,
-intersection and direction), and the pair quantities take it: sigma and
-sigma* are the largest eigenvalue of the pencil (D' M D, A) on the
-coordinates of I1 u I2, certified like :func:`eigsolve.solve_pencil` and
-solved once per pair, and a FEM cell's :func:`eigenspace_images` makes its
-two solves (S2 X and the correctors) and takes every J x J form the cell
-reads, once.  What stays dense is sized by a subspace, not by the space:
-complete spectra and the small pencils.
-Only the abstract suite's small spaces read the dense Gram views:
-:func:`embedding_constant`, its grid oracle and its counterexamples.
+energy block A_II (on every index, the parent's factor of A).
+
+One routine, :func:`_top_eigs`, finds the top eigenpairs of a pencil
+(K, A_II): the complete dense pencil up to scipy's default Krylov size
+max(2k + 1, 20), where ARPACK's Krylov space would be the whole subspace,
+and Lanczos through the factor from a seeded start vector above it; every
+pair passes the residual allowance of :func:`eigsolve._certify`.  The
+lowest eigenpairs of a subspace are the top ones of (M_II, A_II), and a
+partial result must match the Sylvester inertia count below the gap above
+it (spectrum slicing from sparse pivots).  sigma, sigma* and the embedding
+constant are largest eigenvalues; a :class:`SubspacePair` decides once how
+two subspaces relate and solves each of its pencils once.  Only the
+abstract suite's counterexamples and grid oracle read the dense Gram views.
 """
 
 from __future__ import annotations
@@ -85,6 +80,15 @@ class SubspaceRankError(ValueError):
 
 class NotInSubspaceError(ValueError):
     """A vector required to lie in a subspace does not."""
+
+
+def _index_array(values, error: type = DimensionMismatchError) -> np.ndarray:
+    """The int array of an index list; ``error`` for any other dtype, which a
+    cast would truncate (floats) or read as the indices 0 and 1 (a mask)."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise error(f"indices must be integers, got dtype {values.dtype}")
+    return values.astype(int, copy=False)
 
 
 def _check_gram(mat, name: str) -> sp.csr_array:
@@ -218,7 +222,7 @@ class Subspace:
     """
 
     def __init__(self, parent: EnergySpace, indices):
-        indices = np.unique(np.asarray(indices, dtype=int))
+        indices = np.unique(_index_array(indices))
         if indices.size and (indices[0] < 0 or indices[-1] >= parent.dim):
             raise DimensionMismatchError("nodal index out of range")
         if indices.size < 1:
@@ -329,8 +333,7 @@ class EigenDecomposition:
 
 def embedding_constant(space: EnergySpace) -> float:
     """Smallest c0 with mass_norm(u) <= c0 * energy_norm(u) for all u."""
-    theta, _ = solve_pencil(SymmetricPencil(space.mass_gram, space.energy_gram))
-    return float(np.sqrt(max(theta[-1], 0.0)))
+    return float(np.sqrt(_pencil_max(space.whole(), lambda x: space.mass_csr @ x)))
 
 
 def apply_T2(h2: Subspace, phi: np.ndarray) -> np.ndarray:
@@ -362,26 +365,28 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
 
 
-def _pencil_max(union: Subspace, step, numerator) -> float:
+def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Top k eigenpairs of a pencil (K, A_II) on the coordinates of a nodal
+    subspace, descending and A_II-orthonormal, and whether they are all.  Up
+    to scipy's default Krylov size max(2k + 1, 20), ``apply_k`` builds the
+    complete dense pencil, and above it :func:`_lanczos_top` applies
+    ``step``, which need only agree with K on the Krylov space."""
+    if sub.dim <= max(2 * k + 1, 20):
+        kmat = apply_k(np.eye(sub.dim))
+        theta, vecs = solve_pencil(SymmetricPencil(kmat, sub._energy_block.toarray()))
+    else:
+        theta, vecs = _lanczos_top(sub, step or apply_k, k)
+    order = np.argsort(-theta, kind="stable")
+    return theta[order], vecs[:, order], theta.size == sub.dim
+
+
+def _pencil_max(union: Subspace, numerator, step=None) -> float:
     """Largest eigenvalue, clipped at 0, of a pencil (K, A_UU) on the
-    coordinates of ``union``: Lanczos applies ``step``, which need only agree
-    with K on the Krylov space, and the eigenpair from :func:`_lanczos_top`
-    is certified with the full numerator K (``numerator``) against the
-    residual allowance of solve_pencil, with |K x| / |x| standing in for
-    |K|_F, which it never exceeds."""
-    a_uu = union._energy_block
-    theta, vecs = _lanczos_top(union, step, 1)
-    theta = float(theta[0])
-    x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (a_uu @ vecs[:, 0]))  # A-normalized, as in solve_pencil
-    kx, x_norm = numerator(x), np.linalg.norm(x)
-    resid = np.linalg.norm(kx - theta * (a_uu @ x))
-    allowed = 1e-9 * (np.linalg.norm(kx) / x_norm + abs(theta) * np.linalg.norm(a_uu.data))
-    allowed *= max(1.0, x_norm)
-    if not resid <= allowed:
-        raise PencilError(
-            f"Lanczos eigenpair certification failed: residual {resid:.3e} > allowed {allowed:.3e}"
-        )
-    return max(theta, 0.0)
+    coordinates of ``union``, K applied by ``numerator``: the certified top
+    pair of :func:`_top_eigs`."""
+    theta, vecs, _ = _top_eigs(union, numerator, 1, step)
+    _certify(numerator, union._energy_block, theta[:1], vecs[:, :1])
+    return max(float(theta[0]), 0.0)
 
 
 class SubspacePair:
@@ -395,15 +400,13 @@ class SubspacePair:
     H2, and "none" for a crossing pair.
 
     Each distance is the largest eigenvalue of a pencil (D' M D, A) on the
-    union coordinates U, where D vanishes on the union's energy-orthogonal
-    complement, and is solved once.  ``sigma_star`` takes D = S_union -
-    S_inter = P with P u = u - S_inter u (P = I with no intersection).  P is
-    A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps into range(P), where
-    P' M P = P' M: Lanczos applies P' M alone, one solve with the
-    intersection's factor per step (see :func:`_lanczos_top` for the start
-    vector).  ``sigma`` takes D = S1 - S2, which is +-P for a nested pair, so
-    it is ``sigma_star``; a crossing pair solves D = G A, G the difference
-    of the two embedded solves: four solves per step.
+    union coordinates, solved once by :func:`_pencil_max`.  ``sigma_star``
+    takes D = S_union - S_inter = P, P u = u - S_inter u (P = I with no
+    intersection).  P is A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps
+    into range(P), where P' M P = P' M: Lanczos applies P' M alone, one
+    solve with the intersection's factor per step.  ``sigma`` takes
+    D = S1 - S2, which is +-P for a nested pair, so it is ``sigma_star``; a
+    crossing pair solves D = G A, G the difference of two embedded solves.
     """
 
     def __init__(self, h1: Subspace, h2: Subspace):
@@ -448,7 +451,7 @@ class SubspacePair:
                 coords = (u - inter._solve(a @ u))[union.indices]
             return step(coords)
 
-        return _pencil_max(union, step, numerator)
+        return _pencil_max(union, numerator, step)
 
     @cached_property
     def sigma(self) -> float:
@@ -463,7 +466,7 @@ class SubspacePair:
         def numerator(coords):
             return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
 
-        return _pencil_max(union, numerator, numerator)
+        return _pencil_max(union, numerator)
 
 
 def sigma_distance(pair: SubspacePair) -> float:
@@ -492,29 +495,26 @@ def solve_operator_eigs(
     relative gap is at most ``group_tol``; each group's basis is
     energy-orthonormal in the ambient coordinates.
 
-    ``n_lowest`` on a subspace of more than ``n_lowest + 4`` dofs takes
-    the top ``n_lowest + 3`` eigenpairs of (M_II, A_II), whose eigenvalues
-    are 1/lambda, from :func:`_lanczos_top`, certifies each like solve_pencil
-    and drops the trailing, possibly split group; :class:`PencilError` is
-    raised unless the Sylvester count below the gap above the kept groups
-    equals the number kept.  Every other request solves the complete dense
-    pencil and returns all of it.
+    The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
+    1/lambda, from :func:`_top_eigs`: ``n_lowest + 3`` of them, or all when
+    ``n_lowest`` is None, and each is certified like solve_pencil.  A
+    partial result drops its trailing, possibly split group, and
+    :class:`PencilError` is raised unless the Sylvester count below the gap
+    above the kept groups equals the number kept.  A complete result is
+    returned whole.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
     a_res, m_res = sub.restricted_grams()
-    d = sub.dim
-    lanczos = n_lowest is not None and n_lowest + 3 < d - 1
-    if lanczos:
-        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, n_lowest + 3)
-        order = np.argsort(-theta, kind="stable")
-        lam = 1.0 / theta[order]
-        # A_II-orthonormal pairs of (M_II, A_II) become M_II-orthonormal ones
-        coords = coords[:, order]
-        coords *= np.sqrt(lam)
-        _certify(a_res, m_res, lam, coords)
-        groups = _group_boundaries(lam, group_tol)
+    k = sub.dim if n_lowest is None else n_lowest + 3
+    theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, k)
+    lam = 1.0 / theta
+    # A_II-orthonormal pairs of (M_II, A_II) become M_II-orthonormal ones
+    coords *= np.sqrt(lam)
+    _certify(a_res, m_res, lam, coords)
+    groups = _group_boundaries(lam, group_tol)
+    if not complete:
         if len(groups) == 1:
             raise PencilError(
                 "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
@@ -528,10 +528,7 @@ def solve_operator_eigs(
                 f"Lanczos kept {kept} eigenvalues, but {below} lie below the gap "
                 f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
             )
-    else:
-        lam, coords = solve_pencil(SymmetricPencil(a_res.toarray(), m_res.toarray()))
-        groups = _group_boundaries(lam, group_tol)
-    blocks = np.empty((d, groups[-1].stop))
+    blocks = np.empty((sub.dim, groups[-1].stop))
     for sel in groups:
         # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
         block = coords[:, sel] / np.sqrt(lam[sel])[np.newaxis, :]
@@ -553,7 +550,7 @@ def solve_operator_eigs(
         values=np.array(values),
         spaces=spaces,
         multiplicities=np.array(mults, dtype=int),
-        complete=not lanczos,
+        complete=complete,
         spreads=np.array(spreads),
     )
 

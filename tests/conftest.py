@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eigenshift import fem2d, hilbert
+from eigenshift import eigsolve, fem2d, hilbert, perturbation
 from eigenshift.fem2d import CoefficientField, unit_square_mesh
 from eigenshift.harness import ScenarioConfig, run_scenario
 
@@ -38,7 +38,9 @@ def _refuse_toarray(monkeypatch, limit):
 @pytest.fixture
 def dense_free(monkeypatch):
     """Make every dense array sized by the mesh raise: the dense Grams of an
-    energy space, and any sparse matrix larger than DENSE_ROWS_LIMIT."""
+    energy space, any sparse matrix larger than DENSE_ROWS_LIMIT, and any
+    dense pencil larger than that, which a callback applied to the identity
+    builds without a toarray."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")
@@ -46,6 +48,15 @@ def dense_free(monkeypatch):
     for name in ("energy_gram", "mass_gram"):
         monkeypatch.setattr(hilbert.EnergySpace, name, property(refuse))
     _refuse_toarray(monkeypatch, DENSE_ROWS_LIMIT)
+    true_solve = eigsolve.solve_pencil
+
+    def solve_pencil(pencil):
+        if pencil.dim > DENSE_ROWS_LIMIT:
+            raise AssertionError(f"a dense pencil of {pencil.dim} rows was solved")
+        return true_solve(pencil)
+
+    for module in (eigsolve, hilbert, perturbation):
+        monkeypatch.setattr(module, "solve_pencil", solve_pencil)
 
 
 @pytest.fixture

@@ -161,6 +161,28 @@ def test_element_mask_unknown_id():
         spec.kept_elements(mesh)
 
 
+@pytest.mark.parametrize("entry", ["element_mask", "gradient_energy_form", "region_area"])
+def test_element_ids_refuse_non_integer_dtypes(entry):
+    # a cast would keep elements [0, 3] of [0.7, 3.2], and read a 32-entry
+    # mask with 4 entries set as the ids 0 and 1, of area 1.0 instead of 0.125
+    from eigenshift.fem2d import gradient_energy_form
+
+    mesh = unit_square_mesh(4)
+    space = assemble(mesh, CoefficientField.identity())
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[:4] = True
+    floats = DomainSpec("element_mask", elements=[0.7, 3.2])
+    call = {
+        "element_mask": lambda: floats.kept_elements(mesh),
+        "gradient_energy_form": lambda: gradient_energy_form(
+            space, mesh, np.array([0.5, 2.9]), np.zeros(space.dim)
+        ),
+        "region_area": lambda: region_area(mesh, mask),
+    }[entry]
+    with pytest.raises(MeshError, match="integers"):
+        call()
+
+
 def test_element_mask_matches_equivalent_region():
     mesh = unit_square_mesh(8)
     space = assemble(mesh, CoefficientField.identity())

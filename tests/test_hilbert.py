@@ -119,6 +119,13 @@ def test_projection_dimension_mismatch():
         Subspace.nodal(space, [])
 
 
+@pytest.mark.parametrize("indices", [[0.5, 2.9], [True, False, True]], ids=["float", "mask"])
+def test_nodal_indices_refuse_non_integer_dtypes(indices):
+    # a cast would read the floats as [0, 2] and the mask as the indices [0, 1]
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        Subspace.nodal(euclid_space(3), indices)
+
+
 def test_projector_laws_random():
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -598,6 +605,73 @@ def test_lanczos_no_convergence_is_pencil_error(monkeypatch):
     assert isinstance(err.value.__cause__, hilbert.ArpackError)
 
 
+def _count_lanczos(monkeypatch):
+    """Record the subspace dimension of every ARPACK solve."""
+    dims = []
+    true_lanczos = hilbert._lanczos_top
+
+    def spy(sub, *rest):
+        dims.append(sub.dim)
+        return true_lanczos(sub, *rest)
+
+    monkeypatch.setattr(hilbert, "_lanczos_top", spy)
+    return dims
+
+
+@pytest.mark.parametrize("dofs", [20, 21])
+def test_sigma_solves_dense_up_to_the_krylov_size(monkeypatch, dofs):
+    # k = 1: scipy's default Krylov size is max(2 k + 1, 20) = 20, so a union
+    # of 20 dofs solves the complete dense pencil and one of 21 runs Lanczos
+    rng = np.random.default_rng(30)
+    space = random_space(rng, 24)
+    h1, h2 = Subspace.nodal(space, range(15)), Subspace.nodal(space, range(dofs - 15, dofs))
+    pair = SubspacePair(h1, h2)
+    assert pair.direction == "none" and pair.union.dim == dofs
+    lanczos = _count_lanczos(monkeypatch)
+    want_sigma, want_star = oracles.nodal_sigmas(
+        space.energy_gram, space.mass_gram, h1.indices, h2.indices
+    )
+    assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-9)
+    assert sigma_star(pair) == pytest.approx(want_star, rel=1e-9)
+    assert lanczos == ([] if dofs == 20 else [dofs, dofs])
+
+
+@pytest.mark.parametrize("dofs", [20, 21])
+def test_lowest_eigs_solve_dense_up_to_the_krylov_size(monkeypatch, dofs):
+    # n_lowest = 6 asks k = 9 pairs: dense up to max(2 k + 1, 20) = 20 dofs
+    rng = np.random.default_rng(31)
+    space = random_space(rng, 24)
+    sub = Subspace.nodal(space, range(dofs))
+    lanczos = _count_lanczos(monkeypatch)
+    eigs = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=6)
+    want = oracles.operator_eigs(space.energy_gram, space.mass_gram, coordinate_basis(sub))
+    assert eigs.complete == (dofs == 20)
+    assert lanczos == ([] if dofs == 20 else [dofs])
+    assert eigs.n_computed == (dofs if eigs.complete else eigs.n_groups)
+    assert eigs.n_groups >= 6
+    assert np.abs(eigs.values / want[: eigs.n_groups] - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["crossing", "nested"])
+def test_small_union_sigma_is_the_largest_eigenvalue(monkeypatch, kind):
+    # the pencil's second eigenpair is an eigenpair, so it passes the residual
+    # certificate; a union of at most 20 dofs is solved completely, and its
+    # sigma is the largest eigenvalue whatever ARPACK would return
+    rng = np.random.default_rng(32)
+    space = random_space(rng, 10)
+    outer, inner = (range(6), range(3, 10)) if kind == "crossing" else (range(10), range(4))
+    h1, h2 = Subspace.nodal(space, outer), Subspace.nodal(space, inner)
+    true_lanczos = hilbert._lanczos_top
+
+    def second_pair(sub, matvec, k):
+        theta, vecs = true_lanczos(sub, matvec, k + 1)  # ascending
+        return theta[:k], vecs[:, :k]
+
+    monkeypatch.setattr(hilbert, "_lanczos_top", second_pair)
+    want, _ = oracles.nodal_sigmas(space.energy_gram, space.mass_gram, h1.indices, h2.indices)
+    assert sigma_distance(SubspacePair(h1, h2)) == pytest.approx(want, rel=1e-9)
+
+
 def test_inertia_count_matches_dense_eigenvalue_count():
     space, sub = _lanczos_case(12, "notch_checker")
     a, m = sub.restricted_grams()
@@ -698,15 +772,16 @@ def _check_partial_against_full(sub, n_lowest):
 
 
 def test_partial_decomposition():
+    # n_lowest = 5 asks 8 pairs, which Lanczos serves above max(2 * 8 + 1, 20) dofs
     rng = np.random.default_rng(15)
-    _check_partial_against_full(random_space(rng, 12).whole(), n_lowest=5)
+    _check_partial_against_full(random_space(rng, 24).whole(), n_lowest=5)
 
 
 @pytest.mark.parametrize("kind", ["nodal_small"])
 def test_partial_decomposition_dense(kind):
-    # a request that Lanczos does not serve: n_lowest < d <= n_lowest + 4,
-    # where the request n_lowest + 3 leaves too few dropped eigenvalues; it
-    # solves the complete dense pencil and returns all of it
+    # a request on at most max(2 (n_lowest + 3) + 1, 20) dofs, where ARPACK's
+    # Krylov space would be the whole subspace, solves the complete dense
+    # pencil and returns all of it
     rng = np.random.default_rng(15)
     space = random_space(rng, 12)
     sub = Subspace.nodal(space, range(9))

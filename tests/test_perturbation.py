@@ -124,11 +124,12 @@ def test_localize_lenient_records_flags():
 def test_localize_truncated_partial_spectrum_is_unproven():
     # the partial solve keeps 1, 2, 3 and drops 3.2, which also lies in the
     # m=3 window, eigenvalues in (2.4, 3.43): counting only the kept ones
-    # would find J_3 = 1 and undercount
+    # would find J_3 = 1 and undercount; 21 dofs lie above the dense switch
     eigs1 = solve_operator_eigs(
         EnergySpace(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.eye(6)).whole(), group_tol=1e-9
     )
-    space2 = EnergySpace(np.diag([1.0, 2.0, 3.0, 3.2, 5.0, 6.0]), np.eye(6))
+    diag2 = np.concatenate([[1.0, 2.0, 3.0, 3.2], np.arange(5.0, 22.0)])
+    space2 = EnergySpace(np.diag(diag2), np.eye(21))
     eigs2 = solve_operator_eigs(space2.whole(), group_tol=1e-9, n_lowest=1)
     assert not eigs2.complete
     assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)

@@ -5,7 +5,8 @@ reads call arguments by parameter name in its ``ATTRS``; ``perfbench/child.py``
 times the calls ``run_scenario`` makes before its eps loop.  The benchmark's
 own self-tests lie outside this suite's test paths, so without these checks a
 rename that breaks the bench run would still pass here.  Both are loaded from
-their files and not modified.
+their files and not modified, and so are the bench's FEM workloads, whose
+factorizations and Lanczos solves are counted here.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from eigenshift import fem2d, harness, hilbert
 from eigenshift.eigsolve import SymmetricPencil, solve_pencil
@@ -107,3 +109,31 @@ def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
 
     assert solves_inside("hilbert.sigma_distance") == [1] * len(config.eps)
     assert solves_inside("hilbert.sigma_star") == [0] * len(config.eps)
+
+
+@pytest.mark.parametrize(
+    "workload, factors, solves", [("shrink_sweep", 10, 8), ("notch_checker", 11, 9)]
+)
+def test_bench_fem_workloads_keep_their_sparse_solves(
+    dense_free, monkeypatch, workload, factors, solves
+):
+    # the bench measures these sparse factorizations and ARPACK solves; a
+    # change to how pencils are solved must not add, drop or densify any
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS[workload])
+    counts = {"factors": 0, "solves": 0}
+    true_splu, true_lanczos = hilbert._symmetric_splu, hilbert._lanczos_top
+
+    def splu(mat):
+        counts["factors"] += 1
+        return true_splu(mat)
+
+    def lanczos(*args):
+        counts["solves"] += 1
+        return true_lanczos(*args)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", splu)
+    monkeypatch.setattr(hilbert, "_lanczos_top", lanczos)
+    report = harness.run_scenario(config)
+    assert report.passed, report.failures
+    assert counts == {"factors": factors, "solves": solves}
