@@ -2,18 +2,19 @@
 
 :func:`solve_pencil` solves, and returns, a complete dense pencil with a
 uniform ordering, sign convention and residual check (:func:`_certify`).
-The one routine for the top eigenpairs of a nodal pencil (K, A_II),
-``hilbert._top_eigs``, calls it up to scipy's default Krylov size
-max(2k + 1, 20) and runs Lanczos above it; its callers certify every pair
-with :func:`_certify`, which also takes K as a callback.  Only Lanczos gives
-a partial spectrum, and a Sylvester inertia count from sparse pivots inside
-the gap above the kept pairs certifies that none below them was missed.
+Every dense pencil goes through LAPACK's generalized driver (:func:`_eigh`).
+``hilbert._top_eigs`` calls it up to scipy's default Krylov size
+max(2k + 1, 20), runs Lanczos above it and certifies nothing: its callers
+certify each pair once with :func:`_certify`, which also takes K as a
+callback.  Only Lanczos gives a partial spectrum, and a Sylvester inertia
+count from sparse pivots inside the gap above the kept pairs certifies that
+none below them was missed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,14 +51,6 @@ class NotPositiveDefiniteError(PencilError):
         )
 
 
-def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor, or NotPositiveDefiniteError naming the matrix."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(name, float(np.linalg.eigvalsh(mat)[0])) from None
-
-
 def _symmetrize(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -78,12 +71,12 @@ class SymmetricPencil:
     """Pair (a, b) of a symmetric matrix and an s.p.d. right-hand matrix.
 
     Both matrices are symmetrized on construction; asymmetry beyond 1e-9
-    relative triggers a warning rather than silent repair.
+    relative triggers a warning rather than silent repair.  An indefinite b
+    raises NotPositiveDefiniteError.
     """
 
     a: np.ndarray
     b: np.ndarray
-    _b_cho: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.a = _symmetrize(self.a, "a")
@@ -92,7 +85,10 @@ class SymmetricPencil:
             raise PencilError(
                 f"pencil matrices must share a shape, got {self.a.shape} and {self.b.shape}"
             )
-        self._b_cho = _cholesky(self.b, "b")
+        try:
+            np.linalg.cholesky(self.b)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("b", float(np.linalg.eigvalsh(self.b)[0])) from None
 
     @property
     def dim(self) -> int:
@@ -111,16 +107,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def _certify(a, b, theta: np.ndarray, vectors: np.ndarray) -> None:
     """Residual check of the pairs of a x = theta b x, b dense or sparse, a of the same kind
-    or a callback applying it, whose |a x| / |x| stands in for |a|_F (never above it)."""
+    or a callback applying it, whose |a x| / |x| stands in for |a|_F (never above it).
+    The allowance 1e-9 (|a| + |theta| |b|_F) |x| ignores the scale of x, and
+    (x, theta) of (a, b) passes exactly when (x, 1/theta) of (b, a) does."""
     norm = spla.norm if sp.issparse(b) else np.linalg.norm
+    vec_norms = np.linalg.norm(vectors, axis=0)
     if callable(a):
         a_vecs = a(vectors)
-        norm_a = np.linalg.norm(a_vecs, axis=0) / np.linalg.norm(vectors, axis=0)
+        norm_a = np.linalg.norm(a_vecs, axis=0) / vec_norms
     else:
         a_vecs, norm_a = a @ vectors, norm(a)
     resid = a_vecs - b @ vectors * theta[np.newaxis, :]
     resid_norms = np.linalg.norm(resid, axis=0)
-    vec_norms = np.maximum(1.0, np.linalg.norm(vectors, axis=0))
     allowed = 1e-9 * (norm_a + np.abs(theta) * norm(b)) * vec_norms
     bad = resid_norms > allowed
     if np.any(bad):
@@ -131,26 +129,22 @@ def _certify(a, b, theta: np.ndarray, vectors: np.ndarray) -> None:
         )
 
 
+def _eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs of a x = theta b x by LAPACK's generalized driver, ascending, b-orthonormal."""
+    try:
+        return sla.eigh(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise PencilError(f"dense symmetric eigensolve failed: {exc}") from exc
+
+
 def solve_pencil(pencil: SymmetricPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a x = theta b x completely.
+    """Solve a x = theta b x completely with LAPACK's generalized driver.
 
     Returns eigenvalues ascending and b-orthonormal eigenvectors (columns),
     signs fixed so the largest-magnitude entry of each vector is positive.
-    Residuals are certified against 1e-9*(|a|_F + |theta| |b|_F) per vector.
-    The pencil is reduced through the Cholesky factor of b to a dense
-    symmetric eigenproblem.
+    Residuals are certified against 1e-9*(|a|_F + |theta| |b|_F) |x| per vector.
     """
-    ell = pencil._b_cho
-    c = sla.solve_triangular(ell, pencil.a, lower=True)
-    c = sla.solve_triangular(ell, c.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    try:
-        theta, y = np.linalg.eigh(c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise PencilError(f"dense symmetric eigensolve failed: {exc}") from exc
-    vectors = sla.solve_triangular(ell, y, lower=True, trans="T")
-    order = np.argsort(theta, kind="stable")
-    theta = theta[order]
-    vectors = _fix_signs(vectors[:, order])
+    theta, vectors = _eigh(pencil.a, pencil.b)
+    vectors = _fix_signs(vectors)
     _certify(pencil.a, pencil.b, theta, vectors)
     return theta, vectors

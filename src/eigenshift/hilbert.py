@@ -21,8 +21,9 @@ energy block A_II (on every index, the parent's factor of A).
 One routine, :func:`_top_eigs`, finds the top eigenpairs of a pencil
 (K, A_II): the complete dense pencil up to scipy's default Krylov size
 max(2k + 1, 20), where ARPACK's Krylov space would be the whole subspace,
-and Lanczos through the factor from a seeded start vector above it; every
-pair passes the residual allowance of :func:`eigsolve._certify`.  The
+by LAPACK's generalized driver, and Lanczos through the factor from a seeded
+start vector above it; each caller certifies every pair it reads once with
+:func:`eigsolve._certify`, whose allowance is relative to |x|.  The
 lowest eigenpairs of a subspace are the top ones of (M_II, A_II), and a
 partial result must match the Sylvester inertia count below the gap above
 it (spectrum slicing from sparse pivots).  sigma, sigma* and the embedding
@@ -40,8 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
-from .eigsolve import _certify, _fix_signs
+from .eigsolve import NotPositiveDefiniteError, PencilError, _certify, _eigh, _fix_signs
 
 __all__ = [
     "EnergySpace",
@@ -370,10 +370,11 @@ def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np
     subspace, descending and A_II-orthonormal, and whether they are all.  Up
     to scipy's default Krylov size max(2k + 1, 20), ``apply_k`` builds the
     complete dense pencil, and above it :func:`_lanczos_top` applies
-    ``step``, which need only agree with K on the Krylov space."""
+    ``step``, which need only agree with K on the Krylov space.  The caller
+    certifies the pairs it reads."""
     if sub.dim <= max(2 * k + 1, 20):
         kmat = apply_k(np.eye(sub.dim))
-        theta, vecs = solve_pencil(SymmetricPencil(kmat, sub._energy_block.toarray()))
+        theta, vecs = _eigh(0.5 * (kmat + kmat.T), sub._energy_block.toarray())
     else:
         theta, vecs = _lanczos_top(sub, step or apply_k, k)
     order = np.argsort(-theta, kind="stable")
@@ -497,7 +498,7 @@ def solve_operator_eigs(
 
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
     1/lambda, from :func:`_top_eigs`: ``n_lowest + 3`` of them, or all when
-    ``n_lowest`` is None, and each is certified like solve_pencil.  A
+    ``n_lowest`` is None, each certified once on that pencil.  A
     partial result drops its trailing, possibly split group, and
     :class:`PencilError` is raised unless the Sylvester count below the gap
     above the kept groups equals the number kept.  A complete result is
@@ -509,10 +510,8 @@ def solve_operator_eigs(
     a_res, m_res = sub.restricted_grams()
     k = sub.dim if n_lowest is None else n_lowest + 3
     theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, k)
+    _certify(m_res, a_res, theta, coords)
     lam = 1.0 / theta
-    # A_II-orthonormal pairs of (M_II, A_II) become M_II-orthonormal ones
-    coords *= np.sqrt(lam)
-    _certify(a_res, m_res, lam, coords)
     groups = _group_boundaries(lam, group_tol)
     if not complete:
         if len(groups) == 1:
@@ -530,8 +529,8 @@ def solve_operator_eigs(
             )
     blocks = np.empty((sub.dim, groups[-1].stop))
     for sel in groups:
-        # pencil vectors are A-orthonormal up to scaling by sqrt(lambda)
-        block = coords[:, sel] / np.sqrt(lam[sel])[np.newaxis, :]
+        # pencil vectors are A-orthonormal up to rounding
+        block = coords[:, sel]
         gram = block.T @ (a_res @ block)
         blocks[:, sel] = block @ _inv_sqrt(gram)
     # one certificate solve for all kept pairs

@@ -39,8 +39,10 @@ def _refuse_toarray(monkeypatch, limit):
 def dense_free(monkeypatch):
     """Make every dense array sized by the mesh raise: the dense Grams of an
     energy space, any sparse matrix larger than DENSE_ROWS_LIMIT, and any
-    dense pencil larger than that, which a callback applied to the identity
-    builds without a toarray."""
+    pencil larger than that solved by ``solve_pencil``.  The dense branch of
+    ``hilbert._top_eigs`` builds K by applying a callback to the identity, and
+    it is covered by the toarray refusal of any A_II over DENSE_ROWS_LIMIT
+    rows, which that branch densifies."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")
@@ -55,7 +57,7 @@ def dense_free(monkeypatch):
             raise AssertionError(f"a dense pencil of {pencil.dim} rows was solved")
         return true_solve(pencil)
 
-    for module in (eigsolve, hilbert, perturbation):
+    for module in (eigsolve, perturbation):
         monkeypatch.setattr(module, "solve_pencil", solve_pencil)
 
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from eigenshift.eigsolve import (
     NotPositiveDefiniteError,
+    PencilError,
     SymmetricPencil,
+    _certify,
     solve_pencil,
 )
 
@@ -52,7 +54,46 @@ def test_residuals_certified():
     theta, vecs = solve_pencil(SymmetricPencil(a, b))
     resid = a @ vecs - b @ vecs * theta
     allowed = 1e-9 * (np.linalg.norm(a) + np.abs(theta) * np.linalg.norm(b))
-    assert np.all(np.linalg.norm(resid, axis=0) <= allowed * np.maximum(1, np.linalg.norm(vecs, axis=0)))
+    assert np.all(np.linalg.norm(resid, axis=0) <= allowed * np.linalg.norm(vecs, axis=0))
+
+
+@pytest.mark.parametrize("form", ["matrix", "callback"])
+def test_certificate_allowance_is_relative_to_the_vector(form):
+    # |x| ~ 1e-3 and a residual of 1e-10: above 1e-9 (|a| + |theta| |b|) |x|,
+    # below the same allowance times max(1, |x|)
+    a, b, theta = np.diag([2.0, 1.0]), np.eye(2), np.array([2.0])
+    x = np.array([[1e-3], [1e-10]])
+    k = (lambda v: a @ v) if form == "callback" else a
+    scale = 1e-9 * (np.linalg.norm(a) + 2.0 * np.linalg.norm(b))
+    resid = np.linalg.norm(a @ x - b @ x * theta)
+    assert scale * np.linalg.norm(x) < resid < scale
+    with pytest.raises(PencilError, match="certification failed"):
+        _certify(k, b, theta, x)
+    _certify(k, b, theta, np.array([[1e-3], [0.0]]))
+
+
+def test_certificate_ignores_scale_and_reads_both_forms_alike():
+    # (x, theta) of (a, b) passes exactly when (c x, 1 / theta) of (b, a) does
+    rng = np.random.default_rng(23)
+    a, b = random_spd(rng, 6), random_spd(rng, 6)
+    theta, vecs = solve_pencil(SymmetricPencil(a, b))
+
+    def passes(*args):
+        try:
+            _certify(*args)
+        except PencilError:
+            return False
+        return True
+
+    verdicts = set()
+    for size in np.logspace(-14, -8, 13):
+        bent = vecs + size * rng.normal(size=vecs.shape)
+        verdict = passes(a, b, theta, bent)
+        for scale in (1e-3, 1.0, 1e3):
+            assert passes(a, b, theta, scale * bent) == verdict
+            assert passes(b, a, 1.0 / theta, scale * bent) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_not_positive_definite_carries_smallest_eig():

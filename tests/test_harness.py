@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import _oracle_grid, fem2d, harness, hilbert, perturbation
+from eigenshift import _oracle_grid, cli, eigsolve, fem2d, harness, hilbert, perturbation
 from eigenshift.cli import main
 from eigenshift.fem2d import MeshError
 from eigenshift.harness import (
@@ -533,6 +533,26 @@ def test_group_tol_scales_with_domain():
     assert tol_ref == pytest.approx(4.0 * tol_pert)
 
 
+def test_configured_group_tol_reaches_every_eigensolve(monkeypatch):
+    config = ScenarioConfig(
+        scenario="square_shrink", h=1.0 / 16.0, eps=[1.0 / 16.0, 2.0 / 16.0], m=[1],
+        group_tol=3e-4,
+    )
+    defaults = ScenarioConfig.from_dict({**config.to_dict(), "group_tol": None})
+    assert defaults.group_tol_for(defaults.reference_domain()) != 3e-4
+    seen = []
+    true_solve = hilbert.solve_operator_eigs
+
+    def spy(sub, group_tol, **kwargs):
+        seen.append(group_tol)
+        return true_solve(sub, group_tol, **kwargs)
+
+    monkeypatch.setattr(hilbert, "solve_operator_eigs", spy)
+    run_scenario(config)
+    assert len(seen) >= 1 + len(config.eps)
+    assert set(seen) == {3e-4}
+
+
 # -- verification suites -------------------------------------------------------------
 
 
@@ -549,6 +569,28 @@ def test_verify_abstract_small_run_passes_and_is_deterministic():
     margins_b = {k: v["worst_margin"] for k, v in second.items() if isinstance(v, dict)}
     assert margins_a == margins_b
     assert first["fitted_projected_pair_constant"] >= 0.0
+
+
+def test_each_top_pair_is_certified_once(monkeypatch):
+    # _top_eigs certifies nothing; sigma, sigma* and the eigensolves each
+    # certify the pairs they read once, dense or Lanczos
+    counts = {"top": 0, "certify": 0}
+    true_top, true_certify = hilbert._top_eigs, eigsolve._certify
+
+    def top(*args, **kwargs):
+        counts["top"] += 1
+        return true_top(*args, **kwargs)
+
+    def certify(*args, **kwargs):
+        counts["certify"] += 1
+        return true_certify(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "_top_eigs", top)
+    for module in (eigsolve, hilbert):
+        monkeypatch.setattr(module, "_certify", certify)
+    assert verify_abstract(seed=2024, n_cases=50)["passed"]
+    assert counts["top"] > 0
+    assert counts["certify"] == counts["top"]
 
 
 def test_verify_abstract_skips_fit_on_rank_deficient_projection(monkeypatch):
@@ -646,3 +688,26 @@ def test_cli_verify_abstract(capsys):
     assert rc == 0
     assert "worst margin" in out
     assert "passed: True" in out
+
+
+def test_cli_verify_fem(capsys):
+    rc = main(["verify", "--suite", "fem"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[fem]" in out and "[abstract]" not in out
+    assert "passed: True" in out
+
+
+def test_cli_verify_prints_counterexamples_and_fails(monkeypatch, capsys):
+    case = {"case": 4, "indices": [1, 2, 3]}
+    summary = {
+        "distance_symmetry": {"worst_margin": -0.5, "cases": 3, "violations": [case]},
+        "passed": False,
+    }
+    monkeypatch.setattr(cli, "verify_abstract", lambda seed, n_cases: summary)
+    rc = main(["verify", "--suite", "abstract"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "VIOLATED distance_symmetry: worst margin -5.000e-01 over 3 cases" in out
+    assert f"counterexample: {json.dumps(case)}" in out
+    assert "passed: False" in out

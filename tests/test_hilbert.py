@@ -652,6 +652,27 @@ def test_lowest_eigs_solve_dense_up_to_the_krylov_size(monkeypatch, dofs):
     assert np.abs(eigs.values / want[: eigs.n_groups] - 1.0).max() <= 1e-9
 
 
+def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
+    # _top_eigs certifies nothing, so the caller's one certificate must catch
+    # a dense pair bent by 1e-6 relative
+    # (test_nodal_sigma_certificate_rejects_wrong_eigenvector bends Lanczos pairs)
+    space = random_space(np.random.default_rng(33), 12)
+    h1, h2 = Subspace.nodal(space, range(8)), Subspace.nodal(space, range(2, 12))
+    true_top = hilbert._top_eigs
+
+    def corrupted(*args):
+        theta, vecs, complete = true_top(*args)
+        noise = np.random.default_rng(2).standard_normal(vecs.shape[0])
+        vecs[:, 0] += 1e-6 * np.linalg.norm(vecs[:, 0]) * noise / np.linalg.norm(noise)
+        return theta, vecs, complete
+
+    monkeypatch.setattr(hilbert, "_top_eigs", corrupted)
+    with pytest.raises(PencilError, match="eigenpair residual certification failed"):
+        solve_operator_eigs(space.whole(), group_tol=1e-9, n_lowest=4)
+    with pytest.raises(PencilError, match="eigenpair residual certification failed"):
+        sigma_distance(SubspacePair(h1, h2))
+
+
 @pytest.mark.parametrize("kind", ["crossing", "nested"])
 def test_small_union_sigma_is_the_largest_eigenvalue(monkeypatch, kind):
     # the pencil's second eigenpair is an eigenpair, so it passes the residual
