@@ -250,7 +250,8 @@ class DomainSpec:
 
     def check_conforming(self, h: float) -> None:
         """MeshError unless eps, and the base inset of square_expand, are
-        multiples of the mesh size h."""
+        multiples of the mesh size h, and that base is at most 1/2 - h, so
+        the reference square (width 0) keeps an interior vertex."""
         widths = {"eps": self.eps}
         if self.kind == "square_expand":
             widths["base"] = self.base
@@ -262,6 +263,10 @@ class DomainSpec:
                     f"{what}={value} is not a multiple of the mesh size h={h}; "
                     "non-conforming perturbations are rejected, not approximated"
                 )
+        if self.kind == "square_expand" and self.base > 0.5 - h + 1e-12:
+            raise MeshError(
+                f"base={self.base} leaves the reference square without an interior vertex"
+            )
 
 
 def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:

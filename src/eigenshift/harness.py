@@ -55,6 +55,12 @@ CSV_COLUMNS = [
 # the ScenarioCell scalars that an error cell leaves NaN
 _NAN_FIELDS = ("lam_m", "sigma", "sigma_star", "rho", "rho0", "gate_value")
 
+# direction -> (sign under which a drift monotonicity forbids is positive, message words)
+_MONOTONE = {
+    "shrink": (1.0, "positive", "decreased", "shrinking"),
+    "expand": (-1.0, "negative", "increased", "growing"),
+}
+
 _SCENARIOS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 # the fields each coefficient kind takes, besides "kind"
 _COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": ("nu",)}
@@ -86,7 +92,9 @@ def _check_number(value, name: str, kind=numbers.Real) -> None:
 
 @dataclass
 class ScenarioConfig:
-    """One experiment: scenario family, mesh, coefficients, sweeps."""
+    """One experiment: scenario family, mesh, coefficients, sweeps.  Each
+    field is validated at load, and then ``eps`` is stored as a list, ``m``
+    as a list of ints and ``anchor`` as a tuple."""
 
     scenario: str
     h: float
@@ -123,6 +131,7 @@ class ScenarioConfig:
         for name, value in (("eps", self.eps), ("m", self.m)):
             if len(set(value)) != len(value):  # a repeat gives rows of one key
                 raise ValueError(f"{name} must not repeat a value, got {value!r}")
+        self.eps, self.m = list(self.eps), [int(m) for m in self.m]
         if not isinstance(self.coefficient, dict):
             raise ValueError(f"coefficient must be an object, got {self.coefficient!r}")
         kind = self.coefficient.get("kind", "identity")
@@ -159,6 +168,7 @@ class ScenarioConfig:
             raise ValueError(f"anchor must be two real numbers, got {self.anchor!r}")
         for coordinate in self.anchor:
             _check_number(coordinate, "anchor")
+        self.anchor = tuple(self.anchor)
         _check_number(self.seed, "seed", numbers.Integral)
         for eps in self.eps:
             # the family's own checks: eps, anchor, and conformity to the mesh
@@ -194,15 +204,10 @@ class ScenarioConfig:
         return fem2d.suggested_group_tol(self.h) / max(dom.side, 2.0 * self.h) ** 2
 
     def perturbed_domain(self, eps: float) -> DomainSpec:
-        return DomainSpec(self.scenario, eps=eps, anchor=tuple(self.anchor), base=self.base)
+        return DomainSpec(self.scenario, eps=eps, anchor=self.anchor, base=self.base)
 
     def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "eps": list(self.eps),
-            "m": [int(m) for m in self.m],
-            "anchor": list(self.anchor),
-        }
+        return {**asdict(self), "anchor": list(self.anchor)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -214,10 +219,7 @@ class ScenarioConfig:
         missing = {"scenario", "h", "eps", "m"} - set(data)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
-        kwargs = dict(data)
-        if isinstance(kwargs.get("anchor"), list):
-            kwargs["anchor"] = tuple(kwargs["anchor"])
-        return cls(**kwargs)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -268,12 +270,10 @@ def _json_scalar(value):
     return value if np.isfinite(value) else None
 
 
-def _error_cell(config, eps, m, exc, sigma=np.nan, sigma_star=np.nan):
+def _error_cell(config, eps, m, exc, sigma, sigma_star):
     return perturbation.ScenarioCell(
-        eps=eps, m=m, lam_m=np.nan, multiplicity=0,
-        sigma=sigma, sigma_star=sigma_star, rho=np.nan, rho0=np.nan,
-        gate_value=np.nan, admitted=False, tracked=False,
-        direction="none",
+        **{**dict.fromkeys(_NAN_FIELDS, np.nan), "sigma": sigma, "sigma_star": sigma_star},
+        eps=eps, m=m, multiplicity=0, admitted=False, tracked=False, direction="none",
         error=f"({config.scenario}, eps={eps}, m={m}): {exc}",
     )
 
@@ -352,21 +352,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     space = fem2d.assemble(mesh, coeff)
     dom1 = config.reference_domain()
     h1 = fem2d.carve_subspace(space, mesh, dom1)
-    max_m = max(int(m) for m in config.m)
-    _, eigs1 = _lowest_eigs(
-        h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest,
-        lambda eigs: eigs.n_groups >= max_m + 1,
-    )
-    if eigs1.n_groups < max_m + (0 if eigs1.complete else 1):
+    max_m = max(config.m)
+
+    def resolved(eigs):
+        """Groups 1..max(m), which fix the windows, and the next unless complete."""
+        return eigs.n_groups >= max_m + (0 if eigs.complete else 1)
+
+    _, eigs1 = _lowest_eigs(h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest, resolved)
+    if not resolved(eigs1):
         raise ValueError(
             f"reference decomposition resolves {eigs1.n_groups} groups, "
             f"but m up to {max_m} was requested; increase n_lowest"
         )
     # (lo, J_m) of each window
-    floors = [
-        (perturbation.spectral_window(eigs1, int(m))[0], eigs1.group(int(m))[2])
-        for m in config.m
-    ]
+    floors = [(perturbation.spectral_window(eigs1, m)[0], eigs1.group(m)[2]) for m in config.m]
 
     def covered(eigs):
         mu_inv = 1.0 / eigs.flat_values()
@@ -385,16 +384,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
             # an equal pair is an exact fixed point and needs no geometry
             moved = pair.direction != "equal"
-            collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved and eps > 0 else None
+            collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved else None
             area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
         except _CELL_ERRORS as exc:
-            cells.extend(_error_cell(config, eps, int(m), exc, sigma, sig_star) for m in config.m)
+            cells.extend(_error_cell(config, eps, m, exc, sigma, sig_star) for m in config.m)
             continue
         for m in config.m:
             try:
-                cells.append(_cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, int(m)))
+                cells.append(_cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m))
             except _CELL_ERRORS as exc:
-                cells.append(_error_cell(config, eps, int(m), exc, sigma, sig_star))
+                cells.append(_error_cell(config, eps, m, exc, sigma, sig_star))
     failures = [cell.error for cell in cells if cell.error]
     failures.extend(_gated_assertions(config, cells))
     return ScenarioReport(
@@ -421,27 +420,22 @@ def _gated_assertions(config, cells) -> list:
                 failures.append(f"{where}: zero perturbation produced {max(zeros):.3e}")
         if cell.admitted and not cell.tracked:
             failures.append(f"{where}: admitted cell failed the window count")
+        if cell.direction not in _MONOTONE:
+            continue
+        sign, shift, went, domain = _MONOTONE[cell.direction]
         lam_inv = 1.0 / cell.lam_m
         # sign structure holds up to the grouped reference's own resolution: a
         # split near-degenerate group pollutes tau by up to twice its internal
         # spread (the corrector sees the member offsets), so allow 2x margin
         floor = 4.0 * cell.group_spread + 1e-12
-        if cell.direction == "shrink":
-            if any(t > floor for t in cell.tau):
-                failures.append(f"{where}: positive shift predicted for a shrinking domain")
-            # monotonicity of the matched eigenvalues is only meaningful when
-            # the identification is certified, i.e. within the distance gate
-            if cell.admitted and any(
-                mi - lam_inv > floor + 1e-9 * lam_inv for mi in cell.mu_inv
-            ):
-                failures.append(f"{where}: eigenvalue decreased on a shrinking domain")
-        if cell.direction == "expand":
-            if any(t < -floor for t in cell.tau):
-                failures.append(f"{where}: negative shift predicted for a growing domain")
-            if cell.admitted and any(
-                lam_inv - mi > floor + 1e-9 * lam_inv for mi in cell.mu_inv
-            ):
-                failures.append(f"{where}: eigenvalue increased on a growing domain")
+        if any(sign * t > floor for t in cell.tau):
+            failures.append(f"{where}: {shift} shift predicted for a {domain} domain")
+        # monotonicity of the matched eigenvalues is only meaningful when
+        # the identification is certified, i.e. within the distance gate
+        if cell.admitted and any(
+            sign * (mi - lam_inv) > floor + 1e-9 * lam_inv for mi in cell.mu_inv
+        ):
+            failures.append(f"{where}: eigenvalue {went} on a {domain} domain")
     return failures
 
 
@@ -639,8 +633,10 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         # T phi and Psi_phi live in (H1 + H2) orthogonal to the intersection,
         # so the complement constant controls their mass norms, and hence the
         # remainder magnitude: rho <= (sigma + sigma*) * rho_star.  The Psi
-        # part needs the exact member eigenvalue, so simple groups only.
+        # part needs the exact member eigenvalue, so simple groups only.  They
+        # take their own T phi and Psi_phi, a second route to rho's images.
         lam1, x1_first, mult1 = eigs1.group(1)
+        images = hilbert.eigenspace_images(pair, x1_first, lam1)
         phi1 = x1_first[:, 0]
         t_phi = phi1 - h2.project_block(phi1)
         t_slack = star * space.energy_norm(t_phi) ** 2 - space.mass_norm(t_phi) ** 2
@@ -649,7 +645,6 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
             psi_phi = hilbert.corrector_block(h2, phi1, lam1)
             p_slack = star * space.energy_norm(psi_phi) ** 2 - space.mass_norm(psi_phi) ** 2
             props["complement_membership"].record(p_slack + 1e-10, _case)
-            images = hilbert.eigenspace_images(pair, x1_first, lam1)
             rho_val = hilbert.compute_rho(images, s12)
             rho_star = space.energy_norm(t_phi) ** 2 + space.energy_norm(psi_phi) ** 2
             props["remainder_via_complement"].record(
@@ -662,12 +657,11 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         if loc.counted and s12 > 1e-12:
             # P_m projects onto span(S2 X_1), as in eigenvector_proximity; a
             # Gram that is not definite means S2 X_1 lost rank: no fit
-            s_x = h2.project_block(x1_first)
             uu = loc.vectors[:, 0]
             vv = loc.vectors[:, -1]
             try:
                 pu, pv = perturbation.project_onto_span(
-                    space, s_x, s_x.T @ (space.energy_csr @ s_x), np.column_stack([uu, vv])
+                    space, images.s, images.s_a_s, np.column_stack([uu, vv])
                 ).T
             except np.linalg.LinAlgError:
                 pass

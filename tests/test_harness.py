@@ -116,6 +116,12 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             {"scenario": "square_expand", "h": 1.0 / 6.0, "eps": [1.0 / 6.0]},
             "base=0.25 is not a multiple",
         ),
+        # a base past 1/2 - h leaves the reference square no interior vertex;
+        # it loaded, and the run raised "has an empty interior"
+        (
+            {"scenario": "square_expand", "h": 0.2, "eps": [0.2], "base": 0.4},
+            "base=0.4 leaves the reference square without an interior vertex",
+        ),
         ({"eps": [0.0625, 0.0625]}, "eps must not repeat"),
         ({"m": [1, 2, 1]}, "m must not repeat"),
         ({"n_lowest": 2.5}, "n_lowest must be an integer"),
@@ -213,7 +219,8 @@ def scenario_configs(draw):
         q=draw(st.floats(1.5, 4.0)),
         group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
         seed=draw(st.integers(0, 99)),
-        base=draw(st.integers(1, n // 2)) * h,  # square_expand's base must conform to h
+        # square_expand's base must conform to h and be at most 1/2 - h
+        base=draw(st.integers(0, n // 2 - 1)) * h,
         anchor=draw(st.sampled_from([(0.5, 1.0), (0.0, 0.25)])),
         n_lowest=draw(st.integers(1, 20)),
     )
@@ -421,6 +428,77 @@ def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
     assert metrics["hilbert.corrector_block.per_cell"] == 1.0
 
 
+def test_reference_that_resolves_too_few_groups_asks_for_more():
+    # n_lowest = 1 asks for 4 pairs: group 1, the double group 2 and a
+    # trailing group that may be incomplete, so the window of m = 3 is unknown
+    config = ScenarioConfig(
+        scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[3], n_lowest=1
+    )
+    with pytest.raises(ValueError, match="resolves 2 groups, but m up to 3 .*increase n_lowest"):
+        run_scenario(config)
+
+
+# -- gated assertions --------------------------------------------------------------
+
+_GATE_CONFIG = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[1])
+_SPREAD = 1e-3
+_FLOOR = 4.0 * _SPREAD + 1e-12  # the gate's allowance for tau
+
+
+def _gate_cell(**changes):
+    """A finite, admitted shrink cell at lambda = 2 with no drift, which
+    passes every gate."""
+    fields = dict(
+        eps=1.0 / 8.0, m=1, lam_m=2.0, multiplicity=1, sigma=0.1, sigma_star=0.1,
+        rho=0.01, rho0=0.01, gate_value=0.1, admitted=True, tracked=True,
+        direction="shrink", mu_inv=[0.5], tau=[0.0], group_spread=_SPREAD,
+    )
+    return perturbation.ScenarioCell(**{**fields, **changes})
+
+
+# each gate's failure message, and the change to the passing cell that trips it
+# alone; a tau one float past the floor fails
+_GATE_BREAKS = {
+    "non-finite reported quantity": {"rho": np.nan},
+    "zero perturbation produced 1.000e-01": {"eps": 0.0},
+    "admitted cell failed the window count": {"tracked": False},
+    "positive shift predicted for a shrinking domain": {"tau": [np.nextafter(_FLOOR, 1.0)]},
+    "eigenvalue decreased on a shrinking domain": {"mu_inv": [0.5 + 2 * _FLOOR]},
+    "negative shift predicted for a growing domain": {
+        "direction": "expand", "tau": [np.nextafter(-_FLOOR, -1.0)]
+    },
+    "eigenvalue increased on a growing domain": {
+        "direction": "expand", "mu_inv": [0.5 - 2 * _FLOOR]
+    },
+}
+
+
+@pytest.mark.parametrize("message", sorted(_GATE_BREAKS))
+def test_each_gated_assertion_fails_its_cell(message):
+    cell = _gate_cell(**_GATE_BREAKS[message])
+    assert harness._gated_assertions(_GATE_CONFIG, [cell]) == [
+        f"(square_shrink, eps={cell.eps}, m=1): {message}"
+    ]
+
+
+@pytest.mark.parametrize("direction, sign", [("shrink", 1.0), ("expand", -1.0)])
+def test_drift_on_the_gate_floor_passes(direction, sign):
+    # tau exactly on the floor, and mu^-1 drifted by the floor, which lies
+    # inside the monotonicity allowance of floor + 1e-9 lambda^-1
+    cell = _gate_cell(direction=direction, tau=[sign * _FLOOR], mu_inv=[0.5 + sign * _FLOOR])
+    assert harness._gated_assertions(_GATE_CONFIG, [cell]) == []
+    # a drift the other way is what the direction predicts, at any size
+    cell = _gate_cell(direction=direction, tau=[-sign], mu_inv=[0.5 - sign * 0.1])
+    assert harness._gated_assertions(_GATE_CONFIG, [cell]) == []
+
+
+def test_error_cells_skip_the_gates():
+    # an error cell's NaN quantities would fail the finiteness gate, but its
+    # failure is its error, which the run records once
+    cell = harness._error_cell(_GATE_CONFIG, 1.0 / 8.0, 1, "no pencil", np.nan, np.nan)
+    assert harness._gated_assertions(_GATE_CONFIG, [cell]) == []
+
+
 def test_too_few_perturbed_eigenvalues_is_an_error_cell():
     # eps = 14h leaves one dof, so the perturbed spectrum has one eigenvalue
     # for the double group m=2
@@ -591,6 +669,33 @@ def test_each_top_pair_is_certified_once(monkeypatch):
     assert verify_abstract(seed=2024, n_cases=50)["passed"]
     assert counts["top"] > 0
     assert counts["certify"] == counts["top"]
+
+
+def test_verify_abstract_images_x1_once_per_case(monkeypatch):
+    # rho and the projected-pair fit read one EigenspaceImages of X_1 per
+    # case, and nothing else projects a block: the asserted complement
+    # properties project the single vector phi_1 on their own
+    depth, images, blocks = [0], [], []
+    true_images, true_project = hilbert.eigenspace_images, hilbert.Subspace.project_block
+
+    def spy_images(*args):
+        images.append(args[0])
+        depth[0] += 1
+        try:
+            return true_images(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy_project(self, x):
+        if not depth[0] and np.ndim(x) == 2:
+            blocks.append(np.shape(x))
+        return true_project(self, x)
+
+    monkeypatch.setattr(hilbert, "eigenspace_images", spy_images)
+    monkeypatch.setattr(hilbert.Subspace, "project_block", spy_project)
+    assert verify_abstract(seed=2024, n_cases=20)["passed"]
+    assert len(images) == 20
+    assert blocks == []
 
 
 def test_verify_abstract_skips_fit_on_rank_deficient_projection(monkeypatch):

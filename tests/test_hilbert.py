@@ -813,6 +813,15 @@ def test_partial_decomposition_dense(kind):
     assert np.array_equal(part.multiplicities, full.multiplicities)
 
 
+def test_partial_solve_that_separates_no_group_asks_for_more():
+    # the eigenvalues 1/m run from 1 to 10 in relative steps far below
+    # group_tol = 0.5, so the 5 pairs a request for 2 computes are one chain
+    # that may continue past them: no group is proved complete
+    space = EnergySpace(np.eye(30), np.diag(np.linspace(1.0, 0.1, 30)))
+    with pytest.raises(PencilError, match="cannot separate a trailing eigenvalue group"):
+        solve_operator_eigs(space.whole(), group_tol=0.5, n_lowest=2)
+
+
 # -- complement map, corrector, bridge operator --------------------------------
 
 
