@@ -28,7 +28,6 @@ __all__ = [
     "unit_square_mesh",
     "assemble",
     "carve_subspace",
-    "gradient_energy",
     "hadamard_slope",
     "collar_elements",
     "region_area",
@@ -49,8 +48,9 @@ class BackgroundMesh:
     vertices: (nv, 2) array; triangles: (nt, 3) int array, positively
     oriented; h: nominal edge length.  Vertices strictly inside D are the
     degrees of freedom of the background space, in vertex order.  The
-    centroids and the P1 gradients (``gradients``, (nt, 3, 2)) are computed
-    once, as read-only arrays that assembly, domains and forms index into.
+    centroids (``centroids``, (nt, 2)) and the P1 gradients (``gradients``,
+    (nt, 3, 2)) are computed once, as read-only arrays that assembly,
+    domains and forms index into.
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray, h: float):
@@ -73,7 +73,7 @@ class BackgroundMesh:
         self._incident_total = np.zeros(len(self.vertices), dtype=int)
         np.add.at(self._incident_total, self.triangles.ravel(), 1)
         corners = self.vertices[self.triangles]
-        self._centroids = _read_only(corners.mean(axis=1))
+        self.centroids = _read_only(corners.mean(axis=1))
         self.gradients = _read_only(_p1_gradients(corners, self.areas))
 
     def _validate_geometry(self) -> None:
@@ -97,10 +97,6 @@ class BackgroundMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def centroids(self) -> np.ndarray:
-        """Triangle centroids, (nt, 2), computed once and read-only."""
-        return self._centroids
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -239,19 +235,17 @@ class DomainSpec:
     def kept_elements(self, mesh: BackgroundMesh) -> np.ndarray:
         """Ids of the triangles making up the domain."""
         if self.kind == "element_mask":
-            ids = np.unique(_index_array(self.elements, MeshError))
-            if ids.size and (ids[0] < 0 or ids[-1] >= mesh.n_triangles):
-                raise MeshError("element_mask contains an unknown element id")
-            return ids
+            return np.unique(_element_ids(mesh, self.elements))
         self.check_conforming(mesh.h)
         if self.kind == "square_expand" and self.eps > self.base + 1e-12:
             raise MeshError(f"expansion eps={self.eps} exceeds the base inset {self.base}")
-        return np.flatnonzero(self._keeps(mesh.centroids(), self.eps))
+        return np.flatnonzero(self._keeps(mesh.centroids, self.eps))
 
     def check_conforming(self, h: float) -> None:
         """MeshError unless eps, and the base inset of square_expand, are
-        multiples of the mesh size h, and that base is at most 1/2 - h, so
-        the reference square (width 0) keeps an interior vertex."""
+        multiples of the mesh size h, and that base is nonnegative and at
+        most 1/2 - h, so the reference square (width 0) keeps an interior
+        vertex."""
         widths = {"eps": self.eps}
         if self.kind == "square_expand":
             widths["base"] = self.base
@@ -263,6 +257,8 @@ class DomainSpec:
                     f"{what}={value} is not a multiple of the mesh size h={h}; "
                     "non-conforming perturbations are rejected, not approximated"
                 )
+        if self.kind == "square_expand" and self.base < 0:
+            raise MeshError(f"base={self.base} must be nonnegative")
         if self.kind == "square_expand" and self.base > 0.5 - h + 1e-12:
             raise MeshError(
                 f"base={self.base} leaves the reference square without an interior vertex"
@@ -296,7 +292,7 @@ def _element_matrices(mesh: BackgroundMesh, coeff_mats: np.ndarray):
 def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
     """Energy space of the background square: P1 stiffness and mass Grams
     on the interior vertices, with the coefficient sampled at centroids."""
-    coeff_mats = coeff.sample(mesh.centroids())
+    coeff_mats = coeff.sample(mesh.centroids)
     stiff_loc, mass_loc = _element_matrices(mesh, coeff_mats)
     n = mesh.n_dofs
     dofs = mesh.dof_of_vertex[mesh.triangles]  # (nt, 3), -1 for boundary vertices
@@ -327,38 +323,36 @@ def carve_subspace(space: EnergySpace, mesh: BackgroundMesh, dom: DomainSpec) ->
     dof_ids = mesh.dof_of_vertex[inside]
     if dof_ids.size == 0:
         raise MeshError(f"domain {dom.kind}(eps={dom.eps}) has an empty interior")
-    return Subspace.nodal(space, dof_ids)
+    return Subspace(space, dof_ids)
+
+
+def _element_ids(mesh: BackgroundMesh, ids) -> np.ndarray:
+    """The int array of a list of triangle ids; MeshError for another dtype
+    or an id outside 0..n_triangles - 1, which would index another triangle."""
+    ids = _index_array(ids, MeshError)
+    if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_triangles):
+        raise MeshError("unknown element id")
+    return ids
 
 
 def _vertex_values(mesh: BackgroundMesh, u: np.ndarray) -> np.ndarray:
-    """Extend a DOF coefficient vector by zero to all vertices."""
+    """Extend DOF coefficients, a vector or an N x J block, by zero to all
+    vertices."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.n_dofs,):
-        raise MeshError(f"coefficient vector must have length {mesh.n_dofs}")
-    values = np.zeros(len(mesh.vertices))
+    if u.shape[:1] != (mesh.n_dofs,):
+        raise MeshError(f"coefficients must have {mesh.n_dofs} rows")
+    values = np.zeros((len(mesh.vertices),) + u.shape[1:])
     values[mesh.interior_vertices] = u
     return values
-
-
-def gradient_energy(
-    space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, u: np.ndarray
-) -> float:
-    """Integral of |grad u|^2 over a set of triangles (coefficients ignored)."""
-    # item() refuses a block of more than one column
-    return gradient_energy_form(space, mesh, region, u).item()
 
 
 def gradient_energy_form(
     space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
-    """Quadratic form of the region gradient energy on a vector or an N x J
-    block of vectors."""
-    region = _index_array(region, MeshError)
-    if region.size and (region.min() < 0 or region.max() >= mesh.n_triangles):
-        raise MeshError("region contains an unknown element id")
-    block = space.check_vector(block).reshape(space.dim, -1)
-    values = np.zeros((len(mesh.vertices), block.shape[1]))
-    values[mesh.interior_vertices] = block
+    """Quadratic form of the region gradient energy (coefficients ignored)
+    on a vector or an N x J block of vectors."""
+    region = _element_ids(mesh, region)
+    values = _vertex_values(mesh, space.check_vector(block).reshape(space.dim, -1))
     grads = mesh.gradients[region]
     local = values[mesh.triangles[region]]  # (nt, 3, nb)
     grad_u = np.einsum("tkb,tki->tib", local, grads)
@@ -366,7 +360,7 @@ def gradient_energy_form(
 
 
 def region_area(mesh: BackgroundMesh, region: np.ndarray) -> float:
-    return float(mesh.areas[_index_array(region, MeshError)].sum())
+    return float(mesh.areas[_element_ids(mesh, region)].sum())
 
 
 def symmetric_difference_area(
@@ -390,7 +384,7 @@ def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np
         raise MeshError(f"collar factor q must exceed 1, got {q}")
     if dom.kind == "element_mask":
         raise MeshError(f"no collar notion for domain kind {dom.kind!r}")
-    cen = mesh.centroids()
+    cen = mesh.centroids
     reach = -q * dom.eps if dom.kind == "square_expand" else q * dom.eps
     ids = np.flatnonzero(dom._keeps(cen, 0.0) & ~dom._keeps(cen, reach))
     if ids.size == 0:
@@ -398,15 +392,14 @@ def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np
     return ids
 
 
-def hadamard_slope(
-    mesh: BackgroundMesh, space: EnergySpace, eigenpair, shift_profile
-) -> float:
+def hadamard_slope(mesh: BackgroundMesh, space: EnergySpace, eigenpair, shift: float) -> float:
     """First-order boundary sensitivity of an eigenvalue of the full square.
 
-    Integrates |normal derivative|^2 times the per-side shift over the four
-    sides, recovering the normal derivative by a one-sided difference across
-    the first interior vertex layer and integrating with the trapezoid rule.
-    The eigenfunction must be L2-normalized.
+    Integrates |normal derivative|^2 over the four sides and scales it by
+    one uniform boundary shift, recovering the normal derivative by a
+    one-sided difference across the first interior vertex layer and
+    integrating with the trapezoid rule.  The eigenfunction must be
+    L2-normalized.
     """
     lam, phi = eigenpair
     if space.dim != mesh.n_dofs:
@@ -414,19 +407,13 @@ def hadamard_slope(
     norm = float(phi @ (space.mass_csr @ phi))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"eigenfunction must be L2-normalized, got |phi|^2={norm:.6e}")
-    if np.isscalar(shift_profile):
-        sides = [float(shift_profile)] * 4
-    else:
-        sides = [float(s) for s in shift_profile]
-        if len(sides) != 4:
-            raise ValueError("shift profile must be a scalar or 4 per-side values")
     n, h = int(round(1.0 / mesh.h)), mesh.h
     grid = _vertex_values(mesh, phi).reshape(n + 1, n + 1)  # [iy, ix]
     # first interior vertex layer along each side: bottom, right, top, left
     layers = (grid[1], grid[:, n - 1], grid[n - 1], grid[:, 1])
     weights = np.full(n + 1, h)
     weights[0] = weights[-1] = h / 2.0
-    return sum(side * float(weights @ (layer / h) ** 2) for side, layer in zip(sides, layers))
+    return float(shift) * sum(float(weights @ (layer / h) ** 2) for layer in layers)
 
 
 def suggested_group_tol(h: float) -> float:

@@ -314,7 +314,7 @@ def _cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m):
         direction=pair.direction,
         mu_inv=[float(v) for v in loc.mu_inv],
         tau=[float(t) for t in cp.tau],
-        rows=perturbation.predict_and_check(cp, loc.mu),
+        rows=perturbation.predict_and_check(cp, loc.mu_inv),
         proximity=perturbation.eigenvector_proximity(loc.vectors, images, sigma).tolist(),
         # squared energy norms over the unit coefficient sphere
         t_norm2_range=hilbert.form_extremes(images.t_a_t),
@@ -467,7 +467,7 @@ def write_report(report: ScenarioReport, out_dir) -> Path:
 
 
 def _random_nodal(rng, space, dim):
-    return Subspace.nodal(space, rng.choice(space.dim, size=int(dim), replace=False))
+    return Subspace(space, rng.choice(space.dim, size=int(dim), replace=False))
 
 
 def _random_case(rng):
@@ -638,7 +638,7 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         lam1, x1_first, mult1 = eigs1.group(1)
         images = hilbert.eigenspace_images(pair, x1_first, lam1)
         phi1 = x1_first[:, 0]
-        t_phi = phi1 - h2.project_block(phi1)
+        t_phi = hilbert.apply_T2(h2, phi1)
         t_slack = star * space.energy_norm(t_phi) ** 2 - space.mass_norm(t_phi) ** 2
         props["complement_membership"].record(t_slack + 1e-10, _case)
         if mult1 == 1:

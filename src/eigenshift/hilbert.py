@@ -207,7 +207,7 @@ class EnergySpace:
 
     def whole(self) -> "Subspace":
         """The whole space as a nodal subspace."""
-        return Subspace.nodal(self, np.arange(self.dim))
+        return Subspace(self, np.arange(self.dim))
 
 
 class Subspace:
@@ -230,10 +230,6 @@ class Subspace:
         self.parent = parent
         self.indices = indices
         self.dim = int(indices.size)
-
-    @classmethod
-    def nodal(cls, parent: EnergySpace, indices) -> "Subspace":
-        return cls(parent, indices)
 
     # -- structure ----------------------------------------------------------
 
@@ -260,10 +256,6 @@ class Subspace:
         columnwise: E A_II^-1 rhs_I."""
         return self.embed(self._restricted_energy_solve(rhs[self.indices]))
 
-    def restricted_grams(self):
-        """The CSR blocks A_II, M_II of the energy and mass Grams."""
-        return self._energy_block, self._mass_block
-
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Map subspace coordinates back to ambient vectors."""
         coords = np.asarray(coords, dtype=float)
@@ -281,12 +273,12 @@ class Subspace:
         """Compact solution operator on this subspace: (K u, v) = <u, v>."""
         return self._solve(self.parent.mass_csr @ self.parent.check_vector(u))
 
-    def contains(self, u: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, u: np.ndarray) -> bool:
         u = self.parent.check_vector(u)
         norm = self.parent.energy_norm(u)
         if norm == 0.0:
             return True
-        return self.parent.energy_norm(u - self.project_block(u)) <= tol * norm
+        return self.parent.energy_norm(u - self.project_block(u)) <= 1e-8 * norm
 
 
 @dataclass
@@ -423,7 +415,7 @@ class SubspacePair:
         for sub in (self.h2, self.h1):
             if idx.size == sub.dim:
                 return sub
-        return Subspace.nodal(self.h1.parent, idx)
+        return Subspace(self.h1.parent, idx)
 
     @property
     def direction(self) -> str:
@@ -507,7 +499,7 @@ def solve_operator_eigs(
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
-    a_res, m_res = sub.restricted_grams()
+    a_res, m_res = sub._energy_block, sub._mass_block
     k = sub.dim if n_lowest is None else n_lowest + 3
     theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, k)
     _certify(m_res, a_res, theta, coords)
@@ -576,18 +568,17 @@ def _certify_group(a_res, block, k_block, lam_g, spread) -> None:
     # k_block = K block; grouped eigenvalues that are merely close (not equal)
     # contribute their spread in the reciprocal scale on top of the 1e-8
     # solver allowance
-    resid = k_block - block / lam_g
-    num = np.sqrt(np.maximum(np.einsum("ij,ij->j", resid, a_res @ resid), 0.0))
-    den = np.sqrt(np.maximum(np.einsum("ij,ij->j", block, a_res @ block), 0.0))
+    num = _energy_norms(a_res, k_block - block / lam_g)
+    den = _energy_norms(a_res, block)
     if np.any(num > (1e-8 + spread) * den):
         raise PencilError(
             f"eigenrelation residual {num.max():.3e} exceeds the certified bound"
         )
 
 
-def _energy_norms(space: EnergySpace, block: np.ndarray) -> np.ndarray:
-    """Energy norm of a vector, or of each column of a block."""
-    return np.sqrt(np.maximum(np.sum(block * (space.energy_csr @ block), axis=0), 0.0))
+def _energy_norms(a, block: np.ndarray) -> np.ndarray:
+    """Norm in the Gram ``a`` of a vector, or of each column of a block."""
+    return np.sqrt(np.maximum(np.sum(block * (a @ block), axis=0), 0.0))
 
 
 def corrector_block(h2: Subspace, block: np.ndarray, lam_m: float) -> np.ndarray:

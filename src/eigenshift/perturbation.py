@@ -15,8 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .eigsolve import NotPositiveDefiniteError, SymmetricPencil, solve_pencil
-from .hilbert import EigenDecomposition, EigenspaceImages, compute_rho
-from .hilbert import _energy_norms
+from .hilbert import EigenDecomposition, EigenspaceImages, _energy_norms, compute_rho
 
 __all__ = [
     "CorrectionProblem",
@@ -44,12 +43,6 @@ SIGMA_GATE = 0.5
 
 class LocalizationError(RuntimeError):
     """Perturbed eigenvalue count near the reference group is wrong."""
-
-    def __init__(self, message, window, count, expected):
-        super().__init__(message)
-        self.window = window
-        self.count = count
-        self.expected = expected
 
 
 class CorrectionGramError(RuntimeError):
@@ -83,7 +76,6 @@ class LocalizationResult:
     distance gate to pass.  gate_value is Lambda_m * sqrt(sigma).
     """
 
-    mu: np.ndarray
     mu_inv: np.ndarray
     window: tuple
     vectors: np.ndarray
@@ -133,14 +125,14 @@ class ScenarioCell:
     group_spread: float = 0.0
     error: str | None = None
 
-    def resolved_rows(self, factor: float = 10.0) -> list:
-        """Rows whose drift exceeds the group's own splitting resolution.
+    def resolved_rows(self) -> list:
+        """Rows whose drift is at least 10 times the group's own splitting.
 
         A grouped near-degenerate reference eigenvalue carries an O(h^2)
         internal spread; drifts below that floor measure the grouping
         artifact, not the perturbation.
         """
-        floor = factor * self.group_spread
+        floor = 10.0 * self.group_spread
         return [
             row for row in self.rows if abs(row.mu_inv - row.lambda_inv) >= floor
         ]
@@ -158,10 +150,7 @@ def spectral_window(eigs1: EigenDecomposition, m: int) -> tuple:
     else:
         raise LocalizationError(
             f"reference decomposition does not resolve the group after m={m}; "
-            "request more eigenvalues",
-            window=None,
-            count=None,
-            expected=None,
+            "request more eigenvalues"
         )
     return (lo, hi)
 
@@ -184,8 +173,7 @@ def localize(
     lam_m, _, j_m = eigs1.group(m)
     gate_value = float(np.sqrt(eigs1.cumulative_sum(m) * max(sigma, 0.0)))
     lo, hi = spectral_window(eigs1, m)
-    flat_mu = eigs2.flat_values()
-    mu_inv_all = 1.0 / flat_mu
+    mu_inv_all = 1.0 / eigs2.flat_values()
     in_window = (mu_inv_all > lo) & (mu_inv_all < hi)
     count = int(np.count_nonzero(in_window))
     # eigenvalues past a partial spectrum lie below its smallest reciprocal
@@ -193,20 +181,16 @@ def localize(
     counted = proven and count == j_m
     if counted:
         chosen = np.flatnonzero(in_window)
-    elif flat_mu.size < j_m:
+    elif mu_inv_all.size < j_m:
         raise LocalizationError(
             f"localization failed for group m={m}: the perturbed spectrum has "
-            f"{flat_mu.size} eigenvalue(s), fewer than the multiplicity {j_m}",
-            window=(lo, hi),
-            count=count,
-            expected=j_m,
+            f"{mu_inv_all.size} eigenvalue(s), fewer than the multiplicity {j_m}"
         )
     else:
         chosen = np.argsort(np.abs(mu_inv_all - 1.0 / lam_m), kind="stable")[:j_m]
     vectors_flat = np.hstack(eigs2.spaces)
     sel = chosen[np.argsort(mu_inv_all[chosen], kind="stable")]
     return LocalizationResult(
-        mu=flat_mu[sel],
         mu_inv=mu_inv_all[sel],
         window=(lo, hi),
         vectors=vectors_flat[:, sel],
@@ -224,8 +208,9 @@ def eigenvector_proximity(
     has proved its Gram definite, and a singular one raises LinAlgError."""
     space = images.space
     u = space.check_vector(vectors).reshape(space.dim, -1)
-    num = _energy_norms(space, u - project_onto_span(space, images.s, images.s_a_s, u))
-    denom_u = _energy_norms(space, u)
+    a = space.energy_csr
+    num = _energy_norms(a, u - project_onto_span(space, images.s, images.s_a_s, u))
+    denom_u = _energy_norms(a, u)
     if sigma > 0.0:
         return num / (np.sqrt(sigma) * denom_u)
     if np.all(num <= 1e-12 * np.maximum(denom_u, 1.0)):
@@ -269,21 +254,20 @@ def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionPro
     )
 
 
-def predict_and_check(cp: CorrectionProblem, measured_mu: np.ndarray) -> list:
-    """Pair predicted reciprocal shifts with measured eigenvalues.
+def predict_and_check(cp: CorrectionProblem, measured_mu_inv: np.ndarray) -> list:
+    """Pair predicted reciprocal shifts with measured reciprocal eigenvalues.
 
-    Both sides are ordered ascending in the reciprocal scale (eigenvalues
-    are matched by multiplicity ordering, not by eigenvector tracking).
+    Both sides are ordered ascending (eigenvalues are matched by
+    multiplicity ordering, not by eigenvector tracking).
     """
-    measured_mu = np.asarray(measured_mu, dtype=float)
+    mu_inv = np.sort(np.asarray(measured_mu_inv, dtype=float))
     tau = np.sort(np.asarray(cp.tau, dtype=float))
-    if measured_mu.size != tau.size:
+    if mu_inv.size != tau.size:
         raise ValueError(
-            f"measured list has length {measured_mu.size}, correction pencil "
+            f"measured list has length {mu_inv.size}, correction pencil "
             f"has {tau.size} eigenvalues"
         )
     lam_inv = 1.0 / cp.lam_m
-    mu_inv = np.sort(1.0 / measured_mu)
     rows = []
     for k, (mi, tk) in enumerate(zip(mu_inv, tau), start=1):
         predicted = lam_inv + tk

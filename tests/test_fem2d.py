@@ -11,7 +11,7 @@ from eigenshift.fem2d import (
     assemble,
     carve_subspace,
     collar_elements,
-    gradient_energy,
+    gradient_energy_form,
     hadamard_slope,
     region_area,
     suggested_group_tol,
@@ -76,7 +76,7 @@ def test_checker_sampling_matches_pointwise_evaluation():
         iy = int(np.floor(point[1] * cells))
         return eye if (ix + iy) % 2 == 0 else nu * eye
 
-    points = unit_square_mesh(12).centroids()
+    points = unit_square_mesh(12).centroids
     want = np.array([one_point(p) for p in points])
     got = CoefficientField.checker(nu, cells).sample(points)
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -165,8 +165,6 @@ def test_element_mask_unknown_id():
 def test_element_ids_refuse_non_integer_dtypes(entry):
     # a cast would keep elements [0, 3] of [0.7, 3.2], and read a 32-entry
     # mask with 4 entries set as the ids 0 and 1, of area 1.0 instead of 0.125
-    from eigenshift.fem2d import gradient_energy_form
-
     mesh = unit_square_mesh(4)
     space = assemble(mesh, CoefficientField.identity())
     mask = np.zeros(mesh.n_triangles, dtype=bool)
@@ -181,6 +179,24 @@ def test_element_ids_refuse_non_integer_dtypes(entry):
     }[entry]
     with pytest.raises(MeshError, match="integers"):
         call()
+
+
+@pytest.mark.parametrize("entry", ["element_mask", "gradient_energy_form", "region_area"])
+def test_element_ids_refuse_out_of_range(entry):
+    # region_area(mesh, [-1]) returned the last triangle's area, and an id
+    # past the end raised a bare IndexError
+    mesh = unit_square_mesh(4)
+    space = assemble(mesh, CoefficientField.identity())
+    for ids in ([-1], [mesh.n_triangles]):
+        call = {
+            "element_mask": lambda: DomainSpec("element_mask", elements=ids).kept_elements(mesh),
+            "gradient_energy_form": lambda: gradient_energy_form(
+                space, mesh, np.array(ids), np.zeros(space.dim)
+            ),
+            "region_area": lambda: region_area(mesh, ids),
+        }[entry]
+        with pytest.raises(MeshError, match="unknown element id"):
+            call()
 
 
 def test_element_mask_matches_equivalent_region():
@@ -289,10 +305,10 @@ def test_gradient_energy_zero_and_total():
     space = assemble(mesh, CoefficientField.identity())
     u = np.zeros(space.dim)
     all_tris = np.arange(mesh.n_triangles)
-    assert gradient_energy(space, mesh, all_tris, u) == 0.0
+    assert gradient_energy_form(space, mesh, all_tris, u).item() == 0.0
     rng = np.random.default_rng(0)
     u = rng.normal(size=space.dim)
-    total = gradient_energy(space, mesh, all_tris, u)
+    total = gradient_energy_form(space, mesh, all_tris, u).item()
     assert total == pytest.approx(float(u @ space.energy_gram @ u), rel=1e-12)
 
 
@@ -300,7 +316,7 @@ def test_gradient_energy_unknown_element():
     mesh = unit_square_mesh(4)
     space = assemble(mesh, CoefficientField.identity())
     with pytest.raises(MeshError, match="unknown element"):
-        gradient_energy(space, mesh, np.array([10**6]), np.zeros(space.dim))
+        gradient_energy_form(space, mesh, np.array([10**6]), np.zeros(space.dim))
 
 
 def test_mesh_geometry_is_computed_once_read_only_and_exact():
@@ -309,9 +325,9 @@ def test_mesh_geometry_is_computed_once_read_only_and_exact():
     n = 12
     mesh = unit_square_mesh(n)
     corners = mesh.vertices[mesh.triangles]
-    assert mesh.centroids() is mesh.centroids()
+    assert mesh.centroids is mesh.centroids
     for cached, fresh in [
-        (mesh.centroids(), corners.mean(axis=1)),
+        (mesh.centroids, corners.mean(axis=1)),
         (mesh.gradients, _p1_gradients(corners, mesh.areas)),
     ]:
         assert not cached.flags.writeable
@@ -365,7 +381,7 @@ def test_gradient_energy_collar_closed_form():
     u = 2.0 * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
     a = 0.1
     collar = collar_elements(mesh, DomainSpec("square_shrink", eps=a / 2.0), q=2.0)
-    got = gradient_energy(space, mesh, collar, u)
+    got = gradient_energy_form(space, mesh, collar, u).item()
     c = (1.0 - 2.0 * a) / 2.0
     s = np.sin(2.0 * np.pi * a) / (2.0 * np.pi)
     expected = PI2_2 - PI2_8 * (c * c - s * s)
@@ -392,7 +408,7 @@ def test_kept_and_collar_sets_follow_each_family_shape(kind):
     # centroid predicates; q = 1.5 and 2.5 put the collar edge mid-cell
     n, base, anchor = 16, 0.25, (0.25, 0.0)
     mesh = unit_square_mesh(n)
-    x, y = mesh.centroids().T
+    x, y = mesh.centroids.T
 
     def box(lo, hi):
         return (x > lo) & (x < hi) & (y > lo) & (y < hi)

@@ -122,6 +122,11 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             {"scenario": "square_expand", "h": 0.2, "eps": [0.2], "base": 0.4},
             "base=0.4 leaves the reference square without an interior vertex",
         ),
+        # a negative base loaded, and the run raised an uncaught MeshError
+        (
+            {"scenario": "square_expand", "eps": [0.0, 0.0625], "base": -0.25},
+            "base=-0.25 must be nonnegative",
+        ),
         ({"eps": [0.0625, 0.0625]}, "eps must not repeat"),
         ({"m": [1, 2, 1]}, "m must not repeat"),
         ({"n_lowest": 2.5}, "n_lowest must be an integer"),
@@ -703,7 +708,7 @@ def test_verify_abstract_skips_fit_on_rank_deficient_projection(monkeypatch):
     # while the pair is still localized: the projected-pair fit has no
     # projector and is skipped instead of raising out of the suite
     space = hilbert.EnergySpace(np.eye(4), np.diag([4.0, 1.0, 3.0, 2.0]))
-    subs = [hilbert.Subspace.nodal(space, cols) for cols in ([0, 1], [1, 2], [3])]
+    subs = [hilbert.Subspace(space, cols) for cols in ([0, 1], [1, 2], [3])]
     monkeypatch.setattr(harness, "_random_case", lambda rng: (space, subs))
     summary = verify_abstract(seed=0, n_cases=1)
     assert summary["fitted_projected_pair_constant"] == 0.0

@@ -108,7 +108,7 @@ def test_localize_count_error_is_detailed():
     assert loc.window == spectral_window(eigs1, 1)
     assert _count_in(loc.window, eigs_tiny) == 0
     # the J_1 = 1 nearest eigenvalue is still returned
-    assert loc.mu.shape == (1,)
+    assert loc.mu_inv.shape == (1,)
 
 
 def test_localize_lenient_records_flags():
@@ -118,7 +118,7 @@ def test_localize_lenient_records_flags():
     eigs_tiny = solve_operator_eigs(tiny, group_tol=1e-6)
     loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4)
     assert not loc.counted and not loc.admitted
-    assert loc.mu.shape == (1,)
+    assert loc.mu_inv.shape == (1,)
 
 
 def test_localize_truncated_partial_spectrum_is_unproven():
@@ -134,7 +134,7 @@ def test_localize_truncated_partial_spectrum_is_unproven():
     assert not eigs2.complete
     assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)
     loc = localize(eigs1, eigs2, 3, sigma=1e-4)
-    assert loc.mu.shape == (1,) and not loc.counted and not loc.admitted
+    assert loc.mu_inv.shape == (1,) and not loc.counted and not loc.admitted
     assert _count_in(loc.window, eigs2) == 1
     # the partial spectrum does reach past the m=2 window, eigenvalues in (1.33, 2.4)
     assert localize(eigs1, eigs2, 2, sigma=1e-4).counted
@@ -151,16 +151,16 @@ def test_localize_small_shrink_matches_scaled_square():
     loc = localize(eigs1, eigs2, 1, sigma)
     scaled = PI2_2 / (1.0 - 2.0 / 24.0) ** 2
     assert loc.counted and loc.admitted
-    assert loc.mu[0] == pytest.approx(scaled, rel=0.02)
+    assert 1.0 / loc.mu_inv[0] == pytest.approx(scaled, rel=0.02)
 
 
 def test_localize_degenerate_pair_returned_together():
     space, h1, h2, eigs1, eigs2 = small_shrink_setup(n=20, eps_cells=1)
     sigma = sigma_distance(SubspacePair(h1, h2))
     loc = localize(eigs1, eigs2, 2, sigma)
-    assert loc.mu.shape == (2,)
+    assert loc.mu_inv.shape == (2,)
     scaled = 5.0 * np.pi**2 / (1.0 - 2.0 / 20.0) ** 2
-    assert np.allclose(loc.mu, scaled, rtol=0.03)
+    assert np.allclose(1.0 / loc.mu_inv, scaled, rtol=0.03)
 
 
 # -- eigenvector proximity --------------------------------------------------------
@@ -247,7 +247,7 @@ def test_correction_expand_is_positive():
 def test_correction_gram_failure():
     space = EnergySpace(np.eye(2), np.eye(2))
     h1 = space.whole()
-    h2 = Subspace.nodal(space, [1])
+    h2 = Subspace(space, [1])
     eigs1 = solve_operator_eigs(h1, group_tol=1e-9)
     lam, x1, _ = eigs1.group(1)
     # the first eigenvector is e1, orthogonal to h2: projected Gram is singular
@@ -287,8 +287,8 @@ def test_predict_and_check_pairs_in_order():
         rho=0.005,
         tau=np.array([-0.02, -0.01]),
     )
-    measured_mu = np.array([1.0 / (0.1 - 0.019), 1.0 / (0.1 - 0.009)])
-    rows = predict_and_check(cp, measured_mu)
+    measured_mu_inv = np.array([0.1 - 0.019, 0.1 - 0.009])
+    rows = predict_and_check(cp, measured_mu_inv)
     assert [r.k for r in rows] == [1, 2]
     assert rows[0].tau == -0.02 and rows[1].tau == -0.01
     assert rows[0].mu_inv < rows[1].mu_inv
@@ -310,7 +310,7 @@ def test_predict_zero_perturbation_rows():
     from eigenshift.perturbation import CorrectionProblem
 
     cp = CorrectionProblem(np.zeros((1, 1)), np.eye(1), 2.0, 0.0, 0.0, np.zeros(1))
-    rows = predict_and_check(cp, np.array([2.0]))
+    rows = predict_and_check(cp, np.array([0.5]))
     assert rows[0].remainder == 0.0
     assert rows[0].ratio == 0.0
 
@@ -419,7 +419,7 @@ def test_correction_non_nested_domains():
     psi = corrector_block(h2, phi, lam)
     assert space.energy_norm(t_phi) > 1e-6  # both mechanisms active
     assert space.energy_norm(psi) > 1e-6
-    row = predict_and_check(cp, loc.mu)[0]
+    row = predict_and_check(cp, loc.mu_inv)[0]
     assert row.remainder <= 3.0 * row.bound
 
 
@@ -493,8 +493,8 @@ def test_th1_pencil_regression(th1_report):
 
 def test_direction_of_index_sets():
     space = EnergySpace(np.eye(5), np.eye(5))
-    abc, ab, bcd = (Subspace.nodal(space, idx) for idx in ([0, 1, 2], [0, 1], [1, 2, 3]))
-    assert SubspacePair(abc, Subspace.nodal(space, [2, 1, 0])).direction == "equal"
+    abc, ab, bcd = (Subspace(space, idx) for idx in ([0, 1, 2], [0, 1], [1, 2, 3]))
+    assert SubspacePair(abc, Subspace(space, [2, 1, 0])).direction == "equal"
     assert SubspacePair(abc, ab).direction == "shrink"
     assert SubspacePair(ab, abc).direction == "expand"
     assert SubspacePair(abc, bcd).direction == "none"

@@ -1,0 +1,119 @@
+"""Check that two eigenshift source trees produce the same outputs.
+
+Run from anywhere:
+
+    python tools/compare_trees.py PARENT_ROOT CHANGE_ROOT
+
+Each tree runs in its own interpreter, with that tree's ``src`` on
+PYTHONPATH and one BLAS thread.  Both run the same inputs, read from
+CHANGE_ROOT: every config under ``configs/``, every ``config.json`` under
+``tests/golden/``, and the ``shrink_sweep`` and ``notch_checker`` configs of
+``perfbench/workloads.py`` (identical configs run once).  Each config goes
+through ``harness.run_scenario`` and ``harness.write_report``, and
+``harness.verify_abstract(seed, 300)`` runs for the seeds 2024, 11 and 3,
+its summary written as sorted JSON.  Every output file is then compared
+byte for byte, one ``same`` or ``differ`` line per file, as ``cmp`` decides;
+the exit status is 1 when any file differs or is missing on one side.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH_CONFIGS = ("shrink_sweep", "notch_checker")
+ABSTRACT_SEEDS = (2024, 11, 3)
+ABSTRACT_CASES = 300
+
+# argv: src dir, config dir, output dir, JSON list of abstract seeds, cases per seed
+CHILD = """
+import json, sys
+from pathlib import Path
+import eigenshift
+from eigenshift import harness
+
+src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
+if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
+    sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
+for path in sorted(configs.glob("*.json")):
+    config = harness.ScenarioConfig.from_json(path)
+    harness.write_report(harness.run_scenario(config), out / path.stem)
+for seed in json.loads(sys.argv[4]):
+    summary = harness.verify_abstract(seed, int(sys.argv[5]))
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    (out / f"verify_abstract_{seed}.json").write_text(text + "\\n", encoding="utf-8")
+"""
+
+
+def collect_configs(root: Path) -> tuple[dict, dict]:
+    """The distinct configs by name (configs/*.json, the golden config.json
+    files and the bench's FEM workloads), and the bench's thread settings."""
+    found = {path.stem: path for path in sorted((root / "configs").glob("*.json"))}
+    found.update(
+        (f"golden_{path.parent.name}", path)
+        for path in sorted((root / "tests" / "golden").glob("*/config.json"))
+    )
+    configs = {name: json.loads(path.read_text(encoding="utf-8")) for name, path in found.items()}
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    configs.update((f"bench_{name}", workloads["FEM_CONFIGS"][name]) for name in BENCH_CONFIGS)
+    distinct = {}
+    for name, config in configs.items():
+        if config not in distinct.values():
+            distinct[name] = config
+    return distinct, workloads["THREAD_ENV"]
+
+
+def start(root: Path, config_dir: Path, out: Path, thread_env: dict) -> subprocess.Popen:
+    out.mkdir(parents=True)
+    src = root / "src"
+    env = {**os.environ, **thread_env, "PYTHONPATH": str(src)}
+    args = [str(src), str(config_dir), str(out), json.dumps(ABSTRACT_SEEDS), str(ABSTRACT_CASES)]
+    return subprocess.Popen([sys.executable, "-c", CHILD, *args], env=env, cwd=root)
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_trees.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv)
+    configs, thread_env = collect_configs(change)
+    with tempfile.TemporaryDirectory(prefix="compare_trees_") as tmp:
+        tmp = Path(tmp)
+        config_dir = tmp / "configs"
+        config_dir.mkdir()
+        for name, config in configs.items():
+            (config_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        outs = {"parent": tmp / "parent", "change": tmp / "change"}
+        children = {
+            side: start(root, config_dir, outs[side], thread_env)
+            for side, root in (("parent", parent), ("change", change))
+        }
+        failed = [side for side, child in children.items() if child.wait() != 0]
+        if failed:
+            print(f"error: the {' and '.join(failed)} tree failed to run", file=sys.stderr)
+            return 2
+        names = sorted({
+            str(path.relative_to(out))
+            for out in outs.values()
+            for path in out.rglob("*")
+            if path.is_file()
+        })
+        differ = 0
+        for name in names:
+            left, right = outs["parent"] / name, outs["change"] / name
+            same = left.is_file() and right.is_file() and filecmp.cmp(left, right, shallow=False)
+            differ += not same
+            print(f"{'same' if same else 'differ':6}  {name}")
+    print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds: "
+          f"{len(names) - differ} files same, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
