@@ -35,8 +35,6 @@ __all__ = [
     "suggested_group_tol",
 ]
 
-_PROBE_ANGLES = np.linspace(0.0, np.pi, 8, endpoint=False)
-
 
 class MeshError(ValueError):
     """Invalid mesh, domain specification, or region."""
@@ -124,8 +122,8 @@ class CoefficientField:
 
     The evaluator maps an (n, 2) array of points to their (n, 2, 2)
     matrices, or to one (2, 2) matrix shared by all of them.  The declared
-    nu is verified against probe directions at every quadrature point during
-    assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
+    nu is verified against the exact extreme eigenvalues of A at every
+    quadrature point during assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
     """
 
     def __init__(self, evaluator, nu: float):
@@ -167,12 +165,14 @@ class CoefficientField:
         asym = np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max() if len(mats) else 0.0
         if asym > 1e-12:
             raise ValueError("coefficient matrices must be symmetric")
-        directions = np.column_stack([np.cos(_PROBE_ANGLES), np.sin(_PROBE_ANGLES)])
-        quad = np.einsum("di,nij,dj->nd", directions, mats, directions)
-        if quad.min() < self.nu - 1e-10 or quad.max() > 1.0 / self.nu + 1e-10:
+        # the eigenvalues of [[a, b], [b, d]] are (a + d) / 2 -+ |((a - d) / 2, b)|
+        mean = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
+        radius = np.hypot(0.5 * (mats[:, 0, 0] - mats[:, 1, 1]), mats[:, 0, 1])
+        lo, hi = (mean - radius).min(), (mean + radius).max()
+        if lo < self.nu - 1e-10 or hi > 1.0 / self.nu + 1e-10:
             raise ValueError(
                 "declared ellipticity constant violated at a quadrature point: "
-                f"range [{quad.min():.6e}, {quad.max():.6e}] vs nu={self.nu}"
+                f"range [{lo:.6e}, {hi:.6e}] vs nu={self.nu}"
             )
         return mats
 

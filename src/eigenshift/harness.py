@@ -345,7 +345,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     the reciprocal scale.  Uncomputed eigenvalues lie below those, so none can
     fall in a window or lie nearer 1/lambda_m than the J_m that ``localize``
     falls back to.  A request that proves too short is doubled, and the
-    next eps (eps ascending) starts from the last request that sufficed.
+    next eps (eps ascending) starts from the last request that sufficed.  An
+    equal pair (eps = 0) is an exact fixed point and makes no perturbed solve.
     """
     mesh = unit_square_mesh(config.subdivisions)
     coeff = config.coefficient_field()
@@ -378,12 +379,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         try:
             dom2 = config.perturbed_domain(eps)
             pair = hilbert.SubspacePair(h1, fem2d.carve_subspace(space, mesh, dom2))
-            request, eigs2 = _lowest_eigs(
-                pair.h2, config.group_tol_for(dom2), request, config.n_lowest, covered
-            )
-            sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
-            # an equal pair is an exact fixed point and needs no geometry
+            # an equal pair is an exact fixed point: no perturbed spectrum, no geometry
             moved = pair.direction != "equal"
+            eigs2 = None
+            if moved:
+                request, eigs2 = _lowest_eigs(
+                    pair.h2, config.group_tol_for(dom2), request, config.n_lowest, covered
+                )
+            sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
             collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved else None
             area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
         except _CELL_ERRORS as exc:
@@ -597,13 +600,11 @@ def verify_abstract(seed: int, n_cases: int) -> dict:
         eigs1 = hilbert.solve_operator_eigs(h1, group_tol=1e-8)
         c0 = hilbert.embedding_constant(space)
         root_sigma = np.sqrt(s12)
-        m_top = eigs1.n_groups
-        lam_cum = eigs1.cumulative_sum(m_top)
-        lam_big = np.sqrt(lam_cum)
-        stack = np.hstack([eigs1.spaces[g] for g in range(m_top)])
-        coeffs = rng.normal(size=stack.shape[1])
-        phi = stack @ (coeffs / np.linalg.norm(coeffs))
-        psi = stack @ rng.normal(size=stack.shape[1])
+        lam_big = np.sqrt(eigs1.cumulative_sum(eigs1.n_groups))
+        x1 = eigs1.vectors
+        coeffs = rng.normal(size=x1.shape[1])
+        phi = x1 @ (coeffs / np.linalg.norm(coeffs))
+        psi = x1 @ rng.normal(size=x1.shape[1])
         s_phi = h2.project_block(phi)
         norm_phi2 = space.energy_norm(phi) ** 2
         upper = norm_phi2 * (1.0 + 1e-10) - space.energy_norm(s_phi) ** 2

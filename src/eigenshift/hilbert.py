@@ -24,9 +24,8 @@ max(2k + 1, 20), where ARPACK's Krylov space would be the whole subspace,
 by LAPACK's generalized driver, and Lanczos through the factor from a seeded
 start vector above it; each caller certifies every pair it reads once with
 :func:`eigsolve._certify`, whose allowance is relative to |x|.  The
-lowest eigenpairs of a subspace are the top ones of (M_II, A_II), and a
-partial result must match the Sylvester inertia count below the gap above
-it (spectrum slicing from sparse pivots).  sigma, sigma* and the embedding
+lowest eigenpairs of a subspace are the top ones of (M_II, A_II), checked
+as :func:`solve_operator_eigs` states.  sigma, sigma* and the embedding
 constant are largest eigenvalues; a :class:`SubspacePair` decides once how
 two subspaces relate and solves each of its pencils once.  Only the
 abstract suite's counterexamples and grid oracle read the dense Gram views.
@@ -283,33 +282,46 @@ class Subspace:
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues of the restricted spectral problem, grouped into eigenspaces.
-
-    ``values[g]`` is the g-th distinct eigenvalue, ``spaces[g]`` the ambient
-    N x J_g matrix of energy-orthonormal eigenvectors, ``multiplicities[g]``
-    its dimension.  ``complete`` records whether the whole spectrum was
-    computed; only a Lanczos solve keeps fewer pairs (``n_computed``).
+    """The kept eigenvalues ``lam`` ascending, the ambient N x n block
+    ``vectors`` of their energy-orthonormal eigenvectors, and the slices
+    ``groups`` of both that form the eigenvalue groups.  Each group's mean
+    (``values``), size (``multiplicities``) and ``spreads`` max |1/lam_i -
+    1/mean| derive from them.  ``complete`` records whether the whole
+    spectrum was computed; only a Lanczos solve keeps fewer pairs.
     """
 
-    values: np.ndarray
-    spaces: list
-    multiplicities: np.ndarray
+    lam: np.ndarray
+    vectors: np.ndarray
+    groups: list
     complete: bool
-    spreads: np.ndarray = None  # per group: max |1/lam_i - 1/lam_mean| over members
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([self.lam[sel].mean() for sel in self.groups])
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.array([sel.stop - sel.start for sel in self.groups], dtype=int)
+
+    @property
+    def spreads(self) -> np.ndarray:
+        pairs = zip(self.groups, self.values)
+        return np.array([np.abs(1.0 / self.lam[sel] - 1.0 / g).max() for sel, g in pairs])
 
     @property
     def n_groups(self) -> int:
-        return len(self.values)
+        return len(self.groups)
 
     @property
     def n_computed(self) -> int:
-        return int(self.multiplicities.sum())
+        return int(self.lam.size)
 
     def group(self, m: int) -> tuple[float, np.ndarray, int]:
         """1-based access: (eigenvalue, eigenspace basis, multiplicity)."""
         if not 1 <= m <= self.n_groups:
             raise IndexError(f"group index {m} outside 1..{self.n_groups}")
-        return float(self.values[m - 1]), self.spaces[m - 1], int(self.multiplicities[m - 1])
+        sel = self.groups[m - 1]
+        return float(self.values[m - 1]), self.vectors[:, sel], int(self.multiplicities[m - 1])
 
     def flat_values(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity, ascending."""
@@ -484,17 +496,16 @@ def solve_operator_eigs(
 ) -> EigenDecomposition:
     """Solve (phi, v) = lambda <phi, v> restricted to sub.
 
-    Eigenvalues come out ascending, grouped into eigenspaces wherever the
-    relative gap is at most ``group_tol``; each group's basis is
-    energy-orthonormal in the ambient coordinates.
+    Eigenvalues come out ascending, grouped wherever the relative gap is at
+    most ``group_tol``, with energy-orthonormal eigenvectors sign-fixed once.
 
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
     1/lambda, from :func:`_top_eigs`: ``n_lowest + 3`` of them, or all when
-    ``n_lowest`` is None, each certified once on that pencil.  A
-    partial result drops its trailing, possibly split group, and
-    :class:`PencilError` is raised unless the Sylvester count below the gap
-    above the kept groups equals the number kept.  A complete result is
-    returned whole.
+    ``n_lowest`` is None.  Three checks raise :class:`PencilError`: each
+    pair passes :func:`eigsolve._certify` on that pencil; a partial result
+    drops its trailing, possibly split group, and the Sylvester count below
+    the gap above the kept groups must equal the number kept; and each
+    re-orthonormalized group passes :func:`_certify_group`.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
@@ -525,25 +536,13 @@ def solve_operator_eigs(
         block = coords[:, sel]
         gram = block.T @ (a_res @ block)
         blocks[:, sel] = block @ _inv_sqrt(gram)
+    vectors = _fix_signs(sub.embed(blocks))
+    eigs = EigenDecomposition(lam[: vectors.shape[1]], vectors, groups, complete)
     # one certificate solve for all kept pairs
     k_blocks = sub._restricted_energy_solve(m_res @ blocks)
-    values, spaces, mults, spreads = [], [], [], []
-    for sel in groups:
-        lam_g = float(lam[sel].mean())
-        spread = float(np.abs(1.0 / lam[sel] - 1.0 / lam_g).max())
-        block = blocks[:, sel]
-        _certify_group(a_res, block, k_blocks[:, sel], lam_g, spread)
-        values.append(lam_g)
-        spaces.append(_fix_signs(sub.embed(block)))
-        mults.append(block.shape[1])
-        spreads.append(spread)
-    return EigenDecomposition(
-        values=np.array(values),
-        spaces=spaces,
-        multiplicities=np.array(mults, dtype=int),
-        complete=complete,
-        spreads=np.array(spreads),
-    )
+    for sel, lam_g, spread in zip(groups, eigs.values, eigs.spreads):
+        _certify_group(a_res, blocks[:, sel], k_blocks[:, sel], lam_g, spread)
+    return eigs
 
 
 def _group_boundaries(lam: np.ndarray, tol: float) -> list:
@@ -564,8 +563,9 @@ def _inv_sqrt(gram: np.ndarray) -> np.ndarray:
 
 
 def _certify_group(a_res, block, k_block, lam_g, spread) -> None:
-    # residual of K x = lambda_m^-1 x in the restricted energy norm, with
-    # k_block = K block; grouped eigenvalues that are merely close (not equal)
+    # residual of K x = lambda_m^-1 x in the restricted energy norm, lambda_m
+    # the group mean, with k_block = K block from one solve for all kept
+    # columns; grouped eigenvalues that are merely close (not equal)
     # contribute their spread in the reciprocal scale on top of the 1e-8
     # solver allowance
     num = _energy_norms(a_res, k_block - block / lam_g)

@@ -188,12 +188,11 @@ def localize(
         )
     else:
         chosen = np.argsort(np.abs(mu_inv_all - 1.0 / lam_m), kind="stable")[:j_m]
-    vectors_flat = np.hstack(eigs2.spaces)
     sel = chosen[np.argsort(mu_inv_all[chosen], kind="stable")]
     return LocalizationResult(
         mu_inv=mu_inv_all[sel],
         window=(lo, hi),
-        vectors=vectors_flat[:, sel],
+        vectors=eigs2.vectors[:, sel],
         counted=counted,
         gate_value=gate_value,
         admitted=counted and gate_value < SIGMA_GATE,

@@ -67,6 +67,17 @@ def test_coefficient_ellipticity_validated():
         assemble(mesh, bad)
 
 
+def test_ellipticity_is_checked_off_the_probe_directions():
+    # diag(0.49, 1) rotated by pi/16 has smallest eigenvalue 0.49 < nu = 0.5,
+    # but every quadratic form along the 8 directions k pi/8 lies above 0.5
+    c, s = np.cos(np.pi / 16.0), np.sin(np.pi / 16.0)
+    rot = np.array([[c, -s], [s, c]])
+    matrix = rot @ np.diag([0.49, 1.0]) @ rot.T
+    matrix = 0.5 * (matrix + matrix.T)
+    with pytest.raises(ValueError, match="ellipticity"):
+        assemble(unit_square_mesh(4), CoefficientField.constant(matrix, nu=0.5))
+
+
 def test_checker_sampling_matches_pointwise_evaluation():
     nu, cells = 0.5, 4
     eye = np.eye(2)

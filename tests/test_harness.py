@@ -567,6 +567,16 @@ def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):
     assert eigs2.complete and eigs2.n_computed == 9
 
 
+def test_equal_pair_makes_no_perturbed_eigensolve(monkeypatch):
+    # eps=0 carves the reference itself: its cells are exact fixed points
+    # that read no perturbed spectrum, so only the reference is solved
+    calls = _spy_eigensolves(monkeypatch)
+    h = 1.0 / 8.0
+    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[0.0], m=[1, 2]))
+    assert report.passed, report.failures
+    assert len(calls) == 1
+
+
 def test_next_eps_starts_from_the_last_request_that_sufficed(monkeypatch):
     # the expand's eps=2h needs 12 pairs to cover the m=2 window; eps=3h, a
     # larger domain, starts there instead of redoing the short request of 6

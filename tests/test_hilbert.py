@@ -515,7 +515,7 @@ def test_a_j_by_n_block_is_refused_not_transposed():
     space = fem2d.assemble(mesh, CoefficientField.identity())
     eigs = solve_operator_eigs(space.whole(), group_tol=1e-6)
     lam = float(eigs.values[0])
-    x_m = np.hstack([eigs.spaces[0], eigs.spaces[1]])[:, :2]
+    x_m = eigs.vectors[:, :2]
     shrunk = fem2d.carve_subspace(space, mesh, DomainSpec("square_shrink", eps=1.0 / 8.0))
     pair = SubspacePair(space.whole(), shrunk)
     column = eigenspace_images(pair, x_m[:, 0], lam)
@@ -573,7 +573,8 @@ def test_nodal_lanczos_eigs_match_dense_oracle(n, kind):
     if kind == "degenerate":
         assert set(eigs.multiplicities.tolist()) == {2}
     assert np.abs(eigs.values / means - 1.0).max() <= 1e-10
-    for x, want in zip(eigs.spaces, bases):
+    for m, want in enumerate(bases, 1):
+        x = eigs.group(m)[1]
         gap = _energy_projector(space.energy_gram, x) - _energy_projector(space.energy_gram, want)
         assert np.abs(gap).max() <= 1e-8
 
@@ -729,6 +730,28 @@ def test_diagonal_operator_eigs():
     eigs = solve_operator_eigs(space.whole(), group_tol=1e-6)
     assert np.allclose(eigs.values, [2.0, 8.0])
     assert eigs.multiplicities.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("n, n_lowest", [(4, None), (12, 8)], ids=["dense", "lanczos"])
+def test_decomposition_derives_every_group_quantity(n, n_lowest):
+    # the doubled square has exactly degenerate pairs: on 18 dofs the whole
+    # spectrum is solved densely, and a request for 8 of 242 runs Lanczos
+    space, sub = _lanczos_case(n, "degenerate")
+    eigs = solve_operator_eigs(sub, group_tol=1e-6, n_lowest=n_lowest)
+    assert eigs.complete == (n_lowest is None)
+    starts = [sel.start for sel in eigs.groups]
+    assert starts == [0] + [sel.stop for sel in eigs.groups[:-1]]
+    assert eigs.groups[-1].stop == eigs.n_computed == eigs.lam.size
+    assert all(sel.step is None and sel.stop > sel.start for sel in eigs.groups)
+    assert set(eigs.multiplicities.tolist()) == {2}
+    for g, sel in enumerate(eigs.groups):
+        assert eigs.values[g] == eigs.lam[sel].mean()
+        assert eigs.multiplicities[g] == sel.stop - sel.start
+        assert eigs.spreads[g] == np.abs(1.0 / eigs.lam[sel] - 1.0 / eigs.values[g]).max()
+        assert np.array_equal(eigs.group(g + 1)[1], eigs.vectors[:, sel])
+    x = eigs.vectors
+    assert np.abs(x.T @ space.energy_gram @ x - np.eye(x.shape[1])).max() < 1e-8
+    assert np.array_equal(eigs.flat_values(), np.repeat(eigs.values, eigs.multiplicities))
 
 
 def test_grouping_of_near_degenerate():

@@ -180,7 +180,7 @@ def test_proximity_idempotent_input():
     images = _images(h1, h2, x2, lam)
     # vectors in span(S2 X), next to the eigenvector they are compared with
     inside = images.s @ np.array([[1.0, 0.3], [-0.5, 2.0]])
-    u = np.column_stack([inside, eigs2.spaces[1][:, 0]])
+    u = np.column_stack([inside, eigs2.group(2)[1][:, 0]])
     prox = eigenvector_proximity(u, images, sigma)
     assert prox.shape == (3,)
     assert np.all(prox[:2] < 1e-9) and prox[2] > 1e-3
@@ -194,7 +194,7 @@ def test_proximity_matches_explicit_basis_projection():
     lam, x2, _ = eigs1.group(2)
     images = _images(h1, h2, x2, lam)
     p_m = oracles.projector_matrix(space.energy_gram, h2.project_block(x2))
-    u = np.hstack(eigs2.spaces[:2])
+    u = eigs2.vectors[:, : eigs2.groups[1].stop]
     want = [
         space.energy_norm(v - p_m @ v) / (np.sqrt(sigma) * space.energy_norm(v)) for v in u.T
     ]
@@ -204,7 +204,7 @@ def test_proximity_matches_explicit_basis_projection():
 def test_proximity_zero_sigma_with_mismatch_raises():
     space, h1, _, eigs1, _ = small_shrink_setup()
     lam, x1, _ = eigs1.group(1)
-    rogue = eigs1.spaces[1][:, 0]
+    rogue = eigs1.group(2)[1][:, 0]
     with pytest.raises(ValueError, match="inconsistent"):
         eigenvector_proximity(rogue, _images(h1, h1, x1, lam), sigma=0.0)
 

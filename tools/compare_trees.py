@@ -9,11 +9,12 @@ PYTHONPATH and one BLAS thread.  Both run the same inputs, read from
 CHANGE_ROOT: every config under ``configs/``, every ``config.json`` under
 ``tests/golden/``, and the ``shrink_sweep`` and ``notch_checker`` configs of
 ``perfbench/workloads.py`` (identical configs run once).  Each config goes
-through ``harness.run_scenario`` and ``harness.write_report``, and
+through ``harness.run_scenario`` and ``harness.write_report``;
 ``harness.verify_abstract(seed, 300)`` runs for the seeds 2024, 11 and 3,
-its summary written as sorted JSON.  Every output file is then compared
-byte for byte, one ``same`` or ``differ`` line per file, as ``cmp`` decides;
-the exit status is 1 when any file differs or is missing on one side.
+and ``harness.verify_fem()`` once, each summary written as sorted JSON.
+Every output file is then compared byte for byte, one ``same`` or
+``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
+file differs or is missing on one side.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
     text = json.dumps(summary, indent=2, sort_keys=True)
     (out / f"verify_abstract_{seed}.json").write_text(text + "\\n", encoding="utf-8")
+text = json.dumps(harness.verify_fem(), indent=2, sort_keys=True)
+(out / "verify_fem.json").write_text(text + "\\n", encoding="utf-8")
 """
 
 
@@ -110,7 +113,7 @@ def main(argv: list) -> int:
             same = left.is_file() and right.is_file() and filecmp.cmp(left, right, shallow=False)
             differ += not same
             print(f"{'same' if same else 'differ':6}  {name}")
-    print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds: "
+    print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
     return 1 if differ else 0
 
