@@ -103,7 +103,6 @@ class ScenarioConfig:
     coefficient: dict = field(default_factory=lambda: {"kind": "identity"})
     q: float = 2.0
     group_tol: float | None = None
-    seed: int = 0
     base: float = 0.25
     anchor: tuple = (0.5, 1.0)
     n_lowest: int = 12
@@ -169,7 +168,6 @@ class ScenarioConfig:
         for coordinate in self.anchor:
             _check_number(coordinate, "anchor")
         self.anchor = tuple(self.anchor)
-        _check_number(self.seed, "seed", numbers.Integral)
         for eps in self.eps:
             # the family's own checks: eps, anchor, and conformity to the mesh
             self.perturbed_domain(eps).check_conforming(self.h)

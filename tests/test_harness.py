@@ -140,10 +140,6 @@ def test_config_rejects_unknown_scenario_and_coefficient():
         ({"anchor": ("a", 1.0)}, "anchor must be a real number"),
         ({"anchor": (0.5,)}, "anchor must be two real numbers"),
         ({"anchor": 0.5}, "anchor must be two real numbers"),
-        ({"seed": float("nan")}, "seed must be an integer"),
-        ({"seed": "0"}, "seed must be an integer"),
-        ({"seed": True}, "seed must be an integer"),
-        ({"seed": 2.5}, "seed must be an integer"),
         (
             {"coefficient": {"kind": "constant", "matrix": "x", "nu": 0.5}},
             "coefficient matrix must be 2x2",
@@ -191,12 +187,19 @@ def test_config_rejects_non_finite_reals(field_name, bad):
 def test_config_roundtrip_and_unknown_fields():
     config = ScenarioConfig(
         scenario="boundary_notch", h=1.0 / 16.0, eps=[1.0 / 16.0], m=[1],
-        anchor=(0.5, 1.0), seed=3,
+        anchor=(0.5, 1.0),
     )
     clone = ScenarioConfig.from_dict(config.to_dict())
     assert clone == config
     with pytest.raises(ValueError, match="unknown config fields"):
         ScenarioConfig.from_dict({**config.to_dict(), "surprise": 1})
+
+
+def test_config_has_no_seed():
+    # no run read the seed field, so it is gone, and a config that sets it is refused
+    valid = {"scenario": "l_shape", "h": 1.0 / 16.0, "eps": [0.0], "m": [1]}
+    with pytest.raises(ValueError, match=r"unknown config fields: \['seed'\]"):
+        ScenarioConfig.from_dict({**valid, "seed": 0})
 
 
 @st.composite
@@ -223,7 +226,6 @@ def scenario_configs(draw):
         coefficient=coefficient,
         q=draw(st.floats(1.5, 4.0)),
         group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
-        seed=draw(st.integers(0, 99)),
         # square_expand's base must conform to h and be at most 1/2 - h
         base=draw(st.integers(0, n // 2 - 1)) * h,
         anchor=draw(st.sampled_from([(0.5, 1.0), (0.0, 0.25)])),
