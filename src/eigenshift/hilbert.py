@@ -285,9 +285,9 @@ class EigenDecomposition:
     """The kept eigenvalues ``lam`` ascending, the ambient N x n block
     ``vectors`` of their energy-orthonormal eigenvectors, and the slices
     ``groups`` of both that form the eigenvalue groups.  Each group's mean
-    (``values``), size (``multiplicities``) and ``spreads`` max |1/lam_i -
-    1/mean| derive from them.  ``complete`` records whether the whole
-    spectrum was computed; only a Lanczos solve keeps fewer pairs.
+    ``values[g]``, size ``multiplicities[g]`` and splitting ``spreads[g]`` =
+    max |1/lam_i - 1/values[g]| derive from them.  ``complete`` records
+    whether the whole spectrum was computed; only Lanczos keeps fewer pairs.
     """
 
     lam: np.ndarray
@@ -306,7 +306,7 @@ class EigenDecomposition:
     @property
     def spreads(self) -> np.ndarray:
         pairs = zip(self.groups, self.values)
-        return np.array([np.abs(1.0 / self.lam[sel] - 1.0 / g).max() for sel, g in pairs])
+        return np.array([np.abs(1.0 / self.lam[sel] - 1.0 / mean).max() for sel, mean in pairs])
 
     @property
     def n_groups(self) -> int:

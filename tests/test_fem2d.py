@@ -61,21 +61,18 @@ def test_stiffness_linear_in_coefficient():
 
 
 def test_coefficient_ellipticity_validated():
-    bad = CoefficientField(lambda p: np.diag([4.0, 0.5]), nu=1.0)
-    mesh = unit_square_mesh(4)
-    with pytest.raises(ValueError, match="ellipticity"):
-        assemble(mesh, bad)
-
-
-def test_ellipticity_is_checked_off_the_probe_directions():
     # diag(0.49, 1) rotated by pi/16 has smallest eigenvalue 0.49 < nu = 0.5,
-    # but every quadratic form along the 8 directions k pi/8 lies above 0.5
+    # though its quadratic form exceeds 0.5 along every direction k pi/8
     c, s = np.cos(np.pi / 16.0), np.sin(np.pi / 16.0)
     rot = np.array([[c, -s], [s, c]])
-    matrix = rot @ np.diag([0.49, 1.0]) @ rot.T
-    matrix = 0.5 * (matrix + matrix.T)
-    with pytest.raises(ValueError, match="ellipticity"):
-        assemble(unit_square_mesh(4), CoefficientField.constant(matrix, nu=0.5))
+    rotated = rot @ np.diag([0.49, 1.0]) @ rot.T
+    mesh = unit_square_mesh(4)
+    for bad in (
+        CoefficientField(lambda p: np.diag([4.0, 0.5]), nu=1.0),
+        CoefficientField.constant(0.5 * (rotated + rotated.T), nu=0.5),
+    ):
+        with pytest.raises(ValueError, match="ellipticity"):
+            assemble(mesh, bad)
 
 
 def test_checker_sampling_matches_pointwise_evaluation():
