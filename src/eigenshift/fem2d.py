@@ -13,7 +13,8 @@ genuine subspace perturbations of a single discrete problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -182,23 +183,21 @@ class DomainSpec:
     """Mesh-conforming polygonal subdomain of the background square.
 
     kinds: square_shrink (inset eps from the boundary), square_expand
-    (outset eps from a base inset), boundary_notch (triangles near an
-    anchor on the boundary removed), l_shape (corner square removed),
-    element_mask (explicit kept element ids).  Each family but element_mask
-    is one predicate, ``_keeps``: which centroids it keeps at width w.  The
-    kept set, the collar (see ``collar_elements``) and ``side`` derive from
-    it.  eps, and the base inset of square_expand, must be nonnegative
-    multiples of the mesh size (``check_conforming``); non-conforming values
-    are rejected.
+    (outset eps from the square inset ``base`` = 1/4), boundary_notch
+    (triangles near an anchor on the boundary removed), l_shape (corner
+    square removed).  Each family is one predicate, ``_keeps``: which
+    centroids it keeps at width w.  The kept set, the collar (see
+    ``collar_elements``) and ``side`` derive from it.  eps, and the base
+    inset of square_expand, must be nonnegative multiples of the mesh size
+    (``check_conforming``); non-conforming values are rejected.
     """
 
     kind: str
     eps: float = 0.0
     anchor: tuple = (0.5, 1.0)
-    base: float = 0.25
-    elements: list = field(default_factory=list)
 
-    _KINDS = ("square_shrink", "square_expand", "boundary_notch", "l_shape", "element_mask")
+    base: ClassVar[float] = 0.25
+    _KINDS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -234,18 +233,15 @@ class DomainSpec:
 
     def kept_elements(self, mesh: BackgroundMesh) -> np.ndarray:
         """Ids of the triangles making up the domain."""
-        if self.kind == "element_mask":
-            return np.unique(_element_ids(mesh, self.elements))
         self.check_conforming(mesh.h)
-        if self.kind == "square_expand" and self.eps > self.base + 1e-12:
-            raise MeshError(f"expansion eps={self.eps} exceeds the base inset {self.base}")
         return np.flatnonzero(self._keeps(mesh.centroids, self.eps))
 
     def check_conforming(self, h: float) -> None:
         """MeshError unless eps, and the base inset of square_expand, are
-        multiples of the mesh size h, and that base is nonnegative and at
-        most 1/2 - h, so the reference square (width 0) keeps an interior
-        vertex."""
+        multiples of the mesh size h, and a square_expand eps is at most the
+        base, so the expanded square stays inside D.  A conforming base of
+        1/4 means h = 1/(4k), so the reference square, inset by 1/4 <= 1/2 - h,
+        keeps an interior vertex."""
         widths = {"eps": self.eps}
         if self.kind == "square_expand":
             widths["base"] = self.base
@@ -257,12 +253,8 @@ class DomainSpec:
                     f"{what}={value} is not a multiple of the mesh size h={h}; "
                     "non-conforming perturbations are rejected, not approximated"
                 )
-        if self.kind == "square_expand" and self.base < 0:
-            raise MeshError(f"base={self.base} must be nonnegative")
-        if self.kind == "square_expand" and self.base > 0.5 - h + 1e-12:
-            raise MeshError(
-                f"base={self.base} leaves the reference square without an interior vertex"
-            )
+        if self.kind == "square_expand" and self.eps > self.base + 1e-12:
+            raise MeshError(f"expansion eps={self.eps} exceeds the base inset {self.base}")
 
 
 def _in_box(points: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -382,8 +374,6 @@ def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np
     """
     if q <= 1.0:
         raise MeshError(f"collar factor q must exceed 1, got {q}")
-    if dom.kind == "element_mask":
-        raise MeshError(f"no collar notion for domain kind {dom.kind!r}")
     cen = mesh.centroids
     reach = -q * dom.eps if dom.kind == "square_expand" else q * dom.eps
     ids = np.flatnonzero(dom._keeps(cen, 0.0) & ~dom._keeps(cen, reach))

@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,7 +95,10 @@ def _check_number(value, name: str, kind=numbers.Real) -> None:
 class ScenarioConfig:
     """One experiment: scenario family, mesh, coefficients, sweeps.  Each
     field is validated at load, and then ``eps`` is stored as a list, ``m``
-    as a list of ints and ``anchor`` as a tuple."""
+    as a list of ints and ``anchor`` as a tuple.  The grouping tolerance
+    derives from the mesh and the domain (``group_tol_for``), and the
+    constant ``n_lowest`` caps the eigenpairs a run requests per
+    decomposition."""
 
     scenario: str
     h: float
@@ -102,10 +106,9 @@ class ScenarioConfig:
     m: list
     coefficient: dict = field(default_factory=lambda: {"kind": "identity"})
     q: float = 2.0
-    group_tol: float | None = None
-    base: float = 0.25
     anchor: tuple = (0.5, 1.0)
-    n_lowest: int = 12
+
+    n_lowest: ClassVar[int] = 12
 
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
@@ -152,17 +155,9 @@ class ScenarioConfig:
             for entry in matrix.flat:
                 _check_number(entry, "coefficient matrix entry")
             self.coefficient_field()  # the field's own symmetry check
-        _check_number(self.n_lowest, "n_lowest", numbers.Integral)
-        if self.n_lowest < 1:
-            raise ValueError(f"n_lowest must be at least 1, got {self.n_lowest}")
-        if self.group_tol is not None:
-            _check_number(self.group_tol, "group_tol")
-            if not self.group_tol > 0.0:
-                raise ValueError(f"group_tol must be positive or None, got {self.group_tol}")
         _check_number(self.q, "q")
         if not self.q > 1.0:
             raise ValueError(f"q must be greater than 1, got {self.q}")
-        _check_number(self.base, "base")
         if not isinstance(self.anchor, (tuple, list)) or len(self.anchor) != 2:
             raise ValueError(f"anchor must be two real numbers, got {self.anchor!r}")
         for coordinate in self.anchor:
@@ -197,12 +192,10 @@ class ScenarioConfig:
         and lambda scales with the inverse squared domain size, so the
         mesh-aware tolerance is widened by that factor for inset squares.
         """
-        if self.group_tol is not None:
-            return self.group_tol
         return fem2d.suggested_group_tol(self.h) / max(dom.side, 2.0 * self.h) ** 2
 
     def perturbed_domain(self, eps: float) -> DomainSpec:
-        return DomainSpec(self.scenario, eps=eps, anchor=self.anchor, base=self.base)
+        return DomainSpec(self.scenario, eps=eps, anchor=self.anchor)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "anchor": list(self.anchor)}
@@ -359,10 +352,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     _, eigs1 = _lowest_eigs(h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest, resolved)
     if not resolved(eigs1):
-        raise ValueError(
-            f"reference decomposition resolves {eigs1.n_groups} groups, "
-            f"but m up to {max_m} was requested; increase n_lowest"
+        found = (
+            f"the reference has only {eigs1.n_groups} groups"
+            if eigs1.complete
+            else f"the reference resolves {eigs1.n_groups} groups at the request cap "
+            f"n_lowest={config.n_lowest}"
         )
+        raise ValueError(f"{found}, but m up to {max_m} was requested")
     # (lo, J_m) of each window
     floors = [(perturbation.spectral_window(eigs1, m)[0], eigs1.group(m)[2]) for m in config.m]
 

@@ -51,7 +51,6 @@ __all__ = [
     "DimensionMismatchError",
     "SubspaceRankError",
     "NotInSubspaceError",
-    "DEFAULT_GROUP_TOL",
     "embedding_constant",
     "sigma_distance",
     "sigma_star",
@@ -65,8 +64,6 @@ __all__ = [
     "compute_rho0",
     "intersection_subspace",
 ]
-
-DEFAULT_GROUP_TOL = 1e-6
 
 
 class DimensionMismatchError(ValueError):
@@ -492,7 +489,7 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
 
 
 def solve_operator_eigs(
-    sub: Subspace, group_tol: float = DEFAULT_GROUP_TOL, n_lowest: int | None = None
+    sub: Subspace, group_tol: float, n_lowest: int | None = None
 ) -> EigenDecomposition:
     """Solve (phi, v) = lambda <phi, v> restricted to sub.
 

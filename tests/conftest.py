@@ -117,7 +117,7 @@ def sweep_reports():
         ),
         "square_expand": ScenarioConfig(
             scenario="square_expand", h=h64,
-            eps=[2 * h64, 4 * h64, 8 * h64, 16 * h64], m=[1, 2], base=0.25,
+            eps=[2 * h64, 4 * h64, 8 * h64, 16 * h64], m=[1, 2],
         ),
         "boundary_notch": ScenarioConfig(
             scenario="boundary_notch", h=h48,

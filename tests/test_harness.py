@@ -116,27 +116,15 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             {"scenario": "square_expand", "h": 1.0 / 6.0, "eps": [1.0 / 6.0]},
             "base=0.25 is not a multiple",
         ),
-        # a base past 1/2 - h leaves the reference square no interior vertex;
-        # it loaded, and the run raised "has an empty interior"
+        # an expansion past the base inset loaded and became an error cell
         (
-            {"scenario": "square_expand", "h": 0.2, "eps": [0.2], "base": 0.4},
-            "base=0.4 leaves the reference square without an interior vertex",
-        ),
-        # a negative base loaded, and the run raised an uncaught MeshError
-        (
-            {"scenario": "square_expand", "eps": [0.0, 0.0625], "base": -0.25},
-            "base=-0.25 must be nonnegative",
+            {"scenario": "square_expand", "eps": [0.3125]},
+            "expansion eps=0.3125 exceeds the base inset 0.25",
         ),
         ({"eps": [0.0625, 0.0625]}, "eps must not repeat"),
         ({"m": [1, 2, 1]}, "m must not repeat"),
-        ({"n_lowest": 2.5}, "n_lowest must be an integer"),
-        ({"n_lowest": True}, "n_lowest must be an integer"),
-        ({"n_lowest": 0}, "n_lowest must be at least 1"),
-        ({"group_tol": "1e-6"}, "group_tol must be a real number"),
-        ({"group_tol": 0.0}, "group_tol must be positive"),
         ({"q": "2"}, "q must be a real number"),
         ({"q": 1.0}, "q must be greater than 1"),
-        ({"base": "0.25"}, "base must be a real number"),
         ({"anchor": ("a", 1.0)}, "anchor must be a real number"),
         ({"anchor": (0.5,)}, "anchor must be two real numbers"),
         ({"anchor": 0.5}, "anchor must be two real numbers"),
@@ -161,19 +149,15 @@ def test_config_rejects_unknown_scenario_and_coefficient():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
-@pytest.mark.parametrize(
-    "field_name", ["eps", "base", "anchor", "q", "group_tol", "nu", "matrix"]
-)
+@pytest.mark.parametrize("field_name", ["eps", "anchor", "q", "nu", "matrix"])
 def test_config_rejects_non_finite_reals(field_name, bad):
     # eps=inf once raised OverflowError and eps=nan "cannot convert float NaN
-    # to integer"; a NaN base, anchor or matrix entry, or an infinite q or
-    # group_tol, constructed and failed later or not at all
+    # to integer"; a NaN anchor or matrix entry, or an infinite q, constructed
+    # and failed later or not at all
     changes = {
         "eps": {"eps": [bad]},
-        "base": {"base": bad},
         "anchor": {"anchor": (bad, 1.0)},
         "q": {"q": bad},
-        "group_tol": {"group_tol": bad},
         "nu": {"coefficient": {"kind": "checker", "nu": bad}},
         "matrix": {
             "coefficient": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, bad]], "nu": 0.5}
@@ -193,14 +177,20 @@ def test_config_roundtrip_and_unknown_fields():
     assert clone == config
     with pytest.raises(ValueError, match="unknown config fields"):
         ScenarioConfig.from_dict({**config.to_dict(), "surprise": 1})
-    # no run reads a seed, so a config has none
-    with pytest.raises(ValueError, match=r"unknown config fields: \['seed'\]"):
-        ScenarioConfig.from_dict({**config.to_dict(), "seed": 0})
+    # no run reads a seed, and the grouping tolerance, the square_expand base
+    # and the eigenpair cap are not the config's to set
+    for name, value in (("seed", 0), ("group_tol", None), ("base", 0.25), ("n_lowest", 12)):
+        with pytest.raises(ValueError, match=rf"unknown config fields: \['{name}'\]"):
+            ScenarioConfig.from_dict({**config.to_dict(), name: value})
 
 
 @st.composite
 def scenario_configs(draw):
-    n = draw(st.integers(2, 64))
+    scenarios = ["square_shrink", "square_expand", "boundary_notch", "l_shape"]
+    scenario = draw(st.sampled_from(scenarios))
+    # square_expand's base of 1/4 must conform to h, and eps stay within it
+    expand = scenario == "square_expand"
+    n = 4 * draw(st.integers(1, 16)) if expand else draw(st.integers(2, 64))
     h = 1.0 / n
     coefficient = draw(
         st.sampled_from(
@@ -211,21 +201,15 @@ def scenario_configs(draw):
             ]
         )
     )
-    scenarios = ["square_shrink", "square_expand", "boundary_notch", "l_shape"]
+    widths = st.integers(0, n // 4 if expand else n)
     return ScenarioConfig(
-        scenario=draw(st.sampled_from(scenarios)),
+        scenario=scenario,
         h=h,
-        eps=[
-            k * h for k in draw(st.lists(st.integers(0, n), min_size=1, max_size=4, unique=True))
-        ],
+        eps=[k * h for k in draw(st.lists(widths, min_size=1, max_size=4, unique=True))],
         m=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)),
         coefficient=coefficient,
         q=draw(st.floats(1.5, 4.0)),
-        group_tol=draw(st.none() | st.floats(1e-9, 1e-3)),
-        # square_expand's base must conform to h and be at most 1/2 - h
-        base=draw(st.integers(0, n // 2 - 1)) * h,
         anchor=draw(st.sampled_from([(0.5, 1.0), (0.0, 0.25)])),
-        n_lowest=draw(st.integers(1, 20)),
     )
 
 
@@ -431,13 +415,19 @@ def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
     assert metrics["hilbert.corrector_block.per_cell"] == 1.0
 
 
-def test_reference_that_resolves_too_few_groups_asks_for_more():
-    # n_lowest = 1 asks for 4 pairs: group 1, the double group 2 and a
+def test_reference_that_resolves_too_few_groups_asks_for_more(monkeypatch):
+    # the 9 dofs of the h=1/4 square are solved completely into 2 groups, so
+    # no larger request can resolve m = 7
+    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 4.0, eps=[1.0 / 4.0], m=[7])
+    with pytest.raises(ValueError, match="reference has only 2 groups, but m up to 7"):
+        run_scenario(config)
+    # a cap of 1 asks for 4 pairs: group 1, the double group 2 and a
     # trailing group that may be incomplete, so the window of m = 3 is unknown
-    config = ScenarioConfig(
-        scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[3], n_lowest=1
-    )
-    with pytest.raises(ValueError, match="resolves 2 groups, but m up to 3 .*increase n_lowest"):
+    monkeypatch.setattr(ScenarioConfig, "n_lowest", 1)
+    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[3])
+    with pytest.raises(
+        ValueError, match="resolves 2 groups at the request cap n_lowest=1, but m up to 3"
+    ):
         run_scenario(config)
 
 
@@ -539,10 +529,9 @@ def test_reference_request_starts_at_max_m_plus_two(monkeypatch):
 
 def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch):
     calls = _spy_eigensolves(monkeypatch)
+    monkeypatch.setattr(ScenarioConfig, "n_lowest", 40)
     h = 1.0 / 16.0
-    run_scenario(
-        ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2], n_lowest=40)
-    )
+    run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
     assert [n for n, _ in calls] == [4, 6, 12]
     (_, eigs1), (_, short), (_, grown) = calls
     lo, _ = perturbation.spectral_window(eigs1, 2)
@@ -589,8 +578,9 @@ def test_next_eps_starts_from_the_last_request_that_sufficed(monkeypatch):
 
 def test_requests_never_exceed_n_lowest(monkeypatch):
     calls = _spy_eigensolves(monkeypatch)
+    monkeypatch.setattr(ScenarioConfig, "n_lowest", 3)
     h = 1.0 / 8.0
-    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[2], n_lowest=3))
+    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[2]))
     assert calls and all(n is not None and n <= 3 for n, _ in calls)
 
 
@@ -602,8 +592,9 @@ def test_result_does_not_depend_on_an_unbinding_cap(monkeypatch):
     runs = []
     for cap in (12, 40):
         calls.clear()
-        report = run_scenario(ScenarioConfig.from_dict({**data, "n_lowest": cap}))
-        runs.append(([n for n, _ in calls], {**report.to_dict(), "config": None}))
+        monkeypatch.setattr(ScenarioConfig, "n_lowest", cap)
+        report = run_scenario(ScenarioConfig.from_dict(data))
+        runs.append(([n for n, _ in calls], report.to_dict()))
     assert runs[0][0] == runs[1][0]
     assert max(runs[0][0]) < 12
     assert json.dumps(runs[0][1], sort_keys=True) == json.dumps(runs[1][1], sort_keys=True)
@@ -616,21 +607,17 @@ def test_report_json_deterministic(tiny_report, tmp_path):
 
 
 def test_group_tol_scales_with_domain():
-    config = ScenarioConfig(
-        scenario="square_expand", h=1.0 / 16.0, eps=[0.0], m=[1], base=0.25
-    )
+    config = ScenarioConfig(scenario="square_expand", h=1.0 / 16.0, eps=[0.0], m=[1])
     tol_ref = config.group_tol_for(config.reference_domain())
     tol_pert = config.group_tol_for(config.perturbed_domain(0.25))
     assert tol_ref == pytest.approx(4.0 * tol_pert)
 
 
 def test_configured_group_tol_reaches_every_eigensolve(monkeypatch):
-    config = ScenarioConfig(
-        scenario="square_shrink", h=1.0 / 16.0, eps=[1.0 / 16.0, 2.0 / 16.0], m=[1],
-        group_tol=3e-4,
-    )
-    defaults = ScenarioConfig.from_dict({**config.to_dict(), "group_tol": None})
-    assert defaults.group_tol_for(defaults.reference_domain()) != 3e-4
+    # the reference and each eps's domain are solved, in that order, with the
+    # tolerance the config derives for that domain
+    h = 1.0 / 16.0
+    config = ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1])
     seen = []
     true_solve = hilbert.solve_operator_eigs
 
@@ -640,8 +627,9 @@ def test_configured_group_tol_reaches_every_eigensolve(monkeypatch):
 
     monkeypatch.setattr(hilbert, "solve_operator_eigs", spy)
     run_scenario(config)
-    assert len(seen) >= 1 + len(config.eps)
-    assert set(seen) == {3e-4}
+    want = [config.group_tol_for(config.perturbed_domain(eps)) for eps in (0.0, h, 2 * h)]
+    assert len(set(want)) == 3
+    assert list(dict.fromkeys(seen)) == want
 
 
 # -- verification suites -------------------------------------------------------------

@@ -335,8 +335,8 @@ def _fem_pairs(n):
     return {
         "shrink": (DomainSpec("square_shrink", eps=0.0), DomainSpec("square_shrink", eps=h)),
         "expand": (
-            DomainSpec("square_expand", eps=0.0, base=0.25),
-            DomainSpec("square_expand", eps=2 * h, base=0.25),
+            DomainSpec("square_expand", eps=0.0),
+            DomainSpec("square_expand", eps=2 * h),
         ),
         "notches": (
             DomainSpec("boundary_notch", eps=2 * h, anchor=(0.5, 1.0)),

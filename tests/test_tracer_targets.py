@@ -57,7 +57,7 @@ def test_tracer_attrs_bind_by_parameter_name():
     calls = {
         "eigsolve.solve_pencil": (solve_pencil, (SymmetricPencil(np.eye(2), np.eye(2)),), {}),
         "hilbert.solve_operator_eigs": (
-            hilbert.solve_operator_eigs, (space.whole(),), {"n_lowest": 2}
+            hilbert.solve_operator_eigs, (space.whole(),), {"group_tol": 1e-6, "n_lowest": 2}
         ),
         "fem2d.assemble": (fem2d.assemble, (mesh, CoefficientField.identity()), {}),
     }
