@@ -42,25 +42,33 @@ class MeshError(ValueError):
 
 
 class BackgroundMesh:
-    """Conforming triangle mesh of the unit square with vertex classification.
+    """The structured triangulation of the unit square with n x n cells.
 
-    vertices: (nv, 2) array; triangles: (nt, 3) int array, positively
-    oriented; h: nominal edge length.  Vertices strictly inside D are the
-    degrees of freedom of the background space, in vertex order.  The
-    centroids (``centroids``, (nt, 2)) and the P1 gradients (``gradients``,
+    Vertex k sits at (k mod (n + 1), k div (n + 1)) / n, so vertex values
+    reshape to an (n + 1) x (n + 1) raster [iy, ix].  Each cell (ix, iy),
+    taken row by row, gives two positively oriented triangles of area
+    1 / (2 n^2), split along its lower-left to upper-right diagonal; every
+    edge lies on one or two triangles.  The grid is valid by construction,
+    so nothing about it is checked at run time.  h = 1/n is the edge
+    length.  Vertices strictly inside D are the degrees of freedom of the
+    background space, in vertex order.  The areas, the centroids
+    (``centroids``, (nt, 2)) and the P1 gradients (``gradients``,
     (nt, 3, 2)) are computed once, as read-only arrays that assembly,
     domains and forms index into.
     """
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, h: float):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
-        self.h = float(h)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (nv, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (nt, 3) array")
-        self._validate_geometry()
+    def __init__(self, n: int):
+        if n < 2:
+            raise MeshError(f"need at least 2 cells per side, got {n}")
+        self.n, self.h = n, 1.0 / n
+        side = np.linspace(0.0, 1.0, n + 1)
+        xx, yy = np.meshgrid(side, side)
+        self.vertices = np.column_stack([xx.ravel(), yy.ravel()])
+        # cell (ix, iy), row by row: lower-left corner a, then b, c, d counterclockwise
+        ix, iy = np.meshgrid(np.arange(n), np.arange(n))
+        a = (iy * (n + 1) + ix).ravel()
+        b, c, d = a + 1, a + n + 2, a + n + 1
+        self.triangles = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         eps = 1e-12
         self.interior_mask = (x > eps) & (x < 1 - eps) & (y > eps) & (y < 1 - eps)
@@ -71,27 +79,13 @@ class BackgroundMesh:
         # per-vertex incident triangle counts, for interiority of carved domains
         self._incident_total = np.zeros(len(self.vertices), dtype=int)
         np.add.at(self._incident_total, self.triangles.ravel(), 1)
-        corners = self.vertices[self.triangles]
-        self.centroids = _read_only(corners.mean(axis=1))
-        self.gradients = _read_only(_p1_gradients(corners, self.areas))
-
-    def _validate_geometry(self) -> None:
-        nv = len(self.vertices)
-        if self.triangles.size and not 0 <= self.triangles.min() <= self.triangles.max() < nv:
-            raise MeshError("triangle vertex index out of range")
         p = self.vertices[self.triangles]
         cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
             p[:, 1, 1] - p[:, 0, 1]
         ) * (p[:, 2, 0] - p[:, 0, 0])
-        self.areas = 0.5 * cross
-        bad = np.flatnonzero(self.areas <= 1e-14)
-        if bad.size:
-            raise MeshError(f"triangle {bad[0]} is degenerate or negatively oriented")
-        edges = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        # one integer key per edge: unique over rows (axis=0) is several times slower
-        keys = edges[:, 0] * nv + edges[:, 1]
-        if np.any(np.unique(keys, return_counts=True)[1] > 2):
-            raise MeshError("mesh is not conforming: an edge is shared by >2 triangles")
+        self.areas = _read_only(0.5 * cross)
+        self.centroids = _read_only(p.mean(axis=1))
+        self.gradients = _read_only(_p1_gradients(p, self.areas))
 
     @property
     def n_triangles(self) -> int:
@@ -104,78 +98,61 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def unit_square_mesh(n: int) -> BackgroundMesh:
-    """Structured mesh with n x n cells, diagonals along y = x."""
-    if n < 2:
-        raise MeshError(f"need at least 2 cells per side, got {n}")
-    side = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(side, side)
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    # cell (ix, iy), row by row: lower-left corner a, then b, c, d counterclockwise
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
-    a = (iy * (n + 1) + ix).ravel()
-    b, c, d = a + 1, a + n + 2, a + n + 1
-    tris = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
-    return BackgroundMesh(vertices, tris, 1.0 / n)
+    """The structured mesh with n x n cells, diagonals along y = x
+    (``BackgroundMesh(n)``); MeshError for n < 2."""
+    return BackgroundMesh(n)
 
 
 class CoefficientField:
-    """Symmetric 2x2 coefficient A(x) with a declared ellipticity constant.
+    """Symmetric 2x2 coefficient A(x), constant on each tile of the fixed
+    4 x 4 checkerboard of D, with a declared ellipticity constant nu.
 
-    The evaluator maps an (n, 2) array of points to their (n, 2, 2)
-    matrices, or to one (2, 2) matrix shared by all of them.  The declared
-    nu is verified against the exact extreme eigenvalues of A at every
-    quadrature point during assembly: nu |xi|^2 <= xi' A xi <= |xi|^2 / nu.
+    ``tiles`` holds one or two 2x2 matrices: tile (i, j) carries
+    ``tiles[(i + j) % len(tiles)]``.  Construction checks, once, that each
+    is a symmetric 2x2 matrix whose exact eigenvalues lie in [nu, 1/nu], so
+    nu |xi|^2 <= xi' A xi <= |xi|^2 / nu everywhere in D.
     """
 
-    def __init__(self, evaluator, nu: float):
+    CELLS: ClassVar[int] = 4
+
+    def __init__(self, tiles, nu: float):
         if not 0.0 < nu <= 1.0:
-            raise ValueError(f"ellipticity constant must be in (0, 1], got {nu}")
-        self.evaluator = evaluator
+            raise ValueError(f"ellipticity constant nu must be in (0, 1], got {nu}")
         self.nu = float(nu)
+        for tile in tiles:
+            shape = np.asarray(tile, dtype=object).shape
+            if shape != (2, 2):
+                raise ValueError(f"coefficient matrix must be 2x2, got shape {shape}")
+        self.tiles = np.array(tiles, dtype=float)
+        if np.abs(self.tiles[:, 0, 1] - self.tiles[:, 1, 0]).max() > 1e-14:
+            raise ValueError("coefficient matrix must be symmetric")
+        # the eigenvalues of [[a, b], [b, d]] are (a + d) / 2 -+ |((a - d) / 2, b)|
+        mean = 0.5 * (self.tiles[:, 0, 0] + self.tiles[:, 1, 1])
+        radius = np.hypot(0.5 * (self.tiles[:, 0, 0] - self.tiles[:, 1, 1]), self.tiles[:, 0, 1])
+        lo, hi = (mean - radius).min(), (mean + radius).max()
+        if not (lo >= self.nu - 1e-10 and hi <= 1.0 / self.nu + 1e-10):
+            raise ValueError(
+                "declared ellipticity constant violated: "
+                f"eigenvalue range [{lo:.6e}, {hi:.6e}] vs nu={self.nu}"
+            )
 
     @classmethod
     def identity(cls) -> "CoefficientField":
-        eye = np.eye(2)
-        return cls(lambda _: eye, nu=1.0)
+        return cls([np.eye(2)], nu=1.0)
 
     @classmethod
     def constant(cls, matrix, nu: float) -> "CoefficientField":
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (2, 2) or abs(matrix[0, 1] - matrix[1, 0]) > 1e-14:
-            raise ValueError("constant coefficient must be a symmetric 2x2 matrix")
-        return cls(lambda _: matrix, nu=nu)
+        return cls([matrix], nu=nu)
 
     @classmethod
-    def checker(cls, nu: float, cells: int = 4) -> "CoefficientField":
-        """Checkerboard of identity and nu*identity tiles, cells x cells."""
-        eye = np.eye(2)
-
-        def evaluate(points):
-            tile = np.floor(points * cells).astype(int).sum(axis=1)
-            return np.where((tile % 2 == 0)[:, None, None], eye, nu * eye)
-
-        return cls(evaluate, nu=nu)
+    def checker(cls, nu: float) -> "CoefficientField":
+        """Checkerboard of identity and nu*identity tiles."""
+        return cls([np.eye(2), nu * np.eye(2)], nu=nu)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(self.evaluator(points), dtype=float)
-        try:
-            mats = np.broadcast_to(values, (len(points), 2, 2))
-        except ValueError:
-            raise ValueError("coefficient evaluator must return 2x2 matrices") from None
-        asym = np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max() if len(mats) else 0.0
-        if asym > 1e-12:
-            raise ValueError("coefficient matrices must be symmetric")
-        # the eigenvalues of [[a, b], [b, d]] are (a + d) / 2 -+ |((a - d) / 2, b)|
-        mean = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
-        radius = np.hypot(0.5 * (mats[:, 0, 0] - mats[:, 1, 1]), mats[:, 0, 1])
-        lo, hi = (mean - radius).min(), (mean + radius).max()
-        if lo < self.nu - 1e-10 or hi > 1.0 / self.nu + 1e-10:
-            raise ValueError(
-                "declared ellipticity constant violated at a quadrature point: "
-                f"range [{lo:.6e}, {hi:.6e}] vs nu={self.nu}"
-            )
-        return mats
+        """The (n, 2, 2) matrices at an (n, 2) array of points of D."""
+        tile = np.floor(points * self.CELLS).astype(int).sum(axis=1)
+        return self.tiles[tile % len(self.tiles)]
 
 
 @dataclass
@@ -197,10 +174,10 @@ class DomainSpec:
     anchor: tuple = (0.5, 1.0)
 
     base: ClassVar[float] = 0.25
-    _KINDS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
+    KINDS: ClassVar[tuple] = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise MeshError(f"unknown domain kind {self.kind!r}")
         if self.eps < 0:
             raise MeshError("eps must be nonnegative")
@@ -388,8 +365,9 @@ def hadamard_slope(mesh: BackgroundMesh, space: EnergySpace, eigenpair, shift: f
     Integrates |normal derivative|^2 over the four sides and scales it by
     one uniform boundary shift, recovering the normal derivative by a
     one-sided difference across the first interior vertex layer and
-    integrating with the trapezoid rule.  The eigenfunction must be
-    L2-normalized.
+    integrating with the trapezoid rule.  The layers are rows and columns
+    of the mesh's (n + 1) x (n + 1) vertex raster, which ``BackgroundMesh``
+    guarantees.  The eigenfunction must be L2-normalized.
     """
     lam, phi = eigenpair
     if space.dim != mesh.n_dofs:
@@ -397,7 +375,7 @@ def hadamard_slope(mesh: BackgroundMesh, space: EnergySpace, eigenpair, shift: f
     norm = float(phi @ (space.mass_csr @ phi))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"eigenfunction must be L2-normalized, got |phi|^2={norm:.6e}")
-    n, h = int(round(1.0 / mesh.h)), mesh.h
+    n, h = mesh.n, mesh.h
     grid = _vertex_values(mesh, phi).reshape(n + 1, n + 1)  # [iy, ix]
     # first interior vertex layer along each side: bottom, right, top, left
     layers = (grid[1], grid[:, n - 1], grid[n - 1], grid[:, 1])

@@ -62,7 +62,6 @@ _MONOTONE = {
     "expand": (-1.0, "negative", "increased", "growing"),
 }
 
-_SCENARIOS = ("square_shrink", "square_expand", "boundary_notch", "l_shape")
 # the fields each coefficient kind takes, besides "kind"
 _COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": ("nu",)}
 
@@ -111,8 +110,10 @@ class ScenarioConfig:
     n_lowest: ClassVar[int] = 12
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {_SCENARIOS}")
+        if self.scenario not in DomainSpec.KINDS:
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; pick one of {DomainSpec.KINDS}"
+            )
         _check_number(self.h, "h")
         if not 0.0 < self.h <= 0.5:  # a mesh has at least 2 cells per side
             raise ValueError(f"mesh size h must be in (0, 1/2], got {self.h}")
@@ -144,17 +145,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"coefficient kind {kind!r} takes the fields {sorted(needed)}, got {sorted(given)}"
             )
-        nu = self.coefficient.get("nu", 1.0)
-        _check_number(nu, "coefficient nu")
-        if not 0.0 < nu <= 1.0:
-            raise ValueError(f"coefficient nu must be in (0, 1], got {nu}")
-        if kind == "constant":
-            matrix = np.asarray(self.coefficient["matrix"], dtype=object)
-            if matrix.shape != (2, 2):
-                raise ValueError(f"coefficient matrix must be 2x2, got shape {matrix.shape}")
-            for entry in matrix.flat:
+        _check_number(self.coefficient.get("nu", 1.0), "coefficient nu")
+        matrix = self.coefficient.get("matrix")
+        if isinstance(matrix, (list, tuple)):  # the field checks its shape
+            for entry in np.asarray(matrix, dtype=object).flat:
                 _check_number(entry, "coefficient matrix entry")
-            self.coefficient_field()  # the field's own symmetry check
+        self.coefficient_field()  # nu's range, the matrix's shape, symmetry and ellipticity
         _check_number(self.q, "q")
         if not self.q > 1.0:
             raise ValueError(f"q must be greater than 1, got {self.q}")
@@ -176,10 +172,7 @@ class ScenarioConfig:
         if kind == "identity":
             return CoefficientField.identity()
         if kind == "constant":
-            return CoefficientField.constant(
-                np.array(self.coefficient["matrix"], dtype=float),
-                nu=self.coefficient["nu"],
-            )
+            return CoefficientField.constant(self.coefficient["matrix"], self.coefficient["nu"])
         return CoefficientField.checker(self.coefficient["nu"])
 
     def reference_domain(self) -> DomainSpec:

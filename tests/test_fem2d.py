@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eigenshift.fem2d import (
-    BackgroundMesh,
     CoefficientField,
     DomainSpec,
     MeshError,
@@ -26,17 +25,18 @@ PI2_8 = 8.0 * np.pi**2
 
 
 def reference_triangle_matrices():
-    """Local matrices of the triangle (0,0), (1,0), (0,1) with A = I."""
-    mesh = BackgroundMesh(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-        np.array([[0, 1, 2], [1, 3, 2]]),
-        1.0,
-    )
+    """Local matrices with A = I of the first triangle of the h = 1/2 grid,
+    (0,0), (1/2,0), (1/2,1/2).  Taken in the vertex order 2nd, 3rd, 1st, it
+    is the reference triangle (0,0), (1,0), (0,1) turned a quarter and
+    halved: the stiffness is invariant under both, and the mass scales with
+    the area, here rescaled to the reference area 1/2."""
     from eigenshift.fem2d import _element_matrices
 
-    mats = np.repeat(np.eye(2)[None], 2, axis=0)
+    mesh = unit_square_mesh(2)
+    mats = np.repeat(np.eye(2)[None], mesh.n_triangles, axis=0)
     stiff, mass = _element_matrices(mesh, mats)
-    return stiff[0], mass[0]
+    order = np.ix_([1, 2, 0], [1, 2, 0])
+    return stiff[0][order], mass[0][order] * (0.5 / mesh.areas[0])
 
 
 def test_local_stiffness_reference_triangle():
@@ -66,17 +66,15 @@ def test_coefficient_ellipticity_validated():
     c, s = np.cos(np.pi / 16.0), np.sin(np.pi / 16.0)
     rot = np.array([[c, -s], [s, c]])
     rotated = rot @ np.diag([0.49, 1.0]) @ rot.T
-    mesh = unit_square_mesh(4)
-    for bad in (
-        CoefficientField(lambda p: np.diag([4.0, 0.5]), nu=1.0),
-        CoefficientField.constant(0.5 * (rotated + rotated.T), nu=0.5),
-    ):
+    for matrix, nu in ((np.diag([4.0, 0.5]), 1.0), (0.5 * (rotated + rotated.T), 0.5)):
         with pytest.raises(ValueError, match="ellipticity"):
-            assemble(mesh, bad)
+            CoefficientField.constant(matrix, nu=nu)
+    with pytest.raises(ValueError, match="nu must be in"):
+        CoefficientField.checker(0.0)
 
 
 def test_checker_sampling_matches_pointwise_evaluation():
-    nu, cells = 0.5, 4
+    nu, cells = 0.5, CoefficientField.CELLS
     eye = np.eye(2)
 
     def one_point(point):
@@ -86,33 +84,34 @@ def test_checker_sampling_matches_pointwise_evaluation():
 
     points = unit_square_mesh(12).centroids
     want = np.array([one_point(p) for p in points])
-    got = CoefficientField.checker(nu, cells).sample(points)
+    got = CoefficientField.checker(nu).sample(points)
     assert got.shape == want.shape and np.array_equal(got, want)
-    wrong = CoefficientField(lambda pts: np.ones((len(pts), 3, 3)), nu=0.5)
     with pytest.raises(ValueError, match="2x2"):
-        wrong.sample(points)
+        CoefficientField.constant(np.eye(3), nu=0.5)
 
 
-def test_degenerate_triangle_rejected():
-    with pytest.raises(MeshError, match="triangle 0"):
-        BackgroundMesh(
-            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([[0, 1, 2]]), 1.0
-        )
-
-
-def test_edge_on_three_triangles_rejected():
-    # three positively oriented triangles above the edge from vertex 0 to 1
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.2, 0.5], [0.8, 0.3]])
-    BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, 3]]), 1.0)
-    with pytest.raises(MeshError, match="not conforming"):
-        BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]), 1.0)
-
-
-@pytest.mark.parametrize("bad", [-1, 5])
-def test_triangle_vertex_index_out_of_range_rejected(bad):
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.2, 0.5], [0.8, 0.3]])
-    with pytest.raises(MeshError, match="out of range"):
-        BackgroundMesh(vertices, np.array([[0, 1, 2], [0, 1, bad]]), 1.0)
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_grid_is_valid_by_construction(n):
+    # what a mesh built from any triangle list had to be checked for
+    mesh = unit_square_mesh(n)
+    assert (mesh.n, mesh.h, mesh.n_triangles) == (n, 1.0 / n, 2 * n * n)
+    assert mesh.triangles.min() == 0 and mesh.triangles.max() == len(mesh.vertices) - 1
+    # every triangle positively oriented, of area 1 / (2 n^2)
+    p = mesh.vertices[mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert np.allclose(area, 0.5 / n**2, rtol=1e-12, atol=0.0)
+    assert np.array_equal(mesh.areas, area)
+    # every edge on one triangle (the 4 n boundary edges) or two
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    counts = np.unique(edges, axis=0, return_counts=True)[1]
+    assert counts.max() == 2 and np.sum(counts == 1) == 4 * n
+    # vertex k at (k mod (n + 1), k div (n + 1)) / n: the raster hadamard_slope reads
+    k = np.arange((n + 1) ** 2)
+    raster = np.column_stack([k % (n + 1), k // (n + 1)]) / n
+    assert np.allclose(mesh.vertices, raster, rtol=0.0, atol=1e-15)
+    with pytest.raises(MeshError, match="at least 2 cells"):
+        unit_square_mesh(1)
 
 
 # -- carving -------------------------------------------------------------------

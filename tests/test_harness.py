@@ -140,6 +140,14 @@ def test_config_rejects_unknown_scenario_and_coefficient():
             {"coefficient": {"kind": "constant", "matrix": [[1.0, 0.5], [0.0, 1.0]], "nu": 0.5}},
             "symmetric",
         ),
+        # a matrix with an eigenvalue outside [nu, 1/nu] loaded and failed in assembly
+        (
+            {
+                "scenario": "square_shrink", "h": 0.125, "eps": [0.125],
+                "coefficient": {"kind": "constant", "matrix": [[4, 0], [0, 0.5]], "nu": 1.0},
+            },
+            "ellipticity",
+        ),
     ]:
         data = {**valid, **change} if isinstance(change, dict) else change
         with pytest.raises(ValueError, match=message):

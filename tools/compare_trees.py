@@ -14,7 +14,9 @@ through ``harness.run_scenario`` and ``harness.write_report``;
 and ``harness.verify_fem()`` once, each summary written as sorted JSON.
 Every output file is then compared byte for byte, one ``same`` or
 ``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
-file differs or is missing on one side.
+file differs or is missing on one side.  Last it prints the size of each
+tree's package, ``src lines: PARENT -> CHANGE``, counted as
+``wc -l src/eigenshift/*.py`` counts it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ def collect_configs(root: Path) -> tuple[dict, dict]:
     return distinct, workloads["THREAD_ENV"]
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in src/eigenshift/*.py, the total of ``wc -l``."""
+    paths = (root / "src" / "eigenshift").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
 def start(root: Path, config_dir: Path, out: Path, thread_env: dict) -> subprocess.Popen:
     out.mkdir(parents=True)
     src = root / "src"
@@ -115,6 +123,7 @@ def main(argv: list) -> int:
             print(f"{'same' if same else 'differ':6}  {name}")
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
+    print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
     return 1 if differ else 0
 
 
