@@ -20,7 +20,6 @@ from .hilbert import (
     corrector_block,
     eigenspace_images,
     embedding_constant,
-    intersection_subspace,
     sigma_distance,
     sigma_star,
     solve_operator_eigs,
@@ -46,6 +45,5 @@ __all__ = [
     "eigenspace_images",
     "compute_rho",
     "compute_rho0",
-    "intersection_subspace",
     "__version__",
 ]

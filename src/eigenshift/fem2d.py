@@ -29,7 +29,6 @@ __all__ = [
     "unit_square_mesh",
     "assemble",
     "carve_subspace",
-    "hadamard_slope",
     "collar_elements",
     "region_area",
     "symmetric_difference_area",
@@ -357,31 +356,6 @@ def collar_elements(mesh: BackgroundMesh, dom: DomainSpec, q: float = 2.0) -> np
     if ids.size == 0:
         raise MeshError("collar region is empty")
     return ids
-
-
-def hadamard_slope(mesh: BackgroundMesh, space: EnergySpace, eigenpair, shift: float) -> float:
-    """First-order boundary sensitivity of an eigenvalue of the full square.
-
-    Integrates |normal derivative|^2 over the four sides and scales it by
-    one uniform boundary shift, recovering the normal derivative by a
-    one-sided difference across the first interior vertex layer and
-    integrating with the trapezoid rule.  The layers are rows and columns
-    of the mesh's (n + 1) x (n + 1) vertex raster, which ``BackgroundMesh``
-    guarantees.  The eigenfunction must be L2-normalized.
-    """
-    lam, phi = eigenpair
-    if space.dim != mesh.n_dofs:
-        raise MeshError("energy space does not match the mesh")
-    norm = float(phi @ (space.mass_csr @ phi))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"eigenfunction must be L2-normalized, got |phi|^2={norm:.6e}")
-    n, h = mesh.n, mesh.h
-    grid = _vertex_values(mesh, phi).reshape(n + 1, n + 1)  # [iy, ix]
-    # first interior vertex layer along each side: bottom, right, top, left
-    layers = (grid[1], grid[:, n - 1], grid[n - 1], grid[:, 1])
-    weights = np.full(n + 1, h)
-    weights[0] = weights[-1] = h / 2.0
-    return float(shift) * sum(float(weights @ (layer / h) ** 2) for layer in layers)
 
 
 def suggested_group_tol(h: float) -> float:

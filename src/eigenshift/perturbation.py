@@ -31,8 +31,6 @@ __all__ = [
     "project_onto_span",
     "assemble_correction",
     "predict_and_check",
-    "inclusion_bounds",
-    "collar_stability_check",
 ]
 
 # admission threshold for the asymptotic pipeline: refuse when
@@ -124,18 +122,6 @@ class ScenarioCell:
     sym_diff_area: float = 0.0
     group_spread: float = 0.0
     error: str | None = None
-
-    def resolved_rows(self) -> list:
-        """Rows whose drift is at least 10 times the group's own splitting.
-
-        A grouped near-degenerate reference eigenvalue carries an O(h^2)
-        internal spread; drifts below that floor measure the grouping
-        artifact, not the perturbation.
-        """
-        floor = 10.0 * self.group_spread
-        return [
-            row for row in self.rows if abs(row.mu_inv - row.lambda_inv) >= floor
-        ]
 
 
 def spectral_window(eigs1: EigenDecomposition, m: int) -> tuple:
@@ -289,75 +275,3 @@ def predict_and_check(cp: CorrectionProblem, measured_mu_inv: np.ndarray) -> lis
             )
         )
     return rows
-
-
-def inclusion_bounds(cells: list, direction: str) -> tuple:
-    """Fitted constants sandwiching the drift by complement norms.
-
-    For a shrinking domain the drift |mu_k^-1 - lambda_m^-1| is compared
-    against min/max of ||T phi||^2 over the unit eigenspace sphere; for a
-    growing one against ||Psi_phi||^2.  Returns (c, C): the largest lower
-    and smallest upper constant valid across all non-degenerate rows.
-    """
-    if direction not in ("shrink", "expand"):
-        raise ValueError(f"direction must be 'shrink' or 'expand', got {direction!r}")
-    lower = np.inf
-    upper = 0.0
-    used = 0
-    for cell in cells:
-        if cell.error or not cell.tracked:
-            continue
-        if cell.direction not in (direction, "equal"):
-            raise ValueError(
-                f"cell eps={cell.eps}, m={cell.m} has direction {cell.direction!r}, "
-                f"inconsistent with {direction!r}"
-            )
-        norms = cell.t_norm2_range if direction == "shrink" else cell.psi_norm2_range
-        lo2, hi2 = norms
-        for row in cell.rows:
-            shift = abs(row.mu_inv - row.lambda_inv)
-            if hi2 <= 1e-14:
-                if shift > 1e-12:
-                    raise ValueError("zero complement norm with nonzero drift")
-                continue  # exact row, skipped from the fit
-            upper = max(upper, shift / hi2)
-            if lo2 > 1e-14:
-                lower = min(lower, shift / lo2)
-            used += 1
-    if used == 0:
-        raise ValueError("no usable rows to fit inclusion bounds")
-    return (float(lower if np.isfinite(lower) else 0.0), float(upper))
-
-
-def collar_stability_check(cells: list) -> list:
-    """Ratio of eigenvalue drift to collar gradient energy per row.
-
-    Each cell must carry the maximal collar gradient energy over its unit
-    eigenspace sphere and the symmetric-difference area; emits one entry
-    per (eps, m, k) with both stability ratios.
-    """
-    table = []
-    for cell in cells:
-        if cell.error or not cell.tracked:
-            continue
-        if cell.collar_energy_max < 0:
-            raise ValueError("collar energy missing on a tracked cell")
-        for row in cell.rows:
-            shift = abs(row.mu_inv - row.lambda_inv)
-            den = cell.collar_energy_max
-            area = cell.sym_diff_area
-            table.append(
-                {
-                    "eps": cell.eps,
-                    "m": cell.m,
-                    "k": row.k,
-                    "shift": shift,
-                    "collar_energy": den,
-                    "ratio": (shift / den) if den > 1e-300 else 0.0,
-                    "sym_diff_area": area,
-                    "area_ratio": (shift / area) if area > 1e-300 else 0.0,
-                }
-            )
-    if not table:
-        raise ValueError("no tracked rows for the collar stability table")
-    return table

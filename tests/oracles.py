@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's own code paths: projectors
 come from explicit Gram inversion of raw bases, eigenvalues from a
-non-symmetric solve of inv(b) a, and sigma from an exhaustive Rayleigh
-quotient search on a spherical grid of the active subspace.  Intended for
+non-symmetric solve of inv(b) a, Rayleigh-quotient maxima from a spherical
+grid of the coefficient space, and the boundary sensitivity of an
+eigenvalue from its eigenfunction's normal derivative.  Intended for
 dimensions up to about 12, except the dense solves of nodal subspaces
-(``nodal_sigmas``, ``nodal_lowest_eigs``), which serve small meshes.
+(``nodal_sigmas``, ``nodal_lowest_eigs``) and ``hadamard_slope``, which
+serve small meshes.
 """
 
 import itertools
@@ -69,61 +71,6 @@ def _sphere_grid(k, n_per_angle):
             vec[i + 1 :] *= np.sin(ang)
         pts.append(vec)
     return np.array(pts)
-
-
-def _grid_max_quotient(num_form, den_form, n_per_angle):
-    k = num_form.shape[0]
-    pts = _sphere_grid(k, n_per_angle)
-    num = np.einsum("ij,jk,ik->i", pts, num_form, pts)
-    den = np.einsum("ij,jk,ik->i", pts, den_form, pts)
-    vals = num / den
-    best = int(np.argmax(vals))
-    return float(vals[best]), pts[best]
-
-
-def sigma_grid(energy, mass, basis1, basis2, n_per_angle=24):
-    """Exhaustive Rayleigh-quotient maximization for the projector distance.
-
-    Searches |(S1 - S2) u|^2 / ||u||^2 on a two-stage spherical grid of the
-    column space of S1 - S2, which contains the maximizer.  Accurate to well
-    under 1e-3 relative for active dimensions up to about 5.
-    """
-    s1 = projector_matrix(energy, basis1)
-    s2 = projector_matrix(energy, basis2)
-    diff = s1 - s2
-    u, svals, _ = np.linalg.svd(diff)
-    if svals[0] < 1e-13:
-        return 0.0
-    rank = int(np.count_nonzero(svals > 1e-9 * svals[0]))
-    r = u[:, :rank]
-    num_form = (diff @ r).T @ mass @ (diff @ r)
-    den_form = r.T @ energy @ r
-    best, c_best = _grid_max_quotient(num_form, den_form, n_per_angle)
-    # refine around the best point with a local orthogonal reparametrization
-    if rank > 1:
-        q, _ = np.linalg.qr(np.column_stack([c_best, np.eye(rank)])[:, :rank])
-        num2 = q.T @ num_form @ q
-        den2 = q.T @ den_form @ q
-        local, _ = _grid_max_quotient(num2, den2, n_per_angle)
-        best = max(best, local)
-        # second stage: fine sweep of 2D sections through the current best
-        for _ in range(2):
-            improved = best
-            for j in range(1, rank):
-                ts = np.linspace(-0.2, 0.2, 81)
-                cand = c_best[:, None] + ts[None, :] * q[:, j][:, None]
-                cand = cand / np.linalg.norm(cand, axis=0)
-                num = np.einsum("ij,ik,kj->j", cand, num_form, cand)
-                den = np.einsum("ij,ik,kj->j", cand, den_form, cand)
-                vals = num / den
-                jbest = int(np.argmax(vals))
-                if vals[jbest] > improved:
-                    improved = float(vals[jbest])
-                    c_best = cand[:, jbest]
-            if improved <= best * (1 + 1e-12):
-                break
-            best = improved
-    return best
 
 
 def sigma_star_direct(energy, mass, basis1, basis2, cos_threshold=1.0 - 1e-10):
@@ -222,3 +169,27 @@ def nodal_lowest_eigs(energy, mass, idx, count, group_tol):
         means.append(lam[start:stop].mean())
         bases.append(ambient)
     return np.array(means), bases
+
+
+def hadamard_slope(mesh, space, phi, shift):
+    """First-order boundary sensitivity of an eigenvalue of the full square.
+
+    Integrates |normal derivative|^2 of the eigenfunction phi over the four
+    sides and scales it by one uniform boundary shift, recovering the normal
+    derivative by a one-sided difference across the first interior vertex
+    layer and integrating with the trapezoid rule.  The layers are rows and
+    columns of the mesh's (n + 1) x (n + 1) vertex raster, which
+    ``BackgroundMesh`` guarantees.  phi must be L2-normalized.
+    """
+    norm = float(phi @ (space.mass_csr @ phi))
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"eigenfunction must be L2-normalized, got |phi|^2={norm:.6e}")
+    n, h = mesh.n, mesh.h
+    grid = np.zeros(len(mesh.vertices))
+    grid[mesh.interior_vertices] = phi
+    grid = grid.reshape(n + 1, n + 1)  # [iy, ix]
+    # first interior vertex layer along each side: bottom, right, top, left
+    layers = (grid[1], grid[:, n - 1], grid[n - 1], grid[:, 1])
+    weights = np.full(n + 1, h)
+    weights[0] = weights[-1] = h / 2.0
+    return float(shift) * sum(float(weights @ (layer / h) ** 2) for layer in layers)

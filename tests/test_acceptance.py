@@ -3,13 +3,18 @@
 Each test prints a single summary line so a verbose run reads as a
 checklist.  Where a criterion fixes a tolerance, that tolerance is asserted;
 fitted constants with no stated tolerance are asserted finite and reported.
+The fits that only these criteria read (the resolved rows, the inclusion
+sandwich and the collar table) are defined here, with their own unit tests
+at the end.
 """
 
 import numpy as np
+import pytest
 
-from eigenshift.fem2d import hadamard_slope
 from eigenshift.harness import verify_abstract, verify_fem
-from eigenshift.perturbation import collar_stability_check, inclusion_bounds
+from eigenshift.perturbation import PredictionRow, ScenarioCell
+
+import oracles
 
 PI2_2 = 2.0 * np.pi**2
 PI2_5 = 5.0 * np.pi**2
@@ -19,6 +24,89 @@ PI2_8 = 8.0 * np.pi**2
 def _criterion(name: str, ok: bool, details: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} - {details}")
     assert ok, f"{name}: {details}"
+
+
+def resolved_rows(cell) -> list:
+    """Rows whose drift is at least 10 times the group's own splitting.
+
+    A grouped near-degenerate reference eigenvalue carries an O(h^2)
+    internal spread; drifts below that floor measure the grouping
+    artifact, not the perturbation.
+    """
+    floor = 10.0 * cell.group_spread
+    return [row for row in cell.rows if abs(row.mu_inv - row.lambda_inv) >= floor]
+
+
+def inclusion_bounds(cells: list, direction: str) -> tuple:
+    """Fitted constants sandwiching the drift by complement norms.
+
+    For a shrinking domain the drift |mu_k^-1 - lambda_m^-1| is compared
+    against min/max of ||T phi||^2 over the unit eigenspace sphere; for a
+    growing one against ||Psi_phi||^2.  Returns (c, C): the largest lower
+    and smallest upper constant valid across all non-degenerate rows.
+    """
+    if direction not in ("shrink", "expand"):
+        raise ValueError(f"direction must be 'shrink' or 'expand', got {direction!r}")
+    lower = np.inf
+    upper = 0.0
+    used = 0
+    for cell in cells:
+        if cell.error or not cell.tracked:
+            continue
+        if cell.direction not in (direction, "equal"):
+            raise ValueError(
+                f"cell eps={cell.eps}, m={cell.m} has direction {cell.direction!r}, "
+                f"inconsistent with {direction!r}"
+            )
+        norms = cell.t_norm2_range if direction == "shrink" else cell.psi_norm2_range
+        lo2, hi2 = norms
+        for row in cell.rows:
+            shift = abs(row.mu_inv - row.lambda_inv)
+            if hi2 <= 1e-14:
+                if shift > 1e-12:
+                    raise ValueError("zero complement norm with nonzero drift")
+                continue  # exact row, skipped from the fit
+            upper = max(upper, shift / hi2)
+            if lo2 > 1e-14:
+                lower = min(lower, shift / lo2)
+            used += 1
+    if used == 0:
+        raise ValueError("no usable rows to fit inclusion bounds")
+    return (float(lower if np.isfinite(lower) else 0.0), float(upper))
+
+
+def collar_stability_check(cells: list) -> list:
+    """Ratio of eigenvalue drift to collar gradient energy per row.
+
+    Each cell must carry the maximal collar gradient energy over its unit
+    eigenspace sphere and the symmetric-difference area; emits one entry
+    per (eps, m, k) with both stability ratios.
+    """
+    table = []
+    for cell in cells:
+        if cell.error or not cell.tracked:
+            continue
+        if cell.collar_energy_max < 0:
+            raise ValueError("collar energy missing on a tracked cell")
+        for row in cell.rows:
+            shift = abs(row.mu_inv - row.lambda_inv)
+            den = cell.collar_energy_max
+            area = cell.sym_diff_area
+            table.append(
+                {
+                    "eps": cell.eps,
+                    "m": cell.m,
+                    "k": row.k,
+                    "shift": shift,
+                    "collar_energy": den,
+                    "ratio": (shift / den) if den > 1e-300 else 0.0,
+                    "sym_diff_area": area,
+                    "area_ratio": (shift / area) if area > 1e-300 else 0.0,
+                }
+            )
+    if not table:
+        raise ValueError("no tracked rows for the collar stability table")
+    return table
 
 
 def test_exact_spectrum_oracle(square64):
@@ -64,7 +152,7 @@ def _tracked_resolved(report):
     for cell in report.cells:
         if cell.error or not cell.tracked:
             continue
-        rows = cell.resolved_rows()
+        rows = resolved_rows(cell)
         if rows:
             yield cell, rows
 
@@ -174,9 +262,9 @@ def test_hadamard_consistency(square64, shrink64_report):
     squared normal derivative is within 10% of 8 pi^2 and within 15% of the
     finite-difference slope at eps = 2h."""
     mesh, space, eigs = square64
-    lam1, x1, _ = eigs.group(1)
+    _, x1, _ = eigs.group(1)
     phi = x1[:, 0] / np.sqrt(x1[:, 0] @ space.mass_gram @ x1[:, 0])
-    slope = hadamard_slope(mesh, space, (lam1, phi), 1.0)
+    slope = oracles.hadamard_slope(mesh, space, phi, 1.0)
     err_closed = abs(slope - PI2_8) / PI2_8
     cell = max(
         (c for c in shrink64_report.cells if c.m == 1 and not c.error),
@@ -247,3 +335,93 @@ def test_collar_stability(sweep_reports):
             f"symmetric-difference constant {max(area_ratios):.3f}"
         )
     _criterion("collar-stability", ok, "; ".join(details))
+
+
+# -- the criteria's own routines -----------------------------------------------
+
+
+def _fake_cell(eps, m, lam, mu_inv, t_range, psi_range, direction, tracked=True,
+               collar=1.0, area=0.1, spread=0.0):
+    rows = [
+        PredictionRow(
+            k=i + 1, lambda_inv=1.0 / lam, mu_inv=mi, tau=0.0,
+            predicted_mu_inv=mi, remainder=0.0, bound=1.0, ratio=0.0,
+        )
+        for i, mi in enumerate(mu_inv)
+    ]
+    return ScenarioCell(
+        eps=eps, m=m, lam_m=lam, multiplicity=len(mu_inv), sigma=0.01,
+        sigma_star=0.01, rho=0.0, rho0=0.0, gate_value=0.1, admitted=True,
+        tracked=tracked, direction=direction, mu_inv=list(mu_inv), tau=[0.0],
+        rows=rows, collar_energy_max=collar, sym_diff_area=area,
+        group_spread=spread,
+    )
+
+
+def test_inclusion_bounds_fit():
+    lam = 10.0
+    cells = [
+        _fake_cell(0.1, 1, lam, [1.0 / lam - 0.01], t_range=None, psi_range=None,
+                   direction="shrink"),
+        _fake_cell(0.2, 1, lam, [1.0 / lam - 0.03], t_range=None, psi_range=None,
+                   direction="shrink"),
+    ]
+    cells[0].t_norm2_range = (0.005, 0.02)
+    cells[1].t_norm2_range = (0.012, 0.05)
+    c_lo, c_hi = inclusion_bounds(cells, "shrink")
+    assert c_hi == pytest.approx(max(0.01 / 0.02, 0.03 / 0.05))
+    assert c_lo == pytest.approx(min(0.01 / 0.005, 0.03 / 0.012))
+    assert 0 < c_lo and 0 < c_hi
+
+
+def test_inclusion_bounds_direction_mismatch():
+    cells = [_fake_cell(0.1, 1, 10.0, [0.09], None, None, direction="expand")]
+    cells[0].t_norm2_range = (0.01, 0.01)
+    with pytest.raises(ValueError, match="inconsistent"):
+        inclusion_bounds(cells, "shrink")
+    with pytest.raises(ValueError, match="direction"):
+        inclusion_bounds(cells, "sideways")
+
+
+def test_inclusion_bounds_skips_exact_rows():
+    lam = 10.0
+    exact = _fake_cell(0.0, 1, lam, [1.0 / lam], None, None, direction="equal")
+    exact.t_norm2_range = (0.0, 0.0)
+    real = _fake_cell(0.1, 1, lam, [1.0 / lam - 0.01], None, None, direction="shrink")
+    real.t_norm2_range = (0.02, 0.02)
+    c_lo, c_hi = inclusion_bounds([exact, real], "shrink")
+    assert c_hi == pytest.approx(0.5)
+
+
+def test_collar_stability_table():
+    lam = 10.0
+    cell = _fake_cell(0.1, 1, lam, [1.0 / lam - 0.02], None, None,
+                      direction="shrink", collar=0.4, area=0.36)
+    table = collar_stability_check([cell])
+    assert len(table) == 1
+    assert table[0]["ratio"] == pytest.approx(0.02 / 0.4)
+    assert table[0]["area_ratio"] == pytest.approx(0.02 / 0.36)
+    with pytest.raises(ValueError, match="no tracked rows"):
+        collar_stability_check([_fake_cell(0.1, 1, lam, [0.08], None, None,
+                                           direction="shrink", tracked=False)])
+
+
+def test_resolved_rows_filters_below_spread():
+    lam = 10.0
+    cell = _fake_cell(0.1, 2, lam, [1.0 / lam - 1e-6, 1.0 / lam - 5e-4],
+                      None, None, direction="shrink", spread=1e-5)
+    kept = resolved_rows(cell)
+    assert len(kept) == 1
+    assert kept[0].mu_inv == pytest.approx(1.0 / lam - 5e-4)
+
+
+def test_rho0_bounds_drift(sweep_reports):
+    # |mu_k^-1 - lambda_m^-1| <= C rho0 with a bounded fitted C
+    fits = []
+    for name in ("square_shrink", "boundary_notch", "l_shape"):
+        for cell in sweep_reports[name].cells:
+            if cell.error or not cell.tracked or cell.rho0 <= 0:
+                continue
+            for row in resolved_rows(cell):
+                fits.append(abs(row.mu_inv - row.lambda_inv) / cell.rho0)
+    assert fits and np.all(np.isfinite(fits))

@@ -1,20 +1,65 @@
-"""The package's exports: every name listed in an ``__all__`` resolves."""
+"""The package's exports: every name listed in an ``__all__`` resolves, and
+every one is used by the package itself."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import eigenshift
+
+SRC = Path(eigenshift.__file__).parent
+
+# exported names with no caller in the package, each with its reason
+UNUSED_EXPORTS = {
+    "hilbert.intersection_subspace": "perfbench/tracer.py's TARGETS wraps it by name, "
+    "and tests/test_tracer_targets.py checks that binding; it goes with that target",
+}
+
+
+def _module_names():
+    return ["eigenshift"] + [
+        f"eigenshift.{info.name}" for info in pkgutil.iter_modules(eigenshift.__path__)
+    ]
 
 
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition is gone breaks
     # ``from eigenshift.<module> import *`` and misleads readers
-    names = ["eigenshift"] + [
-        f"eigenshift.{info.name}" for info in pkgutil.iter_modules(eigenshift.__path__)
-    ]
+    names = _module_names()
     missing = []
     for name in names:
         module = importlib.import_module(name)
         exported = getattr(module, "__all__", ())
         missing += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
     assert len(names) > 5 and not missing
+
+
+def _used_names(tree):
+    """Names a module reads: every Name and attribute access.  A def or
+    class statement binds its name without a Name node, and an ``__all__``
+    entry is a string, so neither counts as a use."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    # a public routine that only the tests call belongs next to those tests;
+    # __init__ only re-exports, so its imports are no use of a name
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = set()
+    for name in _module_names():
+        short = name.removeprefix("eigenshift.")
+        for attr in getattr(importlib.import_module(name), "__all__", ()):
+            # dunder metadata such as __version__ is not a routine
+            if not attr.startswith("__") and attr not in used:
+                unused.add(f"{short}.{attr}")
+    assert unused == set(UNUSED_EXPORTS)

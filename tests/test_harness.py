@@ -770,14 +770,7 @@ def test_cli_run(tmp_path, capsys):
     assert rc == 0
     assert "status: ok" in out
     assert (tmp_path / "out" / "report.json").exists()
-    assert (tmp_path / "out" / "rows.csv").exists()
-
-
-def test_cli_sweep(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    rc = main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv")])
-    assert rc == 0
-    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    lines = (tmp_path / "out" / "rows.csv").read_text().splitlines()
     assert lines[0].split(",") == CSV_COLUMNS
     assert len(lines) == 1 + 2
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import fem2d, hilbert
+from eigenshift import _oracle_grid, fem2d, hilbert
 from eigenshift.eigsolve import NotPositiveDefiniteError, PencilError
 from eigenshift.fem2d import CoefficientField, DomainSpec
 from eigenshift.hilbert import (
@@ -212,7 +212,7 @@ def test_sigma_matches_grid_oracle():
         space = random_space(rng, n)
         h1, h2 = (random_subspace(rng, space, int(rng.integers(1, 3))) for _ in range(2))
         val = sigma_distance(SubspacePair(h1, h2))
-        grid = oracles.sigma_grid(
+        grid = _oracle_grid.sigma_grid(
             space.energy_gram, space.mass_gram, coordinate_basis(h1), coordinate_basis(h2)
         )
         assert grid == pytest.approx(val, rel=1e-3, abs=1e-6)

@@ -15,12 +15,8 @@ from eigenshift.perturbation import (
     SIGMA_GATE,
     CorrectionGramError,
     LocalizationError,
-    PredictionRow,
-    ScenarioCell,
     assemble_correction,
-    collar_stability_check,
     eigenvector_proximity,
-    inclusion_bounds,
     localize,
     predict_and_check,
     spectral_window,
@@ -273,7 +269,7 @@ def test_correction_first_order_magnitude():
     assert cp.rho > 0
 
 
-# -- prediction and fits -------------------------------------------------------------
+# -- prediction ----------------------------------------------------------------------
 
 
 def test_predict_and_check_pairs_in_order():
@@ -313,81 +309,6 @@ def test_predict_zero_perturbation_rows():
     rows = predict_and_check(cp, np.array([0.5]))
     assert rows[0].remainder == 0.0
     assert rows[0].ratio == 0.0
-
-
-def _fake_cell(eps, m, lam, mu_inv, t_range, psi_range, direction, tracked=True,
-               collar=1.0, area=0.1, spread=0.0):
-    rows = [
-        PredictionRow(
-            k=i + 1, lambda_inv=1.0 / lam, mu_inv=mi, tau=0.0,
-            predicted_mu_inv=mi, remainder=0.0, bound=1.0, ratio=0.0,
-        )
-        for i, mi in enumerate(mu_inv)
-    ]
-    return ScenarioCell(
-        eps=eps, m=m, lam_m=lam, multiplicity=len(mu_inv), sigma=0.01,
-        sigma_star=0.01, rho=0.0, rho0=0.0, gate_value=0.1, admitted=True,
-        tracked=tracked, direction=direction, mu_inv=list(mu_inv), tau=[0.0],
-        rows=rows, collar_energy_max=collar, sym_diff_area=area,
-        group_spread=spread,
-    )
-
-
-def test_inclusion_bounds_fit():
-    lam = 10.0
-    cells = [
-        _fake_cell(0.1, 1, lam, [1.0 / lam - 0.01], t_range=None, psi_range=None,
-                   direction="shrink"),
-        _fake_cell(0.2, 1, lam, [1.0 / lam - 0.03], t_range=None, psi_range=None,
-                   direction="shrink"),
-    ]
-    cells[0].t_norm2_range = (0.005, 0.02)
-    cells[1].t_norm2_range = (0.012, 0.05)
-    c_lo, c_hi = inclusion_bounds(cells, "shrink")
-    assert c_hi == pytest.approx(max(0.01 / 0.02, 0.03 / 0.05))
-    assert c_lo == pytest.approx(min(0.01 / 0.005, 0.03 / 0.012))
-    assert 0 < c_lo and 0 < c_hi
-
-
-def test_inclusion_bounds_direction_mismatch():
-    cells = [_fake_cell(0.1, 1, 10.0, [0.09], None, None, direction="expand")]
-    cells[0].t_norm2_range = (0.01, 0.01)
-    with pytest.raises(ValueError, match="inconsistent"):
-        inclusion_bounds(cells, "shrink")
-    with pytest.raises(ValueError, match="direction"):
-        inclusion_bounds(cells, "sideways")
-
-
-def test_inclusion_bounds_skips_exact_rows():
-    lam = 10.0
-    exact = _fake_cell(0.0, 1, lam, [1.0 / lam], None, None, direction="equal")
-    exact.t_norm2_range = (0.0, 0.0)
-    real = _fake_cell(0.1, 1, lam, [1.0 / lam - 0.01], None, None, direction="shrink")
-    real.t_norm2_range = (0.02, 0.02)
-    c_lo, c_hi = inclusion_bounds([exact, real], "shrink")
-    assert c_hi == pytest.approx(0.5)
-
-
-def test_collar_stability_table():
-    lam = 10.0
-    cell = _fake_cell(0.1, 1, lam, [1.0 / lam - 0.02], None, None,
-                      direction="shrink", collar=0.4, area=0.36)
-    table = collar_stability_check([cell])
-    assert len(table) == 1
-    assert table[0]["ratio"] == pytest.approx(0.02 / 0.4)
-    assert table[0]["area_ratio"] == pytest.approx(0.02 / 0.36)
-    with pytest.raises(ValueError, match="no tracked rows"):
-        collar_stability_check([_fake_cell(0.1, 1, lam, [0.08], None, None,
-                                           direction="shrink", tracked=False)])
-
-
-def test_resolved_rows_filters_below_spread():
-    lam = 10.0
-    cell = _fake_cell(0.1, 2, lam, [1.0 / lam - 1e-6, 1.0 / lam - 5e-4],
-                      None, None, direction="shrink", spread=1e-5)
-    kept = cell.resolved_rows()
-    assert len(kept) == 1
-    assert kept[0].mu_inv == pytest.approx(1.0 / lam - 5e-4)
 
 
 def test_correction_non_nested_domains():
@@ -445,30 +366,16 @@ def test_rho_decreases_with_perturbation(sweep_reports):
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
 
 
-def test_rho0_bounds_drift(sweep_reports):
-    # |mu_k^-1 - lambda_m^-1| <= C rho0 with a bounded fitted C
-    fits = []
-    for name in ("square_shrink", "boundary_notch", "l_shape"):
-        for cell in sweep_reports[name].cells:
-            if cell.error or not cell.tracked or cell.rho0 <= 0:
-                continue
-            for row in cell.resolved_rows():
-                fits.append(abs(row.mu_inv - row.lambda_inv) / cell.rho0)
-    assert fits and np.all(np.isfinite(fits))
-
-
 # -- consistency with the boundary-sensitivity route --------------------------------
 
 
 def test_first_order_slope_matches_boundary_integral(square64, shrink64_report):
     # linearized predicted slope lambda^2 |tau| / eps at the smallest inset
     # against the boundary-sensitivity integral, both near 8 pi^2
-    from eigenshift.fem2d import hadamard_slope
-
     mesh, space, eigs = square64
-    lam1, x1, _ = eigs.group(1)
+    _, x1, _ = eigs.group(1)
     phi = x1[:, 0] / np.sqrt(x1[:, 0] @ space.mass_gram @ x1[:, 0])
-    slope_boundary = hadamard_slope(mesh, space, (lam1, phi), 1.0)
+    slope_boundary = oracles.hadamard_slope(mesh, space, phi, 1.0)
     cell = min(
         (c for c in shrink64_report.cells if c.m == 1 and not c.error),
         key=lambda c: c.eps,

@@ -16,11 +16,15 @@ Every output file is then compared byte for byte, one ``same`` or
 ``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
 file differs or is missing on one side.  Last it prints the size of each
 tree's package, ``src lines: PARENT -> CHANGE``, counted as
-``wc -l src/eigenshift/*.py`` counts it.
+``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
+drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
+none), read from each module's ``__all__`` with ``eigenshift.name`` for the
+package's own.
 """
 
 from __future__ import annotations
 
+import ast
 import filecmp
 import json
 import os
@@ -80,6 +84,19 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
+def exports(root: Path) -> set:
+    """``module.name`` for each name in a src/eigenshift/*.py ``__all__``."""
+    names = set()
+    for path in (root / "src" / "eigenshift").glob("*.py"):
+        module = "eigenshift" if path.stem == "__init__" else path.stem
+        for node in ast.parse(path.read_bytes()).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                names |= {f"{module}.{name}" for name in ast.literal_eval(node.value)}
+    return names
+
+
 def start(root: Path, config_dir: Path, out: Path, thread_env: dict) -> subprocess.Popen:
     out.mkdir(parents=True)
     src = root / "src"
@@ -124,6 +141,10 @@ def main(argv: list) -> int:
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
     print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
+    old, new = exports(parent), exports(change)
+    changed = [f"-{name}" for name in sorted(old - new)]
+    changed += [f"+{name}" for name in sorted(new - old)]
+    print(f"exports: {' '.join(changed) if changed else 'unchanged'}")
     return 1 if differ else 0
 
 
