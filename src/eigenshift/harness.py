@@ -27,6 +27,7 @@ from .hilbert import Subspace
 __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
+    "ReferenceStage",
     "CSV_COLUMNS",
     "run_scenario",
     "write_report",
@@ -262,35 +263,35 @@ def _error_cell(config, eps, m, exc, sigma, sigma_star):
     )
 
 
-def _cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m):
-    lam_m, x_m, j_m = eigs1.group(m)
-    if pair.direction == "equal":
-        # identical subspaces: the problems coincide, and the resolved spectral
-        # object is the group itself, so the cell is an exact fixed point
-        lam_inv = 1.0 / lam_m
-        return perturbation.ScenarioCell(
-            eps=eps, m=m, lam_m=lam_m, multiplicity=j_m,
-            sigma=0.0, sigma_star=0.0, rho=0.0, rho0=0.0,
-            gate_value=0.0, admitted=True, tracked=True, direction="equal",
-            mu_inv=[lam_inv] * j_m, tau=[0.0] * j_m,
-            rows=[
-                perturbation.PredictionRow(
-                    k=k, lambda_inv=lam_inv, mu_inv=lam_inv, tau=0.0,
-                    predicted_mu_inv=lam_inv, remainder=0.0, bound=0.0, ratio=0.0,
-                )
-                for k in range(1, j_m + 1)
-            ],
-            proximity=[0.0] * j_m,
-            sym_diff_area=0.0,
-        )
+def _fixed_point_cell(eigs1, eps, m):
+    """An equal pair's cell: the problems coincide, so it is an exact fixed point."""
+    lam_m, _, j_m = eigs1.group(m)
+    lam_inv = 1.0 / lam_m
+    return perturbation.ScenarioCell(
+        eps=eps, m=m, lam_m=lam_m, multiplicity=j_m,
+        sigma=0.0, sigma_star=0.0, rho=0.0, rho0=0.0,
+        gate_value=0.0, admitted=True, tracked=True, direction="equal",
+        mu_inv=[lam_inv] * j_m, tau=[0.0] * j_m,
+        rows=[
+            perturbation.PredictionRow(
+                k=k, lambda_inv=lam_inv, mu_inv=lam_inv, tau=0.0,
+                predicted_mu_inv=lam_inv, remainder=0.0, bound=0.0, ratio=0.0,
+            )
+            for k in range(1, j_m + 1)
+        ],
+        proximity=[0.0] * j_m,
+        sym_diff_area=0.0,
+    )
+
+
+def _cell_for(ref, pair, eigs2, collar, area, eps, m):
+    lam_m, x_m, j_m = ref.eigs.group(m)
     # the run asked the pair for both distances, which it solves once
     sigma = pair.sigma
-    loc = perturbation.localize(eigs1, eigs2, m, sigma)
+    loc = perturbation.localize(ref.eigs, eigs2, m, sigma)
     images = hilbert.eigenspace_images(pair, x_m, lam_m)
     cp = perturbation.assemble_correction(images, sigma)
-    collar_max = 0.0
-    if collar is not None:
-        collar_max = hilbert.form_extremes(fem2d.gradient_energy_form(space, mesh, collar, x_m))[1]
+    collar_form = fem2d.gradient_energy_form(ref.space, ref.mesh, collar, x_m)
     return perturbation.ScenarioCell(
         eps=eps, m=m, lam_m=lam_m, multiplicity=j_m,
         sigma=sigma, sigma_star=pair.sigma_star, rho=cp.rho, rho0=hilbert.compute_rho0(images),
@@ -303,92 +304,99 @@ def _cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m):
         # squared energy norms over the unit coefficient sphere
         t_norm2_range=hilbert.form_extremes(images.t_a_t),
         psi_norm2_range=hilbert.form_extremes(images.psi_a_psi),
-        collar_energy_max=collar_max,
+        collar_energy_max=hilbert.form_extremes(collar_form)[1],
         sym_diff_area=area,
-        group_spread=float(eigs1.spreads[m - 1]),
+        group_spread=float(ref.eigs.spreads[m - 1]),
     )
 
 
 def _lowest_eigs(sub, group_tol, n, cap, enough):
-    """(final request, eigenpairs of sub) from the n lowest, doubling n until
-    ``enough`` holds for the decomposition, it is complete, or n reaches cap."""
+    """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
+    for the decomposition, it is complete, or n reaches cap."""
     while True:
         n = min(n, cap)
         eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n)
         if eigs.complete or n == cap or enough(eigs):
-            return n, eigs
+            return eigs
         n *= 2
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Execute the full pipeline for one scenario config.
+class ReferenceStage:
+    """What every eps of a run reads, built once per config: the ``mesh``,
+    ``space``, reference ``domain``, its subspace ``sub`` and eigenpairs
+    ``eigs``, and the (lo, J_m) ``windows`` of the m's.
 
-    Each eigensolve asks for the pairs the run reads, up to ``n_lowest``: the
-    reference for the groups up to max(m) + 1, which fix the windows, and
-    each perturbed solve for J_m eigenvalues past every window's lower end in
-    the reciprocal scale.  Uncomputed eigenvalues lie below those, so none can
-    fall in a window or lie nearer 1/lambda_m than the J_m that ``localize``
-    falls back to.  A request that proves too short is doubled, and the
-    next eps (eps ascending) starts from the last request that sufficed.  An
-    equal pair (eps = 0) is an exact fixed point and makes no perturbed solve.
+    Each eigensolve asks for the pairs the run reads, up to ``n_lowest``.  The
+    reference starts at max(m) + 2 and must resolve the groups up to
+    max(m) + 1, which fix the windows, or raise ValueError.  Each perturbed
+    solve starts at the pairs the reference computed and must reach J_m
+    eigenvalues past every window's lower end in the reciprocal scale
+    (:meth:`covers`), so that none it leaves out lies in a window or nearer
+    1/lambda_m than the J_m ``localize`` falls back to.  A short request doubles.
     """
-    mesh = unit_square_mesh(config.subdivisions)
-    coeff = config.coefficient_field()
-    space = fem2d.assemble(mesh, coeff)
-    dom1 = config.reference_domain()
-    h1 = fem2d.carve_subspace(space, mesh, dom1)
-    max_m = max(config.m)
 
-    def resolved(eigs):
-        """Groups 1..max(m), which fix the windows, and the next unless complete."""
-        return eigs.n_groups >= max_m + (0 if eigs.complete else 1)
+    def __init__(self, config: ScenarioConfig):
+        self.mesh = mesh = unit_square_mesh(config.subdivisions)
+        self.space = fem2d.assemble(mesh, config.coefficient_field())
+        self.domain = config.reference_domain()
+        self.sub = fem2d.carve_subspace(self.space, mesh, self.domain)
+        max_m = max(config.m)
 
-    _, eigs1 = _lowest_eigs(h1, config.group_tol_for(dom1), max_m + 2, config.n_lowest, resolved)
-    if not resolved(eigs1):
-        found = (
-            f"the reference has only {eigs1.n_groups} groups"
-            if eigs1.complete
-            else f"the reference resolves {eigs1.n_groups} groups at the request cap "
-            f"n_lowest={config.n_lowest}"
-        )
-        raise ValueError(f"{found}, but m up to {max_m} was requested")
-    # (lo, J_m) of each window
-    floors = [(perturbation.spectral_window(eigs1, m)[0], eigs1.group(m)[2]) for m in config.m]
+        def resolved(eigs):
+            return eigs.n_groups >= max_m + (0 if eigs.complete else 1)
 
-    def covered(eigs):
+        group_tol = config.group_tol_for(self.domain)
+        self.eigs = eigs = _lowest_eigs(self.sub, group_tol, max_m + 2, config.n_lowest, resolved)
+        if not resolved(eigs):
+            found = f"has only {eigs.n_groups} groups" if eigs.complete else (
+                f"resolves {eigs.n_groups} groups at the request cap n_lowest={config.n_lowest}"
+            )
+            raise ValueError(f"the reference {found}, but m up to {max_m} was requested")
+        self.windows = [
+            (perturbation.spectral_window(eigs, m)[0], eigs.group(m)[2]) for m in config.m
+        ]
+
+    def covers(self, eigs) -> bool:
+        """Whether eigs has J_m eigenvalues past every window's lower end."""
         mu_inv = 1.0 / eigs.flat_values()
-        return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in floors)
+        return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in self.windows)
 
+
+def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:
+    """The cells of one eps, from the reference stage and eps alone.  An equal
+    pair (eps = 0) is an exact fixed point: no perturbed spectrum, no geometry."""
+    sigma = sig_star = np.nan
+    try:
+        dom2 = config.perturbed_domain(eps)
+        pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
+        if pair.direction == "equal":
+            return [_fixed_point_cell(ref.eigs, eps, m) for m in config.m]
+        eigs2 = _lowest_eigs(
+            pair.h2, config.group_tol_for(dom2), ref.eigs.n_computed, config.n_lowest, ref.covers
+        )
+        sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
+        collar = fem2d.collar_elements(ref.mesh, dom2, q=config.q)
+        area = fem2d.symmetric_difference_area(ref.mesh, ref.domain, dom2)
+    except _CELL_ERRORS as exc:
+        return [_error_cell(config, eps, m, exc, sigma, sig_star) for m in config.m]
     cells = []
-    request = eigs1.n_computed
-    for eps in sorted(config.eps):
-        sigma = sig_star = np.nan
+    for m in config.m:
         try:
-            dom2 = config.perturbed_domain(eps)
-            pair = hilbert.SubspacePair(h1, fem2d.carve_subspace(space, mesh, dom2))
-            # an equal pair is an exact fixed point: no perturbed spectrum, no geometry
-            moved = pair.direction != "equal"
-            eigs2 = None
-            if moved:
-                request, eigs2 = _lowest_eigs(
-                    pair.h2, config.group_tol_for(dom2), request, config.n_lowest, covered
-                )
-            sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
-            collar = fem2d.collar_elements(mesh, dom2, q=config.q) if moved else None
-            area = fem2d.symmetric_difference_area(mesh, dom1, dom2) if moved else 0.0
+            cells.append(_cell_for(ref, pair, eigs2, collar, area, eps, m))
         except _CELL_ERRORS as exc:
-            cells.extend(_error_cell(config, eps, m, exc, sigma, sig_star) for m in config.m)
-            continue
-        for m in config.m:
-            try:
-                cells.append(_cell_for(space, mesh, pair, eigs1, eigs2, collar, area, eps, m))
-            except _CELL_ERRORS as exc:
-                cells.append(_error_cell(config, eps, m, exc, sigma, sig_star))
+            cells.append(_error_cell(config, eps, m, exc, sigma, sig_star))
+    return cells
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    """Execute the full pipeline for one scenario config: build its
+    :class:`ReferenceStage`, collect each eps's cells from it alone
+    (eps ascending), and run the gated assertions over them."""
+    ref = ReferenceStage(config)
+    cells = [cell for eps in sorted(config.eps) for cell in _eps_cells(config, ref, eps)]
     failures = [cell.error for cell in cells if cell.error]
     failures.extend(_gated_assertions(config, cells))
-    return ScenarioReport(
-        config=config, cells=cells, failures=failures, passed=not failures
-    )
+    return ScenarioReport(config=config, cells=cells, failures=failures, passed=not failures)
 
 
 def _gated_assertions(config, cells) -> list:
@@ -694,14 +702,13 @@ def verify_fem() -> dict:
     """Mesh-based invariant suite: spectral convergence, degenerate-pair
     detection, discrete domain monotonicity, and the vanishing-distance
     family (sigma, sigma*, and projections converge together)."""
-    report = {}
+    report, fitted, spaces = {}, {}, {}
     lam_ref = 2.0 * np.pi**2
-    fitted = {}
     for n in (16, 32):
         mesh = unit_square_mesh(n)
-        space = fem2d.assemble(mesh, CoefficientField.identity())
+        spaces[n] = mesh, fem2d.assemble(mesh, CoefficientField.identity())
         eigs = hilbert.solve_operator_eigs(
-            space.whole(), fem2d.suggested_group_tol(mesh.h), n_lowest=8
+            spaces[n][1].whole(), fem2d.suggested_group_tol(mesh.h), n_lowest=8
         )
         lam1 = float(eigs.values[0])
         fitted[n] = (lam1 - lam_ref) / (lam_ref / n**2)
@@ -711,9 +718,8 @@ def verify_fem() -> dict:
     report["h2_constant_stable"] = max(fitted.values()) / min(fitted.values()) < 1.5
     report["h2_constants"] = fitted
 
-    # monotonicity under domain shrinking
-    mesh = unit_square_mesh(16)
-    space = fem2d.assemble(mesh, CoefficientField.identity())
+    # monotonicity under domain shrinking, on the n=16 space
+    mesh, space = spaces[16]
     whole = hilbert.solve_operator_eigs(space.whole(), 1e-9)
     inner = hilbert.solve_operator_eigs(
         fem2d.carve_subspace(space, mesh, DomainSpec("square_shrink", eps=1.0 / 8.0)), 1e-9
@@ -724,8 +730,7 @@ def verify_fem() -> dict:
     )
 
     # vanishing-distance family: sigma and projections converge together
-    mesh = unit_square_mesh(32)
-    space = fem2d.assemble(mesh, CoefficientField.identity())
+    mesh, space = spaces[32]
     h_star = space.whole()
     pts = mesh.vertices[mesh.interior_vertices]
     panel = [f(pts[:, 0], pts[:, 1]) for f in _PANEL_FUNCS]

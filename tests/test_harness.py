@@ -572,16 +572,21 @@ def test_equal_pair_makes_no_perturbed_eigensolve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_next_eps_starts_from_the_last_request_that_sufficed(monkeypatch):
-    # the expand's eps=2h needs 12 pairs to cover the m=2 window; eps=3h, a
-    # larger domain, starts there instead of redoing the short request of 6
+def test_each_eps_starts_from_the_reference_request(monkeypatch):
+    # the expand's eps=2h needs 12 pairs to cover the m=2 window; eps=3h
+    # starts again from the reference's computed count, so each eps depends
+    # on the reference and on eps alone, and its cells equal a run of it alone
     calls = _spy_eigensolves(monkeypatch)
     h = 1.0 / 16.0
-    report = run_scenario(
-        ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h, 3 * h], m=[2])
-    )
+    config = ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h, 3 * h], m=[2])
+    report = run_scenario(config)
     assert all(cell.error is None for cell in report.cells)
-    assert [n for n, _ in calls] == [4, 6, 12, 12]
+    assert [n for n, _ in calls] == [4, 6, 12, 6, 12]
+    cells = report.to_dict()["cells"]
+    for eps in config.eps:
+        alone = run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[eps], m=[2]))
+        want = json.dumps(alone.to_dict()["cells"], sort_keys=True)
+        assert json.dumps([c for c in cells if c["eps"] == eps], sort_keys=True) == want
 
 
 def test_requests_never_exceed_n_lowest(monkeypatch):

@@ -14,8 +14,12 @@ through ``harness.run_scenario`` and ``harness.write_report``;
 and ``harness.verify_fem()`` once, each summary written as sorted JSON.
 Every output file is then compared byte for byte, one ``same`` or
 ``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
-file differs or is missing on one side.  Last it prints the size of each
-tree's package, ``src lines: PARENT -> CHANGE``, counted as
+file differs or is missing on one side.  For each config it then prints the
+``n_lowest`` of every ``hilbert.solve_operator_eigs`` call and the count of
+``hilbert._lanczos_top`` solves on each tree, both recorded by wrapping those
+functions in the tree's own interpreter, so a change to the workloads'
+eigensolves shows even when every output is the same.  Last it prints the
+size of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
 none), read from each module's ``__all__`` with ``eigenshift.name`` for the
@@ -38,19 +42,38 @@ BENCH_CONFIGS = ("shrink_sweep", "notch_checker")
 ABSTRACT_SEEDS = (2024, 11, 3)
 ABSTRACT_CASES = 300
 
-# argv: src dir, config dir, output dir, JSON list of abstract seeds, cases per seed
+# argv: src dir, config dir, output dir, JSON list of abstract seeds, cases per
+# seed, eigensolve log file; the log lies outside the compared output dir
 CHILD = """
-import json, sys
+import inspect, json, sys
 from pathlib import Path
 import eigenshift
-from eigenshift import harness
+from eigenshift import harness, hilbert
 
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
+solve, lanczos = hilbert.solve_operator_eigs, hilbert._lanczos_top
+log = {}
+
+def spy_solve(*args, **kwargs):
+    bound = inspect.signature(solve).bind(*args, **kwargs)
+    bound.apply_defaults()
+    log[name]["requests"].append(bound.arguments["n_lowest"])
+    return solve(*args, **kwargs)
+
+def spy_lanczos(*args, **kwargs):
+    log[name]["lanczos"] += 1
+    return lanczos(*args, **kwargs)
+
+hilbert.solve_operator_eigs, hilbert._lanczos_top = spy_solve, spy_lanczos
 for path in sorted(configs.glob("*.json")):
+    name = path.stem
+    log[name] = {"requests": [], "lanczos": 0}
     config = harness.ScenarioConfig.from_json(path)
-    harness.write_report(harness.run_scenario(config), out / path.stem)
+    harness.write_report(harness.run_scenario(config), out / name)
+hilbert.solve_operator_eigs, hilbert._lanczos_top = solve, lanczos
+Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
     text = json.dumps(summary, indent=2, sort_keys=True)
@@ -97,12 +120,14 @@ def exports(root: Path) -> set:
     return names
 
 
-def start(root: Path, config_dir: Path, out: Path, thread_env: dict) -> subprocess.Popen:
+def start(
+    root: Path, config_dir: Path, out: Path, log: Path, thread_env: dict
+) -> subprocess.Popen:
     out.mkdir(parents=True)
     src = root / "src"
     env = {**os.environ, **thread_env, "PYTHONPATH": str(src)}
-    args = [str(src), str(config_dir), str(out), json.dumps(ABSTRACT_SEEDS), str(ABSTRACT_CASES)]
-    return subprocess.Popen([sys.executable, "-c", CHILD, *args], env=env, cwd=root)
+    args = [src, config_dir, out, json.dumps(ABSTRACT_SEEDS), ABSTRACT_CASES, log]
+    return subprocess.Popen([sys.executable, "-c", CHILD, *map(str, args)], env=env, cwd=root)
 
 
 def main(argv: list) -> int:
@@ -118,8 +143,9 @@ def main(argv: list) -> int:
         for name, config in configs.items():
             (config_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         outs = {"parent": tmp / "parent", "change": tmp / "change"}
+        logs = {side: tmp / f"{side}_eigensolves.json" for side in outs}
         children = {
-            side: start(root, config_dir, outs[side], thread_env)
+            side: start(root, config_dir, outs[side], logs[side], thread_env)
             for side, root in (("parent", parent), ("change", change))
         }
         failed = [side for side, child in children.items() if child.wait() != 0]
@@ -138,8 +164,13 @@ def main(argv: list) -> int:
             same = left.is_file() and right.is_file() and filecmp.cmp(left, right, shallow=False)
             differ += not same
             print(f"{'same' if same else 'differ':6}  {name}")
+        solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
+    print("eigensolves per config: n_lowest requests (Lanczos solves), PARENT -> CHANGE")
+    for name in configs:
+        old, new = (f"{log[name]['requests']} ({log[name]['lanczos']})" for log in solves.values())
+        print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
     print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
     old, new = exports(parent), exports(change)
     changed = [f"-{name}" for name in sorted(old - new)]
