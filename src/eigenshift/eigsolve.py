@@ -5,10 +5,10 @@ uniform ordering, sign convention and residual check (:func:`_certify`).
 Every dense pencil goes through LAPACK's generalized driver (:func:`_eigh`).
 ``hilbert._top_eigs`` calls it up to scipy's default Krylov size
 max(2k + 1, 20), runs Lanczos above it and certifies nothing: its callers
-certify each pair once with :func:`_certify`, which also takes K as a
-callback.  Only Lanczos gives a partial spectrum, and a Sylvester inertia
-count from sparse pivots inside the gap above the kept pairs certifies that
-none below them was missed.
+certify each pair once with :func:`_certify`, a dense pair against the K it
+was solved from, a Lanczos pair through K as a callback.  Only Lanczos gives
+a partial spectrum, and a Sylvester inertia count from sparse pivots inside
+the gap above the kept pairs certifies that none below them was missed.
 """
 
 from __future__ import annotations

@@ -112,9 +112,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in DomainSpec.KINDS:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; pick one of {DomainSpec.KINDS}"
-            )
+            raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {DomainSpec.KINDS}")
         _check_number(self.h, "h")
         if not 0.0 < self.h <= 0.5:  # a mesh has at least 2 cells per side
             raise ValueError(f"mesh size h must be in (0, 1/2], got {self.h}")

@@ -19,13 +19,14 @@ solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
 energy block A_II (on every index, the parent's factor of A).
 
 One routine, :func:`_top_eigs`, finds the top eigenpairs of a pencil
-(K, A_II): the complete dense pencil up to scipy's default Krylov size
-max(2k + 1, 20), where ARPACK's Krylov space would be the whole subspace,
-by LAPACK's generalized driver, and Lanczos through the factor from a seeded
-start vector above it; each caller certifies every pair it reads once with
-:func:`eigsolve._certify`, whose allowance is relative to |x|.  The
-lowest eigenpairs of a subspace are the top ones of (M_II, A_II), checked
-as :func:`solve_operator_eigs` states.  sigma, sigma* and the embedding
+(K, A_II): by LAPACK's generalized driver on the complete dense pencil up
+to scipy's default Krylov size max(2k + 1, 20), where ARPACK's Krylov space
+would be the whole subspace, and by Lanczos through the factor from a
+seeded start vector above it.  Each caller certifies every pair it reads
+once with :func:`eigsolve._certify` (allowance relative to |x|), a dense
+pair against the dense K it was solved from.  The lowest eigenpairs of a
+subspace are the top ones of (M_II, A_II), checked as
+:func:`solve_operator_eigs` states.  sigma, sigma* and the embedding
 constant are largest eigenvalues; a :class:`SubspacePair` decides once how
 two subspaces relate and solves each of its pencils once.  Only the
 abstract suite's counterexamples and grid oracle read the dense Gram views.
@@ -34,7 +35,7 @@ abstract suite's counterexamples and grid oracle read the dense Gram views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -366,6 +367,10 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
 
 
+def _solved_densely(sub: Subspace, k: int) -> bool:
+    return sub.dim <= max(2 * k + 1, 20)  # scipy's default Krylov size
+
+
 def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np.ndarray, bool]:
     """Top k eigenpairs of a pencil (K, A_II) on the coordinates of a nodal
     subspace, descending and A_II-orthonormal, and whether they are all.  Up
@@ -373,7 +378,7 @@ def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np
     complete dense pencil, and above it :func:`_lanczos_top` applies
     ``step``, which need only agree with K on the Krylov space.  The caller
     certifies the pairs it reads."""
-    if sub.dim <= max(2 * k + 1, 20):
+    if _solved_densely(sub, k):
         kmat = apply_k(np.eye(sub.dim))
         theta, vecs = _eigh(0.5 * (kmat + kmat.T), sub._energy_block.toarray())
     else:
@@ -384,8 +389,10 @@ def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np
 
 def _pencil_max(union: Subspace, numerator, step=None) -> float:
     """Largest eigenvalue, clipped at 0, of a pencil (K, A_UU) on the
-    coordinates of ``union``, K applied by ``numerator``: the certified top
-    pair of :func:`_top_eigs`."""
+    coordinates of ``union``, K applied by ``numerator``: the top pair of
+    :func:`_top_eigs`, certified with K x read off K where K is built densely."""
+    if _solved_densely(union, 1):
+        numerator = partial(np.matmul, numerator(np.eye(union.dim)))
     theta, vecs, _ = _top_eigs(union, numerator, 1, step)
     _certify(numerator, union._energy_block, theta[:1], vecs[:, :1])
     return max(float(theta[0]), 0.0)
@@ -568,9 +575,7 @@ def _certify_group(a_res, block, k_block, lam_g, spread) -> None:
     num = _energy_norms(a_res, k_block - block / lam_g)
     den = _energy_norms(a_res, block)
     if np.any(num > (1e-8 + spread) * den):
-        raise PencilError(
-            f"eigenrelation residual {num.max():.3e} exceeds the certified bound"
-        )
+        raise PencilError(f"eigenrelation residual {num.max():.3e} exceeds the certified bound")
 
 
 def _energy_norms(a, block: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""The package's exports: every name listed in an ``__all__`` resolves, and
-every one is used by the package itself."""
+"""The package's exports: every name listed in an ``__all__`` resolves, only
+one module lists it, and the package itself uses it."""
 
 import ast
 import importlib
@@ -49,12 +49,10 @@ def _used_names(tree):
 
 
 def test_every_exported_name_has_a_caller_in_the_package():
-    # a public routine that only the tests call belongs next to those tests;
-    # __init__ only re-exports, so its imports are no use of a name
+    # a public routine that only the tests call belongs next to those tests
     used = set()
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+        used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = set()
     for name in _module_names():
         short = name.removeprefix("eigenshift.")
@@ -63,3 +61,12 @@ def test_every_exported_name_has_a_caller_in_the_package():
             if not attr.startswith("__") and attr not in used:
                 unused.add(f"{short}.{attr}")
     assert unused == set(UNUSED_EXPORTS)
+
+
+def test_no_name_is_exported_by_two_modules():
+    # each routine has one public name, in the module that defines it
+    owners = {}
+    for name in _module_names():
+        for attr in getattr(importlib.import_module(name), "__all__", ()):
+            owners.setdefault(attr, []).append(name)
+    assert {attr: names for attr, names in owners.items() if len(names) > 1} == {}

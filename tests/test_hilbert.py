@@ -674,6 +674,25 @@ def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
         sigma_distance(SubspacePair(h1, h2))
 
 
+def test_dense_sigma_star_builds_its_numerator_once(monkeypatch):
+    # a union of at most 20 dofs is solved densely from K = numerator(I), and
+    # the certificate reads K x off that K: the numerator's two inner solves
+    # run once, on the identity, and never on the top vector
+    space = random_space(np.random.default_rng(34), 12)
+    pair = SubspacePair(Subspace(space, range(12)), Subspace(space, range(3, 9)))
+    assert pair.direction == "shrink" and pair.inter is pair.h2
+    solved = []
+    true_solve = Subspace._solve
+
+    def spy(self, rhs):
+        solved.append(rhs.shape[1:])
+        return true_solve(self, rhs)
+
+    monkeypatch.setattr(Subspace, "_solve", spy)
+    sigma_star(pair)
+    assert solved == [(12,), (12,)]
+
+
 @pytest.mark.parametrize("kind", ["crossing", "nested"])
 def test_small_union_sigma_is_the_largest_eigenvalue(monkeypatch, kind):
     # the pencil's second eigenpair is an eigenpair, so it passes the residual

@@ -15,15 +15,16 @@ and ``harness.verify_fem()`` once, each summary written as sorted JSON.
 Every output file is then compared byte for byte, one ``same`` or
 ``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
 file differs or is missing on one side.  For each config it then prints the
-``n_lowest`` of every ``hilbert.solve_operator_eigs`` call and the count of
-``hilbert._lanczos_top`` solves on each tree, both recorded by wrapping those
-functions in the tree's own interpreter, so a change to the workloads'
-eigensolves shows even when every output is the same.  Last it prints the
-size of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
+``n_lowest`` of every ``hilbert.solve_operator_eigs`` call, the count of
+``hilbert._lanczos_top`` solves and the count of ``hilbert._symmetric_splu``
+factorizations on each tree, all recorded by wrapping those functions in the
+tree's own interpreter, so a change to the workloads' eigensolves and
+factors shows even when every output is the same.  Last it prints the size
+of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
 none), read from each module's ``__all__`` with ``eigenshift.name`` for the
-package's own.
+package's own; dunder metadata such as ``__version__`` is not counted.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from eigenshift import harness, hilbert
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
-solve, lanczos = hilbert.solve_operator_eigs, hilbert._lanczos_top
+solve, lanczos, splu = hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu
 log = {}
 
 def spy_solve(*args, **kwargs):
@@ -62,17 +63,21 @@ def spy_solve(*args, **kwargs):
     log[name]["requests"].append(bound.arguments["n_lowest"])
     return solve(*args, **kwargs)
 
-def spy_lanczos(*args, **kwargs):
-    log[name]["lanczos"] += 1
-    return lanczos(*args, **kwargs)
+def counted(key, func):
+    def spy(*args, **kwargs):
+        log[name][key] += 1
+        return func(*args, **kwargs)
+    return spy
 
-hilbert.solve_operator_eigs, hilbert._lanczos_top = spy_solve, spy_lanczos
+hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = (
+    spy_solve, counted("lanczos", lanczos), counted("factors", splu)
+)
 for path in sorted(configs.glob("*.json")):
     name = path.stem
-    log[name] = {"requests": [], "lanczos": 0}
+    log[name] = {"requests": [], "lanczos": 0, "factors": 0}
     config = harness.ScenarioConfig.from_json(path)
     harness.write_report(harness.run_scenario(config), out / name)
-hilbert.solve_operator_eigs, hilbert._lanczos_top = solve, lanczos
+hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = solve, lanczos, splu
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
@@ -108,7 +113,7 @@ def src_lines(root: Path) -> int:
 
 
 def exports(root: Path) -> set:
-    """``module.name`` for each name in a src/eigenshift/*.py ``__all__``."""
+    """``module.name`` for each name but dunders in a src/eigenshift/*.py ``__all__``."""
     names = set()
     for path in (root / "src" / "eigenshift").glob("*.py"):
         module = "eigenshift" if path.stem == "__init__" else path.stem
@@ -116,7 +121,8 @@ def exports(root: Path) -> set:
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
             ):
-                names |= {f"{module}.{name}" for name in ast.literal_eval(node.value)}
+                listed = ast.literal_eval(node.value)
+                names |= {f"{module}.{name}" for name in listed if not name.startswith("__")}
     return names
 
 
@@ -167,9 +173,13 @@ def main(argv: list) -> int:
         solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
-    print("eigensolves per config: n_lowest requests (Lanczos solves), PARENT -> CHANGE")
+    print("eigensolves per config: n_lowest requests (Lanczos solves, factorizations), "
+          "PARENT -> CHANGE")
     for name in configs:
-        old, new = (f"{log[name]['requests']} ({log[name]['lanczos']})" for log in solves.values())
+        old, new = (
+            f"{log[name]['requests']} ({log[name]['lanczos']}, {log[name]['factors']})"
+            for log in solves.values()
+        )
         print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
     print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
     old, new = exports(parent), exports(change)
