@@ -49,15 +49,10 @@ class CorrectionGramError(RuntimeError):
 
 @dataclass
 class CorrectionProblem:
-    """The J_m x J_m correction pencil for one reference eigenvalue group.
+    """What the rows read of the J_m x J_m correction pencil of one reference
+    eigenvalue group lam_m: its eigenvalues tau ascending, the group's
+    remainder magnitude rho and the projector distance sigma."""
 
-    lhs is the symmetric left form, gram the Gram of the projected
-    eigenvectors; tau holds the pencil's eigenvalues ascending.  rho is the
-    remainder magnitude of the group, sigma the projector distance.
-    """
-
-    lhs: np.ndarray
-    gram: np.ndarray
     lam_m: float
     sigma: float
     rho: float
@@ -69,15 +64,14 @@ class LocalizationResult:
     """Perturbed eigenvalues matched to a reference group.
 
     mu_inv is ascending; vectors holds the corresponding eigenvectors as
-    columns.  counted records whether the open spectral window contained
+    columns.  tracked records whether the open spectral window contained
     exactly the group's multiplicity; admitted additionally requires the
     distance gate to pass.  gate_value is Lambda_m * sqrt(sigma).
     """
 
     mu_inv: np.ndarray
-    window: tuple
     vectors: np.ndarray
-    counted: bool
+    tracked: bool
     gate_value: float
     admitted: bool
 
@@ -149,12 +143,13 @@ def localize(
 ) -> LocalizationResult:
     """The J_m perturbed eigenvalues nearest the m-th reference group.
 
-    The window count and the distance gate are recorded on the result
-    (``counted``, ``admitted``), and the nearest J_m eigenvalues are returned
-    whether they pass or not; a perturbed spectrum with fewer than J_m
-    eigenvalues raises :class:`LocalizationError`.  A partial perturbed
-    spectrum that stops below the window's upper eigenvalue end 1/lo leaves
-    the count unproven, which fails it.
+    Both verdicts of a cell are decided here, once: ``tracked`` when the
+    window holds exactly J_m eigenvalues, and ``admitted`` when the distance
+    gate holds too, so an admitted cell is tracked.  The nearest J_m
+    eigenvalues are returned whether they pass or not; a perturbed spectrum
+    with fewer than J_m raises :class:`LocalizationError`.  A partial
+    perturbed spectrum that stops below the window's upper eigenvalue end
+    1/lo leaves the count unproven, which fails it.
     """
     lam_m, _, j_m = eigs1.group(m)
     gate_value = float(np.sqrt(eigs1.cumulative_sum(m) * max(sigma, 0.0)))
@@ -164,8 +159,8 @@ def localize(
     count = int(np.count_nonzero(in_window))
     # eigenvalues past a partial spectrum lie below its smallest reciprocal
     proven = eigs2.complete or mu_inv_all.min() <= lo
-    counted = proven and count == j_m
-    if counted:
+    tracked = proven and count == j_m
+    if tracked:
         chosen = np.flatnonzero(in_window)
     elif mu_inv_all.size < j_m:
         raise LocalizationError(
@@ -177,11 +172,10 @@ def localize(
     sel = chosen[np.argsort(mu_inv_all[chosen], kind="stable")]
     return LocalizationResult(
         mu_inv=mu_inv_all[sel],
-        window=(lo, hi),
         vectors=eigs2.vectors[:, sel],
-        counted=counted,
+        tracked=tracked,
         gate_value=gate_value,
-        admitted=counted and gate_value < SIGMA_GATE,
+        admitted=tracked and gate_value < SIGMA_GATE,
     )
 
 
@@ -234,9 +228,7 @@ def assemble_correction(images: EigenspaceImages, sigma: float) -> CorrectionPro
         ) from exc
     tau, _ = solve_pencil(pencil)
     rho = compute_rho(images, sigma)
-    return CorrectionProblem(
-        lhs=pencil.a, gram=pencil.b, lam_m=images.lam, sigma=sigma, rho=rho, tau=tau
-    )
+    return CorrectionProblem(lam_m=images.lam, sigma=sigma, rho=rho, tau=tau)
 
 
 def predict_and_check(cp: CorrectionProblem, measured_mu_inv: np.ndarray) -> list:

@@ -11,7 +11,7 @@ at the end.
 import numpy as np
 import pytest
 
-from eigenshift.harness import verify_abstract, verify_fem
+from eigenshift.harness import ScenarioConfig, run_scenario, verify_abstract, verify_fem
 from eigenshift.perturbation import PredictionRow, ScenarioCell
 
 import oracles
@@ -315,6 +315,80 @@ def test_vanishing_distance_family():
         f"sigma {sigmas[0]:.2e}->{sigmas[2]:.2e}, sigma* {stars[0]:.2e}->{stars[2]:.2e}, "
         f"panel defect {defects[0]:.2e}->{defects[2]:.2e}",
     )
+
+
+# each eigenpair's residual certificate, relative (eigsolve._certify)
+CERTIFICATE = 1e-9
+
+
+def _halving_converges(values, floor) -> bool:
+    """Whether the difference between the two finest meshes is at most half
+    the difference between the two coarsest, up to ``floor``."""
+    coarse, fine = abs(values[1] - values[0]), abs(values[2] - values[1])
+    return fine <= 0.5 * coarse + floor
+
+
+def test_mesh_independence():
+    """Shrinking square and boundary notch, identity coefficient, m = 1,
+    eps = 1/32, on h = 1/32, 1/64 and 1/128: sigma, tau and the drift
+    mu^-1 - lambda^-1 converge as h halves, and the remainder bound's
+    constant (each row's ``ratio``) is the same on every mesh to 0.02.
+
+    Why these bounds.  P1 eigenpairs, and the energy and mass forms built
+    from them, converge as O(h^2) on a fixed polygon (Babuska & Osborn,
+    Handbook of Numerical Analysis II, 1991); a re-entrant corner of angle
+    omega < 2 pi lowers the rate to O(h^(2 pi / omega)), still above first
+    order, and the notch's discrete half-disc converges with the mesh.  So
+    each successive difference shrinks by 4 at the O(h^2) rate and by more
+    than 2 at any rate above first order; 2 is required, which a quantity
+    that does not converge (level differences) fails.  The ratio is the
+    quotient of two such quantities and converges at the same rate; then
+    the h = 1/32 ratio lies within twice its first difference of the limit,
+    and that is required to stay below 0.02, a quarter of the smallest
+    excess of these ratios over 1 (0.08), so the excess belongs to the
+    continuum pair and not to the mesh.
+
+    Each reciprocal eigenvalue is certain to CERTIFICATE of itself, and a
+    difference of two meshes is allowed that much of each.  Every remainder
+    must exceed 1000 certificates of its mu^-1, so the certificate cannot
+    decide a ratio.
+    """
+    ok, details = True, []
+    for scenario in ("square_shrink", "boundary_notch"):
+        cells = []
+        for n in (32, 64, 128):
+            config = ScenarioConfig(scenario=scenario, h=1.0 / n, eps=[1.0 / 32.0], m=[1])
+            (cell,) = run_scenario(config).cells
+            ok = ok and cell.admitted and not cell.error
+            cells.append(cell)
+        rows = [cell.rows[0] for cell in cells]
+        # each quantity's values, and how far the certificate may move each
+        quantities = {
+            "sigma": ([c.sigma for c in cells], [c.sigma for c in cells]),
+            "tau": ([c.tau[0] for c in cells], [abs(c.tau[0]) for c in cells]),
+            "drift": (
+                [r.mu_inv - r.lambda_inv for r in rows], [r.mu_inv + r.lambda_inv for r in rows]
+            ),
+            "ratio": (
+                [r.ratio for r in rows], [(r.mu_inv + r.lambda_inv) / r.bound for r in rows]
+            ),
+        }
+        for name, (values, scales) in quantities.items():
+            converges = _halving_converges(values, CERTIFICATE * (scales[1] + scales[2]))
+            ok = ok and converges
+            details.append(
+                f"{scenario} {name} " + ", ".join(f"{v:.5e}" for v in values)
+                + ("" if converges else " NOT CONVERGING")
+            )
+        ratios = quantities["ratio"][0]
+        drift_to_limit = 2.0 * abs(ratios[1] - ratios[0])
+        above = min(r.remainder / r.mu_inv for r in rows)
+        ok = ok and drift_to_limit <= 0.02 and above >= 1e3 * CERTIFICATE
+        details.append(
+            f"{scenario} ratio within {drift_to_limit:.2e} of its limit, "
+            f"remainder >= {above:.1e} mu^-1"
+        )
+    _criterion("mesh-independence", ok, "; ".join(details))
 
 
 def test_collar_stability(sweep_reports):

@@ -70,3 +70,42 @@ def test_no_name_is_exported_by_two_modules():
         for attr in getattr(importlib.import_module(name), "__all__", ()):
             owners.setdefault(attr, []).append(name)
     assert {attr: names for attr, names in owners.items() if len(names) > 1} == {}
+
+
+# records the report writes whole, through dataclasses.asdict and vars
+WRITTEN_WHOLE = {"ScenarioCell", "PredictionRow"}
+
+
+def _dataclasses(tree):
+    """The class definitions in tree decorated with dataclass, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list
+        ):
+            yield node
+
+
+def test_every_record_field_is_read_in_the_package():
+    # a field that nothing reads is state each construction must fill in for
+    # no reader; the records the report writes whole are read by being written
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for tree in trees:
+        for cls in _dataclasses(tree):
+            if cls.name in WRITTEN_WHOLE:
+                continue
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                    and stmt.target.id not in read
+                ):
+                    unread.add(f"{cls.name}.{stmt.target.id}")
+    assert unread == set()

@@ -461,8 +461,6 @@ def _gate_cell(**changes):
 # alone; a tau one float past the floor fails
 _GATE_BREAKS = {
     "non-finite reported quantity": {"rho": np.nan},
-    "zero perturbation produced 1.000e-01": {"eps": 0.0},
-    "admitted cell failed the window count": {"tracked": False},
     "positive shift predicted for a shrinking domain": {"tau": [np.nextafter(_FLOOR, 1.0)]},
     "eigenvalue decreased on a shrinking domain": {"mu_inv": [0.5 + 2 * _FLOOR]},
     "negative shift predicted for a growing domain": {
@@ -738,6 +736,22 @@ def test_verify_abstract_records_distance_axiom_counterexamples(monkeypatch):
     assert summary["passed"] is False
     (case,) = summary["distance_symmetry"]["violations"]
     assert case["case"] == 0 and len(case["indices"]) == 3
+
+
+def test_verify_abstract_counts_non_finite_margins_as_violations(monkeypatch):
+    # a NaN sigma* makes every comparison with it false, so its margin was
+    # neither the worst nor negative and the suite passed; it is a violation
+    # with its case, and so is an infinite margin
+    monkeypatch.setattr(hilbert, "sigma_star", lambda pair: np.nan)
+    summary = verify_abstract(seed=0, n_cases=5)
+    prop = summary["sigma_le_4_sigma_star"]
+    assert summary["passed"] is False
+    assert np.isnan(prop["worst_margin"]) and prop["cases"] == 5
+    assert [case["case"] for case in prop["violations"]] == [0, 1, 2]
+    prop = harness._Property("unbounded")
+    prop.record(1.0, lambda: "finite")
+    prop.record(np.inf, lambda: "infinite")
+    assert prop.failed and prop.violations == ["infinite"] and prop.worst == 1.0
 
 
 def test_sphere_grid_matches_oracle_loop():

@@ -48,7 +48,7 @@ def test_localize_identical_problems():
     space, h1, _, eigs1, _ = small_shrink_setup()
     loc = localize(eigs1, eigs1, 1, sigma=0.0)
     lam1 = eigs1.values[0]
-    assert loc.counted and loc.admitted
+    assert loc.tracked and loc.admitted
     assert loc.mu_inv[0] == pytest.approx(1.0 / lam1, rel=1e-14)
     assert loc.gate_value == 0.0
 
@@ -100,9 +100,8 @@ def test_localize_count_error_is_detailed():
     tiny = carve_subspace(space, mesh, DomainSpec("square_shrink", eps=6.0 / 16.0))
     eigs_tiny = solve_operator_eigs(tiny, group_tol=1e-6)
     loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4)
-    assert not loc.counted and not loc.admitted
-    assert loc.window == spectral_window(eigs1, 1)
-    assert _count_in(loc.window, eigs_tiny) == 0
+    assert not loc.tracked and not loc.admitted
+    assert _count_in(spectral_window(eigs1, 1), eigs_tiny) == 0
     # the J_1 = 1 nearest eigenvalue is still returned
     assert loc.mu_inv.shape == (1,)
 
@@ -113,7 +112,7 @@ def test_localize_lenient_records_flags():
     tiny = carve_subspace(space, mesh, DomainSpec("square_shrink", eps=6.0 / 16.0))
     eigs_tiny = solve_operator_eigs(tiny, group_tol=1e-6)
     loc = localize(eigs1, eigs_tiny, 1, sigma=1e-4)
-    assert not loc.counted and not loc.admitted
+    assert not loc.tracked and not loc.admitted
     assert loc.mu_inv.shape == (1,)
 
 
@@ -130,14 +129,14 @@ def test_localize_truncated_partial_spectrum_is_unproven():
     assert not eigs2.complete
     assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)
     loc = localize(eigs1, eigs2, 3, sigma=1e-4)
-    assert loc.mu_inv.shape == (1,) and not loc.counted and not loc.admitted
-    assert _count_in(loc.window, eigs2) == 1
+    assert loc.mu_inv.shape == (1,) and not loc.tracked and not loc.admitted
+    assert _count_in(spectral_window(eigs1, 3), eigs2) == 1
     # the partial spectrum does reach past the m=2 window, eigenvalues in (1.33, 2.4)
-    assert localize(eigs1, eigs2, 2, sigma=1e-4).counted
+    assert localize(eigs1, eigs2, 2, sigma=1e-4).tracked
     # the complete spectrum shows the true count
     complete = solve_operator_eigs(space2.whole(), group_tol=1e-9)
     loc = localize(eigs1, complete, 3, sigma=1e-4)
-    assert not loc.counted and _count_in(loc.window, complete) == 2
+    assert not loc.tracked and _count_in(spectral_window(eigs1, 3), complete) == 2
 
 
 def test_localize_small_shrink_matches_scaled_square():
@@ -146,7 +145,7 @@ def test_localize_small_shrink_matches_scaled_square():
     sigma = sigma_distance(SubspacePair(h1, h2))
     loc = localize(eigs1, eigs2, 1, sigma)
     scaled = PI2_2 / (1.0 - 2.0 / 24.0) ** 2
-    assert loc.counted and loc.admitted
+    assert loc.tracked and loc.admitted
     assert 1.0 / loc.mu_inv[0] == pytest.approx(scaled, rel=0.02)
 
 
@@ -212,16 +211,20 @@ def test_correction_shrink_reduces_to_complement_form():
     space, h1, h2, eigs1, _ = small_shrink_setup(n=16, eps_cells=1)
     sigma = sigma_distance(SubspacePair(h1, h2))
     lam, x1, _ = eigs1.group(1)
-    cp = assemble_correction(_images(h1, h2, x1, lam), sigma)
+    images = _images(h1, h2, x1, lam)
+    cp = assemble_correction(images, sigma)
     phi = x1[:, 0]
     t_phi = phi - h2.project_block(phi)
     s_phi = h2.project_block(phi)
     t2 = float(t_phi @ space.energy_gram @ t_phi)
     s2 = float(s_phi @ space.energy_gram @ s_phi)
-    # psi vanishes for a shrinking domain, so the pencil is the pure
-    # complement form and the single eigenvalue is negative
-    assert cp.lhs[0, 0] == pytest.approx(-t2 / lam, rel=1e-9)
-    assert cp.gram[0, 0] == pytest.approx(s2, rel=1e-12)
+    # psi vanishes for a shrinking domain, so the pencil's left form is the
+    # pure complement form -t2 / lam, its Gram is s2, and the single
+    # eigenvalue is negative
+    assert np.abs(images.psi_a_psi).max() < 1e-12 * t2
+    assert np.abs(images.psi_a_x).max() < 1e-12 * t2
+    assert images.t_a_t[0, 0] == pytest.approx(t2, rel=1e-9)
+    assert images.s_a_s[0, 0] == pytest.approx(s2, rel=1e-12)
     assert cp.tau[0] == pytest.approx(-t2 / (lam * s2), rel=1e-9)
     assert cp.tau[0] < 0
 
@@ -276,8 +279,6 @@ def test_predict_and_check_pairs_in_order():
     from eigenshift.perturbation import CorrectionProblem
 
     cp = CorrectionProblem(
-        lhs=np.diag([-0.2, -0.1]),
-        gram=np.eye(2),
         lam_m=10.0,
         sigma=0.01,
         rho=0.005,
@@ -297,7 +298,7 @@ def test_predict_and_check_pairs_in_order():
 def test_predict_and_check_length_mismatch():
     from eigenshift.perturbation import CorrectionProblem
 
-    cp = CorrectionProblem(np.zeros((2, 2)), np.eye(2), 1.0, 0.0, 0.0, np.zeros(2))
+    cp = CorrectionProblem(lam_m=1.0, sigma=0.0, rho=0.0, tau=np.zeros(2))
     with pytest.raises(ValueError, match="length"):
         predict_and_check(cp, np.array([1.0]))
 
@@ -305,7 +306,7 @@ def test_predict_and_check_length_mismatch():
 def test_predict_zero_perturbation_rows():
     from eigenshift.perturbation import CorrectionProblem
 
-    cp = CorrectionProblem(np.zeros((1, 1)), np.eye(1), 2.0, 0.0, 0.0, np.zeros(1))
+    cp = CorrectionProblem(lam_m=2.0, sigma=0.0, rho=0.0, tau=np.zeros(1))
     rows = predict_and_check(cp, np.array([0.5]))
     assert rows[0].remainder == 0.0
     assert rows[0].ratio == 0.0

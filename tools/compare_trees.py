@@ -19,7 +19,11 @@ file differs or is missing on one side.  For each config it then prints the
 ``hilbert._lanczos_top`` solves and the count of ``hilbert._symmetric_splu``
 factorizations on each tree, all recorded by wrapping those functions in the
 tree's own interpreter, so a change to the workloads' eigensolves and
-factors shows even when every output is the same.  Last it prints the size
+factors shows even when every output is the same.  The factorizations are
+split by the routine that asked for them: space factors (the definiteness
+factors of an ``EnergySpace``'s A and M, ``_definite_factor``), solve
+factors (a subspace's A_II, ``_restricted_energy_solve``) and inertia-count
+factors (``_count_below``).  Last it prints the size
 of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
@@ -55,6 +59,9 @@ src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
 solve, lanczos, splu = hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu
+FACTOR_KINDS = {
+    "_definite_factor": "space", "_restricted_energy_solve": "solve", "_count_below": "count"
+}
 log = {}
 
 def spy_solve(*args, **kwargs):
@@ -69,12 +76,22 @@ def counted(key, func):
         return func(*args, **kwargs)
     return spy
 
+def spy_splu(*args, **kwargs):
+    # the innermost caller that names a kind of factor
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code.co_name not in FACTOR_KINDS:
+        frame = frame.f_back
+    kind = "other" if frame is None else FACTOR_KINDS[frame.f_code.co_name]
+    factors = log[name]["factors"]
+    factors[kind] = factors.get(kind, 0) + 1
+    return splu(*args, **kwargs)
+
 hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = (
-    spy_solve, counted("lanczos", lanczos), counted("factors", splu)
+    spy_solve, counted("lanczos", lanczos), spy_splu
 )
 for path in sorted(configs.glob("*.json")):
     name = path.stem
-    log[name] = {"requests": [], "lanczos": 0, "factors": 0}
+    log[name] = {"requests": [], "lanczos": 0, "factors": {}}
     config = harness.ScenarioConfig.from_json(path)
     harness.write_report(harness.run_scenario(config), out / name)
 hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = solve, lanczos, splu
@@ -104,6 +121,15 @@ def collect_configs(root: Path) -> tuple[dict, dict]:
         if config not in distinct.values():
             distinct[name] = config
     return distinct, workloads["THREAD_ENV"]
+
+
+def factor_split(factors: dict) -> str:
+    """``total = space + solve + count``, with ``+ N other`` for factors that
+    no named routine asked for."""
+    parts = [str(factors.get(kind, 0)) for kind in ("space", "solve", "count")]
+    if "other" in factors:
+        parts.append(f"{factors['other']} other")
+    return f"{sum(factors.values())} = {' + '.join(parts)}"
 
 
 def src_lines(root: Path) -> int:
@@ -173,12 +199,12 @@ def main(argv: list) -> int:
         solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
-    print("eigensolves per config: n_lowest requests (Lanczos solves, factorizations), "
-          "PARENT -> CHANGE")
+    print("eigensolves per config: n_lowest requests (Lanczos solves, factorizations = "
+          "space + solve + count), PARENT -> CHANGE")
     for name in configs:
         old, new = (
-            f"{log[name]['requests']} ({log[name]['lanczos']}, {log[name]['factors']})"
-            for log in solves.values()
+            f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])})"
+            for entry in (log[name] for log in solves.values())
         )
         print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
     print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
