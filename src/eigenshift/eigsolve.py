@@ -7,8 +7,10 @@ Every dense pencil goes through LAPACK's generalized driver (:func:`_eigh`).
 max(2k + 1, 20), runs Lanczos above it and certifies nothing: its callers
 certify each pair once with :func:`_certify`, a dense pair against the K it
 was solved from, a Lanczos pair through K as a callback.  Only Lanczos gives
-a partial spectrum, and a Sylvester inertia count from sparse pivots inside
-the gap above the kept pairs certifies that none below them was missed.
+a partial spectrum.  Interlacing with a certified spectrum of a larger
+subspace certifies that none below its kept pairs was missed, where it
+holds, and otherwise a Sylvester inertia count from sparse pivots inside
+the gap above them does (``hilbert.solve_operator_eigs``).
 """
 
 from __future__ import annotations

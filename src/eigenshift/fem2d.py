@@ -259,7 +259,14 @@ def _element_matrices(mesh: BackgroundMesh, coeff_mats: np.ndarray):
 
 def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
     """Energy space of the background square: P1 stiffness and mass Grams
-    on the interior vertices, with the coefficient sampled at centroids."""
+    on the interior vertices, with the coefficient sampled at centroids.
+
+    The mass Gram is definite by construction, so the space factors only
+    the stiffness: each element mass (|T|/12)(I + 11') has eigenvalues
+    |T|/12, |T|/12 and |T|/3, so u'Mu = sum_T u_T' M_T u_T is at least
+    min|T|/12 |u|^2 when every triangle has positive area and every dof
+    lies in a triangle.  Both are checked here, and where either fails the
+    space proves M definite by its pivots instead."""
     coeff_mats = coeff.sample(mesh.centroids)
     stiff_loc, mass_loc = _element_matrices(mesh, coeff_mats)
     n = mesh.n_dofs
@@ -273,7 +280,8 @@ def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
         # COO -> CSR sums the duplicate entries; EnergySpace symmetrizes
         return sp.coo_array((local.reshape(-1, 9)[ok], index), shape=(n, n)).tocsr()
 
-    return EnergySpace(gram(stiff_loc), gram(mass_loc))
+    definite = mesh.areas.min() > 0 and mesh._incident_total[mesh.interior_vertices].min() > 0
+    return EnergySpace(gram(stiff_loc), gram(mass_loc), mass_definite=bool(definite))
 
 
 def carve_subspace(space: EnergySpace, mesh: BackgroundMesh, dom: DomainSpec) -> Subspace:

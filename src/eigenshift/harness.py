@@ -303,12 +303,14 @@ def _cell_for(ref, pair, eigs2, collar, area, eps, m):
     )
 
 
-def _lowest_eigs(sub, group_tol, n, cap, enough):
+def _lowest_eigs(sub, group_tol, n, cap, enough, outer=None):
     """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
-    for the decomposition, it is complete, or n reaches cap."""
+    for the decomposition, it is complete, or n reaches cap; ``outer`` and
+    ``enough`` go to ``solve_operator_eigs``, which may prove a partial
+    result by interlacing with ``outer``."""
     while True:
         n = min(n, cap)
-        eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n)
+        eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n, outer=outer, enough=enough)
         if eigs.complete or n == cap or enough(eigs):
             return eigs
         n *= 2
@@ -317,15 +319,21 @@ def _lowest_eigs(sub, group_tol, n, cap, enough):
 class ReferenceStage:
     """What every eps of a run reads, built once per config: the ``mesh``,
     ``space``, reference ``domain``, its subspace ``sub`` and eigenpairs
-    ``eigs``, and the (lo, J_m) ``windows`` of the m's.
+    ``eigs``, the (lo, J_m) ``windows`` of the m's, and ``n_below_edge``,
+    the number N1(S) of reference eigenvalues below the window edge
+    S = 1/min(lo).
 
     Each eigensolve asks for the pairs the run reads, up to ``n_lowest``.  The
     reference starts at max(m) + 2 and must resolve the groups up to
-    max(m) + 1, which fix the windows, or raise ValueError.  Each perturbed
-    solve starts at the pairs the reference computed and must reach J_m
+    max(m) + 1, which fix the windows, or raise ValueError; its Sylvester
+    count proves it complete past S.  Each perturbed solve must reach J_m
     eigenvalues past every window's lower end in the reciprocal scale
     (:meth:`covers`), so that none it leaves out lies in a window or nearer
-    1/lambda_m than the J_m ``localize`` falls back to.  A short request doubles.
+    1/lambda_m than the J_m ``localize`` falls back to; a short request
+    doubles.  A shrinking pair starts at N1(S) + max J_m, and interlacing
+    with the reference may prove its partial spectrum complete instead of a
+    count; other pairs start at the pairs the reference computed
+    (:meth:`perturbed_eigs`).
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -348,11 +356,26 @@ class ReferenceStage:
         self.windows = [
             (perturbation.spectral_window(eigs, m)[0], eigs.group(m)[2]) for m in config.m
         ]
+        # below S = 1/min(lo) is above min(lo) in the reciprocal scale
+        edge_inv = min(lo for lo, _ in self.windows)
+        self.n_below_edge = int(np.count_nonzero(1.0 / eigs.lam > edge_inv))
 
     def covers(self, eigs) -> bool:
         """Whether eigs has J_m eigenvalues past every window's lower end."""
         mu_inv = 1.0 / eigs.flat_values()
         return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in self.windows)
+
+    def perturbed_eigs(self, pair, group_tol: float, cap: int):
+        """The eigenpairs of ``pair.h2`` that the cells of the pair read.  A
+        shrinking pair has N2(S) <= N1(S) (Courant-Fischer), so its first
+        request, N1(S) + max J_m, holds J_m eigenvalues past every window,
+        and interlacing with the reference may prove its slice.  Any other
+        pair starts at the pairs the reference computed."""
+        if pair.direction == "shrink":
+            n, outer = self.n_below_edge + max(j_m for _, j_m in self.windows), self.eigs
+        else:
+            n, outer = self.eigs.n_computed, None
+        return _lowest_eigs(pair.h2, group_tol, n, cap, self.covers, outer)
 
 
 def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:
@@ -364,9 +387,7 @@ def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:
         pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
         if pair.direction == "equal":
             return [_fixed_point_cell(ref.eigs, eps, m) for m in config.m]
-        eigs2 = _lowest_eigs(
-            pair.h2, config.group_tol_for(dom2), ref.eigs.n_computed, config.n_lowest, ref.covers
-        )
+        eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
         sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
         collar = fem2d.collar_elements(ref.mesh, dom2, q=config.q)
         area = fem2d.symmetric_difference_area(ref.mesh, ref.domain, dom2)

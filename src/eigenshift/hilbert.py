@@ -26,7 +26,12 @@ seeded start vector above it.  Each caller certifies every pair it reads
 once with :func:`eigsolve._certify` (allowance relative to |x|), a dense
 pair against the dense K it was solved from.  The lowest eigenpairs of a
 subspace are the top ones of (M_II, A_II), checked as
-:func:`solve_operator_eigs` states.  sigma, sigma* and the embedding
+:func:`solve_operator_eigs` states: a partial spectrum is proved complete
+by Courant-Fischer interlacing with the certified spectrum of a subspace
+that holds it (:func:`_interlacing_gap`), or else by a Sylvester count
+from sparse pivots (:func:`_count_below`).  A mass Gram that is definite by
+construction (``fem2d.assemble``) is not factored; any other is proved
+definite by its pivots.  sigma, sigma* and the embedding
 constant are largest eigenvalues; a :class:`SubspacePair` decides once how
 two subspaces relate and solves each of its pencils once.  Only the
 abstract suite's counterexamples and grid oracle read the dense Gram views.
@@ -149,20 +154,23 @@ class EnergySpace:
     on first use, for small spaces and reference checks.  Both Grams must be
     symmetric positive definite (which also guarantees the embedding
     constant is finite and positive).  Positive pivots of a symmetric sparse
-    factorization must prove it at construction, or
+    factorization prove it at construction, or
     :class:`NotPositiveDefiniteError` is raised with the smallest pivot; no
     dense matrix is formed.  The energy factor is kept: a subspace on every
-    index solves with it.
+    index solves with it.  ``mass_definite`` skips the mass factor; only a
+    proof by construction may set it, as ``fem2d.assemble`` does from the
+    mesh, and every space built from matrices alone keeps the pivot check.
     """
 
-    def __init__(self, energy_gram, mass_gram):
+    def __init__(self, energy_gram, mass_gram, *, mass_definite: bool = False):
         self.energy_csr = _check_gram(energy_gram, "energy_gram")
         self.mass_csr = _check_gram(mass_gram, "mass_gram")
         if self.energy_csr.shape != self.mass_csr.shape:
             raise ValueError("energy_gram and mass_gram must have the same shape")
         self.dim = self.energy_csr.shape[0]
         self._energy_lu = self._definite_factor(self.energy_csr, "energy_gram")
-        self._definite_factor(self.mass_csr, "mass_gram")
+        if not mass_definite:
+            self._definite_factor(self.mass_csr, "mass_gram")
 
     def _definite_factor(self, csr: sp.csr_array, name: str):
         """The symmetric sparse factor whose positive pivots prove the Gram
@@ -320,6 +328,11 @@ class EigenDecomposition:
             raise IndexError(f"group index {m} outside 1..{self.n_groups}")
         sel = self.groups[m - 1]
         return float(self.values[m - 1]), self.vectors[:, sel], int(self.multiplicities[m - 1])
+
+    def head(self, g: int) -> "EigenDecomposition":
+        """The partial decomposition of the first g groups."""
+        stop = self.groups[g - 1].stop
+        return EigenDecomposition(self.lam[:stop], self.vectors[:, :stop], self.groups[:g], False)
 
     def flat_values(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity, ascending."""
@@ -496,7 +509,11 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
 
 
 def solve_operator_eigs(
-    sub: Subspace, group_tol: float, n_lowest: int | None = None
+    sub: Subspace,
+    group_tol: float,
+    n_lowest: int | None = None,
+    outer: EigenDecomposition | None = None,
+    enough=None,
 ) -> EigenDecomposition:
     """Solve (phi, v) = lambda <phi, v> restricted to sub.
 
@@ -506,10 +523,16 @@ def solve_operator_eigs(
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
     1/lambda, from :func:`_top_eigs`: ``n_lowest + 3`` of them, or all when
     ``n_lowest`` is None.  Three checks raise :class:`PencilError`: each
-    pair passes :func:`eigsolve._certify` on that pencil; a partial result
-    drops its trailing, possibly split group, and the Sylvester count below
-    the gap above the kept groups must equal the number kept; and each
-    re-orthonormalized group passes :func:`_certify_group`.
+    pair passes :func:`eigsolve._certify` on that pencil; each
+    re-orthonormalized group passes :func:`_certify_group`; and a partial
+    result, which drops its trailing, possibly split group, must hold every
+    eigenvalue below its last kept one.  Given ``outer``, the certified
+    decomposition of a subspace that holds sub, interlacing proves that
+    without a factor (:func:`_interlacing_gap`) at the largest group
+    boundary where it holds and the decomposition truncated there satisfies
+    the predicate ``enough``; the result is truncated there.  Otherwise the
+    Sylvester count below the gap above the kept groups must equal the
+    number kept.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
@@ -526,14 +549,6 @@ def solve_operator_eigs(
                 "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
             )
         groups = groups[:-1]
-        # Lanczos can miss a copy of a degenerate eigenvalue
-        kept = groups[-1].stop
-        below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))
-        if below != kept:
-            raise PencilError(
-                f"Lanczos kept {kept} eigenvalues, but {below} lie below the gap "
-                f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
-            )
     blocks = np.empty((sub.dim, groups[-1].stop))
     for sel in groups:
         # pencil vectors are A-orthonormal up to rounding
@@ -546,7 +561,46 @@ def solve_operator_eigs(
     k_blocks = sub._restricted_energy_solve(m_res @ blocks)
     for sel, lam_g, spread in zip(groups, eigs.values, eigs.spreads):
         _certify_group(a_res, blocks[:, sel], k_blocks[:, sel], lam_g, spread)
+    if complete:
+        return eigs
+    if outer is not None:
+        for g in range(len(groups), 0, -1):
+            head = eigs.head(g)
+            if enough(head) and _interlacing_gap(
+                a_res, m_res, blocks[:, : head.n_computed], outer
+            ):
+                return head
+    # Lanczos can miss a copy of a degenerate eigenvalue
+    kept = groups[-1].stop
+    below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))
+    if below != kept:
+        raise PencilError(
+            f"Lanczos kept {kept} eigenvalues, but {below} lie below the gap "
+            f"({lam[kept - 1]:.6e}, {lam[kept]:.6e}) by Sylvester inertia"
+        )
     return eigs
+
+
+def _interlacing_gap(a_res, m_res, block: np.ndarray, outer: EigenDecomposition):
+    """The gap (q, t) in which the pencil (a_res, m_res) of a subspace H2 of
+    the outer subspace H1 has exactly j eigenvalues below every shift, j the
+    columns of ``block``, or None when interlacing does not prove one.
+
+    q is the largest Rayleigh quotient on span(block), the top eigenvalue of
+    the dense j x j pencil (V'AV, V'MV), so mu_j <= q (Courant-Fischer).
+    t is the least value that ``outer``'s lambda_{j+1} can take, with
+    j < ``outer.n_computed`` so that it lies in the certified slice: in the
+    reciprocal scale, its group's mean plus the spread and the 1e-8 that
+    :func:`_certify_group` allowed.  H2 in H1 gives mu_i >= lambda_i, so
+    N2(s) <= N1(s) for every s; for q < s < t, j <= N2(s) <= N1(s) <= j."""
+    j = block.shape[1]
+    if j >= outer.n_computed:
+        return None
+    g = next(i for i, sel in enumerate(outer.groups) if j < sel.stop)
+    # the smallest reciprocal Rayleigh quotient of span(block) is 1/q
+    theta = _eigh(block.T @ (m_res @ block), block.T @ (a_res @ block))[0][0]
+    edge = 1.0 / outer.values[g] + outer.spreads[g] + 1e-8
+    return (1.0 / theta, 1.0 / edge) if theta > edge else None
 
 
 def _group_boundaries(lam: np.ndarray, tol: float) -> list:

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eigenshift import hilbert
+from eigenshift.eigsolve import NotPositiveDefiniteError
 from eigenshift.fem2d import (
+    BackgroundMesh,
     CoefficientField,
     DomainSpec,
     MeshError,
@@ -16,7 +19,7 @@ from eigenshift.fem2d import (
     symmetric_difference_area,
     unit_square_mesh,
 )
-from eigenshift.hilbert import Subspace, solve_operator_eigs
+from eigenshift.hilbert import EnergySpace, Subspace, solve_operator_eigs
 
 import oracles
 
@@ -462,3 +465,46 @@ def test_hadamard_requires_normalization(square64):
     _, x1, _ = eigs.group(1)
     with pytest.raises(ValueError, match="normalized"):
         oracles.hadamard_slope(mesh, space, 2.0 * x1[:, 0], 1.0)
+
+
+def _count_factors(monkeypatch):
+    factors = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factors.append(mat.shape)
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    return factors
+
+
+def test_assembled_mass_is_definite_by_construction(monkeypatch):
+    # every triangle of the grid has positive area and every dof lies in one,
+    # so the space factors only the stiffness
+    factors = _count_factors(monkeypatch)
+    mesh = BackgroundMesh(6)
+    space = assemble(mesh, CoefficientField.checker(0.5))
+    assert factors == [(mesh.n_dofs, mesh.n_dofs)]
+    assert np.linalg.eigvalsh(space.mass_gram)[0] >= mesh.areas.min() / 12 * (1 - 1e-12)
+    # a zero area voids the proof, and the mass pivots are checked again
+    factors.clear()
+    mesh.areas = np.where(np.arange(mesh.n_triangles) == 0, 0.0, mesh.areas)
+    assemble(mesh, CoefficientField.identity())
+    assert len(factors) == 2
+
+
+@pytest.mark.parametrize(
+    "energy, mass, name",
+    [
+        (np.eye(2), np.diag([1.0, 0.0]), "mass_gram"),
+        (np.eye(2), np.diag([1.0, -1.0]), "mass_gram"),
+        (np.diag([1.0, -1.0]), np.eye(2), "energy_gram"),
+    ],
+)
+def test_matrix_built_spaces_keep_the_pivot_check(monkeypatch, energy, mass, name):
+    factors = _count_factors(monkeypatch)
+    with pytest.raises(NotPositiveDefiniteError, match=name):
+        EnergySpace(energy, mass)
+    EnergySpace(np.eye(3), 2.0 * np.eye(3))
+    assert factors[-2:] == [(3, 3), (3, 3)]

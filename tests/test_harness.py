@@ -516,8 +516,8 @@ def _spy_eigensolves(monkeypatch):
     calls = []
     solve = hilbert.solve_operator_eigs
 
-    def spy(sub, group_tol, n_lowest=None):
-        calls.append((n_lowest, solve(sub, group_tol, n_lowest=n_lowest)))
+    def spy(sub, group_tol, n_lowest=None, **kwargs):
+        calls.append((n_lowest, solve(sub, group_tol, n_lowest=n_lowest, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(hilbert, "solve_operator_eigs", spy)
@@ -529,8 +529,11 @@ def test_reference_request_starts_at_max_m_plus_two(monkeypatch):
     h = 1.0 / 16.0
     run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[1, 2]))
     assert calls[0][0] == 4
-    # the perturbed solve starts where the reference ended
-    assert calls[1][0] == calls[0][1].n_computed
+    # the shrinking pair starts at N1(S) + max J_m: the simple lambda_1 and
+    # the double lambda_2 lie below the window edge S, and J_2 = 2
+    eigs1 = calls[0][1]
+    assert eigs1.multiplicities[:2].tolist() == [1, 2]
+    assert calls[1][0] == 3 + 2 < eigs1.n_computed
 
 
 def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch):
@@ -550,12 +553,13 @@ def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch
 
 
 def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):
-    # eps=2h leaves the h=1/8 square 9 dofs: a request for 6 is past what
-    # Lanczos serves, so the dense solve returns all 9 pairs at once
+    # eps=2h leaves the h=1/8 square 9 dofs: the shrinking pair's request
+    # for N1(S) + max J_m = 3 + 2 is past what Lanczos serves, so the dense
+    # solve returns all 9 pairs at once
     calls = _spy_eigensolves(monkeypatch)
     h = 1.0 / 8.0
     run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2]))
-    assert [n for n, _ in calls] == [4, 6]
+    assert [n for n, _ in calls] == [4, 5]
     eigs2 = calls[1][1]
     assert eigs2.complete and eigs2.n_computed == 9
 
@@ -585,6 +589,49 @@ def test_each_eps_starts_from_the_reference_request(monkeypatch):
         alone = run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[eps], m=[2]))
         want = json.dumps(alone.to_dict()["cells"], sort_keys=True)
         assert json.dumps([c for c in cells if c["eps"] == eps], sort_keys=True) == want
+
+
+def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch):
+    # the h=1/12 checker notch at eps=2h keeps 4 Lanczos pairs, proved
+    # complete by interlacing with the reference and no count
+    h = 1.0 / 12.0
+    config = ScenarioConfig(
+        scenario="boundary_notch", h=h, eps=[2 * h], m=[1, 2],
+        coefficient={"kind": "checker", "nu": 0.5},
+    )
+    ref = harness.ReferenceStage(config)
+    dom2 = config.perturbed_domain(2 * h)
+    pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
+    assert pair.direction == "shrink"
+    gaps, counts = [], []
+
+    def spy(log, func):
+        def record(*args):
+            log.append(func(*args))
+            return log[-1]
+
+        return record
+
+    monkeypatch.setattr(hilbert, "_interlacing_gap", spy(gaps, hilbert._interlacing_gap))
+    monkeypatch.setattr(hilbert, "_count_below", spy(counts, hilbert._count_below))
+    eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
+    assert not eigs2.complete and gaps[-1] is not None and counts == []
+    # with mu_2 dropped, the first j kept vectors reach mu_(j+1) >= lambda_(j+1)
+    # at every boundary that covers the windows, so interlacing proves none,
+    # and the count at the kept boundary finds one eigenvalue more than kept
+    true_eigsh = hilbert.eigsh
+
+    def drop_second(*args, **kwargs):
+        theta, vecs = true_eigsh(*args, **kwargs)
+        keep = np.delete(np.argsort(-theta), 1)  # theta = 1/mu, descending
+        return theta[keep], vecs[:, keep]
+
+    monkeypatch.setattr(hilbert, "eigsh", drop_second)
+    gaps.clear()
+    with pytest.raises(eigsolve.PencilError, match="Sylvester inertia"):
+        ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
+    assert gaps and all(gap is None for gap in gaps)
+    assert len(counts) == 1
 
 
 def test_requests_never_exceed_n_lowest(monkeypatch):

@@ -741,6 +741,40 @@ def test_inertia_and_definiteness_need_no_dense_matrix(sparse_only, monkeypatch)
         hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.sampled_from([0, 8, 12, 16]),
+    noise=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+def test_interlacing_gap_agrees_with_the_sylvester_count(seed, n, noise):
+    # a nested pair H2 in H1, from abstract Grams (n = 0) or from the P1 space
+    # at h = 1/n with a few dofs removed: wherever interlacing proves j
+    # eigenvalues of H2 below every shift of a gap, the count there finds j.
+    # The proof holds for any j vectors of H2, so they carry noise
+    rng = np.random.default_rng(seed)
+    if n:
+        space = fem2d.assemble(fem2d.unit_square_mesh(n), CoefficientField.identity())
+        h1, group_tol = space.whole(), fem2d.suggested_group_tol(1.0 / n)
+        drop = int(rng.integers(1, 5))
+    else:
+        space = random_space(rng, int(rng.integers(6, 25)))
+        h1 = random_subspace(rng, space, int(rng.integers(4, space.dim + 1)))
+        group_tol, drop = 1e-8, int(rng.integers(1, max(2, h1.dim // 3)))
+    h2 = Subspace(space, rng.choice(h1.indices, size=h1.dim - drop, replace=False))
+    # the P1 reference is partial, certified by its own count
+    outer = solve_operator_eigs(h1, group_tol, n_lowest=8 if n else None)
+    eigs2 = solve_operator_eigs(h2, group_tol)
+    a_res, m_res = h2._energy_block, h2._mass_block
+    for sel in eigs2.groups:
+        block = eigs2.vectors[h2.indices, : sel.stop]
+        block = block + noise * rng.standard_normal(block.shape)
+        gap = hilbert._interlacing_gap(a_res, m_res, block, outer)
+        if gap is not None:
+            assert gap[0] < gap[1]
+            assert hilbert._count_below(a_res, m_res, gap) == sel.stop
+
+
 # -- operator eigendecomposition ----------------------------------------------
 
 

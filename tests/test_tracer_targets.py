@@ -112,13 +112,16 @@ def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workload, factors, solves", [("shrink_sweep", 10, 8), ("notch_checker", 11, 9)]
+    "workload, factors, solves", [("shrink_sweep", 8, 8), ("notch_checker", 7, 9)]
 )
 def test_bench_fem_workloads_keep_their_sparse_solves(
     dense_free, monkeypatch, workload, factors, solves
 ):
     # the bench measures these sparse factorizations and ARPACK solves; a
-    # change to how pencils are solved must not add, drop or densify any
+    # change to how pencils are solved must not add, drop or densify any.
+    # The factors are the space's A, four subspace solve factors, and the
+    # Sylvester counts of the reference and of each perturbed slice that
+    # interlacing does not prove: 1 + 4 + 3 and 1 + 4 + 2
     workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
     config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS[workload])
     counts = {"factors": 0, "solves": 0}

@@ -14,7 +14,12 @@ through ``harness.run_scenario`` and ``harness.write_report``;
 and ``harness.verify_fem()`` once, each summary written as sorted JSON.
 Every output file is then compared byte for byte, one ``same`` or
 ``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
-file differs or is missing on one side.  For each config it then prints the
+file differs or is missing on one side.  Under each ``differ`` line come the
+worst float drift, relative to the largest magnitude of its column on
+either side, and every non-float difference (a string, int, bool or null,
+or a value present on one side only), one line each.  A column is a CSV
+column, or a JSON key path with the list indices left out
+(``cells.rows.ratio``).  For each config it then prints the
 ``n_lowest`` of every ``hilbert.solve_operator_eigs`` call, the count of
 ``hilbert._lanczos_top`` solves and the count of ``hilbert._symmetric_splu``
 factorizations on each tree, all recorded by wrapping those functions in the
@@ -23,7 +28,9 @@ factors shows even when every output is the same.  The factorizations are
 split by the routine that asked for them: space factors (the definiteness
 factors of an ``EnergySpace``'s A and M, ``_definite_factor``), solve
 factors (a subspace's A_II, ``_restricted_energy_solve``) and inertia-count
-factors (``_count_below``).  Last it prints the size
+factors (``_count_below``).  The partial spectra (the reference's among
+them) are split by what proved them complete: interlacing with the
+reference, or a ``hilbert._count_below`` Sylvester count.  Last it prints the size
 of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
@@ -34,8 +41,10 @@ package's own; dunder metadata such as ``__version__`` is not counted.
 from __future__ import annotations
 
 import ast
+import csv
 import filecmp
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -58,7 +67,9 @@ from eigenshift import harness, hilbert
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
-solve, lanczos, splu = hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu
+solve, lanczos, splu, count = (
+    hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below
+)
 FACTOR_KINDS = {
     "_definite_factor": "space", "_restricted_energy_solve": "solve", "_count_below": "count"
 }
@@ -67,8 +78,13 @@ log = {}
 def spy_solve(*args, **kwargs):
     bound = inspect.signature(solve).bind(*args, **kwargs)
     bound.apply_defaults()
-    log[name]["requests"].append(bound.arguments["n_lowest"])
-    return solve(*args, **kwargs)
+    entry = log[name]
+    entry["requests"].append(bound.arguments["n_lowest"])
+    counted_before = entry["counted"]
+    eigs = solve(*args, **kwargs)
+    # a partial spectrum that no count proved was proved by interlacing
+    entry["interlaced"] += not eigs.complete and entry["counted"] == counted_before
+    return eigs
 
 def counted(key, func):
     def spy(*args, **kwargs):
@@ -86,15 +102,17 @@ def spy_splu(*args, **kwargs):
     factors[kind] = factors.get(kind, 0) + 1
     return splu(*args, **kwargs)
 
-hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = (
-    spy_solve, counted("lanczos", lanczos), spy_splu
+hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below = (
+    spy_solve, counted("lanczos", lanczos), spy_splu, counted("counted", count)
 )
 for path in sorted(configs.glob("*.json")):
     name = path.stem
-    log[name] = {"requests": [], "lanczos": 0, "factors": {}}
+    log[name] = {"requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0}
     config = harness.ScenarioConfig.from_json(path)
     harness.write_report(harness.run_scenario(config), out / name)
-hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu = solve, lanczos, splu
+hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below = (
+    solve, lanczos, splu, count
+)
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
@@ -130,6 +148,81 @@ def factor_split(factors: dict) -> str:
     if "other" in factors:
         parts.append(f"{factors['other']} other")
     return f"{sum(factors.values())} = {' + '.join(parts)}"
+
+
+def _scalar(text: str):
+    """A CSV field as the int, float or string it was written from."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def leaves(path: Path) -> dict:
+    """{location: (column, value)} of a JSON or CSV output's scalars."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        return {
+            f"row {i} {column}": (column, _scalar(text))
+            for i, row in enumerate(rows, 1)
+            for column, text in row.items()
+        }
+    found = {}
+
+    def walk(node, location, column):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{location}.{key}" if location else key,
+                     f"{column}.{key}" if column else key)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{location}[{i}]", column)
+        else:
+            found[location] = (column, node)
+
+    walk(json.loads(path.read_text(encoding="utf-8")), "", "")
+    return found
+
+
+def _finite(value) -> bool:
+    """A finite number that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def differences(left: Path, right: Path) -> list:
+    """The worst relative float drift and every non-float difference of
+    two outputs, one line each.  Two finite numbers of which one is a float
+    (a CSV float can read as an int) drift relative to the largest finite
+    magnitude of their column on either side; anything else must be equal,
+    NaN to NaN."""
+    if not (left.is_file() and right.is_file()):
+        return [f"only in the {'change' if right.is_file() else 'parent'} tree"]
+    old, new = leaves(left), leaves(right)
+    scale = {}
+    for column, value in (*old.values(), *new.values()):
+        if _finite(value):
+            scale[column] = max(scale.get(column, 0.0), abs(value))
+    worst, where, lines = 0.0, None, []
+    for location in sorted(old.keys() | new.keys()):
+        if location not in old or location not in new:
+            side = "parent" if location in old else "change"
+            lines.append(f"{location}: only in the {side} tree")
+            continue
+        (column, a), (_, b) = old[location], new[location]
+        if _finite(a) and _finite(b) and float in (type(a), type(b)):
+            drift = abs(a - b) / scale[column] if scale[column] else 0.0
+            if drift > worst:
+                worst, where = drift, column
+        elif not (a == b or a != a and b != b):  # NaN equals NaN here
+            lines.append(f"{location}: {json.dumps(a)} -> {json.dumps(b)}")
+    if where is not None:
+        lines.insert(
+            0, f"worst float drift {worst:.2e} of its column's largest magnitude, in {where}"
+        )
+    return lines
 
 
 def src_lines(root: Path) -> int:
@@ -196,14 +289,18 @@ def main(argv: list) -> int:
             same = left.is_file() and right.is_file() and filecmp.cmp(left, right, shallow=False)
             differ += not same
             print(f"{'same' if same else 'differ':6}  {name}")
+            for line in [] if same else differences(left, right):
+                print(f"        {line}")
         solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ")
     print("eigensolves per config: n_lowest requests (Lanczos solves, factorizations = "
-          "space + solve + count), PARENT -> CHANGE")
+          "space + solve + count; partial spectra proved by interlacing + counted), "
+          "PARENT -> CHANGE")
     for name in configs:
         old, new = (
-            f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])})"
+            f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])}; "
+            f"{entry['interlaced']} + {entry['counted']})"
             for entry in (log[name] for log in solves.values())
         )
         print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
