@@ -71,9 +71,7 @@ _COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": 
 _CELL_ERRORS = (
     MeshError,
     PencilError,
-    hilbert.DimensionMismatchError,
     hilbert.SubspaceRankError,
-    hilbert.NotInSubspaceError,
     perturbation.LocalizationError,
     perturbation.CorrectionGramError,
     np.linalg.LinAlgError,
@@ -96,9 +94,7 @@ class ScenarioConfig:
     """One experiment: scenario family, mesh, coefficients, sweeps.  Each
     field is validated at load, and then ``eps`` is stored as a list, ``m``
     as a list of ints and ``anchor`` as a tuple.  The grouping tolerance
-    derives from the mesh and the domain (``group_tol_for``), and the
-    constant ``n_lowest`` caps the eigenpairs a run requests per
-    decomposition."""
+    derives from the mesh and the domain (``group_tol_for``)."""
 
     scenario: str
     h: float
@@ -108,7 +104,7 @@ class ScenarioConfig:
     q: float = 2.0
     anchor: tuple = (0.5, 1.0)
 
-    n_lowest: ClassVar[int] = 12
+    n_lowest: ClassVar[int] = 12  # read only by perfbench's setup task; no run reads it
 
     def __post_init__(self):
         if self.scenario not in DomainSpec.KINDS:
@@ -303,15 +299,14 @@ def _cell_for(ref, pair, eigs2, collar, area, eps, m):
     )
 
 
-def _lowest_eigs(sub, group_tol, n, cap, enough, outer=None):
+def _lowest_eigs(sub, group_tol, n, enough, outer=None):
     """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
-    for the decomposition, it is complete, or n reaches cap; ``outer`` and
-    ``enough`` go to ``solve_operator_eigs``, which may prove a partial
-    result by interlacing with ``outer``."""
+    for the decomposition or it is complete; ``outer`` and ``enough`` go to
+    ``solve_operator_eigs``, which may prove a partial result by interlacing
+    with ``outer``."""
     while True:
-        n = min(n, cap)
         eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n, outer=outer, enough=enough)
-        if eigs.complete or n == cap or enough(eigs):
+        if eigs.complete or enough(eigs):
             return eigs
         n *= 2
 
@@ -323,17 +318,16 @@ class ReferenceStage:
     the number N1(S) of reference eigenvalues below the window edge
     S = 1/min(lo).
 
-    Each eigensolve asks for the pairs the run reads, up to ``n_lowest``.  The
-    reference starts at max(m) + 2 and must resolve the groups up to
-    max(m) + 1, which fix the windows, or raise ValueError; its Sylvester
+    Each eigensolve asks for the pairs the run reads, doubling a short
+    request until it has them or the spectrum is complete, so a run's cost
+    grows with max(m) and with the expansion.  The reference starts at
+    max(m) + 2 and must resolve the groups up to max(m) + 1, which fix the
+    windows (a complete spectrum with fewer raises ValueError); its Sylvester
     count proves it complete past S.  Each perturbed solve must reach J_m
     eigenvalues past every window's lower end in the reciprocal scale
     (:meth:`covers`), so that none it leaves out lies in a window or nearer
-    1/lambda_m than the J_m ``localize`` falls back to; a short request
-    doubles.  A shrinking pair starts at N1(S) + max J_m, and interlacing
-    with the reference may prove its partial spectrum complete instead of a
-    count; other pairs start at the pairs the reference computed
-    (:meth:`perturbed_eigs`).
+    1/lambda_m than the J_m ``localize`` falls back to; where it starts, and
+    what proves it, :meth:`perturbed_eigs` states.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -347,12 +341,11 @@ class ReferenceStage:
             return eigs.n_groups >= max_m + (0 if eigs.complete else 1)
 
         group_tol = config.group_tol_for(self.domain)
-        self.eigs = eigs = _lowest_eigs(self.sub, group_tol, max_m + 2, config.n_lowest, resolved)
+        self.eigs = eigs = _lowest_eigs(self.sub, group_tol, max_m + 2, resolved)
         if not resolved(eigs):
-            found = f"has only {eigs.n_groups} groups" if eigs.complete else (
-                f"resolves {eigs.n_groups} groups at the request cap n_lowest={config.n_lowest}"
+            raise ValueError(
+                f"the reference has only {eigs.n_groups} groups, but m up to {max_m} was requested"
             )
-            raise ValueError(f"the reference {found}, but m up to {max_m} was requested")
         self.windows = [
             (perturbation.spectral_window(eigs, m)[0], eigs.group(m)[2]) for m in config.m
         ]
@@ -365,7 +358,7 @@ class ReferenceStage:
         mu_inv = 1.0 / eigs.flat_values()
         return all(np.count_nonzero(mu_inv <= lo) >= j_m for lo, j_m in self.windows)
 
-    def perturbed_eigs(self, pair, group_tol: float, cap: int):
+    def perturbed_eigs(self, pair, group_tol: float):
         """The eigenpairs of ``pair.h2`` that the cells of the pair read.  A
         shrinking pair has N2(S) <= N1(S) (Courant-Fischer), so its first
         request, N1(S) + max J_m, holds J_m eigenvalues past every window,
@@ -375,7 +368,7 @@ class ReferenceStage:
             n, outer = self.n_below_edge + max(j_m for _, j_m in self.windows), self.eigs
         else:
             n, outer = self.eigs.n_computed, None
-        return _lowest_eigs(pair.h2, group_tol, n, cap, self.covers, outer)
+        return _lowest_eigs(pair.h2, group_tol, n, self.covers, outer)
 
 
 def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:
@@ -387,7 +380,7 @@ def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:
         pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
         if pair.direction == "equal":
             return [_fixed_point_cell(ref.eigs, eps, m) for m in config.m]
-        eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
+        eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2))
         sigma, sig_star = hilbert.sigma_distance(pair), hilbert.sigma_star(pair)
         collar = fem2d.collar_elements(ref.mesh, dom2, q=config.q)
         area = fem2d.symmetric_difference_area(ref.mesh, ref.domain, dom2)
@@ -458,12 +451,12 @@ def write_csv(report: ScenarioReport, path) -> None:
 
 
 def write_report(report: ScenarioReport, out_dir) -> Path:
-    """JSON audit record (full double precision) next to the CSV rows."""
+    """JSON audit record (full double precision) next to the CSV rows, both
+    written only once the record has serialized."""
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    (out / "report.json").write_text(text, encoding="utf-8")
     write_csv(report, out / "rows.csv")
     return out / "report.json"
 

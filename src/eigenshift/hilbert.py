@@ -71,6 +71,9 @@ __all__ = [
     "intersection_subspace",
 ]
 
+# a certified group's relative residual past its spread; the interlacing edge adds it too
+_SOLVER_ALLOWANCE = 1e-8
+
 
 class DimensionMismatchError(ValueError):
     """Vector or matrix does not match the ambient dimension."""
@@ -590,8 +593,8 @@ def _interlacing_gap(a_res, m_res, block: np.ndarray, outer: EigenDecomposition)
     the dense j x j pencil (V'AV, V'MV), so mu_j <= q (Courant-Fischer).
     t is the least value that ``outer``'s lambda_{j+1} can take, with
     j < ``outer.n_computed`` so that it lies in the certified slice: in the
-    reciprocal scale, its group's mean plus the spread and the 1e-8 that
-    :func:`_certify_group` allowed.  H2 in H1 gives mu_i >= lambda_i, so
+    reciprocal scale, its group's mean plus the spread and the solver
+    allowance of :func:`_certify_group`.  H2 in H1 gives mu_i >= lambda_i, so
     N2(s) <= N1(s) for every s; for q < s < t, j <= N2(s) <= N1(s) <= j."""
     j = block.shape[1]
     if j >= outer.n_computed:
@@ -599,7 +602,7 @@ def _interlacing_gap(a_res, m_res, block: np.ndarray, outer: EigenDecomposition)
     g = next(i for i, sel in enumerate(outer.groups) if j < sel.stop)
     # the smallest reciprocal Rayleigh quotient of span(block) is 1/q
     theta = _eigh(block.T @ (m_res @ block), block.T @ (a_res @ block))[0][0]
-    edge = 1.0 / outer.values[g] + outer.spreads[g] + 1e-8
+    edge = 1.0 / outer.values[g] + outer.spreads[g] + _SOLVER_ALLOWANCE
     return (1.0 / theta, 1.0 / edge) if theta > edge else None
 
 
@@ -624,11 +627,11 @@ def _certify_group(a_res, block, k_block, lam_g, spread) -> None:
     # residual of K x = lambda_m^-1 x in the restricted energy norm, lambda_m
     # the group mean, with k_block = K block from one solve for all kept
     # columns; grouped eigenvalues that are merely close (not equal)
-    # contribute their spread in the reciprocal scale on top of the 1e-8
-    # solver allowance
+    # contribute their spread in the reciprocal scale on top of the solver
+    # allowance
     num = _energy_norms(a_res, k_block - block / lam_g)
     den = _energy_norms(a_res, block)
-    if np.any(num > (1e-8 + spread) * den):
+    if np.any(num > (_SOLVER_ALLOWANCE + spread) * den):
         raise PencilError(f"eigenrelation residual {num.max():.3e} exceeds the certified bound")
 
 

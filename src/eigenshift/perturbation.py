@@ -158,7 +158,7 @@ def localize(
     in_window = (mu_inv_all > lo) & (mu_inv_all < hi)
     count = int(np.count_nonzero(in_window))
     # eigenvalues past a partial spectrum lie below its smallest reciprocal
-    proven = eigs2.complete or mu_inv_all.min() <= lo
+    proven = eigs2.complete or bool(mu_inv_all.min() <= lo)
     tracked = proven and count == j_m
     if tracked:
         chosen = np.flatnonzero(in_window)

@@ -18,8 +18,8 @@ from eigenshift.harness import ScenarioConfig, run_scenario
 
 
 # a FEM run densifies only complete spectra of subspaces sized by the
-# eigenpairs it reads (at most a few times n_lowest = 12); a larger dense
-# matrix is sized by the mesh
+# eigenpairs its cells read, which grow with max(m) and the expansion; a
+# larger dense matrix is sized by the mesh
 DENSE_ROWS_LIMIT = 64
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -186,7 +187,7 @@ def test_config_roundtrip_and_unknown_fields():
     with pytest.raises(ValueError, match="unknown config fields"):
         ScenarioConfig.from_dict({**config.to_dict(), "surprise": 1})
     # no run reads a seed, and the grouping tolerance, the square_expand base
-    # and the eigenpair cap are not the config's to set
+    # and the eigenpair requests are not the config's to set
     for name, value in (("seed", 0), ("group_tol", None), ("base", 0.25), ("n_lowest", 12)):
         with pytest.raises(ValueError, match=rf"unknown config fields: \['{name}'\]"):
             ScenarioConfig.from_dict({**config.to_dict(), name: value})
@@ -312,14 +313,16 @@ def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
     assert all(cell.sigma_star == cell.sigma > 0.0 for cell in report.cells)
 
 
-def test_programming_errors_propagate(monkeypatch):
-    # only numerical and geometric failures become error cells
+@pytest.mark.parametrize("error", [TypeError, hilbert.DimensionMismatchError])
+def test_programming_errors_propagate(monkeypatch, error):
+    # only numerical and geometric failures become error cells; a run never
+    # feeds a layer a vector of the wrong size, so a mismatch is a bug too
     def broken(*args):
-        raise TypeError("broken layer")
+        raise error("broken layer")
 
     monkeypatch.setattr(hilbert, "eigenspace_images", broken)
     config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[1])
-    with pytest.raises(TypeError, match="broken layer"):
+    with pytest.raises(error, match="broken layer"):
         run_scenario(config)
 
 
@@ -423,19 +426,11 @@ def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
     assert metrics["hilbert.corrector_block.per_cell"] == 1.0
 
 
-def test_reference_that_resolves_too_few_groups_asks_for_more(monkeypatch):
+def test_reference_that_resolves_too_few_groups_asks_for_more():
     # the 9 dofs of the h=1/4 square are solved completely into 2 groups, so
     # no larger request can resolve m = 7
     config = ScenarioConfig(scenario="square_shrink", h=1.0 / 4.0, eps=[1.0 / 4.0], m=[7])
     with pytest.raises(ValueError, match="reference has only 2 groups, but m up to 7"):
-        run_scenario(config)
-    # a cap of 1 asks for 4 pairs: group 1, the double group 2 and a
-    # trailing group that may be incomplete, so the window of m = 3 is unknown
-    monkeypatch.setattr(ScenarioConfig, "n_lowest", 1)
-    config = ScenarioConfig(scenario="square_shrink", h=1.0 / 8.0, eps=[1.0 / 8.0], m=[3])
-    with pytest.raises(
-        ValueError, match="resolves 2 groups at the request cap n_lowest=1, but m up to 3"
-    ):
         run_scenario(config)
 
 
@@ -538,7 +533,6 @@ def test_reference_request_starts_at_max_m_plus_two(monkeypatch):
 
 def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch):
     calls = _spy_eigensolves(monkeypatch)
-    monkeypatch.setattr(ScenarioConfig, "n_lowest", 40)
     h = 1.0 / 16.0
     run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
     assert [n for n, _ in calls] == [4, 6, 12]
@@ -591,6 +585,38 @@ def test_each_eps_starts_from_the_reference_request(monkeypatch):
         assert json.dumps([c for c in cells if c["eps"] == eps], sort_keys=True) == want
 
 
+def test_wide_expansion_grows_until_every_window_is_covered(monkeypatch):
+    # eps = 1/4 doubles the square's side, so its m=3 window lies past the
+    # first dozen perturbed pairs; every slice grows until it covers them
+    calls = _spy_eigensolves(monkeypatch)
+    solved = []
+    true_perturbed = harness.ReferenceStage.perturbed_eigs
+
+    def spy(ref, *args):
+        solved.append((ref, true_perturbed(ref, *args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(harness.ReferenceStage, "perturbed_eigs", spy)
+    config = ScenarioConfig(scenario="square_expand", h=1.0 / 32.0, eps=[0.125, 0.25], m=[2, 3])
+    report = run_scenario(config)
+    assert len(solved) == len(config.eps)
+    assert all(ref.covers(eigs) and not eigs.complete for ref, eigs in solved)
+    assert max(n for n, _ in calls) > 12
+    assert report.passed, report.failures
+    # the eps = 1/4, m=3 row reads the eigenvalue nearest lambda_3 (1/lambda_3
+    # = 0.0030498), not the 0.0039682 nearest among the first 14 pairs
+    (cell,) = [c for c in report.cells if c.eps == 0.25 and c.m == 3]
+    assert cell.mu_inv == [pytest.approx(0.0030575, rel=1e-4)]
+
+
+def test_high_reference_group_is_solved_for():
+    # m=10 needs the reference's 11th group, past the first dozen pairs
+    h = 1.0 / 16.0
+    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[10]))
+    assert report.passed, report.failures
+    assert report.cells[0].error is None
+
+
 def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch):
     # the h=1/12 checker notch at eps=2h keeps 4 Lanczos pairs, proved
     # complete by interlacing with the reference and no count
@@ -614,7 +640,7 @@ def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch)
 
     monkeypatch.setattr(hilbert, "_interlacing_gap", spy(gaps, hilbert._interlacing_gap))
     monkeypatch.setattr(hilbert, "_count_below", spy(counts, hilbert._count_below))
-    eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
+    eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2))
     assert not eigs2.complete and gaps[-1] is not None and counts == []
     # with mu_2 dropped, the first j kept vectors reach mu_(j+1) >= lambda_(j+1)
     # at every boundary that covers the windows, so interlacing proves none,
@@ -629,39 +655,26 @@ def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch)
     monkeypatch.setattr(hilbert, "eigsh", drop_second)
     gaps.clear()
     with pytest.raises(eigsolve.PencilError, match="Sylvester inertia"):
-        ref.perturbed_eigs(pair, config.group_tol_for(dom2), config.n_lowest)
+        ref.perturbed_eigs(pair, config.group_tol_for(dom2))
     assert gaps and all(gap is None for gap in gaps)
     assert len(counts) == 1
-
-
-def test_requests_never_exceed_n_lowest(monkeypatch):
-    calls = _spy_eigensolves(monkeypatch)
-    monkeypatch.setattr(ScenarioConfig, "n_lowest", 3)
-    h = 1.0 / 8.0
-    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[2]))
-    assert calls and all(n is not None and n <= 3 for n, _ in calls)
-
-
-def test_result_does_not_depend_on_an_unbinding_cap(monkeypatch):
-    calls = _spy_eigensolves(monkeypatch)
-    path = Path(__file__).parent.parent / "configs" / "notch_checker.json"
-    h = 1.0 / 12.0
-    data = {**json.loads(path.read_text()), "h": h, "eps": [2 * h, 4 * h]}
-    runs = []
-    for cap in (12, 40):
-        calls.clear()
-        monkeypatch.setattr(ScenarioConfig, "n_lowest", cap)
-        report = run_scenario(ScenarioConfig.from_dict(data))
-        runs.append(([n for n, _ in calls], report.to_dict()))
-    assert runs[0][0] == runs[1][0]
-    assert max(runs[0][0]) < 12
-    assert json.dumps(runs[0][1], sort_keys=True) == json.dumps(runs[1][1], sort_keys=True)
 
 
 def test_report_json_deterministic(tiny_report, tmp_path):
     a = write_report(tiny_report, tmp_path / "a").read_bytes()
     b = write_report(run_scenario(tiny_report.config), tmp_path / "b").read_bytes()
     assert a == b
+
+
+def test_report_that_is_not_json_writes_nothing(tiny_report, tmp_path):
+    # a cell value that json cannot encode fails before any file is opened
+    cells = [dataclasses.replace(cell, tracked=np.False_) for cell in tiny_report.cells]
+    report = dataclasses.replace(tiny_report, cells=cells)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_report(report, out)
+    assert list(out.iterdir()) == []
 
 
 def test_group_tol_scales_with_domain():
@@ -839,6 +852,15 @@ def test_cli_run(tmp_path, capsys):
     lines = (tmp_path / "out" / "rows.csv").read_text().splitlines()
     assert lines[0].split(",") == CSV_COLUMNS
     assert len(lines) == 1 + 2
+
+
+def test_cli_run_of_the_widest_expansion_writes_its_report(tmp_path, capsys):
+    # eps = 1/4 is the widest expansion the family allows
+    cfg = write_config(tmp_path, scenario="square_expand", h=1.0 / 16.0, eps=[0.25], m=[1, 2])
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc in (0, 1), capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["cells"]) == 2
 
 
 def test_cli_bad_config_is_an_error(tmp_path, capsys):

@@ -130,6 +130,8 @@ def test_localize_truncated_partial_spectrum_is_unproven():
     assert np.allclose(eigs2.flat_values(), [1.0, 2.0, 3.0], rtol=1e-12)
     loc = localize(eigs1, eigs2, 3, sigma=1e-4)
     assert loc.mu_inv.shape == (1,) and not loc.tracked and not loc.admitted
+    # plain bools, which a report serializes
+    assert type(loc.tracked) is bool and type(loc.admitted) is bool
     assert _count_in(spectral_window(eigs1, 3), eigs2) == 1
     # the partial spectrum does reach past the m=2 window, eigenvalues in (1.33, 2.4)
     assert localize(eigs1, eigs2, 2, sigma=1e-4).tracked
