@@ -299,18 +299,6 @@ def _cell_for(ref, pair, eigs2, collar, area, eps, m):
     )
 
 
-def _lowest_eigs(sub, group_tol, n, enough, outer=None):
-    """Eigenpairs of sub from the n lowest, doubling n until ``enough`` holds
-    for the decomposition or it is complete; ``outer`` and ``enough`` go to
-    ``solve_operator_eigs``, which may prove a partial result by interlacing
-    with ``outer``."""
-    while True:
-        eigs = hilbert.solve_operator_eigs(sub, group_tol, n_lowest=n, outer=outer, enough=enough)
-        if eigs.complete or enough(eigs):
-            return eigs
-        n *= 2
-
-
 class ReferenceStage:
     """What every eps of a run reads, built once per config: the ``mesh``,
     ``space``, reference ``domain``, its subspace ``sub`` and eigenpairs
@@ -318,16 +306,16 @@ class ReferenceStage:
     the number N1(S) of reference eigenvalues below the window edge
     S = 1/min(lo).
 
-    Each eigensolve asks for the pairs the run reads, doubling a short
-    request until it has them or the spectrum is complete, so a run's cost
-    grows with max(m) and with the expansion.  The reference starts at
-    max(m) + 2 and must resolve the groups up to max(m) + 1, which fix the
-    windows (a complete spectrum with fewer raises ValueError); its Sylvester
-    count proves it complete past S.  Each perturbed solve must reach J_m
-    eigenvalues past every window's lower end in the reciprocal scale
-    (:meth:`covers`), so that none it leaves out lies in a window or nearer
-    1/lambda_m than the J_m ``localize`` falls back to; where it starts, and
-    what proves it, :meth:`perturbed_eigs` states.
+    Each eigensolve is one ``hilbert.solve_operator_eigs`` call, which grows
+    its request until it has the pairs the run reads (``enough``), so a
+    run's cost grows with max(m) and with the expansion.  The reference
+    starts at max(m) + 2 and must resolve the groups up to max(m) + 1, which
+    fix the windows (a complete spectrum with fewer raises ValueError); its
+    Sylvester count proves it complete past S.  Each perturbed solve must
+    reach J_m eigenvalues past every window's lower end in the reciprocal
+    scale (:meth:`covers`), so that none it leaves out lies in a window or
+    nearer 1/lambda_m than the J_m ``localize`` falls back to; where it
+    starts, and what proves it, :meth:`perturbed_eigs` states.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -340,8 +328,9 @@ class ReferenceStage:
         def resolved(eigs):
             return eigs.n_groups >= max_m + (0 if eigs.complete else 1)
 
-        group_tol = config.group_tol_for(self.domain)
-        self.eigs = eigs = _lowest_eigs(self.sub, group_tol, max_m + 2, resolved)
+        self.eigs = eigs = hilbert.solve_operator_eigs(
+            self.sub, config.group_tol_for(self.domain), n_lowest=max_m + 2, enough=resolved
+        )
         if not resolved(eigs):
             raise ValueError(
                 f"the reference has only {eigs.n_groups} groups, but m up to {max_m} was requested"
@@ -368,7 +357,9 @@ class ReferenceStage:
             n, outer = self.n_below_edge + max(j_m for _, j_m in self.windows), self.eigs
         else:
             n, outer = self.eigs.n_computed, None
-        return _lowest_eigs(pair.h2, group_tol, n, self.covers, outer)
+        return hilbert.solve_operator_eigs(
+            pair.h2, group_tol, n_lowest=n, outer=outer, enough=self.covers
+        )
 
 
 def _eps_cells(config: ScenarioConfig, ref: ReferenceStage, eps: float) -> list:

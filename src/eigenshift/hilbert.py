@@ -25,14 +25,14 @@ would be the whole subspace, and by Lanczos through the factor from a
 seeded start vector above it.  Each caller certifies every pair it reads
 once with :func:`eigsolve._certify` (allowance relative to |x|), a dense
 pair against the dense K it was solved from.  The lowest eigenpairs of a
-subspace are the top ones of (M_II, A_II), checked as
-:func:`solve_operator_eigs` states: a partial spectrum is proved complete
-by Courant-Fischer interlacing with the certified spectrum of a subspace
-that holds it (:func:`_interlacing_gap`), or else by a Sylvester count
-from sparse pivots (:func:`_count_below`).  A mass Gram that is definite by
-construction (``fem2d.assemble``) is not factored; any other is proved
-definite by its pivots.  sigma, sigma* and the embedding
-constant are largest eigenvalues; a :class:`SubspacePair` decides once how
+subspace are the top ones of (M_II, A_II), grown and checked as
+:func:`solve_operator_eigs` states: only the slice it returns is proved
+complete, by Courant-Fischer interlacing with the certified spectrum of a
+subspace that holds it (:func:`_interlacing_gap`), or else by a Sylvester
+count from sparse pivots (:func:`_count_below`).  A mass Gram that is
+definite by construction (``fem2d.assemble``) is not factored; any other is
+proved definite by its pivots.  sigma, sigma* and the embedding constant
+are largest eigenvalues; a :class:`SubspacePair` decides once how
 two subspaces relate and solves each of its pencils once.  Only the
 abstract suite's counterexamples and grid oracle read the dense Gram views.
 """
@@ -511,12 +511,26 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
     return SubspacePair(h1, h2).inter
 
 
+def _lowest_attempt(sub: Subspace, group_tol: float, n: int | None):
+    """An attempt of :func:`solve_operator_eigs` for n: its kept groups, with
+    the solver's coordinates on sub as vectors, and every eigenvalue it
+    computed, ascending."""
+    # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
+    a_res, m_res = sub._energy_block, sub._mass_block
+    theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, sub.dim if n is None else n + 3)
+    _certify(m_res, a_res, theta, coords)
+    lam = 1.0 / theta
+    groups = _group_boundaries(lam, group_tol)[: None if complete else -1]
+    kept = groups[-1].stop if groups else 0
+    return EigenDecomposition(lam[:kept], coords[:, :kept], groups, complete), lam
+
+
 def solve_operator_eigs(
     sub: Subspace,
     group_tol: float,
     n_lowest: int | None = None,
     outer: EigenDecomposition | None = None,
-    enough=None,
+    enough=lambda eigs: eigs.n_groups > 0,
 ) -> EigenDecomposition:
     """Solve (phi, v) = lambda <phi, v> restricted to sub.
 
@@ -524,57 +538,50 @@ def solve_operator_eigs(
     most ``group_tol``, with energy-orthonormal eigenvectors sign-fixed once.
 
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
-    1/lambda, from :func:`_top_eigs`: ``n_lowest + 3`` of them, or all when
-    ``n_lowest`` is None.  Three checks raise :class:`PencilError`: each
-    pair passes :func:`eigsolve._certify` on that pencil; each
-    re-orthonormalized group passes :func:`_certify_group`; and a partial
-    result, which drops its trailing, possibly split group, must hold every
-    eigenvalue below its last kept one.  Given ``outer``, the certified
-    decomposition of a subspace that holds sub, interlacing proves that
-    without a factor (:func:`_interlacing_gap`) at the largest group
-    boundary where it holds and the decomposition truncated there satisfies
-    the predicate ``enough``; the result is truncated there.  Otherwise the
-    Sylvester count below the gap above the kept groups must equal the
-    number kept.
+    1/lambda, from :func:`_top_eigs`.  The request grows here alone: an
+    attempt for n asks ``n + 3`` pairs, or all when n is None, each passing
+    :func:`eigsolve._certify` on that pencil, and a partial attempt drops
+    its trailing, possibly split group.  From ``n_lowest``, n doubles until
+    the kept groups satisfy ``enough`` (by default, that one is kept) or the
+    spectrum is complete.  Only the attempt returned is checked further, and
+    a miss raises :class:`PencilError`: each re-orthonormalized group passes
+    :func:`_certify_group`, and a partial result must hold every eigenvalue
+    below its last kept one.  Given ``outer``, the certified decomposition
+    of a subspace that holds sub, interlacing proves that without a factor
+    (:func:`_interlacing_gap`) at the largest group boundary where it holds
+    and the truncated decomposition still satisfies ``enough``; the result
+    is truncated there.  Otherwise the Sylvester count below the gap above
+    the kept groups must equal the number kept.
     """
     if group_tol <= 0:
         raise ValueError(f"group_tol must be positive, got {group_tol}")
-    # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
+    if n_lowest is not None and n_lowest < 1:  # a request of 0 cannot double
+        raise ValueError(f"n_lowest must be positive, got {n_lowest}")
+    eigs, lam = _lowest_attempt(sub, group_tol, n_lowest)
+    while not (eigs.complete or enough(eigs)):
+        n_lowest *= 2
+        eigs, lam = _lowest_attempt(sub, group_tol, n_lowest)
     a_res, m_res = sub._energy_block, sub._mass_block
-    k = sub.dim if n_lowest is None else n_lowest + 3
-    theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, k)
-    _certify(m_res, a_res, theta, coords)
-    lam = 1.0 / theta
-    groups = _group_boundaries(lam, group_tol)
-    if not complete:
-        if len(groups) == 1:
-            raise PencilError(
-                "partial solve cannot separate a trailing eigenvalue group; increase n_lowest"
-            )
-        groups = groups[:-1]
-    blocks = np.empty((sub.dim, groups[-1].stop))
+    groups, kept, coords = eigs.groups, eigs.n_computed, eigs.vectors
+    blocks = np.empty((sub.dim, kept))
     for sel in groups:
         # pencil vectors are A-orthonormal up to rounding
         block = coords[:, sel]
         gram = block.T @ (a_res @ block)
         blocks[:, sel] = block @ _inv_sqrt(gram)
-    vectors = _fix_signs(sub.embed(blocks))
-    eigs = EigenDecomposition(lam[: vectors.shape[1]], vectors, groups, complete)
+    eigs = EigenDecomposition(eigs.lam, _fix_signs(sub.embed(blocks)), groups, eigs.complete)
     # one certificate solve for all kept pairs
     k_blocks = sub._restricted_energy_solve(m_res @ blocks)
     for sel, lam_g, spread in zip(groups, eigs.values, eigs.spreads):
         _certify_group(a_res, blocks[:, sel], k_blocks[:, sel], lam_g, spread)
-    if complete:
+    if eigs.complete:
         return eigs
     if outer is not None:
         for g in range(len(groups), 0, -1):
             head = eigs.head(g)
-            if enough(head) and _interlacing_gap(
-                a_res, m_res, blocks[:, : head.n_computed], outer
-            ):
+            if enough(head) and _interlacing_gap(a_res, m_res, blocks[:, :head.n_computed], outer):
                 return head
     # Lanczos can miss a copy of a degenerate eigenvalue
-    kept = groups[-1].stop
     below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))
     if below != kept:
         raise PencilError(

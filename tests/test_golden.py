@@ -144,3 +144,23 @@ def test_report_matches_golden(request, tmp_path, name):
     _compare(
         _csv_pairs(golden / "rows.csv"), _csv_pairs(tmp_path / "rows.csv"), f"{name}/rows.csv"
     )
+
+
+def test_shrinking_simple_rows_satisfy_the_correction_identity():
+    # a shrinking pair's simple group has Psi = 0 and ||S2 phi||^2 = 1 - t,
+    # t = ||T phi||^2, so its correction pencil is (-t / lambda, 1 - t) and
+    # tau = -t / (lambda (1 - t)).  Psi vanishes only up to the residual of
+    # the reference pair, which eigsolve._certify allows to 1e-9 relative:
+    # 1e-9 lambda^-1 on the pencil's left side, divided by its right side
+    cells = [
+        (path.parent.name, cell)
+        for path in sorted(GOLDEN.glob("*/report.json"))
+        for cell in json.loads(path.read_text(encoding="utf-8"))["cells"]
+        if cell["direction"] == "shrink" and cell["multiplicity"] == 1 and cell["error"] is None
+    ]
+    assert cells
+    for name, cell in cells:
+        t, lam = cell["t_norm2_range"][0], cell["lambda"]
+        (tau,) = cell["tau"]
+        allowed = 1e-9 / (lam * (1.0 - t))
+        assert abs(tau + t / (lam * (1.0 - t))) <= allowed, (name, cell["eps"], cell["m"])

@@ -507,15 +507,17 @@ def test_too_few_perturbed_eigenvalues_is_an_error_cell():
 
 
 def _spy_eigensolves(monkeypatch):
-    """(n_lowest, decomposition) of every solve_operator_eigs call."""
+    """(n_lowest, kept groups) of every attempt that solve_operator_eigs
+    makes, in order: one per request, a grown solve making several."""
     calls = []
-    solve = hilbert.solve_operator_eigs
+    attempt = hilbert._lowest_attempt
 
-    def spy(sub, group_tol, n_lowest=None, **kwargs):
-        calls.append((n_lowest, solve(sub, group_tol, n_lowest=n_lowest, **kwargs)))
-        return calls[-1][1]
+    def spy(sub, group_tol, n):
+        kept, lam = attempt(sub, group_tol, n)
+        calls.append((n, kept))
+        return kept, lam
 
-    monkeypatch.setattr(hilbert, "solve_operator_eigs", spy)
+    monkeypatch.setattr(hilbert, "_lowest_attempt", spy)
     return calls
 
 
@@ -544,6 +546,25 @@ def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch
         return np.count_nonzero(1.0 / eigs.flat_values() <= lo)
 
     assert past_window(short) < j_m <= past_window(grown)
+
+
+def test_only_the_returned_slice_is_counted(monkeypatch):
+    # the expanding pair's attempts for 6 and 12 pairs are one solve: the
+    # short attempt is discarded unproved, so only the reference's slice and
+    # the returned one pay for a Sylvester count factor
+    attempts = _spy_eigensolves(monkeypatch)
+    counts = []
+    true_count = hilbert._count_below
+
+    def spy(*args):
+        counts.append(true_count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(hilbert, "_count_below", spy)
+    h = 1.0 / 16.0
+    run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
+    assert [n for n, _ in attempts] == [4, 6, 12]
+    assert len(counts) == 2
 
 
 def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):

@@ -844,6 +844,9 @@ def test_group_tol_validation():
     space = euclid_space(2)
     with pytest.raises(ValueError):
         solve_operator_eigs(space.whole(), group_tol=0.0)
+    # a request grows by doubling, so it must start above 0
+    with pytest.raises(ValueError, match="n_lowest must be positive"):
+        solve_operator_eigs(space.whole(), group_tol=1e-6, n_lowest=0)
 
 
 def test_eigs_match_oracle_and_are_orthonormal():
@@ -889,13 +892,24 @@ def test_partial_decomposition_dense(kind):
     assert np.array_equal(part.multiplicities, full.multiplicities)
 
 
-def test_partial_solve_that_separates_no_group_asks_for_more():
+def test_partial_solve_that_separates_no_group_asks_for_more(monkeypatch):
     # the eigenvalues 1/m run from 1 to 10 in relative steps far below
-    # group_tol = 0.5, so the 5 pairs a request for 2 computes are one chain
-    # that may continue past them: no group is proved complete
+    # group_tol = 0.5, so every partial attempt is one chain that may
+    # continue past it and keeps no group: the request doubles until the
+    # dense solve of n + 3 = 19 pairs (30 <= 2 * 19 + 1 dofs) returns them all
+    requests = []
+    attempt = hilbert._lowest_attempt
+
+    def spy(sub, group_tol, n):
+        requests.append(n)
+        return attempt(sub, group_tol, n)
+
+    monkeypatch.setattr(hilbert, "_lowest_attempt", spy)
     space = EnergySpace(np.eye(30), np.diag(np.linspace(1.0, 0.1, 30)))
-    with pytest.raises(PencilError, match="cannot separate a trailing eigenvalue group"):
-        solve_operator_eigs(space.whole(), group_tol=0.5, n_lowest=2)
+    eigs = solve_operator_eigs(space.whole(), group_tol=0.5, n_lowest=2)
+    assert requests == [2, 4, 8, 16]
+    assert eigs.complete and eigs.multiplicities.tolist() == [30]
+    assert np.allclose(eigs.lam, 1.0 / np.linspace(1.0, 0.1, 30), rtol=1e-9)
 
 
 # -- complement map, corrector, bridge operator --------------------------------

@@ -13,25 +13,31 @@ through ``harness.run_scenario`` and ``harness.write_report``;
 ``harness.verify_abstract(seed, 300)`` runs for the seeds 2024, 11 and 3,
 and ``harness.verify_fem()`` once, each summary written as sorted JSON.
 Every output file is then compared byte for byte, one ``same`` or
-``differ`` line per file, as ``cmp`` decides; the exit status is 1 when any
-file differs or is missing on one side.  Under each ``differ`` line come the
+``differ`` line per file, as ``cmp`` decides.  A config that raises on a
+tree gets one ``failed`` line instead, naming the exception's type and
+message on each tree that raised, and the other configs are still
+compared.  The exit status is 1 when any file differs or is missing on one
+side, or any config failed.  Under each ``differ`` line come the
 worst float drift, relative to the largest magnitude of its column on
 either side, and every non-float difference (a string, int, bool or null,
 or a value present on one side only), one line each.  A column is a CSV
 column, or a JSON key path with the list indices left out
 (``cells.rows.ratio``).  For each config it then prints the
-``n_lowest`` of every ``hilbert.solve_operator_eigs`` call, the count of
-``hilbert._lanczos_top`` solves and the count of ``hilbert._symmetric_splu``
-factorizations on each tree, all recorded by wrapping those functions in the
-tree's own interpreter, so a change to the workloads' eigensolves and
-factors shows even when every output is the same.  The factorizations are
-split by the routine that asked for them: space factors (the definiteness
-factors of an ``EnergySpace``'s A and M, ``_definite_factor``), solve
-factors (a subspace's A_II, ``_restricted_energy_solve``) and inertia-count
-factors (``_count_below``).  The partial spectra (the reference's among
-them) are split by what proved them complete: interlacing with the
-reference, or a ``hilbert._count_below`` Sylvester count.  Last it prints the size
-of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
+``n_lowest`` of every request that a ``hilbert.solve_operator_eigs`` call
+makes (each ``hilbert._top_eigs`` solve inside it, which asks
+``n_lowest + 3`` pairs, so a call that grows its request lists each
+attempt), the count of ``hilbert._lanczos_top`` solves and the count of
+``hilbert._symmetric_splu`` factorizations on each tree, all recorded by
+wrapping those functions in the tree's own interpreter, so a change to the
+workloads' eigensolves and factors shows even when every output is the
+same.  The factorizations are split by the routine that asked for them:
+space factors (the definiteness factors of an ``EnergySpace``'s A and M,
+``_definite_factor``), solve factors (a subspace's A_II,
+``_restricted_energy_solve``) and inertia-count factors (``_count_below``).
+The partial spectra (the reference's among them) are split by what proved
+them complete: interlacing with the reference, or a
+``hilbert._count_below`` Sylvester count.  Last it prints the size of each
+tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
 none), read from each module's ``__all__`` with ``eigenshift.name`` for the
@@ -67,24 +73,37 @@ from eigenshift import harness, hilbert
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
-solve, lanczos, splu, count = (
-    hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below
+solve, top, lanczos, splu, count = (
+    hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+    hilbert._symmetric_splu, hilbert._count_below,
 )
 FACTOR_KINDS = {
     "_definite_factor": "space", "_restricted_energy_solve": "solve", "_count_below": "count"
 }
 log = {}
+solving = []  # the n_lowest of each solve_operator_eigs call in progress
 
 def spy_solve(*args, **kwargs):
     bound = inspect.signature(solve).bind(*args, **kwargs)
     bound.apply_defaults()
     entry = log[name]
-    entry["requests"].append(bound.arguments["n_lowest"])
     counted_before = entry["counted"]
-    eigs = solve(*args, **kwargs)
+    solving.append(bound.arguments["n_lowest"])
+    try:
+        eigs = solve(*args, **kwargs)
+    finally:
+        solving.pop()
     # a partial spectrum that no count proved was proved by interlacing
     entry["interlaced"] += not eigs.complete and entry["counted"] == counted_before
     return eigs
+
+def spy_top(*args, **kwargs):
+    # each top-eigenpair solve inside solve_operator_eigs is one attempt, and
+    # an attempt for n_lowest asks k = n_lowest + 3 pairs (all when None)
+    if solving:
+        k = inspect.signature(top).bind(*args, **kwargs).arguments["k"]
+        log[name]["requests"].append(None if solving[-1] is None else k - 3)
+    return top(*args, **kwargs)
 
 def counted(key, func):
     def spy(*args, **kwargs):
@@ -102,17 +121,20 @@ def spy_splu(*args, **kwargs):
     factors[kind] = factors.get(kind, 0) + 1
     return splu(*args, **kwargs)
 
-hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below = (
-    spy_solve, counted("lanczos", lanczos), spy_splu, counted("counted", count)
+(hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+ hilbert._symmetric_splu, hilbert._count_below) = (
+    spy_solve, spy_top, counted("lanczos", lanczos), spy_splu, counted("counted", count)
 )
 for path in sorted(configs.glob("*.json")):
     name = path.stem
     log[name] = {"requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0}
-    config = harness.ScenarioConfig.from_json(path)
-    harness.write_report(harness.run_scenario(config), out / name)
-hilbert.solve_operator_eigs, hilbert._lanczos_top, hilbert._symmetric_splu, hilbert._count_below = (
-    solve, lanczos, splu, count
-)
+    try:
+        config = harness.ScenarioConfig.from_json(path)
+        harness.write_report(harness.run_scenario(config), out / name)
+    except Exception as exc:  # this config's failure; the others still run
+        log[name]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
+(hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+ hilbert._symmetric_splu, hilbert._count_below) = (solve, top, lanczos, splu, count)
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
@@ -277,11 +299,19 @@ def main(argv: list) -> int:
         if failed:
             print(f"error: the {' and '.join(failed)} tree failed to run", file=sys.stderr)
             return 2
+        solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
+        failures = {
+            name: [f"the {side} tree raised {log[name]['error']}"
+                   for side, log in solves.items() if "error" in log[name]]
+            for name in configs
+        }
+        failures = {name: lines for name, lines in failures.items() if lines}
+        # a failed config's files are its failure line, not a comparison
         names = sorted({
             str(path.relative_to(out))
             for out in outs.values()
             for path in out.rglob("*")
-            if path.is_file()
+            if path.is_file() and path.relative_to(out).parts[0] not in failures
         })
         differ = 0
         for name in names:
@@ -291,10 +321,11 @@ def main(argv: list) -> int:
             print(f"{'same' if same else 'differ':6}  {name}")
             for line in [] if same else differences(left, right):
                 print(f"        {line}")
-        solves = {side: json.loads(log.read_text(encoding="utf-8")) for side, log in logs.items()}
+    for name, lines in failures.items():
+        print(f"failed  {name}: {'; '.join(lines)}")
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
-          f"{len(names) - differ} files same, {differ} differ")
-    print("eigensolves per config: n_lowest requests (Lanczos solves, factorizations = "
+          f"{len(names) - differ} files same, {differ} differ, {len(failures)} configs failed")
+    print("eigensolves per config: n_lowest of every request (Lanczos solves, factorizations = "
           "space + solve + count; partial spectra proved by interlacing + counted), "
           "PARENT -> CHANGE")
     for name in configs:
@@ -309,7 +340,7 @@ def main(argv: list) -> int:
     changed = [f"-{name}" for name in sorted(old - new)]
     changed += [f"+{name}" for name in sorted(new - old)]
     print(f"exports: {' '.join(changed) if changed else 'unchanged'}")
-    return 1 if differ else 0
+    return 1 if differ or failures else 0
 
 
 if __name__ == "__main__":
