@@ -16,7 +16,10 @@ H2, any two subspaces are coordinate spans, and every quantity here is
 invariant under the congruence A -> B'AB, M -> B'MB.  Every subspace
 operator (projector, solution operator, corrector) is one representer
 solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
-energy block A_II (on every index, the parent's factor of A).
+energy block A_II (on every index, the parent's factor of A and its
+Grams).  The inner operand of a nested pair that removes few dofs from a
+union of more than 20 solves through the union's factor instead, by a
+capacitance correction (:class:`SubspacePair`), and builds no factor.
 
 One routine, :func:`_top_eigs`, finds the top eigenpairs of a pencil
 (K, A_II): by LAPACK's generalized driver on the complete dense pencil up
@@ -33,7 +36,8 @@ count from sparse pivots (:func:`_count_below`).  A mass Gram that is
 definite by construction (``fem2d.assemble``) is not factored; any other is
 proved definite by its pivots.  sigma, sigma* and the embedding constant
 are largest eigenvalues; a :class:`SubspacePair` decides once how
-two subspaces relate and solves each of its pencils once.  Only the
+two subspaces relate and solves each of its pencils once, densely on the
+removed dofs where it solves through the union.  Only the
 abstract suite's counterexamples and grid oracle read the dense Gram views.
 """
 
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
@@ -73,6 +78,10 @@ __all__ = [
 
 # a certified group's relative residual past its spread; the interlacing edge adds it too
 _SOLVER_ALLOWANCE = 1e-8
+
+# the most dofs R a nested pair may remove and still solve through the union's
+# factor (SubspacePair); measured in CHANGES.md
+_CAPACITANCE_MAX = 48
 
 
 class DimensionMismatchError(ValueError):
@@ -224,7 +233,9 @@ class Subspace:
 
     Projections are energy orthogonal.  Every operator goes through one
     representer solve, :meth:`_solve`: E A_II^-1 rhs_I through a cached
-    sparse LU of the CSR block A_II, so no dense N x N matrix is formed.  A
+    sparse LU of the CSR block A_II, so no dense N x N matrix is formed, or
+    through the solver that a :class:`SubspacePair` hands it before then
+    (:meth:`_take_solver`), in which case A_II is not factored.  A
     subspace spanned by other vectors is a coordinate span after a
     congruence of the Grams (see the module docstring).
     """
@@ -241,15 +252,19 @@ class Subspace:
 
     # -- structure ----------------------------------------------------------
 
+    def _block(self, gram: sp.csr_array) -> sp.csr_array:
+        """The CSR block of a parent Gram on I x I: the Gram itself on every index."""
+        return gram if self.dim == self.parent.dim else gram[np.ix_(self.indices, self.indices)]
+
     @cached_property
     def _energy_block(self) -> sp.csr_array:
         """The CSR block A_II."""
-        return self.parent.energy_csr[np.ix_(self.indices, self.indices)]
+        return self._block(self.parent.energy_csr)
 
     @cached_property
     def _mass_block(self) -> sp.csr_array:
         """The CSR block M_II."""
-        return self.parent.mass_csr[np.ix_(self.indices, self.indices)]
+        return self._block(self.parent.mass_csr)
 
     @cached_property
     def _restricted_energy_solve(self):
@@ -258,6 +273,12 @@ class Subspace:
         if self.dim == self.parent.dim:
             return self.parent._energy_lu.solve
         return _symmetric_splu(self._energy_block).solve
+
+    def _take_solver(self, solve) -> None:
+        """Solve with A_II through ``solve`` from now on, unless a solver for
+        it is already in place: a :class:`SubspacePair` hands its inner
+        operand the capacitance solve."""
+        self.__dict__.setdefault("_restricted_energy_solve", solve)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The w in this subspace with (w, v) = rhs' v for every v in it,
@@ -295,7 +316,7 @@ class EigenDecomposition:
     ``vectors`` of their energy-orthonormal eigenvectors, and the slices
     ``groups`` of both that form the eigenvalue groups.  Each group's mean
     ``values[g]``, size ``multiplicities[g]`` and splitting ``spreads[g]`` =
-    max |1/lam_i - 1/values[g]| derive from them.  ``complete`` records
+    max |1/lam_i - 1/values[g]| derive from them, once.  ``complete`` records
     whether the whole spectrum was computed; only Lanczos keeps fewer pairs.
     """
 
@@ -304,15 +325,15 @@ class EigenDecomposition:
     groups: list
     complete: bool
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         return np.array([self.lam[sel].mean() for sel in self.groups])
 
-    @property
+    @cached_property
     def multiplicities(self) -> np.ndarray:
         return np.array([sel.stop - sel.start for sel in self.groups], dtype=int)
 
-    @property
+    @cached_property
     def spreads(self) -> np.ndarray:
         pairs = zip(self.groups, self.values)
         return np.array([np.abs(1.0 / self.lam[sel] - 1.0 / mean).max() for sel, mean in pairs])
@@ -432,6 +453,20 @@ class SubspacePair:
     solve with the intersection's factor per step.  ``sigma`` takes
     D = S1 - S2, which is +-P for a nested pair, so it is ``sigma_star``; a
     crossing pair solves D = G A, G the difference of two embedded solves.
+
+    A nested pair whose union has more than 20 dofs, so that its pencil
+    would go to Lanczos, and whose inner operand lacks at most
+    ``_CAPACITANCE_MAX`` of the union's dofs, the set R, goes through the
+    union's factor instead; ``removed`` is |R|, and 0 on any other pair.
+    range(P) is spanned by W = A_UU^-1 E_R, built once, and
+    W' A_UU W = E_R' W = C, the capacitance matrix.  So sigma* is the top
+    eigenvalue of the dense |R| x |R| pencil (W' M_UU W, C), solved
+    completely and certified against that K: certified as the largest.  And
+    the pair hands its inner operand the capacitance solve of
+    :func:`_capacitance_solve` (Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 8, 1971), so that, unless that operand already solves with
+    a factor of its own, no factor of A_II is built and every solve with it
+    goes through the union's factor.
     """
 
     def __init__(self, h1: Subspace, h2: Subspace):
@@ -441,6 +476,10 @@ class SubspacePair:
         self.union = self._on(np.union1d(h1.indices, h2.indices))
         inter = np.intersect1d(h1.indices, h2.indices, assume_unique=True)
         self.inter = None if inter.size == 0 else self._on(inter)
+        self.removed = 0
+        few = self.union.dim - inter.size <= _CAPACITANCE_MAX
+        if self.direction in ("shrink", "expand") and few and not _solved_densely(self.union, 1):
+            self._solve_inner_through_union()
 
     def _on(self, idx: np.ndarray) -> Subspace:
         # idx holds or lies in both index sets, so an operand of its size is it
@@ -448,6 +487,19 @@ class SubspacePair:
             if idx.size == sub.dim:
                 return sub
         return Subspace(self.h1.parent, idx)
+
+    def _solve_inner_through_union(self) -> None:
+        union, inner = self.union, self.inter
+        kept = np.isin(union.indices, inner.indices, assume_unique=True)
+        removed = np.flatnonzero(~kept)
+        self.removed = removed.size
+        e_r = np.zeros((union.dim, removed.size))
+        e_r[removed, np.arange(removed.size)] = 1.0
+        self._w = w = union._restricted_energy_solve(e_r)
+        self._c = c = 0.5 * (w[removed] + w[removed].T)
+        inner._take_solver(
+            partial(_capacitance_solve, union._restricted_energy_solve, w, sla.cho_factor(c), kept)
+        )
 
     @property
     def direction(self) -> str:
@@ -462,6 +514,13 @@ class SubspacePair:
         union, inter = self.union, self.inter
         if union is inter:
             return 0.0
+        if self.removed:
+            w, c = self._w, self._c
+            kmat = w.T @ (union._mass_block @ w)
+            kmat = 0.5 * (kmat + kmat.T)
+            theta, vecs = _eigh(kmat, c)
+            _certify(kmat, c, theta[-1:], vecs[:, -1:])
+            return max(float(theta[-1]), 0.0)
         a, m = union.parent.energy_csr, union.parent.mass_csr
 
         def step(coords):
@@ -492,6 +551,18 @@ class SubspacePair:
             return (a @ g(m @ g(a @ union.embed(coords))))[union.indices]
 
         return _pencil_max(union, numerator)
+
+
+def _capacitance_solve(union_solve, w: np.ndarray, c_factor, kept: np.ndarray, rhs):
+    """A_II^-1 rhs, columnwise, for I the ``kept`` coordinates of a union U
+    and R the rest, through ``union_solve`` (A_UU^-1): with y = A_UU^-1 [rhs; 0],
+    x = y - W C^-1 y_R vanishes on R, and A_UU x = [rhs; 0] - E_R C^-1 y_R
+    equals rhs on I.  W = A_UU^-1 E_R, and ``c_factor`` factors C = E_R' W."""
+    y = np.zeros(kept.shape + rhs.shape[1:])
+    y[kept] = rhs
+    y = union_solve(y)
+    y -= w @ sla.cho_solve(c_factor, y[~kept])
+    return y[kept]
 
 
 def sigma_distance(pair: SubspacePair) -> float:

@@ -291,12 +291,13 @@ def test_run_surfaces_cell_errors(tmp_path):
 
 def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
     # the run asks each eps's pair for sigma and sigma*; a nested pair's sigma
-    # is its sigma* pencil, so one pencil is solved per eps
+    # is its sigma* pencil, so one pencil is solved per eps.  At h=1/16 each
+    # pair removes too many dofs for the capacitance route, so it is Lanczos
     asked, solved = [], []
     true_star, true_max = hilbert.sigma_star, hilbert._pencil_max
 
     def spy_star(pair):
-        asked.append(pair.direction)
+        asked.append((pair.direction, pair.removed))
         return true_star(pair)
 
     def spy_max(union, *rest):
@@ -305,10 +306,10 @@ def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
 
     monkeypatch.setattr(hilbert, "sigma_star", spy_star)
     monkeypatch.setattr(hilbert, "_pencil_max", spy_max)
-    h = 1.0 / 8.0
+    h = 1.0 / 16.0
     report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1]))
     assert report.passed, report.failures
-    assert asked == ["shrink", "shrink"]
+    assert asked == [("shrink", 0), ("shrink", 0)]
     assert len(solved) == 2
     assert all(cell.sigma_star == cell.sigma > 0.0 for cell in report.cells)
 

@@ -371,7 +371,10 @@ def test_nodal_sigmas_match_dense_oracle(n, kind):
 
 
 def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
-    space, h1, h2 = _fem_pair(8, *_fem_pairs(8)["shrink"])
+    # the h=1/16 shrink removes 56 dofs, more than the capacitance route
+    # takes, so sigma runs Lanczos
+    space, h1, h2 = _fem_pair(16, *_fem_pairs(16)["shrink"])
+    assert SubspacePair(h1, h2).removed == 0
     true_eigsh = hilbert.eigsh
 
     def perturbed(*args, **kwargs):
@@ -393,8 +396,10 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
 def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
     # a nested pair's union is its larger operand, whose projector is the
     # identity on the union coordinates, and so is the union of sigma*'s
-    # difference: those pencils need only the solves of the intersection
-    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)[kind])
+    # difference: those pencils need only the solves of the intersection.
+    # At h=1/16 the nested pairs remove too many dofs for the capacitance route
+    space, h1, h2 = _fem_pair(16, *_fem_pairs(16)[kind])
+    assert SubspacePair(h1, h2).removed == 0
     inter = np.intersect1d(h1.indices, h2.indices)
     solved = []
     true_solve = Subspace._solve
@@ -439,8 +444,9 @@ def test_whole_space_shares_the_parent_factor(monkeypatch):
 def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
     # when the union is an operand, Lanczos applies P' M alone: one solve with
     # the inner factor per operator application, and two for the
-    # certificate's full numerator P' M P
-    space, h1, h2 = _fem_pair(12, *_fem_pairs(12)[kind])
+    # certificate's full numerator P' M P (at h=1/16, above the capacitance route)
+    space, h1, h2 = _fem_pair(16, *_fem_pairs(16)[kind])
+    assert SubspacePair(h1, h2).removed == 0
     solves, steps = [], []
     true_solve, true_lanczos = Subspace._solve, hilbert._lanczos_top
 
@@ -464,6 +470,95 @@ def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
     assert steps
     assert len(solves) == len(steps) + 2
     assert set(solves) == {np.intersect1d(h1.indices, h2.indices).size}
+
+
+def _removal_pair(kind, removed):
+    """A nested pair on the h=1/12 checker space, 121 dofs: the whole space
+    and the subspace that lacks the ``removed`` dofs nearest the middle of
+    the top edge, whole first for "shrink" and last for "expand"."""
+    mesh = fem2d.unit_square_mesh(12)
+    space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
+    dofs = mesh.dof_of_vertex[mesh.interior_vertices]
+    pts = mesh.vertices[mesh.interior_vertices]
+    near = dofs[np.argsort(np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 1.0), kind="stable")]
+    whole, inner = space.whole(), Subspace(space, np.setdiff1d(dofs, near[:removed]))
+    return (space, whole, inner) if kind == "shrink" else (space, inner, whole)
+
+
+_THRESHOLD = hilbert._CAPACITANCE_MAX
+
+
+@pytest.mark.parametrize("removed", [_THRESHOLD, _THRESHOLD + 1])
+@pytest.mark.parametrize("kind", ["shrink", "expand"])
+def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, removed):
+    # up to the threshold the dense capacitance pencil gives sigma with no
+    # Lanczos solve; one dof more and Lanczos does
+    space, h1, h2 = _removal_pair(kind, removed)
+    pair = SubspacePair(h1, h2)
+    through_union = removed <= _THRESHOLD
+    assert pair.direction == kind and pair.removed == (removed if through_union else 0)
+    lanczos = _count_lanczos(monkeypatch)
+    want_sigma, want_star = oracles.nodal_sigmas(
+        space.energy_gram, space.mass_gram, h1.indices, h2.indices
+    )
+    assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-10)
+    assert sigma_star(pair) == pytest.approx(want_star, rel=1e-10)
+    assert lanczos == ([] if through_union else [space.dim])
+
+
+@pytest.mark.parametrize("kind", ["shrink", "expand"])
+def test_capacitance_solve_matches_a_direct_factor(kind):
+    space, h1, h2 = _removal_pair(kind, _THRESHOLD)
+    inner = SubspacePair(h1, h2).inter
+    rhs = np.random.default_rng(5).standard_normal((inner.dim, 3))
+    want = hilbert._symmetric_splu(inner._energy_block).solve(rhs)
+    for b, w in ((rhs, want), (rhs[:, 0], want[:, 0])):
+        got = inner._restricted_energy_solve(b)
+        assert got.shape == w.shape
+        assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
+    # the dense |R| x |R| pencil's top vector, bent by 1e-6 relative, fails
+    # the certificate against the K it was solved from
+    space, h1, h2 = _removal_pair("shrink", 8)
+    true_eigh = hilbert._eigh
+
+    def bent(a, b):
+        theta, vecs = true_eigh(a, b)
+        noise = np.random.default_rng(3).standard_normal(vecs.shape[0])
+        vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
+        return theta, vecs
+
+    monkeypatch.setattr(hilbert, "_eigh", bent)
+    with pytest.raises(PencilError, match="eigenpair residual certification failed"):
+        sigma_distance(SubspacePair(h1, h2))
+
+
+@pytest.mark.parametrize("removed", [_THRESHOLD, _THRESHOLD + 1])
+def test_inner_operand_factors_only_above_the_threshold(monkeypatch, removed):
+    # the inner operand's Lanczos eigensolve and its certificate, the images'
+    # projections and correctors, and sigma: up to the threshold all of them
+    # go through the whole space's factor, and no factor of A_22 is built
+    space, h1, h2 = _removal_pair("shrink", removed)
+    eigs1 = solve_operator_eigs(h1, group_tol=1e-6, n_lowest=4)
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat)
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    pair = SubspacePair(h1, h2)
+    eigs2 = solve_operator_eigs(pair.h2, group_tol=1e-6, n_lowest=4, outer=eigs1)
+    lam, x_m, _ = eigs1.group(1)
+    eigenspace_images(pair, x_m, lam)
+    sigma_distance(pair)
+    want = oracles.operator_eigs(space.energy_gram, space.mass_gram, coordinate_basis(h2))
+    assert np.abs(eigs2.values / want[: eigs2.n_groups] - 1.0).max() <= 1e-9
+    solve_factors = [mat for mat in factored if mat is h2._energy_block]
+    assert len(solve_factors) == (0 if removed <= _THRESHOLD else 1)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["whole_first", "notch_first"])

@@ -80,21 +80,18 @@ def test_bench_setup_task_runs_on_the_smoke_config(monkeypatch, tmp_path):
     assert out["setup_s"] > out["import_s"] >= 0.0
 
 
-def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
-    # the bench's sigma metrics read the hilbert.sigma_distance spans: one per
-    # eps, with the Lanczos solve of the pair's pencil inside it, and none in
-    # the hilbert.sigma_star span, which reads the same solve
-    importlib.import_module("eigenshift.cli")  # the tracer wraps cli.main too
-    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
-    config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS["smoke"])
+def _solves_inside_sigma_spans(monkeypatch, config, solver):
+    """For each eps of a traced run of config, the number of calls of the
+    hilbert routine ``solver`` inside its hilbert.sigma_distance span and
+    inside its hilbert.sigma_star span."""
     started = []
-    true_lanczos = hilbert._lanczos_top
+    true_solver = getattr(hilbert, solver)
 
     def spy(*args):
         started.append(time.perf_counter())
-        return true_lanczos(*args)
+        return true_solver(*args)
 
-    monkeypatch.setattr(hilbert, "_lanczos_top", spy)
+    monkeypatch.setattr(hilbert, solver, spy)
     probe = tracer.Tracer("tier1")
     probe.install()
     try:
@@ -107,21 +104,42 @@ def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
         spans = [span for span in probe.spans if span[2] == name]
         return [sum(span[3] <= t <= span[4] for t in started) for span in spans]
 
-    assert solves_inside("hilbert.sigma_distance") == [1] * len(config.eps)
-    assert solves_inside("hilbert.sigma_star") == [0] * len(config.eps)
+    return solves_inside("hilbert.sigma_distance"), solves_inside("hilbert.sigma_star")
+
+
+def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
+    # the bench's sigma metrics read the hilbert.sigma_distance spans: one per
+    # eps, with the solve of the pair's pencil inside it, and none in the
+    # hilbert.sigma_star span, which reads the same solve.  The smoke pairs
+    # remove at most 40 dofs, so their pencils are the dense capacitance
+    # pencils; at h=1/16 the same sweep removes more, and runs Lanczos
+    importlib.import_module("eigenshift.cli")  # the tracer wraps cli.main too
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    smoke = workloads.FEM_CONFIGS["smoke"]
+    eps = [1.0 / 8.0, 2.0 / 8.0]
+    assert smoke["h"] == 1.0 / 8.0 and smoke["eps"] == eps
+    runs = (
+        (harness.ScenarioConfig.from_dict(smoke), "_eigh"),
+        (harness.ScenarioConfig.from_dict({**smoke, "h": 1.0 / 16.0, "eps": eps}), "_lanczos_top"),
+    )
+    for config, solver in runs:
+        inside = _solves_inside_sigma_spans(monkeypatch, config, solver)
+        assert inside == ([1] * len(eps), [0] * len(eps)), solver
 
 
 @pytest.mark.parametrize(
-    "workload, factors, solves", [("shrink_sweep", 8, 8), ("notch_checker", 7, 9)]
+    "workload, factors, solves", [("shrink_sweep", 8, 8), ("notch_checker", 5, 7)]
 )
 def test_bench_fem_workloads_keep_their_sparse_solves(
     dense_free, monkeypatch, workload, factors, solves
 ):
     # the bench measures these sparse factorizations and ARPACK solves; a
     # change to how pencils are solved must not add, drop or densify any.
-    # The factors are the space's A, four subspace solve factors, and the
+    # The factors are the space's A, the subspace solve factors, and the
     # Sylvester counts of the reference and of each perturbed slice that
-    # interlacing does not prove: 1 + 4 + 3 and 1 + 4 + 2
+    # interlacing does not prove: 1 + 4 + 3 and 1 + 2 + 2.  The notch's
+    # eps = 2h and 4h pairs remove 8 and 28 dofs, so they build no solve
+    # factor, and their sigma is a dense capacitance pencil, not Lanczos
     workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
     config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS[workload])
     counts = {"factors": 0, "solves": 0}

@@ -36,7 +36,11 @@ space factors (the definiteness factors of an ``EnergySpace``'s A and M,
 ``_restricted_energy_solve``) and inertia-count factors (``_count_below``).
 The partial spectra (the reference's among them) are split by what proved
 them complete: interlacing with the reference, or a
-``hilbert._count_below`` Sylvester count.  Last it prints the size of each
+``hilbert._count_below`` Sylvester count.  Then come the pairs that solved
+through the union's factor: the |R| of each ``hilbert.SubspacePair`` that
+removed at most ``hilbert._CAPACITANCE_MAX`` dofs R from a union above the
+dense size, read from the pair's ``removed`` (none on a tree without that
+route).  Last it prints the size of each
 tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
@@ -105,6 +109,11 @@ def spy_top(*args, **kwargs):
         log[name]["requests"].append(None if solving[-1] is None else k - 3)
     return top(*args, **kwargs)
 
+def spy_pair(self, *args, **kwargs):
+    pair_init(self, *args, **kwargs)
+    if getattr(self, "removed", 0):  # a tree without the route has no removed
+        log[name]["through_union"].append(self.removed)
+
 def counted(key, func):
     def spy(*args, **kwargs):
         log[name][key] += 1
@@ -121,20 +130,26 @@ def spy_splu(*args, **kwargs):
     factors[kind] = factors.get(kind, 0) + 1
     return splu(*args, **kwargs)
 
+pair_init = hilbert.SubspacePair.__init__
 (hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
- hilbert._symmetric_splu, hilbert._count_below) = (
-    spy_solve, spy_top, counted("lanczos", lanczos), spy_splu, counted("counted", count)
+ hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
+    spy_solve, spy_top, counted("lanczos", lanczos), spy_splu, counted("counted", count), spy_pair
 )
 for path in sorted(configs.glob("*.json")):
     name = path.stem
-    log[name] = {"requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0}
+    log[name] = {
+        "requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0,
+        "through_union": [],
+    }
     try:
         config = harness.ScenarioConfig.from_json(path)
         harness.write_report(harness.run_scenario(config), out / name)
     except Exception as exc:  # this config's failure; the others still run
         log[name]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
 (hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
- hilbert._symmetric_splu, hilbert._count_below) = (solve, top, lanczos, splu, count)
+ hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
+    solve, top, lanczos, splu, count, pair_init
+)
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
@@ -326,12 +341,13 @@ def main(argv: list) -> int:
     print(f"{len(configs)} configs, {len(ABSTRACT_SEEDS)} abstract seeds, verify_fem: "
           f"{len(names) - differ} files same, {differ} differ, {len(failures)} configs failed")
     print("eigensolves per config: n_lowest of every request (Lanczos solves, factorizations = "
-          "space + solve + count; partial spectra proved by interlacing + counted), "
-          "PARENT -> CHANGE")
+          "space + solve + count; partial spectra proved by interlacing + counted; "
+          "|R| of each pair solved through the union), PARENT -> CHANGE")
     for name in configs:
         old, new = (
             f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])}; "
-            f"{entry['interlaced']} + {entry['counted']})"
+            f"{entry['interlaced']} + {entry['counted']}; "
+            f"through the union: {', '.join(map(str, entry['through_union'])) or 'none'})"
             for entry in (log[name] for log in solves.values())
         )
         print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
