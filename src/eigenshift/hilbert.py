@@ -17,28 +17,28 @@ invariant under the congruence A -> B'AB, M -> B'MB.  Every subspace
 operator (projector, solution operator, corrector) is one representer
 solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
 energy block A_II (on every index, the parent's factor of A and its
-Grams).  The inner operand of a nested pair that removes few dofs from a
-union of more than 20 solves through the union's factor instead, by a
-capacitance correction (:class:`SubspacePair`), and builds no factor.
+Grams).  The inner operand of a nested pair that removes at most 48 dofs
+solves through the union's factor instead, by a capacitance correction
+(:class:`SubspacePair`), and builds no factor.
 
-One routine, :func:`_top_eigs`, finds the top eigenpairs of a pencil
-(K, A_II): by LAPACK's generalized driver on the complete dense pencil up
-to scipy's default Krylov size max(2k + 1, 20), where ARPACK's Krylov space
-would be the whole subspace, and by Lanczos through the factor from a
-seeded start vector above it.  Each caller certifies every pair it reads
-once with :func:`eigsolve._certify` (allowance relative to |x|), a dense
-pair against the dense K it was solved from.  The lowest eigenpairs of a
-subspace are the top ones of (M_II, A_II), grown and checked as
-:func:`solve_operator_eigs` states: only the slice it returns is proved
-complete, by Courant-Fischer interlacing with the certified spectrum of a
-subspace that holds it (:func:`_interlacing_gap`), or else by a Sylvester
-count from sparse pivots (:func:`_count_below`).  A mass Gram that is
-definite by construction (``fem2d.assemble``) is not factored; any other is
-proved definite by its pivots.  sigma, sigma* and the embedding constant
-are largest eigenvalues; a :class:`SubspacePair` decides once how
-two subspaces relate and solves each of its pencils once, densely on the
-removed dofs where it solves through the union.  Only the
-abstract suite's counterexamples and grid oracle read the dense Gram views.
+A pencil (K, A_II) is solved completely by LAPACK's generalized driver up
+to scipy's default Krylov size max(2k + 1, 20) (:func:`_solved_densely`),
+where ARPACK's Krylov space would be the whole subspace, and above it by
+Lanczos through the factor from a seeded start vector.  Each caller
+certifies every pair it reads once with :func:`eigsolve._certify`
+(allowance relative to |x|), a dense pair against the dense K it was solved
+from.  The lowest eigenpairs of a subspace are the top ones of (M_II, A_II),
+grown and checked as :func:`solve_operator_eigs` states: only the slice it
+returns is proved complete, by Courant-Fischer interlacing with the
+certified spectrum of a subspace that holds it (:func:`_interlacing_gap`),
+or else by a Sylvester count from sparse pivots (:func:`_count_below`).  A
+mass Gram that is definite by construction (``fem2d.assemble``) is not
+factored; any other is proved definite by its pivots.  sigma, sigma* and
+the embedding constant are largest eigenvalues, a dense one solved by
+:func:`_dense_max`; a :class:`SubspacePair` decides once how two subspaces
+relate and solves each of its pencils once, densely on the removed dofs
+where it solves through the union.  Only the abstract suite's
+counterexamples and grid oracle read the dense Gram views.
 """
 
 from __future__ import annotations
@@ -408,30 +408,25 @@ def _solved_densely(sub: Subspace, k: int) -> bool:
     return sub.dim <= max(2 * k + 1, 20)  # scipy's default Krylov size
 
 
-def _top_eigs(sub: Subspace, apply_k, k: int, step=None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Top k eigenpairs of a pencil (K, A_II) on the coordinates of a nodal
-    subspace, descending and A_II-orthonormal, and whether they are all.  Up
-    to scipy's default Krylov size max(2k + 1, 20), ``apply_k`` builds the
-    complete dense pencil, and above it :func:`_lanczos_top` applies
-    ``step``, which need only agree with K on the Krylov space.  The caller
-    certifies the pairs it reads."""
-    if _solved_densely(sub, k):
-        kmat = apply_k(np.eye(sub.dim))
-        theta, vecs = _eigh(0.5 * (kmat + kmat.T), sub._energy_block.toarray())
-    else:
-        theta, vecs = _lanczos_top(sub, step or apply_k, k)
-    order = np.argsort(-theta, kind="stable")
-    return theta[order], vecs[:, order], theta.size == sub.dim
+def _dense_max(kmat: np.ndarray, bmat: np.ndarray) -> float:
+    """Largest eigenvalue, clipped at 0, of the complete dense pencil (K, B),
+    K symmetrized: solved by LAPACK's generalized driver, and its top pair
+    certified against that K, so it is certified as the largest."""
+    kmat = 0.5 * (kmat + kmat.T)
+    theta, vecs = _eigh(kmat, bmat)
+    _certify(kmat, bmat, theta[-1:], vecs[:, -1:])
+    return max(float(theta[-1]), 0.0)
 
 
 def _pencil_max(union: Subspace, numerator, step=None) -> float:
     """Largest eigenvalue, clipped at 0, of a pencil (K, A_UU) on the
-    coordinates of ``union``, K applied by ``numerator``: the top pair of
-    :func:`_top_eigs`, certified with K x read off K where K is built densely."""
+    coordinates of ``union``, K applied by ``numerator``: by :func:`_dense_max`
+    on K = numerator(I) up to the dense size, and above it by Lanczos
+    applying ``step``, which need only agree with K on the Krylov space."""
     if _solved_densely(union, 1):
-        numerator = partial(np.matmul, numerator(np.eye(union.dim)))
-    theta, vecs, _ = _top_eigs(union, numerator, 1, step)
-    _certify(numerator, union._energy_block, theta[:1], vecs[:, :1])
+        return _dense_max(numerator(np.eye(union.dim)), union._energy_block.toarray())
+    theta, vecs = _lanczos_top(union, step or numerator, 1)
+    _certify(numerator, union._energy_block, theta, vecs)
     return max(float(theta[0]), 0.0)
 
 
@@ -446,27 +441,25 @@ class SubspacePair:
     H2, and "none" for a crossing pair.
 
     Each distance is the largest eigenvalue of a pencil (D' M D, A) on the
-    union coordinates, solved once by :func:`_pencil_max`.  ``sigma_star``
-    takes D = S_union - S_inter = P, P u = u - S_inter u (P = I with no
-    intersection).  P is A-self-adjoint, so A_UU^-1 P' M = P A_UU^-1 M maps
-    into range(P), where P' M P = P' M: Lanczos applies P' M alone, one
-    solve with the intersection's factor per step.  ``sigma`` takes
-    D = S1 - S2, which is +-P for a nested pair, so it is ``sigma_star``; a
-    crossing pair solves D = G A, G the difference of two embedded solves.
+    union coordinates, solved once.  ``sigma_star`` takes
+    D = S_union - S_inter = P, P u = u - S_inter u (P = I with no
+    intersection), and ``sigma`` takes D = S1 - S2, which is +-P for a nested
+    pair, so it is ``sigma_star``.
 
-    A nested pair whose union has more than 20 dofs, so that its pencil
-    would go to Lanczos, and whose inner operand lacks at most
-    ``_CAPACITANCE_MAX`` of the union's dofs, the set R, goes through the
-    union's factor instead; ``removed`` is |R|, and 0 on any other pair.
-    range(P) is spanned by W = A_UU^-1 E_R, built once, and
-    W' A_UU W = E_R' W = C, the capacitance matrix.  So sigma* is the top
-    eigenvalue of the dense |R| x |R| pencil (W' M_UU W, C), solved
-    completely and certified against that K: certified as the largest.  And
-    the pair hands its inner operand the capacitance solve of
-    :func:`_capacitance_solve` (Buzbee, Dorr, George & Golub, SIAM J.
-    Numer. Anal. 8, 1971), so that, unless that operand already solves with
-    a factor of its own, no factor of A_II is built and every solve with it
-    goes through the union's factor.
+    The removed set alone routes a nested pair.  When its inner operand lacks
+    at most ``_CAPACITANCE_MAX`` of the union's dofs, the set R, ``removed``
+    is |R| (0 on any other pair).  range(P) is spanned by W = A_UU^-1 E_R,
+    built once, and W' A_UU W = E_R' W = C, the capacitance matrix, so sigma*
+    is the top eigenvalue of the dense |R| x |R| pencil (W' M_UU W, C), which
+    :func:`_dense_max` certifies as the largest.  The pair hands its inner
+    operand the capacitance solve of :func:`_capacitance_solve` (Buzbee,
+    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971): unless that operand
+    already solves with a factor of its own, no factor of A_II is built.  A
+    crossing pair, or a nested one that removes more, solves on the union by
+    :func:`_pencil_max`.  There P is A-self-adjoint, so A_UU^-1 P' M =
+    P A_UU^-1 M maps into range(P), where P' M P = P' M: Lanczos applies
+    P' M alone, one solve with the intersection's factor per step; a crossing
+    pair's sigma solves D = G A, G the difference of two embedded solves.
     """
 
     def __init__(self, h1: Subspace, h2: Subspace):
@@ -478,7 +471,7 @@ class SubspacePair:
         self.inter = None if inter.size == 0 else self._on(inter)
         self.removed = 0
         few = self.union.dim - inter.size <= _CAPACITANCE_MAX
-        if self.direction in ("shrink", "expand") and few and not _solved_densely(self.union, 1):
+        if self.direction in ("shrink", "expand") and few:
             self._solve_inner_through_union()
 
     def _on(self, idx: np.ndarray) -> Subspace:
@@ -515,12 +508,7 @@ class SubspacePair:
         if union is inter:
             return 0.0
         if self.removed:
-            w, c = self._w, self._c
-            kmat = w.T @ (union._mass_block @ w)
-            kmat = 0.5 * (kmat + kmat.T)
-            theta, vecs = _eigh(kmat, c)
-            _certify(kmat, c, theta[-1:], vecs[:, -1:])
-            return max(float(theta[-1]), 0.0)
+            return _dense_max(self._w.T @ (union._mass_block @ self._w), self._c)
         a, m = union.parent.energy_csr, union.parent.mass_csr
 
         def step(coords):
@@ -583,12 +571,19 @@ def intersection_subspace(h1: Subspace, h2: Subspace) -> Subspace | None:
 
 
 def _lowest_attempt(sub: Subspace, group_tol: float, n: int | None):
-    """An attempt of :func:`solve_operator_eigs` for n: its kept groups, with
-    the solver's coordinates on sub as vectors, and every eigenvalue it
+    """An attempt of :func:`solve_operator_eigs` for n, which certifies the
+    top n + 3 pairs of (M_II, A_II), or all when n is None: its kept groups,
+    with the solver's coordinates on sub as vectors, and every eigenvalue it
     computed, ascending."""
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
     a_res, m_res = sub._energy_block, sub._mass_block
-    theta, coords, complete = _top_eigs(sub, lambda x: m_res @ x, sub.dim if n is None else n + 3)
+    k = sub.dim if n is None else n + 3
+    if _solved_densely(sub, k):
+        theta, coords = _eigh(m_res.toarray(), a_res.toarray())
+    else:
+        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, k)
+    order = np.argsort(-theta, kind="stable")
+    theta, coords, complete = theta[order], coords[:, order], theta.size == sub.dim
     _certify(m_res, a_res, theta, coords)
     lam = 1.0 / theta
     groups = _group_boundaries(lam, group_tol)[: None if complete else -1]
@@ -609,7 +604,7 @@ def solve_operator_eigs(
     most ``group_tol``, with energy-orthonormal eigenvectors sign-fixed once.
 
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
-    1/lambda, from :func:`_top_eigs`.  The request grows here alone: an
+    1/lambda, from :func:`_lowest_attempt`.  The request grows here alone: an
     attempt for n asks ``n + 3`` pairs, or all when n is None, each passing
     :func:`eigsolve._certify` on that pencil, and a partial attempt drops
     its trailing, possibly split group.  From ``n_lowest``, n doubles until

@@ -39,10 +39,11 @@ def _refuse_toarray(monkeypatch, limit):
 def dense_free(monkeypatch):
     """Make every dense array sized by the mesh raise: the dense Grams of an
     energy space, any sparse matrix larger than DENSE_ROWS_LIMIT, and any
-    pencil larger than that solved by ``solve_pencil``.  The dense branch of
-    ``hilbert._top_eigs`` builds K by applying a callback to the identity, and
-    it is covered by the toarray refusal of any A_II over DENSE_ROWS_LIMIT
-    rows, which that branch densifies."""
+    pencil larger than that solved by ``solve_pencil``.  The dense branches of
+    ``hilbert._pencil_max`` and ``hilbert._lowest_attempt`` densify A_II, so
+    the toarray refusal covers each of them over DENSE_ROWS_LIMIT rows; the
+    capacitance pencil of ``hilbert._dense_max`` is |R| x |R|, sized by the
+    removed dofs, at most ``hilbert._CAPACITANCE_MAX``."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")

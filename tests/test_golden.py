@@ -146,21 +146,34 @@ def test_report_matches_golden(request, tmp_path, name):
     )
 
 
-def test_shrinking_simple_rows_satisfy_the_correction_identity():
-    # a shrinking pair's simple group has Psi = 0 and ||S2 phi||^2 = 1 - t,
-    # t = ||T phi||^2, so its correction pencil is (-t / lambda, 1 - t) and
-    # tau = -t / (lambda (1 - t)).  Psi vanishes only up to the residual of
-    # the reference pair, which eigsolve._certify allows to 1e-9 relative:
-    # 1e-9 lambda^-1 on the pencil's left side, divided by its right side
+def test_simple_nested_rows_satisfy_the_correction_identity():
+    # a nested pair's simple group has a correction pencil (left, right) in
+    # closed form, and tau = left / right.  Shrinking: Psi = 0 and
+    # ||S2 phi||^2 = 1 - t, t = ||T phi||^2, so the pencil is
+    # (-t / lambda, 1 - t).  Expanding: T = 0, S2 phi = phi and
+    # (Psi, phi) = ||phi||^2 - lambda |phi|^2 = 0, so it is
+    # (||Psi||^2 / lambda, 1).  Psi, and (Psi, phi), vanish only up to the
+    # residual of the reference pair, which eigsolve._certify allows to 1e-9
+    # relative: 1e-9 lambda^-1 on the pencil's left side, divided by its
+    # right side
+    def pencil(cell):
+        lam = cell["lambda"]
+        if cell["direction"] == "shrink":
+            t = cell["t_norm2_range"][0]
+            return -t / lam, 1.0 - t
+        return cell["psi_norm2_range"][0] / lam, 1.0
+
     cells = [
         (path.parent.name, cell)
         for path in sorted(GOLDEN.glob("*/report.json"))
         for cell in json.loads(path.read_text(encoding="utf-8"))["cells"]
-        if cell["direction"] == "shrink" and cell["multiplicity"] == 1 and cell["error"] is None
+        if cell["direction"] in ("shrink", "expand")
+        and cell["multiplicity"] == 1
+        and cell["error"] is None
     ]
-    assert cells
+    assert {cell["direction"] for _, cell in cells} == {"shrink", "expand"}
     for name, cell in cells:
-        t, lam = cell["t_norm2_range"][0], cell["lambda"]
+        left, right = pencil(cell)
         (tau,) = cell["tau"]
-        allowed = 1e-9 / (lam * (1.0 - t))
-        assert abs(tau + t / (lam * (1.0 - t))) <= allowed, (name, cell["eps"], cell["m"])
+        allowed = 1e-9 / (cell["lambda"] * right)
+        assert abs(tau - left / right) <= allowed, (name, cell["eps"], cell["m"])

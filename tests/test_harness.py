@@ -744,25 +744,25 @@ def test_verify_abstract_small_run_passes_and_is_deterministic():
 
 
 def test_each_top_pair_is_certified_once(monkeypatch):
-    # _top_eigs certifies nothing; sigma, sigma* and the eigensolves each
-    # certify the pairs they read once, dense or Lanczos
-    counts = {"top": 0, "certify": 0}
-    true_top, true_certify = hilbert._top_eigs, eigsolve._certify
+    # neither the dense solve nor Lanczos certifies; sigma, sigma* and the
+    # eigensolves each certify the pairs they read once.  The suite passes no
+    # outer spectrum, so no interlacing test solves an uncertified pencil
+    counts = {"solve": 0, "certify": 0}
 
-    def top(*args, **kwargs):
-        counts["top"] += 1
-        return true_top(*args, **kwargs)
+    def counted(key, func):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
 
-    def certify(*args, **kwargs):
-        counts["certify"] += 1
-        return true_certify(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(hilbert, "_top_eigs", top)
     for module in (eigsolve, hilbert):
-        monkeypatch.setattr(module, "_certify", certify)
+        monkeypatch.setattr(module, "_eigh", counted("solve", module._eigh))
+        monkeypatch.setattr(module, "_certify", counted("certify", module._certify))
+    monkeypatch.setattr(hilbert, "_lanczos_top", counted("solve", hilbert._lanczos_top))
     assert verify_abstract(seed=2024, n_cases=50)["passed"]
-    assert counts["top"] > 0
-    assert counts["certify"] == counts["top"]
+    assert counts["solve"] > 0
+    assert counts["certify"] == counts["solve"]
 
 
 def test_verify_abstract_images_x1_once_per_case(monkeypatch):

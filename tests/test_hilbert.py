@@ -472,11 +472,11 @@ def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
     assert set(solves) == {np.intersect1d(h1.indices, h2.indices).size}
 
 
-def _removal_pair(kind, removed):
-    """A nested pair on the h=1/12 checker space, 121 dofs: the whole space
-    and the subspace that lacks the ``removed`` dofs nearest the middle of
-    the top edge, whole first for "shrink" and last for "expand"."""
-    mesh = fem2d.unit_square_mesh(12)
+def _removal_pair(kind, removed, n=12):
+    """A nested pair on the h=1/n checker space, (n - 1)^2 dofs: the whole
+    space and the subspace that lacks the ``removed`` dofs nearest the middle
+    of the top edge, whole first for "shrink" and last for "expand"."""
+    mesh = fem2d.unit_square_mesh(n)
     space = fem2d.assemble(mesh, CoefficientField.checker(0.5))
     dofs = mesh.dof_of_vertex[mesh.interior_vertices]
     pts = mesh.vertices[mesh.interior_vertices]
@@ -488,22 +488,42 @@ def _removal_pair(kind, removed):
 _THRESHOLD = hilbert._CAPACITANCE_MAX
 
 
-@pytest.mark.parametrize("removed", [_THRESHOLD, _THRESHOLD + 1])
+@pytest.mark.parametrize(
+    "n, removed",
+    [
+        pytest.param(12, _THRESHOLD, id=str(_THRESHOLD)),
+        pytest.param(12, _THRESHOLD + 1, id=str(_THRESHOLD + 1)),
+        pytest.param(5, 4, id="union_of_16"),
+    ],
+)
 @pytest.mark.parametrize("kind", ["shrink", "expand"])
-def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, removed):
+def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, n, removed):
     # up to the threshold the dense capacitance pencil gives sigma with no
-    # Lanczos solve; one dof more and Lanczos does
-    space, h1, h2 = _removal_pair(kind, removed)
+    # Lanczos solve and no factor of the inner operand, whatever the union's
+    # size: at h=1/5 the union has 16 dofs, within the dense size, and still
+    # goes through its factor.  One dof more than the threshold and Lanczos
+    # does, through the inner operand's own factor
+    space, h1, h2 = _removal_pair(kind, removed, n)
     pair = SubspacePair(h1, h2)
     through_union = removed <= _THRESHOLD
     assert pair.direction == kind and pair.removed == (removed if through_union else 0)
+    assert pair.union.dim - pair.inter.dim == removed
     lanczos = _count_lanczos(monkeypatch)
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat.shape[0])
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
     want_sigma, want_star = oracles.nodal_sigmas(
         space.energy_gram, space.mass_gram, h1.indices, h2.indices
     )
     assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-10)
     assert sigma_star(pair) == pytest.approx(want_star, rel=1e-10)
     assert lanczos == ([] if through_union else [space.dim])
+    assert factored == ([] if through_union else [pair.inter.dim])
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand"])
@@ -749,20 +769,21 @@ def test_lowest_eigs_solve_dense_up_to_the_krylov_size(monkeypatch, dofs):
 
 
 def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
-    # _top_eigs certifies nothing, so the caller's one certificate must catch
-    # a dense pair bent by 1e-6 relative
+    # the dense solve certifies nothing, so the one certificate of its caller
+    # (_dense_max for sigma, _lowest_attempt for the lowest eigenpairs) must
+    # catch a top pair bent by 1e-6 relative
     # (test_nodal_sigma_certificate_rejects_wrong_eigenvector bends Lanczos pairs)
     space = random_space(np.random.default_rng(33), 12)
     h1, h2 = Subspace(space, range(8)), Subspace(space, range(2, 12))
-    true_top = hilbert._top_eigs
+    true_eigh = hilbert._eigh
 
-    def corrupted(*args):
-        theta, vecs, complete = true_top(*args)
+    def corrupted(a, b):
+        theta, vecs = true_eigh(a, b)  # ascending, so the top pair is the last
         noise = np.random.default_rng(2).standard_normal(vecs.shape[0])
-        vecs[:, 0] += 1e-6 * np.linalg.norm(vecs[:, 0]) * noise / np.linalg.norm(noise)
-        return theta, vecs, complete
+        vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
+        return theta, vecs
 
-    monkeypatch.setattr(hilbert, "_top_eigs", corrupted)
+    monkeypatch.setattr(hilbert, "_eigh", corrupted)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         solve_operator_eigs(space.whole(), group_tol=1e-9, n_lowest=4)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
@@ -770,29 +791,31 @@ def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
 
 
 def test_dense_sigma_star_builds_its_numerator_once(monkeypatch):
-    # a union of at most 20 dofs is solved densely from K = numerator(I), and
-    # the certificate reads K x off that K: the numerator's two inner solves
-    # run once, on the identity, and never on the top vector
+    # a crossing union of at most 20 dofs is solved densely from
+    # K = numerator(I), and the certificate reads K x off that K: the
+    # numerator's two intersection solves run once, on the identity, and
+    # never on the top vector
     space = random_space(np.random.default_rng(34), 12)
-    pair = SubspacePair(Subspace(space, range(12)), Subspace(space, range(3, 9)))
-    assert pair.direction == "shrink" and pair.inter is pair.h2
+    pair = SubspacePair(Subspace(space, range(9)), Subspace(space, range(3, 12)))
+    assert pair.direction == "none" and pair.union.dim == 12 and pair.inter.dim == 6
     solved = []
     true_solve = Subspace._solve
 
     def spy(self, rhs):
-        solved.append(rhs.shape[1:])
+        solved.append((self.dim, rhs.shape[1:]))
         return true_solve(self, rhs)
 
     monkeypatch.setattr(Subspace, "_solve", spy)
     sigma_star(pair)
-    assert solved == [(12,), (12,)]
+    assert solved == [(6, (12,)), (6, (12,))]
 
 
 @pytest.mark.parametrize("kind", ["crossing", "nested"])
 def test_small_union_sigma_is_the_largest_eigenvalue(monkeypatch, kind):
     # the pencil's second eigenpair is an eigenpair, so it passes the residual
-    # certificate; a union of at most 20 dofs is solved completely, and its
-    # sigma is the largest eigenvalue whatever ARPACK would return
+    # certificate; a crossing union of at most 20 dofs, and a nested pair's
+    # capacitance pencil, are solved completely, and sigma is the largest
+    # eigenvalue whatever ARPACK would return
     rng = np.random.default_rng(32)
     space = random_space(rng, 10)
     outer, inner = (range(6), range(3, 10)) if kind == "crossing" else (range(10), range(4))

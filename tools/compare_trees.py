@@ -22,26 +22,24 @@ worst float drift, relative to the largest magnitude of its column on
 either side, and every non-float difference (a string, int, bool or null,
 or a value present on one side only), one line each.  A column is a CSV
 column, or a JSON key path with the list indices left out
-(``cells.rows.ratio``).  For each config it then prints the
-``n_lowest`` of every request that a ``hilbert.solve_operator_eigs`` call
-makes (each ``hilbert._top_eigs`` solve inside it, which asks
-``n_lowest + 3`` pairs, so a call that grows its request lists each
-attempt), the count of ``hilbert._lanczos_top`` solves and the count of
-``hilbert._symmetric_splu`` factorizations on each tree, all recorded by
-wrapping those functions in the tree's own interpreter, so a change to the
-workloads' eigensolves and factors shows even when every output is the
-same.  The factorizations are split by the routine that asked for them:
-space factors (the definiteness factors of an ``EnergySpace``'s A and M,
-``_definite_factor``), solve factors (a subspace's A_II,
+(``cells.rows.ratio``).  For each config it then prints the ``n_lowest`` of
+every request that a ``hilbert.solve_operator_eigs`` call makes (the ``n``
+of each ``hilbert._lowest_attempt`` it runs, so a call that grows its
+request lists each attempt), the count of ``hilbert._lanczos_top`` solves
+and the count of ``hilbert._symmetric_splu`` factorizations on each tree,
+all recorded by wrapping those functions in the tree's own interpreter, so
+a change to the workloads' eigensolves and factors shows even when every
+output is the same.  The factorizations are split by the routine that asked
+for them: space factors (the definiteness factors of an ``EnergySpace``'s A
+and M, ``_definite_factor``), solve factors (a subspace's A_II,
 ``_restricted_energy_solve``) and inertia-count factors (``_count_below``).
 The partial spectra (the reference's among them) are split by what proved
 them complete: interlacing with the reference, or a
 ``hilbert._count_below`` Sylvester count.  Then come the pairs that solved
-through the union's factor: the |R| of each ``hilbert.SubspacePair`` that
-removed at most ``hilbert._CAPACITANCE_MAX`` dofs R from a union above the
-dense size, read from the pair's ``removed`` (none on a tree without that
-route).  Last it prints the size of each
-tree's package, ``src lines: PARENT -> CHANGE``, counted as
+through the union's factor: the |R| of each nested ``hilbert.SubspacePair``
+that removed at most ``hilbert._CAPACITANCE_MAX`` dofs R, read from the
+pair's ``removed`` (none on a tree without that route).  Last it prints the
+size of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
 ``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
 none), read from each module's ``__all__`` with ``eigenshift.name`` for the
@@ -77,37 +75,27 @@ from eigenshift import harness, hilbert
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
-solve, top, lanczos, splu, count = (
-    hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+solve, attempt, lanczos, splu, count = (
+    hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
     hilbert._symmetric_splu, hilbert._count_below,
 )
 FACTOR_KINDS = {
     "_definite_factor": "space", "_restricted_energy_solve": "solve", "_count_below": "count"
 }
 log = {}
-solving = []  # the n_lowest of each solve_operator_eigs call in progress
 
 def spy_solve(*args, **kwargs):
-    bound = inspect.signature(solve).bind(*args, **kwargs)
-    bound.apply_defaults()
     entry = log[name]
     counted_before = entry["counted"]
-    solving.append(bound.arguments["n_lowest"])
-    try:
-        eigs = solve(*args, **kwargs)
-    finally:
-        solving.pop()
+    eigs = solve(*args, **kwargs)
     # a partial spectrum that no count proved was proved by interlacing
     entry["interlaced"] += not eigs.complete and entry["counted"] == counted_before
     return eigs
 
-def spy_top(*args, **kwargs):
-    # each top-eigenpair solve inside solve_operator_eigs is one attempt, and
-    # an attempt for n_lowest asks k = n_lowest + 3 pairs (all when None)
-    if solving:
-        k = inspect.signature(top).bind(*args, **kwargs).arguments["k"]
-        log[name]["requests"].append(None if solving[-1] is None else k - 3)
-    return top(*args, **kwargs)
+def spy_attempt(*args, **kwargs):
+    # each attempt of solve_operator_eigs, for its n (None for all pairs)
+    log[name]["requests"].append(inspect.signature(attempt).bind(*args, **kwargs).arguments["n"])
+    return attempt(*args, **kwargs)
 
 def spy_pair(self, *args, **kwargs):
     pair_init(self, *args, **kwargs)
@@ -131,9 +119,10 @@ def spy_splu(*args, **kwargs):
     return splu(*args, **kwargs)
 
 pair_init = hilbert.SubspacePair.__init__
-(hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+(hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
  hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
-    spy_solve, spy_top, counted("lanczos", lanczos), spy_splu, counted("counted", count), spy_pair
+    spy_solve, spy_attempt, counted("lanczos", lanczos), spy_splu, counted("counted", count),
+    spy_pair,
 )
 for path in sorted(configs.glob("*.json")):
     name = path.stem
@@ -146,9 +135,9 @@ for path in sorted(configs.glob("*.json")):
         harness.write_report(harness.run_scenario(config), out / name)
     except Exception as exc:  # this config's failure; the others still run
         log[name]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
-(hilbert.solve_operator_eigs, hilbert._top_eigs, hilbert._lanczos_top,
+(hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
  hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
-    solve, top, lanczos, splu, count, pair_init
+    solve, attempt, lanczos, splu, count, pair_init
 )
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
