@@ -311,26 +311,18 @@ def _element_ids(mesh: BackgroundMesh, ids) -> np.ndarray:
     return ids
 
 
-def _vertex_values(mesh: BackgroundMesh, u: np.ndarray) -> np.ndarray:
-    """Extend DOF coefficients, a vector or an N x J block, by zero to all
-    vertices."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[:1] != (mesh.n_dofs,):
-        raise MeshError(f"coefficients must have {mesh.n_dofs} rows")
-    values = np.zeros((len(mesh.vertices),) + u.shape[1:])
-    values[mesh.interior_vertices] = u
-    return values
-
-
 def gradient_energy_form(
     space: EnergySpace, mesh: BackgroundMesh, region: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
     """Quadratic form of the region gradient energy (coefficients ignored)
     on a vector or an N x J block of vectors."""
     region = _element_ids(mesh, region)
-    values = _vertex_values(mesh, space.check_vector(block).reshape(space.dim, -1))
+    u = space.check_vector(block).reshape(space.dim, -1)
+    if space.dim != mesh.n_dofs:
+        raise MeshError(f"coefficients must have {mesh.n_dofs} rows")
     grads = mesh.gradients[region]
-    local = values[mesh.triangles[region]]  # (nt, 3, nb)
+    # the corners' dofs as assemble maps them; a boundary corner (-1) reads the zero row
+    local = np.vstack([u, np.zeros((1, u.shape[1]))])[mesh.dof_of_vertex[mesh.triangles[region]]]
     grad_u = np.einsum("tkb,tki->tib", local, grads)
     return np.einsum("tib,tic,t->bc", grad_u, grad_u, mesh.areas[region])
 

@@ -67,11 +67,11 @@ _MONOTONE = {
 _COEFFICIENT_FIELDS = {"identity": (), "constant": ("matrix", "nu"), "checker": ("nu",)}
 
 # the failures a run records as error cells; any other exception is a bug
-# and propagates
+# and propagates, a SubspaceRankError among them: carve_subspace raises
+# MeshError before any empty index set reaches a Subspace
 _CELL_ERRORS = (
     MeshError,
     PencilError,
-    hilbert.SubspaceRankError,
     perturbation.LocalizationError,
     perturbation.CorrectionGramError,
     np.linalg.LinAlgError,

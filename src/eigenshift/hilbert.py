@@ -89,7 +89,7 @@ class DimensionMismatchError(ValueError):
 
 
 class SubspaceRankError(ValueError):
-    """A subspace or an eigenspace block is empty or numerically rank deficient."""
+    """A nodal subspace was given an empty index set."""
 
 
 class NotInSubspaceError(ValueError):
@@ -601,7 +601,9 @@ def solve_operator_eigs(
     """Solve (phi, v) = lambda <phi, v> restricted to sub.
 
     Eigenvalues come out ascending, grouped wherever the relative gap is at
-    most ``group_tol``, with energy-orthonormal eigenvectors sign-fixed once.
+    most ``group_tol``, with the eigenvectors as the solver returned them,
+    A_II-orthonormal (LAPACK's generalized driver, or ARPACK in mode 2 with
+    M = A_II), sign-fixed once.
 
     The eigenpairs are the top ones of (M_II, A_II), whose eigenvalues are
     1/lambda, from :func:`_lowest_attempt`.  The request grows here alone: an
@@ -610,7 +612,7 @@ def solve_operator_eigs(
     its trailing, possibly split group.  From ``n_lowest``, n doubles until
     the kept groups satisfy ``enough`` (by default, that one is kept) or the
     spectrum is complete.  Only the attempt returned is checked further, and
-    a miss raises :class:`PencilError`: each re-orthonormalized group passes
+    a miss raises :class:`PencilError`: each kept group passes
     :func:`_certify_group`, and a partial result must hold every eigenvalue
     below its last kept one.  Given ``outer``, the certified decomposition
     of a subspace that holds sub, interlacing proves that without a factor
@@ -628,13 +630,7 @@ def solve_operator_eigs(
         n_lowest *= 2
         eigs, lam = _lowest_attempt(sub, group_tol, n_lowest)
     a_res, m_res = sub._energy_block, sub._mass_block
-    groups, kept, coords = eigs.groups, eigs.n_computed, eigs.vectors
-    blocks = np.empty((sub.dim, kept))
-    for sel in groups:
-        # pencil vectors are A-orthonormal up to rounding
-        block = coords[:, sel]
-        gram = block.T @ (a_res @ block)
-        blocks[:, sel] = block @ _inv_sqrt(gram)
+    groups, kept, blocks = eigs.groups, eigs.n_computed, eigs.vectors
     eigs = EigenDecomposition(eigs.lam, _fix_signs(sub.embed(blocks)), groups, eigs.complete)
     # one certificate solve for all kept pairs
     k_blocks = sub._restricted_energy_solve(m_res @ blocks)
@@ -687,13 +683,6 @@ def _group_boundaries(lam: np.ndarray, tol: float) -> list:
             start = i
     groups.append(slice(start, lam.size))
     return groups
-
-
-def _inv_sqrt(gram: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-    if w[0] <= 0:
-        raise SubspaceRankError("eigenspace block lost rank during orthonormalization")
-    return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
 def _certify_group(a_res, block, k_block, lam_g, spread) -> None:

@@ -8,6 +8,7 @@ from eigenshift.eigsolve import (
     PencilError,
     SymmetricPencil,
     _certify,
+    _eigh,
     solve_pencil,
 )
 
@@ -101,6 +102,20 @@ def test_not_positive_definite_carries_smallest_eig():
     with pytest.raises(NotPositiveDefiniteError) as err:
         SymmetricPencil(np.eye(2), b)
     assert err.value.smallest_eig == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SymmetricPencil(np.ones((2, 3)), np.eye(2)), "must be square"),
+        (lambda: SymmetricPencil(np.eye(2), np.eye(3)), "must share a shape"),
+        (lambda: _eigh(np.eye(2), -np.eye(2)), "dense symmetric eigensolve failed"),
+    ],
+    ids=["non_square", "mismatched_shapes", "lapack_raises"],
+)
+def test_malformed_pencils_are_pencil_errors(call, match):
+    with pytest.raises(PencilError, match=match):
+        call()
 
 
 def test_asymmetry_warns():

@@ -165,6 +165,42 @@ def test_notch_anchor_must_be_on_boundary():
         DomainSpec("boundary_notch", eps=0.125, anchor=(0.5, 0.5))
 
 
+def _space_of_another_mesh():
+    return assemble(unit_square_mesh(4), CoefficientField.identity())
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda mesh: DomainSpec("disc"), "unknown domain kind"),
+        (
+            lambda mesh: carve_subspace(
+                _space_of_another_mesh(), mesh, DomainSpec("square_shrink")
+            ),
+            "does not match the mesh",
+        ),
+        (
+            lambda mesh: gradient_energy_form(
+                _space_of_another_mesh(), mesh, np.arange(2), np.zeros(9)
+            ),
+            "coefficients must have 49 rows",
+        ),
+        (
+            lambda mesh: collar_elements(mesh, DomainSpec("square_shrink", eps=0.125), q=1.0),
+            "must exceed 1",
+        ),
+        (
+            lambda mesh: collar_elements(mesh, DomainSpec("square_shrink")),
+            "collar region is empty",
+        ),
+    ],
+    ids=["unknown_kind", "carve_other_mesh", "form_other_mesh", "collar_q", "empty_collar"],
+)
+def test_refused_inputs_are_mesh_errors(call, match):
+    with pytest.raises(MeshError, match=match):
+        call(unit_square_mesh(8))
+
+
 @pytest.mark.parametrize("entry", ["gradient_energy_form", "region_area"])
 def test_element_ids_refuse_non_integer_dtypes(entry):
     # a cast would read the elements [0, 2] from [0.5, 2.9], and a 32-entry

@@ -314,7 +314,9 @@ def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
     assert all(cell.sigma_star == cell.sigma > 0.0 for cell in report.cells)
 
 
-@pytest.mark.parametrize("error", [TypeError, hilbert.DimensionMismatchError])
+@pytest.mark.parametrize(
+    "error", [TypeError, hilbert.DimensionMismatchError, hilbert.SubspaceRankError]
+)
 def test_programming_errors_propagate(monkeypatch, error):
     # only numerical and geometric failures become error cells; a run never
     # feeds a layer a vector of the wrong size, so a mismatch is a bug too
@@ -841,6 +843,8 @@ def test_sphere_grid_matches_oracle_loop():
     # the per-point loop, and both multiply in the same order
     for k in range(1, 6):
         assert np.array_equal(_oracle_grid._sphere_grid(k, 6), oracles._sphere_grid(k, 6))
+    with pytest.raises(ValueError, match="active dimension 5"):
+        _oracle_grid._sphere_grid(6, 6)
 
 
 def test_verify_fem_suite():

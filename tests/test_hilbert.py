@@ -85,6 +85,30 @@ def test_asymmetric_gram_rejected():
         EnergySpace(bad, np.eye(2))
 
 
+def _images_of_a_long_vector():
+    whole = euclid_space(2).whole()
+    return eigenspace_images(SubspacePair(whole, whole), np.array([2.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: EnergySpace(np.ones((2, 3)), np.eye(2)), ValueError, "must be square"),
+        (lambda: EnergySpace(np.eye(2), np.eye(3)), ValueError, "must have the same shape"),
+        (
+            lambda: solve_operator_eigs(euclid_space(2).whole(), group_tol=1e-6).group(0),
+            IndexError,
+            "outside 1..1",
+        ),
+        (_images_of_a_long_vector, ValueError, "must be energy-orthonormal"),
+    ],
+    ids=["non_square_gram", "mismatched_grams", "group_zero", "images_not_orthonormal"],
+)
+def test_refused_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 # -- projection ---------------------------------------------------------------
 
 
@@ -100,6 +124,7 @@ def test_projection_idempotent_on_members():
     sub = random_subspace(rng, space, 3)
     u = sub.embed(rng.normal(size=3))
     assert np.allclose(sub.project_block(u), u, atol=1e-10)
+    assert sub.contains(u) and sub.contains(np.zeros(6))
 
 
 def test_projection_whole_space_is_identity():

@@ -19,7 +19,10 @@ message on each tree that raised, and the other configs are still
 compared.  The exit status is 1 when any file differs or is missing on one
 side, or any config failed.  Under each ``differ`` line come the
 worst float drift, relative to the largest magnitude of its column on
-either side, and every non-float difference (a string, int, bool or null,
+either side, then each column that drifts but stays below ``ZERO_FLOOR`` =
+1e-20 on both sides, zero up to rounding as ``tests/test_golden.py`` reads
+it, as ``exact-zero column, largest |x| ...`` and outside the worst drift,
+and every non-float difference (a string, int, bool or null,
 or a value present on one side only), one line each.  A column is a CSV
 column, or a JSON key path with the list indices left out
 (``cells.rows.ratio``).  For each config it then prints the ``n_lowest`` of
@@ -63,6 +66,8 @@ from pathlib import Path
 BENCH_CONFIGS = ("shrink_sweep", "notch_checker")
 ABSTRACT_SEEDS = (2024, 11, 3)
 ABSTRACT_CASES = 300
+# columns below this magnitude are exact zeros up to rounding (tests/test_golden.py)
+ZERO_FLOOR = 1e-20
 
 # argv: src dir, config dir, output dir, JSON list of abstract seeds, cases per
 # seed, eigensolve log file; the log lies outside the compared output dir
@@ -222,8 +227,9 @@ def differences(left: Path, right: Path) -> list:
     """The worst relative float drift and every non-float difference of
     two outputs, one line each.  Two finite numbers of which one is a float
     (a CSV float can read as an int) drift relative to the largest finite
-    magnitude of their column on either side; anything else must be equal,
-    NaN to NaN."""
+    magnitude of their column on either side, unless that is below
+    ZERO_FLOOR, where the column is reported by its largest magnitude
+    alone; anything else must be equal, NaN to NaN."""
     if not (left.is_file() and right.is_file()):
         return [f"only in the {'change' if right.is_file() else 'parent'} tree"]
     old, new = leaves(left), leaves(right)
@@ -231,7 +237,7 @@ def differences(left: Path, right: Path) -> list:
     for column, value in (*old.values(), *new.values()):
         if _finite(value):
             scale[column] = max(scale.get(column, 0.0), abs(value))
-    worst, where, lines = 0.0, None, []
+    worst, where, zeros, lines = 0.0, None, set(), []
     for location in sorted(old.keys() | new.keys()):
         if location not in old or location not in new:
             side = "parent" if location in old else "change"
@@ -239,11 +245,19 @@ def differences(left: Path, right: Path) -> list:
             continue
         (column, a), (_, b) = old[location], new[location]
         if _finite(a) and _finite(b) and float in (type(a), type(b)):
-            drift = abs(a - b) / scale[column] if scale[column] else 0.0
+            if scale[column] < ZERO_FLOOR:
+                if a != b:
+                    zeros.add(column)
+                continue
+            drift = abs(a - b) / scale[column]
             if drift > worst:
                 worst, where = drift, column
         elif not (a == b or a != a and b != b):  # NaN equals NaN here
             lines.append(f"{location}: {json.dumps(a)} -> {json.dumps(b)}")
+    lines[:0] = [
+        f"exact-zero column, largest |x| {scale[column]:.2e}, in {column}"
+        for column in sorted(zeros)
+    ]
     if where is not None:
         lines.insert(
             0, f"worst float drift {worst:.2e} of its column's largest magnitude, in {where}"
