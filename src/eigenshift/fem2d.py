@@ -108,8 +108,9 @@ class CoefficientField:
 
     ``tiles`` holds one or two 2x2 matrices: tile (i, j) carries
     ``tiles[(i + j) % len(tiles)]``.  Construction checks, once, that each
-    is a symmetric 2x2 matrix whose exact eigenvalues lie in [nu, 1/nu], so
-    nu |xi|^2 <= xi' A xi <= |xi|^2 / nu everywhere in D.
+    is a symmetric 2x2 matrix whose eigenvalues lie in [nu, 1/nu] up to
+    1e-10 of each bound, so nu |xi|^2 <= xi' A xi <= |xi|^2 / nu everywhere
+    in D; ``extremes`` keeps the least and the largest of them.
     """
 
     CELLS: ClassVar[int] = 4
@@ -125,11 +126,12 @@ class CoefficientField:
         self.tiles = np.array(tiles, dtype=float)
         if np.abs(self.tiles[:, 0, 1] - self.tiles[:, 1, 0]).max() > 1e-14:
             raise ValueError("coefficient matrix must be symmetric")
-        # the eigenvalues of [[a, b], [b, d]] are (a + d) / 2 -+ |((a - d) / 2, b)|
-        mean = 0.5 * (self.tiles[:, 0, 0] + self.tiles[:, 1, 1])
-        radius = np.hypot(0.5 * (self.tiles[:, 0, 0] - self.tiles[:, 1, 1]), self.tiles[:, 0, 1])
-        lo, hi = (mean - radius).min(), (mean + radius).max()
-        if not (lo >= self.nu - 1e-10 and hi <= 1.0 / self.nu + 1e-10):
+        # eigenvalues m -+ r of [[a, b], [b, d]]; m - r as det / (m + r), free of cancellation
+        a, b, d = self.tiles[:, 0, 0], self.tiles[:, 0, 1], self.tiles[:, 1, 1]
+        m, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+        low = np.divide(a * d - b * b, m + r, out=m - r, where=m + r > 0)
+        self.extremes = lo, hi = float(low.min()), float((m + r).max())
+        if not (lo >= self.nu * (1.0 - 1e-10) and hi <= (1.0 + 1e-10) / self.nu):
             raise ValueError(
                 "declared ellipticity constant violated: "
                 f"eigenvalue range [{lo:.6e}, {hi:.6e}] vs nu={self.nu}"
@@ -261,12 +263,18 @@ def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
     """Energy space of the background square: P1 stiffness and mass Grams
     on the interior vertices, with the coefficient sampled at centroids.
 
-    The mass Gram is definite by construction, so the space factors only
-    the stiffness: each element mass (|T|/12)(I + 11') has eigenvalues
-    |T|/12, |T|/12 and |T|/3, so u'Mu = sum_T u_T' M_T u_T is at least
-    min|T|/12 |u|^2 when every triangle has positive area and every dof
-    lies in a triangle.  Both are checked here, and where either fails the
-    space proves M definite by its pivots instead."""
+    Both Grams are definite by construction, so the space factors neither.
+    Each element mass (|T|/12)(I + 11') has eigenvalues |T|/12, |T|/12 and
+    |T|/3, so u'Mu >= min|T|/12 |u|^2 when every triangle has positive area
+    and every dof lies in a triangle.  Each element stiffness |T| G' C_T G
+    has C_T >= c_min I, so A >= c_min A_lap, with (c_min, c_max) =
+    ``coeff.extremes`` and A_lap the P1 Dirichlet Laplacian of this grid,
+    the 5-point stencil, whose least eigenvalue is 8 sin^2(pi h / 2).
+    Rounding moves A by under 2e-13 n c_max in the 2-norm: vertices off by
+    2u (u = 2^-53) on edges of length h put each element term, at most
+    2 c_max, off by 48 n u of that, and a row of A sums at most 18 terms.
+    The proof asks for c_min 8 sin^2(pi h / 2) > 1e-12 n c_max, a safety
+    factor of 5.  Where either proof fails, both Grams are proved by pivots."""
     coeff_mats = coeff.sample(mesh.centroids)
     stiff_loc, mass_loc = _element_matrices(mesh, coeff_mats)
     n = mesh.n_dofs
@@ -280,8 +288,10 @@ def assemble(mesh: BackgroundMesh, coeff: CoefficientField) -> EnergySpace:
         # COO -> CSR sums the duplicate entries; EnergySpace symmetrizes
         return sp.coo_array((local.reshape(-1, 9)[ok], index), shape=(n, n)).tocsr()
 
-    definite = mesh.areas.min() > 0 and mesh._incident_total[mesh.interior_vertices].min() > 0
-    return EnergySpace(gram(stiff_loc), gram(mass_loc), mass_definite=bool(definite))
+    c_min, c_max = coeff.extremes
+    stiff = c_min * 8.0 * np.sin(0.5 * np.pi * mesh.h) ** 2 > 1e-12 * mesh.n * c_max
+    mass = mesh.areas.min() > 0 and mesh._incident_total[mesh.interior_vertices].min() > 0
+    return EnergySpace(gram(stiff_loc), gram(mass_loc), definite=bool(stiff and mass))
 
 
 def carve_subspace(space: EnergySpace, mesh: BackgroundMesh, dom: DomainSpec) -> Subspace:

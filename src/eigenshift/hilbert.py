@@ -15,11 +15,12 @@ mesh.  That is no loss for pairs: in a basis adapted to H1 cap H2, H1 and
 H2, any two subspaces are coordinate spans, and every quantity here is
 invariant under the congruence A -> B'AB, M -> B'MB.  Every subspace
 operator (projector, solution operator, corrector) is one representer
-solve, :meth:`Subspace._solve`, with one cached sparse LU factor of the CSR
-energy block A_II (on every index, the parent's factor of A and its
-Grams).  The inner operand of a nested pair that removes at most 48 dofs
-solves through the union's factor instead, by a capacitance correction
-(:class:`SubspacePair`), and builds no factor.
+solve, :meth:`Subspace._solve`, with the one sparse LU factor of the CSR
+energy block A_II (on every index, the Gram itself) that the subspace
+builds on first use; the space keeps none.  The inner operand of a nested
+pair that removes at most 48 dofs solves through the union's factor
+instead, by a capacitance correction (:class:`SubspacePair`), and builds
+no factor.
 
 A pencil (K, A_II) is solved completely by LAPACK's generalized driver up
 to scipy's default Krylov size max(2k + 1, 20) (:func:`_solved_densely`),
@@ -31,10 +32,10 @@ from.  The lowest eigenpairs of a subspace are the top ones of (M_II, A_II),
 grown and checked as :func:`solve_operator_eigs` states: only the slice it
 returns is proved complete, by Courant-Fischer interlacing with the
 certified spectrum of a subspace that holds it (:func:`_interlacing_gap`),
-or else by a Sylvester count from sparse pivots (:func:`_count_below`).  A
-mass Gram that is definite by construction (``fem2d.assemble``) is not
-factored; any other is proved definite by its pivots.  sigma, sigma* and
-the embedding constant are largest eigenvalues, a dense one solved by
+or else by a Sylvester count from sparse pivots (:func:`_count_below`).
+Grams definite by construction (``fem2d.assemble``) are not factored; any
+others are proved definite by their pivots.  sigma, sigma* and the
+embedding constant are largest eigenvalues, a dense one solved by
 :func:`_dense_max`; a :class:`SubspacePair` decides once how two subspaces
 relate and solves each of its pencils once, densely on the removed dofs
 where it solves through the union.  Only the abstract suite's
@@ -131,16 +132,15 @@ def _symmetric_splu(mat: sp.csr_array):
 
 
 def _symmetric_factor(mat: sp.csr_array):
-    """Symmetric sparse factor P mat P' = L U with U = D L', L unit lower
-    triangular, and its pivots D = diag(U), to which mat is congruent, so
-    their signs are its inertia (Sylvester).  None when the factor is
-    exactly singular or SuperLU left the diagonal (perm_r != perm_c), where
-    that congruence fails."""
+    """The pivots D = diag(U) of a symmetric sparse factor P mat P' = L U,
+    U = D L', to which mat is congruent, so their signs are its inertia
+    (Sylvester); the factor is not kept.  None when it is exactly singular
+    or SuperLU left the diagonal (perm_r != perm_c), where that fails."""
     try:
         lu = _symmetric_splu(mat)
     except RuntimeError:
         return None
-    return (lu, lu.U.diagonal()) if np.array_equal(lu.perm_r, lu.perm_c) else None
+    return lu.U.diagonal() if np.array_equal(lu.perm_r, lu.perm_c) else None
 
 
 def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> int:
@@ -150,9 +150,9 @@ def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> 
     the midpoint or else other points of it; PencilError if none shows it."""
     lo, hi = gap
     for shift in (0.5 * (lo + hi), *(lo + t * (hi - lo) for t in (0.25, 0.75, 0.125, 0.875))):
-        factor = _symmetric_factor(a - shift * m)
-        if factor is not None and lo < shift < hi:
-            return int(np.count_nonzero(factor[1] < 0))
+        pivots = _symmetric_factor(a - shift * m)
+        if pivots is not None and lo < shift < hi:
+            return int(np.count_nonzero(pivots < 0))
     raise PencilError(
         f"no shift inside the gap ({lo:.6e}, {hi:.6e}) gives symmetric sparse pivots"
     )
@@ -166,33 +166,24 @@ class EnergySpace:
     on first use, for small spaces and reference checks.  Both Grams must be
     symmetric positive definite (which also guarantees the embedding
     constant is finite and positive).  Positive pivots of a symmetric sparse
-    factorization prove it at construction, or
+    factorization of each prove it at construction, or
     :class:`NotPositiveDefiniteError` is raised with the smallest pivot; no
-    dense matrix is formed.  The energy factor is kept: a subspace on every
-    index solves with it.  ``mass_definite`` skips the mass factor; only a
-    proof by construction may set it, as ``fem2d.assemble`` does from the
-    mesh, and every space built from matrices alone keeps the pivot check.
+    dense matrix is formed and no factor is kept (a :class:`Subspace`
+    factors its own block).  ``definite`` skips both; only a proof by
+    construction may set it (``fem2d.assemble``).
     """
 
-    def __init__(self, energy_gram, mass_gram, *, mass_definite: bool = False):
+    def __init__(self, energy_gram, mass_gram, *, definite: bool = False):
         self.energy_csr = _check_gram(energy_gram, "energy_gram")
         self.mass_csr = _check_gram(mass_gram, "mass_gram")
         if self.energy_csr.shape != self.mass_csr.shape:
             raise ValueError("energy_gram and mass_gram must have the same shape")
         self.dim = self.energy_csr.shape[0]
-        self._energy_lu = self._definite_factor(self.energy_csr, "energy_gram")
-        if not mass_definite:
-            self._definite_factor(self.mass_csr, "mass_gram")
-
-    def _definite_factor(self, csr: sp.csr_array, name: str):
-        """The symmetric sparse factor whose positive pivots prove the Gram
-        definite; NotPositiveDefiniteError when they do not, carrying the
-        factor's smallest pivot (NaN when no symmetric factor forms)."""
-        factor = _symmetric_factor(csr)
-        smallest = np.nan if factor is None else float(factor[1].min())
-        if not smallest > 0:
-            raise NotPositiveDefiniteError(name, smallest, "pivot")
-        return factor[0]
+        for name in () if definite else ("energy", "mass"):
+            pivots = _symmetric_factor(getattr(self, f"{name}_csr"))
+            smallest = np.nan if pivots is None else float(pivots.min())
+            if not smallest > 0:
+                raise NotPositiveDefiniteError(f"{name}_gram", smallest, "pivot")
 
     @cached_property
     def energy_gram(self) -> np.ndarray:
@@ -223,8 +214,10 @@ class EnergySpace:
         return float(np.sqrt(max(self.mass_inner(u, u), 0.0)))
 
     def whole(self) -> "Subspace":
-        """The whole space as a nodal subspace."""
-        return Subspace(self, np.arange(self.dim))
+        """The whole space as a nodal subspace, the same one on every call."""
+        if "_whole" not in self.__dict__:
+            self._whole = Subspace(self, np.arange(self.dim))
+        return self._whole
 
 
 class Subspace:
@@ -232,12 +225,12 @@ class Subspace:
     vectors at a sorted index set I (nodal).
 
     Projections are energy orthogonal.  Every operator goes through one
-    representer solve, :meth:`_solve`: E A_II^-1 rhs_I through a cached
-    sparse LU of the CSR block A_II, so no dense N x N matrix is formed, or
-    through the solver that a :class:`SubspacePair` hands it before then
-    (:meth:`_take_solver`), in which case A_II is not factored.  A
-    subspace spanned by other vectors is a coordinate span after a
-    congruence of the Grams (see the module docstring).
+    representer solve, :meth:`_solve`: E A_II^-1 rhs_I through the one
+    sparse LU of the CSR block A_II, built on first use (no dense N x N
+    matrix is formed), or through the solver that a :class:`SubspacePair`
+    hands it before then (:meth:`_take_solver`), in which case A_II is not
+    factored.  A subspace spanned by other vectors is a coordinate span
+    after a congruence of the Grams (see the module docstring).
     """
 
     def __init__(self, parent: EnergySpace, indices):
@@ -268,10 +261,7 @@ class Subspace:
 
     @cached_property
     def _restricted_energy_solve(self):
-        """Solver for A_II, factored on first use; a subspace on every index
-        solves with the parent's factor."""
-        if self.dim == self.parent.dim:
-            return self.parent._energy_lu.solve
+        """Solver for A_II, factored on first use."""
         return _symmetric_splu(self._energy_block).solve
 
     def _take_solver(self, solve) -> None:

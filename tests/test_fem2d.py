@@ -70,9 +70,20 @@ def test_coefficient_ellipticity_validated():
     c, s = np.cos(np.pi / 16.0), np.sin(np.pi / 16.0)
     rot = np.array([[c, -s], [s, c]])
     rotated = rot @ np.diag([0.49, 1.0]) @ rot.T
-    for matrix, nu in ((np.diag([4.0, 0.5]), 1.0), (0.5 * (rotated + rotated.T), 0.5)):
+    # the slack is relative to each bound: a tile below a tiny nu, even a
+    # non-positive one, is refused
+    cases = (
+        (np.diag([4.0, 0.5]), 1.0),
+        (0.5 * (rotated + rotated.T), 0.5),
+        (np.diag([-5e-11, 1.0]), 1e-11),
+        (np.diag([1e-11, 1.0]), 1e-10),
+    )
+    for matrix, nu in cases:
         with pytest.raises(ValueError, match="ellipticity"):
             CoefficientField.constant(matrix, nu=nu)
+    # a tile at a tiny nu is accepted: its smaller eigenvalue is read without
+    # cancellation, exactly here
+    assert CoefficientField.constant(np.diag([1e-13, 1.0]), nu=1e-13).extremes == (1e-13, 1.0)
     with pytest.raises(ValueError, match="nu must be in"):
         CoefficientField.checker(0.0)
 
@@ -517,17 +528,47 @@ def _count_factors(monkeypatch):
 
 def test_assembled_mass_is_definite_by_construction(monkeypatch):
     # every triangle of the grid has positive area and every dof lies in one,
-    # so the space factors only the stiffness
+    # and the stiffness proof holds too, so the space factors neither Gram
     factors = _count_factors(monkeypatch)
     mesh = BackgroundMesh(6)
     space = assemble(mesh, CoefficientField.checker(0.5))
-    assert factors == [(mesh.n_dofs, mesh.n_dofs)]
+    assert factors == []
     assert np.linalg.eigvalsh(space.mass_gram)[0] >= mesh.areas.min() / 12 * (1 - 1e-12)
-    # a zero area voids the proof, and the mass pivots are checked again
-    factors.clear()
+    # a zero area voids the mass proof, and both Grams' pivots are checked again
     mesh.areas = np.where(np.arange(mesh.n_triangles) == 0, 0.0, mesh.areas)
     assemble(mesh, CoefficientField.identity())
-    assert len(factors) == 2
+    assert factors == [(mesh.n_dofs, mesh.n_dofs)] * 2
+
+
+_ANISOTROPIC = CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]], nu=0.45)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize(
+    "coeff",
+    [CoefficientField.identity(), CoefficientField.checker(0.5), _ANISOTROPIC],
+    ids=["identity", "checker", "anisotropic"],
+)
+def test_assembled_stiffness_is_definite_by_construction(monkeypatch, n, coeff):
+    # A >= c_min A_lap, whose least eigenvalue on the n x n grid is
+    # 8 sin^2(pi / (2 n)), with c_min the least tile eigenvalue
+    factors = _count_factors(monkeypatch)
+    space = assemble(BackgroundMesh(n), coeff)
+    assert factors == []
+    c_min = np.linalg.eigvalsh(coeff.tiles).min()
+    bound = c_min * 8.0 * np.sin(np.pi / (2 * n)) ** 2
+    assert np.linalg.eigvalsh(space.energy_gram)[0] >= bound * (1 - 1e-10)
+    if np.array_equal(coeff.tiles, [np.eye(2)]):  # A is the 5-point stencil itself
+        assert np.linalg.eigvalsh(space.energy_gram)[0] == pytest.approx(bound, rel=1e-12)
+
+
+def test_stiffness_proof_below_the_rounding_margin_checks_pivots(monkeypatch):
+    # c_min / c_max = 1e-13: c_min 8 sin^2(pi / 8) = 1.2e-13 does not clear
+    # the margin 1e-12 n c_max = 4e-12, so both Grams are proved by pivots
+    factors = _count_factors(monkeypatch)
+    mesh = BackgroundMesh(4)
+    assemble(mesh, CoefficientField.constant(np.diag([1e-13, 1.0]), nu=1e-13))
+    assert factors == [(mesh.n_dofs, mesh.n_dofs)] * 2
 
 
 @pytest.mark.parametrize(

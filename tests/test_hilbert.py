@@ -441,14 +441,28 @@ def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
     assert all(np.array_equal(indices, inter) for indices in solved)
 
 
-def test_whole_space_shares_the_parent_factor(monkeypatch):
+def test_whole_space_factors_its_gram_once_on_first_use(monkeypatch):
+    # the space keeps no factor; space.whole() is one subspace, whose block
+    # is the Gram itself, factored once when it first solves
     space, whole, h2 = _fem_pair(12, *_fem_pairs(12)["shrink"])
-    assert whole.dim == space.dim
-    for sub in (whole, space.whole()):
-        assert sub._restricted_energy_solve.__self__ is space._energy_lu
+    # the carved reference on every index is a subspace of its own
+    assert whole.dim == space.dim and whole is not space.whole()
+    assert space.whole() is space.whole()
+    assert space.whole()._energy_block is space.energy_csr
     rhs = np.random.default_rng(0).standard_normal((space.dim, 3))
-    fresh = hilbert._symmetric_splu(whole._energy_block).solve(rhs)
-    assert np.array_equal(whole._solve(rhs), fresh)
+    fresh = hilbert._symmetric_splu(space.energy_csr).solve(rhs)
+    factored = []
+    true_splu = hilbert._symmetric_splu
+
+    def spy(mat):
+        factored.append(mat.shape[0])
+        return true_splu(mat)
+
+    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
+    for sub in (whole, space.whole(), space.whole()):
+        assert np.array_equal(sub._solve(rhs), fresh)
+    assert factored == [space.dim, space.dim]
+    monkeypatch.undo()
     # a crossing pair's union is neither operand, and is factored on its own
     space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
     union = np.union1d(h1.indices, h2.indices)
@@ -548,7 +562,9 @@ def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, n, remov
     assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-10)
     assert sigma_star(pair) == pytest.approx(want_star, rel=1e-10)
     assert lanczos == ([] if through_union else [space.dim])
-    assert factored == ([] if through_union else [pair.inter.dim])
+    # the union builds its factor on first use: in the pair's constructor up
+    # to the threshold, and in its Lanczos solve above it
+    assert factored == ([] if through_union else [pair.union.dim, pair.inter.dim])
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand"])

@@ -19,7 +19,9 @@ message on each tree that raised, and the other configs are still
 compared.  The exit status is 1 when any file differs or is missing on one
 side, or any config failed.  Under each ``differ`` line come the
 worst float drift, relative to the largest magnitude of its column on
-either side, then each column that drifts but stays below ``ZERO_FLOOR`` =
+either side, then the drift of each float column that drifts, one line
+each, worst first (a column whose values all stay equal is not listed),
+then each column that drifts but stays below ``ZERO_FLOOR`` =
 1e-20 on both sides, zero up to rounding as ``tests/test_golden.py`` reads
 it, as ``exact-zero column, largest |x| ...`` and outside the worst drift,
 and every non-float difference (a string, int, bool or null,
@@ -32,10 +34,14 @@ request lists each attempt), the count of ``hilbert._lanczos_top`` solves
 and the count of ``hilbert._symmetric_splu`` factorizations on each tree,
 all recorded by wrapping those functions in the tree's own interpreter, so
 a change to the workloads' eigensolves and factors shows even when every
-output is the same.  The factorizations are split by the routine that asked
-for them: space factors (the definiteness factors of an ``EnergySpace``'s A
-and M, ``_definite_factor``), solve factors (a subspace's A_II,
-``_restricted_energy_solve``) and inertia-count factors (``_count_below``).
+output is the same; ``verify_fem`` gets the same line.  The factorizations
+are split by the routine that asked for them: space factors (the pivot
+proofs that an ``EnergySpace``'s A and M are definite, made in
+``EnergySpace.__init__``, or in ``_definite_factor`` on a tree that kept
+A's factor there), solve factors (a subspace's A_II, each built on first
+use, ``_restricted_energy_solve``) and inertia-count factors
+(``_count_below``).  A space that ``fem2d.assemble`` proves definite by
+construction makes no space factor.
 The partial spectra (the reference's among them) are split by what proved
 them complete: interlacing with the reference, or a
 ``hilbert._count_below`` Sylvester count.  Then come the pairs that solved
@@ -113,12 +119,20 @@ def counted(key, func):
         return func(*args, **kwargs)
     return spy
 
-def spy_splu(*args, **kwargs):
-    # the innermost caller that names a kind of factor
-    frame = sys._getframe(1)
-    while frame is not None and frame.f_code.co_name not in FACTOR_KINDS:
+def factor_kind(frame):
+    # the innermost caller that names a kind of factor; an EnergySpace's own
+    # constructor proves its Grams definite
+    while frame is not None:
+        code = frame.f_code.co_name
+        if code == "__init__" and isinstance(frame.f_locals.get("self"), hilbert.EnergySpace):
+            return "space"
+        if code in FACTOR_KINDS:
+            return FACTOR_KINDS[code]
         frame = frame.f_back
-    kind = "other" if frame is None else FACTOR_KINDS[frame.f_code.co_name]
+    return "other"
+
+def spy_splu(*args, **kwargs):
+    kind = factor_kind(sys._getframe(1))
     factors = log[name]["factors"]
     factors[kind] = factors.get(kind, 0) + 1
     return splu(*args, **kwargs)
@@ -129,17 +143,24 @@ pair_init = hilbert.SubspacePair.__init__
     spy_solve, spy_attempt, counted("lanczos", lanczos), spy_splu, counted("counted", count),
     spy_pair,
 )
-for path in sorted(configs.glob("*.json")):
-    name = path.stem
-    log[name] = {
+def entry():
+    return {
         "requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0,
         "through_union": [],
     }
+
+for path in sorted(configs.glob("*.json")):
+    name = path.stem
+    log[name] = entry()
     try:
         config = harness.ScenarioConfig.from_json(path)
         harness.write_report(harness.run_scenario(config), out / name)
     except Exception as exc:  # this config's failure; the others still run
         log[name]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
+name = "verify_fem"
+log[name] = entry()
+text = json.dumps(harness.verify_fem(), indent=2, sort_keys=True)
+(out / "verify_fem.json").write_text(text + "\\n", encoding="utf-8")
 (hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
  hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
     solve, attempt, lanczos, splu, count, pair_init
@@ -149,8 +170,6 @@ for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
     text = json.dumps(summary, indent=2, sort_keys=True)
     (out / f"verify_abstract_{seed}.json").write_text(text + "\\n", encoding="utf-8")
-text = json.dumps(harness.verify_fem(), indent=2, sort_keys=True)
-(out / "verify_fem.json").write_text(text + "\\n", encoding="utf-8")
 """
 
 
@@ -224,12 +243,14 @@ def _finite(value) -> bool:
 
 
 def differences(left: Path, right: Path) -> list:
-    """The worst relative float drift and every non-float difference of
-    two outputs, one line each.  Two finite numbers of which one is a float
-    (a CSV float can read as an int) drift relative to the largest finite
+    """The worst relative float drift, then the drift of every float column
+    that drifts, worst first, then every non-float difference of two
+    outputs, one line each.  Two finite numbers of which one is a float (a
+    CSV float can read as an int) drift relative to the largest finite
     magnitude of their column on either side, unless that is below
     ZERO_FLOOR, where the column is reported by its largest magnitude
-    alone; anything else must be equal, NaN to NaN."""
+    alone; a column whose values are all equal is not listed, and anything
+    else must be equal, NaN to NaN."""
     if not (left.is_file() and right.is_file()):
         return [f"only in the {'change' if right.is_file() else 'parent'} tree"]
     old, new = leaves(left), leaves(right)
@@ -237,7 +258,7 @@ def differences(left: Path, right: Path) -> list:
     for column, value in (*old.values(), *new.values()):
         if _finite(value):
             scale[column] = max(scale.get(column, 0.0), abs(value))
-    worst, where, zeros, lines = 0.0, None, set(), []
+    drifts, zeros, lines = {}, set(), []
     for location in sorted(old.keys() | new.keys()):
         if location not in old or location not in new:
             side = "parent" if location in old else "change"
@@ -250,18 +271,21 @@ def differences(left: Path, right: Path) -> list:
                     zeros.add(column)
                 continue
             drift = abs(a - b) / scale[column]
-            if drift > worst:
-                worst, where = drift, column
+            if drift > drifts.get(column, 0.0):
+                drifts[column] = drift
         elif not (a == b or a != a and b != b):  # NaN equals NaN here
             lines.append(f"{location}: {json.dumps(a)} -> {json.dumps(b)}")
     lines[:0] = [
         f"exact-zero column, largest |x| {scale[column]:.2e}, in {column}"
         for column in sorted(zeros)
     ]
-    if where is not None:
-        lines.insert(
-            0, f"worst float drift {worst:.2e} of its column's largest magnitude, in {where}"
-        )
+    ranked = sorted(drifts.items(), key=lambda item: (-item[1], item[0]))
+    if ranked:
+        lines[:0] = [
+            f"worst float drift {ranked[0][1]:.2e} of its column's largest magnitude, "
+            f"in {ranked[0][0]}",
+            *(f"  drift {drift:.2e} in {column}" for column, drift in ranked),
+        ]
     return lines
 
 
@@ -346,7 +370,7 @@ def main(argv: list) -> int:
     print("eigensolves per config: n_lowest of every request (Lanczos solves, factorizations = "
           "space + solve + count; partial spectra proved by interlacing + counted; "
           "|R| of each pair solved through the union), PARENT -> CHANGE")
-    for name in configs:
+    for name in [*configs, "verify_fem"]:
         old, new = (
             f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])}; "
             f"{entry['interlaced']} + {entry['counted']}; "
