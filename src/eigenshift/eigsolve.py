@@ -1,14 +1,14 @@
 """Dense symmetric generalized eigenvalue kernel with residual certification.
 
-:func:`solve_pencil` solves, and returns, a complete dense pencil with a
-uniform ordering, sign convention and residual check (:func:`_certify`).
-Every dense pencil goes through LAPACK's generalized driver (:func:`_eigh`).
-``hilbert`` solves a pencil on a subspace with it up to scipy's default
-Krylov size max(2k + 1, 20) and by Lanczos above it, and each dense pencil
-of a largest eigenvalue in ``hilbert._dense_max``.  Each pair read is
-certified once with :func:`_certify`, a dense pair against the K it was
-solved from, a Lanczos pair through K as a callback.  Only Lanczos gives a
-partial spectrum.  Interlacing with a certified spectrum of a larger
+:func:`solve_pencil` solves, and returns, a complete dense pencil by
+LAPACK's generalized driver (:func:`_eigh`), with a uniform ordering, sign
+convention and residual check of every pair (:func:`_certify`).  Every dense
+pencil of the package goes through it; ``hilbert._top_pairs`` solves a
+pencil on a subspace with it up to scipy's default Krylov size
+max(2k + 1, 20) and by Lanczos above it.  Each pair read is certified once
+with :func:`_certify`, a dense pair here against the K it was solved from,
+a Lanczos pair by ``_top_pairs`` through K as a callback.  Only Lanczos
+gives a partial spectrum.  Interlacing with a certified spectrum of a larger
 subspace certifies that none below its kept pairs was missed, where it
 holds, and otherwise a Sylvester inertia count from sparse pivots inside
 the gap above them does (``hilbert.solve_operator_eigs``).

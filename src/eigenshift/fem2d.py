@@ -326,10 +326,10 @@ def gradient_energy_form(
 ) -> np.ndarray:
     """Quadratic form of the region gradient energy (coefficients ignored)
     on a vector or an N x J block of vectors."""
+    if space.dim != mesh.n_dofs:
+        raise MeshError("energy space does not match the mesh")
     region = _element_ids(mesh, region)
     u = space.check_vector(block).reshape(space.dim, -1)
-    if space.dim != mesh.n_dofs:
-        raise MeshError(f"coefficients must have {mesh.n_dofs} rows")
     grads = mesh.gradients[region]
     # the corners' dofs as assemble maps them; a boundary corner (-1) reads the zero row
     local = np.vstack([u, np.zeros((1, u.shape[1]))])[mesh.dof_of_vertex[mesh.triangles[region]]]

@@ -22,23 +22,24 @@ pair that removes at most 48 dofs solves through the union's factor
 instead, by a capacitance correction (:class:`SubspacePair`), and builds
 no factor.
 
-A pencil (K, A_II) is solved completely by LAPACK's generalized driver up
-to scipy's default Krylov size max(2k + 1, 20) (:func:`_solved_densely`),
-where ARPACK's Krylov space would be the whole subspace, and above it by
-Lanczos through the factor from a seeded start vector.  Each caller
-certifies every pair it reads once with :func:`eigsolve._certify`
-(allowance relative to |x|), a dense pair against the dense K it was solved
-from.  The lowest eigenpairs of a subspace are the top ones of (M_II, A_II),
-grown and checked as :func:`solve_operator_eigs` states: only the slice it
-returns is proved complete, by Courant-Fischer interlacing with the
-certified spectrum of a subspace that holds it (:func:`_interlacing_gap`),
-or else by a Sylvester count from sparse pivots (:func:`_count_below`).
-Grams definite by construction (``fem2d.assemble``) are not factored; any
-others are proved definite by their pivots.  sigma, sigma* and the
-embedding constant are largest eigenvalues, a dense one solved by
-:func:`_dense_max`; a :class:`SubspacePair` decides once how two subspaces
-relate and solves each of its pencils once, densely on the removed dofs
-where it solves through the union.  Only the abstract suite's
+A pencil (K, A_II) is solved by one switch, :func:`_top_pairs`: completely
+by :func:`eigsolve.solve_pencil` up to scipy's default Krylov size
+max(2k + 1, 20), where ARPACK's Krylov space would be the whole subspace,
+and above it by Lanczos through the factor from a seeded start vector.
+Every pair read is certified once with :func:`eigsolve._certify` (allowance
+relative to |x|): a dense pair inside ``solve_pencil``, which solves every
+dense pencil here, against the dense K it was solved from, and a Lanczos
+pair by :func:`_top_pairs`.  The lowest eigenpairs of a subspace are the
+top ones of (M_II, A_II), grown and checked as :func:`solve_operator_eigs`
+states: only the slice it returns is proved complete, by Courant-Fischer
+interlacing with the certified spectrum of a subspace that holds it
+(:func:`_interlacing_gap`), or else by a Sylvester count from sparse pivots
+(:func:`_count_below`).  Grams definite by construction
+(``fem2d.assemble``) are not factored; any others are proved definite by
+their pivots.  sigma, sigma* and the embedding constant are largest
+eigenvalues (:func:`_pencil_max`); a :class:`SubspacePair` decides once how
+two subspaces relate and solves each of its pencils once, densely on the
+removed dofs where it solves through the union.  Only the abstract suite's
 counterexamples and grid oracle read the dense Gram views.
 """
 
@@ -52,7 +53,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .eigsolve import NotPositiveDefiniteError, PencilError, _certify, _eigh, _fix_signs
+from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
+from .eigsolve import _certify, _fix_signs
 
 __all__ = [
     "EnergySpace",
@@ -394,30 +396,24 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
 
 
-def _solved_densely(sub: Subspace, k: int) -> bool:
-    return sub.dim <= max(2 * k + 1, 20)  # scipy's default Krylov size
-
-
-def _dense_max(kmat: np.ndarray, bmat: np.ndarray) -> float:
-    """Largest eigenvalue, clipped at 0, of the complete dense pencil (K, B),
-    K symmetrized: solved by LAPACK's generalized driver, and its top pair
-    certified against that K, so it is certified as the largest."""
-    kmat = 0.5 * (kmat + kmat.T)
-    theta, vecs = _eigh(kmat, bmat)
-    _certify(kmat, bmat, theta[-1:], vecs[:, -1:])
-    return max(float(theta[-1]), 0.0)
+def _top_pairs(sub: Subspace, kmat, k: int, step=None) -> tuple[np.ndarray, np.ndarray]:
+    """At least the top k eigenpairs of a pencil (K, A_II) on the coordinates
+    of ``sub``, K applied by ``kmat``, each certified once.  Up to scipy's
+    default Krylov size max(2k + 1, 20) every pair, ascending, by
+    :func:`eigsolve.solve_pencil` on K = kmat(I); above it the top k by
+    Lanczos applying ``step``, which need only agree with K on the Krylov
+    space, certified through ``kmat``."""
+    if sub.dim <= max(2 * k + 1, 20):
+        return solve_pencil(SymmetricPencil(kmat(np.eye(sub.dim)), sub._energy_block.toarray()))
+    theta, vecs = _lanczos_top(sub, step or kmat, k)
+    _certify(kmat, sub._energy_block, theta, vecs)
+    return theta, vecs
 
 
 def _pencil_max(union: Subspace, numerator, step=None) -> float:
     """Largest eigenvalue, clipped at 0, of a pencil (K, A_UU) on the
-    coordinates of ``union``, K applied by ``numerator``: by :func:`_dense_max`
-    on K = numerator(I) up to the dense size, and above it by Lanczos
-    applying ``step``, which need only agree with K on the Krylov space."""
-    if _solved_densely(union, 1):
-        return _dense_max(numerator(np.eye(union.dim)), union._energy_block.toarray())
-    theta, vecs = _lanczos_top(union, step or numerator, 1)
-    _certify(numerator, union._energy_block, theta, vecs)
-    return max(float(theta[0]), 0.0)
+    coordinates of ``union``, K applied by ``numerator``: :func:`_top_pairs`."""
+    return max(float(_top_pairs(union, numerator, 1, step)[0][-1]), 0.0)
 
 
 class SubspacePair:
@@ -441,10 +437,11 @@ class SubspacePair:
     is |R| (0 on any other pair).  range(P) is spanned by W = A_UU^-1 E_R,
     built once, and W' A_UU W = E_R' W = C, the capacitance matrix, so sigma*
     is the top eigenvalue of the dense |R| x |R| pencil (W' M_UU W, C), which
-    :func:`_dense_max` certifies as the largest.  The pair hands its inner
-    operand the capacitance solve of :func:`_capacitance_solve` (Buzbee,
-    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971): unless that operand
-    already solves with a factor of its own, no factor of A_II is built.  A
+    :func:`eigsolve.solve_pencil` certifies as the largest.  The pair hands
+    its inner operand the capacitance solve of :func:`_capacitance_solve`
+    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971): unless that
+    operand already solves with a factor of its own, no factor of A_II is
+    built.  A
     crossing pair, or a nested one that removes more, solves on the union by
     :func:`_pencil_max`.  There P is A-self-adjoint, so A_UU^-1 P' M =
     P A_UU^-1 M maps into range(P), where P' M P = P' M: Lanczos applies
@@ -498,7 +495,8 @@ class SubspacePair:
         if union is inter:
             return 0.0
         if self.removed:
-            return _dense_max(self._w.T @ (union._mass_block @ self._w), self._c)
+            kmat = self._w.T @ (union._mass_block @ self._w)
+            return max(float(solve_pencil(SymmetricPencil(kmat, self._c))[0][-1]), 0.0)
         a, m = union.parent.energy_csr, union.parent.mass_csr
 
         def step(coords):
@@ -566,15 +564,10 @@ def _lowest_attempt(sub: Subspace, group_tol: float, n: int | None):
     with the solver's coordinates on sub as vectors, and every eigenvalue it
     computed, ascending."""
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
-    a_res, m_res = sub._energy_block, sub._mass_block
-    k = sub.dim if n is None else n + 3
-    if _solved_densely(sub, k):
-        theta, coords = _eigh(m_res.toarray(), a_res.toarray())
-    else:
-        theta, coords = _lanczos_top(sub, lambda x: m_res @ x, k)
+    m_res = sub._mass_block
+    theta, coords = _top_pairs(sub, lambda x: m_res @ x, sub.dim if n is None else n + 3)
     order = np.argsort(-theta, kind="stable")
     theta, coords, complete = theta[order], coords[:, order], theta.size == sub.dim
-    _certify(m_res, a_res, theta, coords)
     lam = 1.0 / theta
     groups = _group_boundaries(lam, group_tol)[: None if complete else -1]
     kept = groups[-1].stop if groups else 0
@@ -649,7 +642,8 @@ def _interlacing_gap(a_res, m_res, block: np.ndarray, outer: EigenDecomposition)
     columns of ``block``, or None when interlacing does not prove one.
 
     q is the largest Rayleigh quotient on span(block), the top eigenvalue of
-    the dense j x j pencil (V'AV, V'MV), so mu_j <= q (Courant-Fischer).
+    the dense j x j pencil (V'AV, V'MV), certified by solve_pencil on
+    (V'MV, V'AV), so mu_j <= q (Courant-Fischer).
     t is the least value that ``outer``'s lambda_{j+1} can take, with
     j < ``outer.n_computed`` so that it lies in the certified slice: in the
     reciprocal scale, its group's mean plus the spread and the solver
@@ -660,7 +654,8 @@ def _interlacing_gap(a_res, m_res, block: np.ndarray, outer: EigenDecomposition)
         return None
     g = next(i for i, sel in enumerate(outer.groups) if j < sel.stop)
     # the smallest reciprocal Rayleigh quotient of span(block) is 1/q
-    theta = _eigh(block.T @ (m_res @ block), block.T @ (a_res @ block))[0][0]
+    pencil = SymmetricPencil(block.T @ (m_res @ block), block.T @ (a_res @ block))
+    theta = solve_pencil(pencil)[0][0]
     edge = 1.0 / outer.values[g] + outer.spreads[g] + _SOLVER_ALLOWANCE
     return (1.0 / theta, 1.0 / edge) if theta > edge else None
 

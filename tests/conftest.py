@@ -39,11 +39,11 @@ def _refuse_toarray(monkeypatch, limit):
 def dense_free(monkeypatch):
     """Make every dense array sized by the mesh raise: the dense Grams of an
     energy space, any sparse matrix larger than DENSE_ROWS_LIMIT, and any
-    pencil larger than that solved by ``solve_pencil``.  The dense branches of
-    ``hilbert._pencil_max`` and ``hilbert._lowest_attempt`` densify A_II, so
-    the toarray refusal covers each of them over DENSE_ROWS_LIMIT rows; the
-    capacitance pencil of ``hilbert._dense_max`` is |R| x |R|, sized by the
-    removed dofs, at most ``hilbert._CAPACITANCE_MAX``."""
+    pencil larger than that solved by ``solve_pencil``, which solves every
+    dense pencil.  The dense branch of ``hilbert._top_pairs`` densifies A_II,
+    so the toarray refusal covers it over DENSE_ROWS_LIMIT rows too; the
+    capacitance pencil of ``SubspacePair.sigma_star`` is |R| x |R|, sized by
+    the removed dofs, at most ``hilbert._CAPACITANCE_MAX``."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")
@@ -58,7 +58,7 @@ def dense_free(monkeypatch):
             raise AssertionError(f"a dense pencil of {pencil.dim} rows was solved")
         return true_solve(pencil)
 
-    for module in (eigsolve, perturbation):
+    for module in (eigsolve, hilbert, perturbation):
         monkeypatch.setattr(module, "solve_pencil", solve_pencil)
 
 

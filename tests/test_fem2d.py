@@ -194,7 +194,7 @@ def _space_of_another_mesh():
             lambda mesh: gradient_energy_form(
                 _space_of_another_mesh(), mesh, np.arange(2), np.zeros(9)
             ),
-            "coefficients must have 49 rows",
+            "energy space does not match the mesh",
         ),
         (
             lambda mesh: collar_elements(mesh, DomainSpec("square_shrink", eps=0.125), q=1.0),

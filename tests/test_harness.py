@@ -427,6 +427,9 @@ def test_traced_run_nests_rho_in_the_correction_with_one_corrector_per_cell():
     assert rho and all(spans[span[1]][2] == "perturbation.assemble_correction" for span in rho)
     metrics = tracer.layer_metrics(spans, len(report.cells))
     assert metrics["hilbert.corrector_block.per_cell"] == 1.0
+    # the pairs remove 24 and 40 dofs, so each sigma is a dense capacitance
+    # pencil solved inside the sigma_distance span
+    assert metrics["hilbert.sigma_distance.pencil_dim_sum"] == 24 + 40
 
 
 def test_reference_that_resolves_too_few_groups_asks_for_more():
@@ -746,9 +749,11 @@ def test_verify_abstract_small_run_passes_and_is_deterministic():
 
 
 def test_each_top_pair_is_certified_once(monkeypatch):
-    # neither the dense solve nor Lanczos certifies; sigma, sigma* and the
-    # eigensolves each certify the pairs they read once.  The suite passes no
-    # outer spectrum, so no interlacing test solves an uncertified pencil
+    # neither LAPACK's driver nor Lanczos certifies; solve_pencil certifies
+    # every dense pencil, and sigma, sigma* and the eigensolves each certify
+    # the Lanczos pairs they read, once.  The abstract suite passes no outer
+    # spectrum; the h=1/12 checker notch at eps=2h proves its perturbed slice
+    # complete by interlacing, whose Ritz pencil is dense
     counts = {"solve": 0, "certify": 0}
 
     def counted(key, func):
@@ -758,12 +763,30 @@ def test_each_top_pair_is_certified_once(monkeypatch):
 
         return spy
 
+    monkeypatch.setattr(eigsolve, "_eigh", counted("solve", eigsolve._eigh))
     for module in (eigsolve, hilbert):
-        monkeypatch.setattr(module, "_eigh", counted("solve", module._eigh))
         monkeypatch.setattr(module, "_certify", counted("certify", module._certify))
     monkeypatch.setattr(hilbert, "_lanczos_top", counted("solve", hilbert._lanczos_top))
+    gaps = []
+    true_gap = hilbert._interlacing_gap
+
+    def spy_gap(*args):
+        gaps.append(true_gap(*args))
+        return gaps[-1]
+
+    monkeypatch.setattr(hilbert, "_interlacing_gap", spy_gap)
     assert verify_abstract(seed=2024, n_cases=50)["passed"]
-    assert counts["solve"] > 0
+    assert counts["solve"] > 0 and gaps == []
+    assert counts["certify"] == counts["solve"]
+    h = 1.0 / 12.0
+    config = ScenarioConfig(
+        scenario="boundary_notch", h=h, eps=[2 * h], m=[1, 2],
+        coefficient={"kind": "checker", "nu": 0.5},
+    )
+    before = counts["solve"]
+    report = run_scenario(config)
+    assert report.passed, report.failures
+    assert counts["solve"] > before and any(gap is not None for gap in gaps)
     assert counts["certify"] == counts["solve"]
 
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import _oracle_grid, fem2d, hilbert
+from eigenshift import _oracle_grid, eigsolve, fem2d, hilbert
 from eigenshift.eigsolve import NotPositiveDefiniteError, PencilError
 from eigenshift.fem2d import CoefficientField, DomainSpec
 from eigenshift.hilbert import (
@@ -583,7 +583,7 @@ def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
     # the dense |R| x |R| pencil's top vector, bent by 1e-6 relative, fails
     # the certificate against the K it was solved from
     space, h1, h2 = _removal_pair("shrink", 8)
-    true_eigh = hilbert._eigh
+    true_eigh = eigsolve._eigh
 
     def bent(a, b):
         theta, vecs = true_eigh(a, b)
@@ -591,7 +591,7 @@ def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
         vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
         return theta, vecs
 
-    monkeypatch.setattr(hilbert, "_eigh", bent)
+    monkeypatch.setattr(eigsolve, "_eigh", bent)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         sigma_distance(SubspacePair(h1, h2))
 
@@ -810,13 +810,13 @@ def test_lowest_eigs_solve_dense_up_to_the_krylov_size(monkeypatch, dofs):
 
 
 def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
-    # the dense solve certifies nothing, so the one certificate of its caller
-    # (_dense_max for sigma, _lowest_attempt for the lowest eigenpairs) must
-    # catch a top pair bent by 1e-6 relative
+    # LAPACK's driver certifies nothing, so the one certificate of
+    # solve_pencil, which solves the dense pencils of sigma and of the lowest
+    # eigenpairs, must catch a top pair bent by 1e-6 relative
     # (test_nodal_sigma_certificate_rejects_wrong_eigenvector bends Lanczos pairs)
     space = random_space(np.random.default_rng(33), 12)
     h1, h2 = Subspace(space, range(8)), Subspace(space, range(2, 12))
-    true_eigh = hilbert._eigh
+    true_eigh = eigsolve._eigh
 
     def corrupted(a, b):
         theta, vecs = true_eigh(a, b)  # ascending, so the top pair is the last
@@ -824,7 +824,7 @@ def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
         vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
         return theta, vecs
 
-    monkeypatch.setattr(hilbert, "_eigh", corrupted)
+    monkeypatch.setattr(eigsolve, "_eigh", corrupted)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         solve_operator_eigs(space.whole(), group_tol=1e-9, n_lowest=4)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
@@ -932,6 +932,31 @@ def test_interlacing_gap_agrees_with_the_sylvester_count(seed, n, noise):
         if gap is not None:
             assert gap[0] < gap[1]
             assert hilbert._count_below(a_res, m_res, gap) == sel.stop
+
+
+def test_interlacing_ritz_pair_is_certified(monkeypatch):
+    # the j x j Ritz pencil of an interlacing proof goes through solve_pencil:
+    # its smallest pair, whose 1/theta is the largest Rayleigh quotient q,
+    # bent by 1e-6 relative, fails the certificate instead of proving a gap
+    space = fem2d.assemble(fem2d.unit_square_mesh(8), CoefficientField.identity())
+    h1, group_tol = space.whole(), fem2d.suggested_group_tol(1.0 / 8.0)
+    h2 = Subspace(space, np.delete(h1.indices, [10, 30]))
+    outer = solve_operator_eigs(h1, group_tol, n_lowest=8)
+    eigs2 = solve_operator_eigs(h2, group_tol)
+    a_res, m_res = h2._energy_block, h2._mass_block
+    block = eigs2.vectors[h2.indices, :3]
+    assert hilbert._interlacing_gap(a_res, m_res, block, outer) is not None
+    true_eigh = eigsolve._eigh
+
+    def bent(a, b):
+        theta, vecs = true_eigh(a, b)  # ascending, so the smallest pair is the first
+        noise = np.random.default_rng(4).standard_normal(vecs.shape[0])
+        vecs[:, 0] += 1e-6 * np.linalg.norm(vecs[:, 0]) * noise / np.linalg.norm(noise)
+        return theta, vecs
+
+    monkeypatch.setattr(eigsolve, "_eigh", bent)
+    with pytest.raises(PencilError, match="eigenpair residual certification failed"):
+        hilbert._interlacing_gap(a_res, m_res, block, outer)
 
 
 # -- operator eigendecomposition ----------------------------------------------

@@ -119,7 +119,7 @@ def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
     eps = [1.0 / 8.0, 2.0 / 8.0]
     assert smoke["h"] == 1.0 / 8.0 and smoke["eps"] == eps
     runs = (
-        (harness.ScenarioConfig.from_dict(smoke), "_eigh"),
+        (harness.ScenarioConfig.from_dict(smoke), "solve_pencil"),
         (harness.ScenarioConfig.from_dict({**smoke, "h": 1.0 / 16.0, "eps": eps}), "_lanczos_top"),
     )
     for config, solver in runs:
@@ -135,9 +135,11 @@ def test_bench_fem_workloads_keep_their_sparse_solves(
 ):
     # the bench measures these sparse factorizations and ARPACK solves; a
     # change to how pencils are solved must not add, drop or densify any.
-    # The factors are the space's A, the subspace solve factors, and the
-    # Sylvester counts of the reference and of each perturbed slice that
-    # interlacing does not prove: 1 + 4 + 3 and 1 + 2 + 2.  The notch's
+    # The factors split as tools/compare_trees.py prints them: the space's
+    # pivot proofs (none, as assemble proves its Grams definite), the
+    # subspace solve factors, and the Sylvester counts of the reference and
+    # of each perturbed slice that interlacing does not prove: 0 + 5 + 3 and
+    # 0 + 3 + 2.  The notch's
     # eps = 2h and 4h pairs remove 8 and 28 dofs, so they build no solve
     # factor, and their sigma is a dense capacitance pencil, not Lanczos
     workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")

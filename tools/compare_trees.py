@@ -37,8 +37,7 @@ a change to the workloads' eigensolves and factors shows even when every
 output is the same; ``verify_fem`` gets the same line.  The factorizations
 are split by the routine that asked for them: space factors (the pivot
 proofs that an ``EnergySpace``'s A and M are definite, made in
-``EnergySpace.__init__``, or in ``_definite_factor`` on a tree that kept
-A's factor there), solve factors (a subspace's A_II, each built on first
+``EnergySpace.__init__``), solve factors (a subspace's A_II, each built on first
 use, ``_restricted_energy_solve``) and inertia-count factors
 (``_count_below``).  A space that ``fem2d.assemble`` proves definite by
 construction makes no space factor.
@@ -90,9 +89,7 @@ solve, attempt, lanczos, splu, count = (
     hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
     hilbert._symmetric_splu, hilbert._count_below,
 )
-FACTOR_KINDS = {
-    "_definite_factor": "space", "_restricted_energy_solve": "solve", "_count_below": "count"
-}
+FACTOR_KINDS = {"_restricted_energy_solve": "solve", "_count_below": "count"}
 log = {}
 
 def spy_solve(*args, **kwargs):
