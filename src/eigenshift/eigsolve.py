@@ -99,12 +99,9 @@ class SymmetricPencil:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: largest-magnitude entry positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            vectors[:, j] = -col
+    """Deterministic sign convention: largest-magnitude entry (the first of a tie) positive."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, top < 0] *= -1.0
     return vectors
 
 

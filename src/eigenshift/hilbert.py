@@ -34,13 +34,14 @@ top ones of (M_II, A_II), grown and checked as :func:`solve_operator_eigs`
 states: only the slice it returns is proved complete, by Courant-Fischer
 interlacing with the certified spectrum of a subspace that holds it
 (:func:`_interlacing_gap`), or else by a Sylvester count from sparse pivots
-(:func:`_count_below`).  Grams definite by construction
-(``fem2d.assemble``) are not factored; any others are proved definite by
-their pivots.  sigma, sigma* and the embedding constant are largest
-eigenvalues (:func:`_pencil_max`); a :class:`SubspacePair` decides once how
-two subspaces relate and solves each of its pencils once, densely on the
-removed dofs where it solves through the union.  Only the abstract suite's
-counterexamples and grid oracle read the dense Gram views.
+(:func:`_count_below`).  Grams definite by construction (``fem2d.assemble``)
+are not factored; any others are proved definite by their pivots.  sigma,
+sigma* and the embedding constant are largest eigenvalues (:func:`_pencil_max`);
+a :class:`SubspacePair` decides once how two subspaces relate and solves each
+of its pencils once, densely on the removed dofs where it solves through the
+union.  Only the abstract suite's counterexamples and grid oracle read the
+dense Gram views.  The solvers note their work only inside a :func:`census`
+block, and no computation reads the notes.
 """
 
 from __future__ import annotations
@@ -85,6 +86,30 @@ _SOLVER_ALLOWANCE = 1e-8
 # the most dofs R a nested pair may remove and still solve through the union's
 # factor (SubspacePair); measured in CHANGES.md
 _CAPACITANCE_MAX = 48
+
+_CENSUSES: dict = {}  # the open census blocks by id; each gets every note
+
+
+class census(dict):
+    """A dict of the solver work done inside ``with census() as record:``, in
+    order: ``requests``, each :func:`_lowest_attempt`'s n (None for all pairs);
+    ``factors``, each sparse factor's (kind, dimension), kind "space" (a pivot
+    proof), "solve" (an A_II) or "count" (a Sylvester shift); the dimension of
+    each ``lanczos`` solve, ``interlaced`` slice and Sylvester count
+    (``counts``); each nested pair's |R| ``through_union``."""
+
+    def __enter__(self):
+        self.update(requests=[], lanczos=[], factors=[], interlaced=[], counts=[], through_union=[])
+        _CENSUSES[id(self)] = self
+        return self
+
+    def __exit__(self, *exc_info):
+        del _CENSUSES[id(self)]
+
+
+def _note(key: str, item) -> None:
+    for record in _CENSUSES.values():
+        record[key].append(item)
 
 
 class DimensionMismatchError(ValueError):
@@ -152,8 +177,10 @@ def _count_below(a: sp.csr_array, m: sp.csr_array, gap: tuple[float, float]) -> 
     the midpoint or else other points of it; PencilError if none shows it."""
     lo, hi = gap
     for shift in (0.5 * (lo + hi), *(lo + t * (hi - lo) for t in (0.25, 0.75, 0.125, 0.875))):
+        _note("factors", ("count", a.shape[0]))
         pivots = _symmetric_factor(a - shift * m)
         if pivots is not None and lo < shift < hi:
+            _note("counts", a.shape[0])
             return int(np.count_nonzero(pivots < 0))
     raise PencilError(
         f"no shift inside the gap ({lo:.6e}, {hi:.6e}) gives symmetric sparse pivots"
@@ -182,6 +209,7 @@ class EnergySpace:
             raise ValueError("energy_gram and mass_gram must have the same shape")
         self.dim = self.energy_csr.shape[0]
         for name in () if definite else ("energy", "mass"):
+            _note("factors", ("space", self.dim))
             pivots = _symmetric_factor(getattr(self, f"{name}_csr"))
             smallest = np.nan if pivots is None else float(pivots.min())
             if not smallest > 0:
@@ -264,6 +292,7 @@ class Subspace:
     @cached_property
     def _restricted_energy_solve(self):
         """Solver for A_II, factored on first use."""
+        _note("factors", ("solve", self.dim))
         return _symmetric_splu(self._energy_block).solve
 
     def _take_solver(self, solve) -> None:
@@ -382,6 +411,7 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
     to every restart vector before it uses them (dgetv0), so the Krylov
     space lies in that range.  The eigenvectors are A_II-orthonormal."""
     n = sub.dim
+    _note("lanczos", n)
     try:
         return eigsh(
             LinearOperator((n, n), matvec=matvec, dtype=float),
@@ -473,6 +503,7 @@ class SubspacePair:
         kept = np.isin(union.indices, inner.indices, assume_unique=True)
         removed = np.flatnonzero(~kept)
         self.removed = removed.size
+        _note("through_union", self.removed)
         e_r = np.zeros((union.dim, removed.size))
         e_r[removed, np.arange(removed.size)] = 1.0
         self._w = w = union._restricted_energy_solve(e_r)
@@ -564,6 +595,7 @@ def _lowest_attempt(sub: Subspace, group_tol: float, n: int | None):
     with the solver's coordinates on sub as vectors, and every eigenvalue it
     computed, ascending."""
     # (phi, v) = lambda <phi, v> restricted: A_res c = lambda M_res c
+    _note("requests", n)
     m_res = sub._mass_block
     theta, coords = _top_pairs(sub, lambda x: m_res @ x, sub.dim if n is None else n + 3)
     order = np.argsort(-theta, kind="stable")
@@ -625,6 +657,7 @@ def solve_operator_eigs(
         for g in range(len(groups), 0, -1):
             head = eigs.head(g)
             if enough(head) and _interlacing_gap(a_res, m_res, blocks[:, :head.n_computed], outer):
+                _note("interlaced", sub.dim)
                 return head
     # Lanczos can miss a copy of a degenerate eigenvalue
     below = _count_below(a_res, m_res, (lam[kept - 1], lam[kept]))

@@ -9,6 +9,7 @@ from eigenshift.eigsolve import (
     SymmetricPencil,
     _certify,
     _eigh,
+    _fix_signs,
     solve_pencil,
 )
 
@@ -46,6 +47,27 @@ def test_b_orthonormality_and_signs():
     for j in range(6):
         k = int(np.argmax(np.abs(vecs[:, j])))
         assert vecs[k, j] > 0
+
+
+def _fix_signs_by_column(vectors):
+    """The column loop that _fix_signs replaces, kept as its reference."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[k, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
+
+
+def test_fix_signs_lets_the_first_of_a_tie_decide():
+    # the two largest entries of the first two columns tie in magnitude with
+    # opposite signs, and the first one decides; a zero column keeps its -0.0
+    tied = np.array([[-2.0, 2.0, 0.5, -0.0], [2.0, -2.0, -1.0, 0.0], [1.0, 1.0, 0.25, 0.0]])
+    got = _fix_signs(tied.copy())
+    assert got[:, 0].tolist() == [2.0, -2.0, -1.0] and got[:, 1].tolist() == [2.0, -2.0, 1.0]
+    assert got[:, 2].tolist() == [-0.5, 1.0, -0.25]
+    for vectors in (tied, np.random.default_rng(8).standard_normal((40, 9))):
+        assert _fix_signs(vectors.copy()).tobytes() == _fix_signs_by_column(vectors).tobytes()
 
 
 def test_residuals_certified():

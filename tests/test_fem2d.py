@@ -514,30 +514,19 @@ def test_hadamard_requires_normalization(square64):
         oracles.hadamard_slope(mesh, space, 2.0 * x1[:, 0], 1.0)
 
 
-def _count_factors(monkeypatch):
-    factors = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factors.append(mat.shape)
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    return factors
-
-
-def test_assembled_mass_is_definite_by_construction(monkeypatch):
+def test_assembled_mass_is_definite_by_construction():
     # every triangle of the grid has positive area and every dof lies in one,
     # and the stiffness proof holds too, so the space factors neither Gram
-    factors = _count_factors(monkeypatch)
     mesh = BackgroundMesh(6)
-    space = assemble(mesh, CoefficientField.checker(0.5))
-    assert factors == []
+    with hilbert.census() as census:
+        space = assemble(mesh, CoefficientField.checker(0.5))
+    assert census["factors"] == []
     assert np.linalg.eigvalsh(space.mass_gram)[0] >= mesh.areas.min() / 12 * (1 - 1e-12)
     # a zero area voids the mass proof, and both Grams' pivots are checked again
     mesh.areas = np.where(np.arange(mesh.n_triangles) == 0, 0.0, mesh.areas)
-    assemble(mesh, CoefficientField.identity())
-    assert factors == [(mesh.n_dofs, mesh.n_dofs)] * 2
+    with hilbert.census() as census:
+        assemble(mesh, CoefficientField.identity())
+    assert census["factors"] == [("space", mesh.n_dofs)] * 2
 
 
 _ANISOTROPIC = CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]], nu=0.45)
@@ -549,12 +538,12 @@ _ANISOTROPIC = CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]], nu=0.45)
     [CoefficientField.identity(), CoefficientField.checker(0.5), _ANISOTROPIC],
     ids=["identity", "checker", "anisotropic"],
 )
-def test_assembled_stiffness_is_definite_by_construction(monkeypatch, n, coeff):
+def test_assembled_stiffness_is_definite_by_construction(n, coeff):
     # A >= c_min A_lap, whose least eigenvalue on the n x n grid is
     # 8 sin^2(pi / (2 n)), with c_min the least tile eigenvalue
-    factors = _count_factors(monkeypatch)
-    space = assemble(BackgroundMesh(n), coeff)
-    assert factors == []
+    with hilbert.census() as census:
+        space = assemble(BackgroundMesh(n), coeff)
+    assert census["factors"] == []
     c_min = np.linalg.eigvalsh(coeff.tiles).min()
     bound = c_min * 8.0 * np.sin(np.pi / (2 * n)) ** 2
     assert np.linalg.eigvalsh(space.energy_gram)[0] >= bound * (1 - 1e-10)
@@ -562,13 +551,13 @@ def test_assembled_stiffness_is_definite_by_construction(monkeypatch, n, coeff):
         assert np.linalg.eigvalsh(space.energy_gram)[0] == pytest.approx(bound, rel=1e-12)
 
 
-def test_stiffness_proof_below_the_rounding_margin_checks_pivots(monkeypatch):
+def test_stiffness_proof_below_the_rounding_margin_checks_pivots():
     # c_min / c_max = 1e-13: c_min 8 sin^2(pi / 8) = 1.2e-13 does not clear
     # the margin 1e-12 n c_max = 4e-12, so both Grams are proved by pivots
-    factors = _count_factors(monkeypatch)
     mesh = BackgroundMesh(4)
-    assemble(mesh, CoefficientField.constant(np.diag([1e-13, 1.0]), nu=1e-13))
-    assert factors == [(mesh.n_dofs, mesh.n_dofs)] * 2
+    with hilbert.census() as census:
+        assemble(mesh, CoefficientField.constant(np.diag([1e-13, 1.0]), nu=1e-13))
+    assert census["factors"] == [("space", mesh.n_dofs)] * 2
 
 
 @pytest.mark.parametrize(
@@ -579,9 +568,9 @@ def test_stiffness_proof_below_the_rounding_margin_checks_pivots(monkeypatch):
         (np.diag([1.0, -1.0]), np.eye(2), "energy_gram"),
     ],
 )
-def test_matrix_built_spaces_keep_the_pivot_check(monkeypatch, energy, mass, name):
-    factors = _count_factors(monkeypatch)
+def test_matrix_built_spaces_keep_the_pivot_check(energy, mass, name):
     with pytest.raises(NotPositiveDefiniteError, match=name):
         EnergySpace(energy, mass)
-    EnergySpace(np.eye(3), 2.0 * np.eye(3))
-    assert factors[-2:] == [(3, 3), (3, 3)]
+    with hilbert.census() as census:
+        EnergySpace(np.eye(3), 2.0 * np.eye(3))
+    assert census["factors"] == [("space", 3)] * 2

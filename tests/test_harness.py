@@ -293,24 +293,22 @@ def test_nested_pair_reuses_sigma_as_sigma_star(monkeypatch):
     # the run asks each eps's pair for sigma and sigma*; a nested pair's sigma
     # is its sigma* pencil, so one pencil is solved per eps.  At h=1/16 each
     # pair removes too many dofs for the capacitance route, so it is Lanczos
-    asked, solved = [], []
-    true_star, true_max = hilbert.sigma_star, hilbert._pencil_max
+    # on the union, the 225-dof reference, after the 169- and 121-dof
+    # perturbed eigensolves; every eigensolve request is one Lanczos solve
+    asked = []
+    true_star = hilbert.sigma_star
 
     def spy_star(pair):
         asked.append((pair.direction, pair.removed))
         return true_star(pair)
 
-    def spy_max(union, *rest):
-        solved.append(union.dim)
-        return true_max(union, *rest)
-
     monkeypatch.setattr(hilbert, "sigma_star", spy_star)
-    monkeypatch.setattr(hilbert, "_pencil_max", spy_max)
     h = 1.0 / 16.0
-    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1]))
+    with hilbert.census() as census:
+        report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h, 2 * h], m=[1]))
     assert report.passed, report.failures
     assert asked == [("shrink", 0), ("shrink", 0)]
-    assert len(solved) == 2
+    assert len(census["requests"]) == 3 and census["lanczos"] == [225, 169, 225, 121, 225]
     assert all(cell.sigma_star == cell.sigma > 0.0 for cell in report.cells)
 
 
@@ -512,41 +510,31 @@ def test_too_few_perturbed_eigenvalues_is_an_error_cell():
 # -- eigensolve requests ---------------------------------------------------------
 
 
-def _spy_eigensolves(monkeypatch):
-    """(n_lowest, kept groups) of every attempt that solve_operator_eigs
-    makes, in order: one per request, a grown solve making several."""
-    calls = []
-    attempt = hilbert._lowest_attempt
-
-    def spy(sub, group_tol, n):
-        kept, lam = attempt(sub, group_tol, n)
-        calls.append((n, kept))
-        return kept, lam
-
-    monkeypatch.setattr(hilbert, "_lowest_attempt", spy)
-    return calls
-
-
-def test_reference_request_starts_at_max_m_plus_two(monkeypatch):
-    calls = _spy_eigensolves(monkeypatch)
+def test_reference_request_starts_at_max_m_plus_two():
     h = 1.0 / 16.0
-    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[1, 2]))
-    assert calls[0][0] == 4
+    config = ScenarioConfig(scenario="square_shrink", h=h, eps=[h], m=[1, 2])
+    with hilbert.census() as census:
+        run_scenario(config)
+    assert census["requests"][0] == 4
     # the shrinking pair starts at N1(S) + max J_m: the simple lambda_1 and
     # the double lambda_2 lie below the window edge S, and J_2 = 2
-    eigs1 = calls[0][1]
+    eigs1 = harness.ReferenceStage(config).eigs
     assert eigs1.multiplicities[:2].tolist() == [1, 2]
-    assert calls[1][0] == 3 + 2 < eigs1.n_computed
+    assert census["requests"][1] == 3 + 2 < eigs1.n_computed
 
 
-def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch):
-    calls = _spy_eigensolves(monkeypatch)
+def test_short_perturbed_request_doubles_until_the_window_is_covered():
     h = 1.0 / 16.0
-    run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
-    assert [n for n, _ in calls] == [4, 6, 12]
-    (_, eigs1), (_, short), (_, grown) = calls
-    lo, _ = perturbation.spectral_window(eigs1, 2)
-    j_m = eigs1.group(2)[2]
+    config = ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2])
+    with hilbert.census() as census:
+        run_scenario(config)
+    assert census["requests"] == [4, 6, 12]
+    ref = harness.ReferenceStage(config)
+    dom2 = config.perturbed_domain(2 * h)
+    sub2, tol = fem2d.carve_subspace(ref.space, ref.mesh, dom2), config.group_tol_for(dom2)
+    short, grown = (hilbert._lowest_attempt(sub2, tol, n)[0] for n in (6, 12))
+    lo, _ = perturbation.spectral_window(ref.eigs, 2)
+    j_m = ref.eigs.group(2)[2]
 
     def past_window(eigs):
         return np.count_nonzero(1.0 / eigs.flat_values() <= lo)
@@ -554,57 +542,50 @@ def test_short_perturbed_request_doubles_until_the_window_is_covered(monkeypatch
     assert past_window(short) < j_m <= past_window(grown)
 
 
-def test_only_the_returned_slice_is_counted(monkeypatch):
+def test_only_the_returned_slice_is_counted():
     # the expanding pair's attempts for 6 and 12 pairs are one solve: the
     # short attempt is discarded unproved, so only the reference's slice and
     # the returned one pay for a Sylvester count factor
-    attempts = _spy_eigensolves(monkeypatch)
-    counts = []
-    true_count = hilbert._count_below
-
-    def spy(*args):
-        counts.append(true_count(*args))
-        return counts[-1]
-
-    monkeypatch.setattr(hilbert, "_count_below", spy)
     h = 1.0 / 16.0
-    run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
-    assert [n for n, _ in attempts] == [4, 6, 12]
-    assert len(counts) == 2
+    with hilbert.census() as census:
+        run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h], m=[2]))
+    assert census["requests"] == [4, 6, 12]
+    assert len(census["counts"]) == 2
 
 
-def test_small_perturbed_subspace_is_solved_once_and_completely(monkeypatch):
-    # eps=2h leaves the h=1/8 square 9 dofs: the shrinking pair's request
-    # for N1(S) + max J_m = 3 + 2 is past what Lanczos serves, so the dense
-    # solve returns all 9 pairs at once
-    calls = _spy_eigensolves(monkeypatch)
+def test_small_perturbed_subspace_is_solved_once_and_completely():
+    # eps=2h leaves the h=1/8 square 9 of its 49 dofs: the shrinking pair's
+    # request for N1(S) + max J_m = 3 + 2 is past what Lanczos serves, so the
+    # dense solve returns all 9 pairs at once, and only the reference runs
+    # Lanczos and needs a count
     h = 1.0 / 8.0
-    run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2]))
-    assert [n for n, _ in calls] == [4, 5]
-    eigs2 = calls[1][1]
-    assert eigs2.complete and eigs2.n_computed == 9
+    with hilbert.census() as census:
+        run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2]))
+    assert census["requests"] == [4, 5]
+    assert census["lanczos"] == census["counts"] == [49]
+    assert census["through_union"] == [49 - 9] and census["interlaced"] == []
 
 
-def test_equal_pair_makes_no_perturbed_eigensolve(monkeypatch):
+def test_equal_pair_makes_no_perturbed_eigensolve():
     # eps=0 carves the reference itself: its cells are exact fixed points
     # that read no perturbed spectrum, so only the reference is solved
-    calls = _spy_eigensolves(monkeypatch)
     h = 1.0 / 8.0
-    report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[0.0], m=[1, 2]))
+    with hilbert.census() as census:
+        report = run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[0.0], m=[1, 2]))
     assert report.passed, report.failures
-    assert len(calls) == 1
+    assert len(census["requests"]) == 1
 
 
-def test_each_eps_starts_from_the_reference_request(monkeypatch):
+def test_each_eps_starts_from_the_reference_request():
     # the expand's eps=2h needs 12 pairs to cover the m=2 window; eps=3h
     # starts again from the reference's computed count, so each eps depends
     # on the reference and on eps alone, and its cells equal a run of it alone
-    calls = _spy_eigensolves(monkeypatch)
     h = 1.0 / 16.0
     config = ScenarioConfig(scenario="square_expand", h=h, eps=[2 * h, 3 * h], m=[2])
-    report = run_scenario(config)
+    with hilbert.census() as census:
+        report = run_scenario(config)
     assert all(cell.error is None for cell in report.cells)
-    assert [n for n, _ in calls] == [4, 6, 12, 6, 12]
+    assert census["requests"] == [4, 6, 12, 6, 12]
     cells = report.to_dict()["cells"]
     for eps in config.eps:
         alone = run_scenario(ScenarioConfig(scenario="square_expand", h=h, eps=[eps], m=[2]))
@@ -615,7 +596,6 @@ def test_each_eps_starts_from_the_reference_request(monkeypatch):
 def test_wide_expansion_grows_until_every_window_is_covered(monkeypatch):
     # eps = 1/4 doubles the square's side, so its m=3 window lies past the
     # first dozen perturbed pairs; every slice grows until it covers them
-    calls = _spy_eigensolves(monkeypatch)
     solved = []
     true_perturbed = harness.ReferenceStage.perturbed_eigs
 
@@ -625,10 +605,11 @@ def test_wide_expansion_grows_until_every_window_is_covered(monkeypatch):
 
     monkeypatch.setattr(harness.ReferenceStage, "perturbed_eigs", spy)
     config = ScenarioConfig(scenario="square_expand", h=1.0 / 32.0, eps=[0.125, 0.25], m=[2, 3])
-    report = run_scenario(config)
+    with hilbert.census() as census:
+        report = run_scenario(config)
     assert len(solved) == len(config.eps)
     assert all(ref.covers(eigs) and not eigs.complete for ref, eigs in solved)
-    assert max(n for n, _ in calls) > 12
+    assert max(census["requests"]) > 12
     assert report.passed, report.failures
     # the eps = 1/4, m=3 row reads the eigenvalue nearest lambda_3 (1/lambda_3
     # = 0.0030498), not the 0.0039682 nearest among the first 14 pairs
@@ -656,19 +637,10 @@ def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch)
     dom2 = config.perturbed_domain(2 * h)
     pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
     assert pair.direction == "shrink"
-    gaps, counts = [], []
-
-    def spy(log, func):
-        def record(*args):
-            log.append(func(*args))
-            return log[-1]
-
-        return record
-
-    monkeypatch.setattr(hilbert, "_interlacing_gap", spy(gaps, hilbert._interlacing_gap))
-    monkeypatch.setattr(hilbert, "_count_below", spy(counts, hilbert._count_below))
-    eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2))
-    assert not eigs2.complete and gaps[-1] is not None and counts == []
+    with hilbert.census() as census:
+        eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2))
+    assert not eigs2.complete and census["interlaced"] == [pair.h2.dim]
+    assert census["counts"] == []
     # with mu_2 dropped, the first j kept vectors reach mu_(j+1) >= lambda_(j+1)
     # at every boundary that covers the windows, so interlacing proves none,
     # and the count at the kept boundary finds one eigenvalue more than kept
@@ -680,17 +652,36 @@ def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch)
         return theta[keep], vecs[:, keep]
 
     monkeypatch.setattr(hilbert, "eigsh", drop_second)
-    gaps.clear()
-    with pytest.raises(eigsolve.PencilError, match="Sylvester inertia"):
+    with hilbert.census() as census, pytest.raises(eigsolve.PencilError, match="Sylvester inertia"):
         ref.perturbed_eigs(pair, config.group_tol_for(dom2))
-    assert gaps and all(gap is None for gap in gaps)
-    assert len(counts) == 1
+    assert census["interlaced"] == [] and census["counts"] == [pair.h2.dim]
 
 
 def test_report_json_deterministic(tiny_report, tmp_path):
     a = write_report(tiny_report, tmp_path / "a").read_bytes()
     b = write_report(run_scenario(tiny_report.config), tmp_path / "b").read_bytes()
     assert a == b
+
+
+def test_census_changes_no_output_and_records_only_inside_its_block(tmp_path):
+    # the h=1/12 checker notch solves sigma at eps=2h and 4h through the
+    # union's factor (8 and 28 dofs removed) and at eps=8h by Lanczos on the
+    # 121-dof union; a census around the run changes no byte of its report,
+    # and once closed it records nothing
+    h = 1.0 / 12.0
+    config = ScenarioConfig(
+        scenario="boundary_notch", h=h, eps=[2 * h, 4 * h, 8 * h], m=[1, 2],
+        coefficient={"kind": "checker", "nu": 0.5},
+    )
+    with hilbert.census() as census:
+        write_report(run_scenario(config), tmp_path / "inside")
+    closed = json.dumps(census)
+    write_report(run_scenario(config), tmp_path / "outside")
+    assert json.dumps(census) == closed and hilbert._CENSUSES == {}
+    assert census["through_union"] == [8, 28] and census["lanczos"][-1] == 121
+    for name in ("report.json", "rows.csv"):
+        inside, outside = (tmp_path / side / name for side in ("inside", "outside"))
+        assert inside.read_bytes() == outside.read_bytes()
 
 
 def test_report_that_is_not_json_writes_nothing(tiny_report, tmp_path):
@@ -766,28 +757,21 @@ def test_each_top_pair_is_certified_once(monkeypatch):
     monkeypatch.setattr(eigsolve, "_eigh", counted("solve", eigsolve._eigh))
     for module in (eigsolve, hilbert):
         monkeypatch.setattr(module, "_certify", counted("certify", module._certify))
-    monkeypatch.setattr(hilbert, "_lanczos_top", counted("solve", hilbert._lanczos_top))
-    gaps = []
-    true_gap = hilbert._interlacing_gap
-
-    def spy_gap(*args):
-        gaps.append(true_gap(*args))
-        return gaps[-1]
-
-    monkeypatch.setattr(hilbert, "_interlacing_gap", spy_gap)
-    assert verify_abstract(seed=2024, n_cases=50)["passed"]
-    assert counts["solve"] > 0 and gaps == []
-    assert counts["certify"] == counts["solve"]
+    with hilbert.census() as census:
+        assert verify_abstract(seed=2024, n_cases=50)["passed"]
+    assert counts["solve"] > 0 and census["interlaced"] == []
+    assert counts["certify"] == counts["solve"] + len(census["lanczos"])
     h = 1.0 / 12.0
     config = ScenarioConfig(
         scenario="boundary_notch", h=h, eps=[2 * h], m=[1, 2],
         coefficient={"kind": "checker", "nu": 0.5},
     )
-    before = counts["solve"]
-    report = run_scenario(config)
+    counts.update(solve=0, certify=0)
+    with hilbert.census() as census:
+        report = run_scenario(config)
     assert report.passed, report.failures
-    assert counts["solve"] > before and any(gap is not None for gap in gaps)
-    assert counts["certify"] == counts["solve"]
+    assert counts["solve"] > 0 and census["lanczos"] and census["interlaced"]
+    assert counts["certify"] == counts["solve"] + len(census["lanczos"])
 
 
 def test_verify_abstract_images_x1_once_per_case(monkeypatch):

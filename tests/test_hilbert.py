@@ -441,7 +441,7 @@ def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
     assert all(np.array_equal(indices, inter) for indices in solved)
 
 
-def test_whole_space_factors_its_gram_once_on_first_use(monkeypatch):
+def test_whole_space_factors_its_gram_once_on_first_use():
     # the space keeps no factor; space.whole() is one subspace, whose block
     # is the Gram itself, factored once when it first solves
     space, whole, h2 = _fem_pair(12, *_fem_pairs(12)["shrink"])
@@ -451,32 +451,18 @@ def test_whole_space_factors_its_gram_once_on_first_use(monkeypatch):
     assert space.whole()._energy_block is space.energy_csr
     rhs = np.random.default_rng(0).standard_normal((space.dim, 3))
     fresh = hilbert._symmetric_splu(space.energy_csr).solve(rhs)
-    factored = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factored.append(mat.shape[0])
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    for sub in (whole, space.whole(), space.whole()):
-        assert np.array_equal(sub._solve(rhs), fresh)
-    assert factored == [space.dim, space.dim]
-    monkeypatch.undo()
+    with hilbert.census() as census:
+        for sub in (whole, space.whole(), space.whole()):
+            assert np.array_equal(sub._solve(rhs), fresh)
+    assert census["factors"] == [("solve", space.dim)] * 2
     # a crossing pair's union is neither operand, and is factored on its own
     space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
     union = np.union1d(h1.indices, h2.indices)
     assert h1.dim < union.size < space.dim and h2.dim < union.size
-    factored = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factored.append(mat.shape[0])
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    sigma_distance(SubspacePair(h1, h2))
-    assert sorted(factored) == sorted([h1.dim, h2.dim, union.size])
+    with hilbert.census() as census:
+        sigma_distance(SubspacePair(h1, h2))
+    want = [("solve", dim) for dim in (h1.dim, h2.dim, union.size)]
+    assert sorted(census["factors"]) == sorted(want)
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand", "notches"])
@@ -536,7 +522,7 @@ _THRESHOLD = hilbert._CAPACITANCE_MAX
     ],
 )
 @pytest.mark.parametrize("kind", ["shrink", "expand"])
-def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, n, removed):
+def test_both_nested_sigma_routes_match_dense_oracle(kind, n, removed):
     # up to the threshold the dense capacitance pencil gives sigma with no
     # Lanczos solve and no factor of the inner operand, whatever the union's
     # size: at h=1/5 the union has 16 dofs, within the dense size, and still
@@ -547,24 +533,17 @@ def test_both_nested_sigma_routes_match_dense_oracle(monkeypatch, kind, n, remov
     through_union = removed <= _THRESHOLD
     assert pair.direction == kind and pair.removed == (removed if through_union else 0)
     assert pair.union.dim - pair.inter.dim == removed
-    lanczos = _count_lanczos(monkeypatch)
-    factored = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factored.append(mat.shape[0])
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
     want_sigma, want_star = oracles.nodal_sigmas(
         space.energy_gram, space.mass_gram, h1.indices, h2.indices
     )
-    assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-10)
-    assert sigma_star(pair) == pytest.approx(want_star, rel=1e-10)
-    assert lanczos == ([] if through_union else [space.dim])
+    with hilbert.census() as census:
+        assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-10)
+        assert sigma_star(pair) == pytest.approx(want_star, rel=1e-10)
+    assert census["lanczos"] == ([] if through_union else [space.dim])
     # the union builds its factor on first use: in the pair's constructor up
     # to the threshold, and in its Lanczos solve above it
-    assert factored == ([] if through_union else [pair.union.dim, pair.inter.dim])
+    dims = [] if through_union else [pair.union.dim, pair.inter.dim]
+    assert census["factors"] == [("solve", dim) for dim in dims]
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand"])
@@ -597,29 +576,22 @@ def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
 
 
 @pytest.mark.parametrize("removed", [_THRESHOLD, _THRESHOLD + 1])
-def test_inner_operand_factors_only_above_the_threshold(monkeypatch, removed):
+def test_inner_operand_factors_only_above_the_threshold(removed):
     # the inner operand's Lanczos eigensolve and its certificate, the images'
     # projections and correctors, and sigma: up to the threshold all of them
     # go through the whole space's factor, and no factor of A_22 is built
     space, h1, h2 = _removal_pair("shrink", removed)
     eigs1 = solve_operator_eigs(h1, group_tol=1e-6, n_lowest=4)
-    factored = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factored.append(mat)
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    pair = SubspacePair(h1, h2)
-    eigs2 = solve_operator_eigs(pair.h2, group_tol=1e-6, n_lowest=4, outer=eigs1)
-    lam, x_m, _ = eigs1.group(1)
-    eigenspace_images(pair, x_m, lam)
-    sigma_distance(pair)
+    with hilbert.census() as census:
+        pair = SubspacePair(h1, h2)
+        eigs2 = solve_operator_eigs(pair.h2, group_tol=1e-6, n_lowest=4, outer=eigs1)
+        lam, x_m, _ = eigs1.group(1)
+        eigenspace_images(pair, x_m, lam)
+        sigma_distance(pair)
     want = oracles.operator_eigs(space.energy_gram, space.mass_gram, coordinate_basis(h2))
     assert np.abs(eigs2.values / want[: eigs2.n_groups] - 1.0).max() <= 1e-9
-    solve_factors = [mat for mat in factored if mat is h2._energy_block]
-    assert len(solve_factors) == (0 if removed <= _THRESHOLD else 1)
+    want = [] if removed <= _THRESHOLD else [("solve", h2.dim)]
+    assert [factor for factor in census["factors"] if factor[0] == "solve"] == want
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["whole_first", "notch_first"])
@@ -643,26 +615,20 @@ def test_rank_deficient_nested_sigmas_match_dense_oracle(cells, rank, swap):
     assert sigma_star(SubspacePair(h1, h2)) == pytest.approx(want_star, rel=1e-10)
 
 
-def test_crossing_pair_factors_each_index_set_once(monkeypatch):
+def test_crossing_pair_factors_each_index_set_once():
     # after the reference solve has factored H1, the images, sigma and sigma*
     # of the h=1/12 crossing notches factor H2, the intersection and the
     # union once each: the pair holds one union and one intersection
     space, h1, h2 = _fem_pair(12, *_fem_pairs(12)["notches"])
     lam, x_m, _ = solve_operator_eigs(h1, group_tol=1e-6, n_lowest=4).group(1)
-    factored = []
-    true_splu = hilbert._symmetric_splu
-
-    def spy(mat):
-        factored.append(mat.shape[0])
-        return true_splu(mat)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", spy)
-    pair = SubspacePair(h1, h2)
-    assert pair.direction == "none"
-    eigenspace_images(pair, x_m, lam)
-    sigma_distance(pair)
-    sigma_star(pair)
-    assert factored == [h2.dim, pair.inter.dim, pair.union.dim] == [113, 107, 119]
+    with hilbert.census() as census:
+        pair = SubspacePair(h1, h2)
+        assert pair.direction == "none"
+        eigenspace_images(pair, x_m, lam)
+        sigma_distance(pair)
+        sigma_star(pair)
+    assert [h2.dim, pair.inter.dim, pair.union.dim] == [113, 107, 119]
+    assert census["factors"] == [("solve", 113), ("solve", 107), ("solve", 119)]
 
 
 def test_a_j_by_n_block_is_refused_not_transposed():
@@ -762,21 +728,8 @@ def test_lanczos_no_convergence_is_pencil_error(monkeypatch):
     assert isinstance(err.value.__cause__, hilbert.ArpackError)
 
 
-def _count_lanczos(monkeypatch):
-    """Record the subspace dimension of every ARPACK solve."""
-    dims = []
-    true_lanczos = hilbert._lanczos_top
-
-    def spy(sub, *rest):
-        dims.append(sub.dim)
-        return true_lanczos(sub, *rest)
-
-    monkeypatch.setattr(hilbert, "_lanczos_top", spy)
-    return dims
-
-
 @pytest.mark.parametrize("dofs", [20, 21])
-def test_sigma_solves_dense_up_to_the_krylov_size(monkeypatch, dofs):
+def test_sigma_solves_dense_up_to_the_krylov_size(dofs):
     # k = 1: scipy's default Krylov size is max(2 k + 1, 20) = 20, so a union
     # of 20 dofs solves the complete dense pencil and one of 21 runs Lanczos
     rng = np.random.default_rng(30)
@@ -784,26 +737,26 @@ def test_sigma_solves_dense_up_to_the_krylov_size(monkeypatch, dofs):
     h1, h2 = Subspace(space, range(15)), Subspace(space, range(dofs - 15, dofs))
     pair = SubspacePair(h1, h2)
     assert pair.direction == "none" and pair.union.dim == dofs
-    lanczos = _count_lanczos(monkeypatch)
     want_sigma, want_star = oracles.nodal_sigmas(
         space.energy_gram, space.mass_gram, h1.indices, h2.indices
     )
-    assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-9)
-    assert sigma_star(pair) == pytest.approx(want_star, rel=1e-9)
-    assert lanczos == ([] if dofs == 20 else [dofs, dofs])
+    with hilbert.census() as census:
+        assert sigma_distance(pair) == pytest.approx(want_sigma, rel=1e-9)
+        assert sigma_star(pair) == pytest.approx(want_star, rel=1e-9)
+    assert census["lanczos"] == ([] if dofs == 20 else [dofs, dofs])
 
 
 @pytest.mark.parametrize("dofs", [20, 21])
-def test_lowest_eigs_solve_dense_up_to_the_krylov_size(monkeypatch, dofs):
+def test_lowest_eigs_solve_dense_up_to_the_krylov_size(dofs):
     # n_lowest = 6 asks k = 9 pairs: dense up to max(2 k + 1, 20) = 20 dofs
     rng = np.random.default_rng(31)
     space = random_space(rng, 24)
     sub = Subspace(space, range(dofs))
-    lanczos = _count_lanczos(monkeypatch)
-    eigs = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=6)
+    with hilbert.census() as census:
+        eigs = solve_operator_eigs(sub, group_tol=1e-9, n_lowest=6)
     want = oracles.operator_eigs(space.energy_gram, space.mass_gram, coordinate_basis(sub))
     assert eigs.complete == (dofs == 20)
-    assert lanczos == ([] if dofs == 20 else [dofs])
+    assert census["lanczos"] == ([] if dofs == 20 else [dofs])
     assert eigs.n_computed == (dofs if eigs.complete else eigs.n_groups)
     assert eigs.n_groups >= 6
     assert np.abs(eigs.values / want[: eigs.n_groups] - 1.0).max() <= 1e-9
@@ -1076,22 +1029,15 @@ def test_partial_decomposition_dense(kind):
     assert np.array_equal(part.multiplicities, full.multiplicities)
 
 
-def test_partial_solve_that_separates_no_group_asks_for_more(monkeypatch):
+def test_partial_solve_that_separates_no_group_asks_for_more():
     # the eigenvalues 1/m run from 1 to 10 in relative steps far below
     # group_tol = 0.5, so every partial attempt is one chain that may
     # continue past it and keeps no group: the request doubles until the
     # dense solve of n + 3 = 19 pairs (30 <= 2 * 19 + 1 dofs) returns them all
-    requests = []
-    attempt = hilbert._lowest_attempt
-
-    def spy(sub, group_tol, n):
-        requests.append(n)
-        return attempt(sub, group_tol, n)
-
-    monkeypatch.setattr(hilbert, "_lowest_attempt", spy)
     space = EnergySpace(np.eye(30), np.diag(np.linspace(1.0, 0.1, 30)))
-    eigs = solve_operator_eigs(space.whole(), group_tol=0.5, n_lowest=2)
-    assert requests == [2, 4, 8, 16]
+    with hilbert.census() as census:
+        eigs = solve_operator_eigs(space.whole(), group_tol=0.5, n_lowest=2)
+    assert census["requests"] == [2, 4, 8, 16]
     assert eigs.complete and eigs.multiplicities.tolist() == [30]
     assert np.allclose(eigs.lam, 1.0 / np.linspace(1.0, 0.1, 30), rtol=1e-9)
 

@@ -6,7 +6,7 @@ times the calls ``run_scenario`` makes before its eps loop.  The benchmark's
 own self-tests lie outside this suite's test paths, so without these checks a
 rename that breaks the bench run would still pass here.  Both are loaded from
 their files and not modified, and so are the bench's FEM workloads, whose
-factorizations and Lanczos solves are counted here.
+solver census is checked here.
 """
 
 import argparse
@@ -127,36 +127,39 @@ def test_traced_smoke_run_solves_sigma_inside_its_span(monkeypatch):
         assert inside == ([1] * len(eps), [0] * len(eps)), solver
 
 
+# ids: the workload, its factorizations and its Lanczos solves
 @pytest.mark.parametrize(
-    "workload, factors, solves", [("shrink_sweep", 8, 8), ("notch_checker", 5, 7)]
+    "workload, line",
+    [
+        pytest.param(
+            "shrink_sweep", ([4, 5, 5, 5, 5], 8, (0, 5, 3), 1, 3, []), id="shrink_sweep-8-8"
+        ),
+        pytest.param(
+            "notch_checker", ([4, 3, 3, 3, 3], 7, (0, 3, 2), 3, 2, [8, 28]), id="notch_checker-5-7"
+        ),
+    ],
 )
-def test_bench_fem_workloads_keep_their_sparse_solves(
-    dense_free, monkeypatch, workload, factors, solves
-):
+def test_bench_fem_workloads_keep_their_sparse_solves(dense_free, workload, line):
     # the bench measures these sparse factorizations and ARPACK solves; a
     # change to how pencils are solved must not add, drop or densify any.
-    # The factors split as tools/compare_trees.py prints them: the space's
-    # pivot proofs (none, as assemble proves its Grams definite), the
-    # subspace solve factors, and the Sylvester counts of the reference and
-    # of each perturbed slice that interlacing does not prove: 0 + 5 + 3 and
-    # 0 + 3 + 2.  The notch's
-    # eps = 2h and 4h pairs remove 8 and 28 dofs, so they build no solve
-    # factor, and their sigma is a dense capacitance pencil, not Lanczos
+    # The line is the census line tools/compare_trees.py prints: the requests,
+    # the Lanczos solves, the factors split into the space's pivot proofs
+    # (none, as assemble proves its Grams definite), the subspace solve
+    # factors and the Sylvester count factors, the partial spectra proved by
+    # interlacing and by a count, and the |R| of each pair solved through the
+    # union.  The notch's eps = 2h and 4h pairs remove 8 and 28 dofs, so they
+    # build no solve factor, and their sigma is a dense capacitance pencil
     workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
     config = harness.ScenarioConfig.from_dict(workloads.FEM_CONFIGS[workload])
-    counts = {"factors": 0, "solves": 0}
-    true_splu, true_lanczos = hilbert._symmetric_splu, hilbert._lanczos_top
-
-    def splu(mat):
-        counts["factors"] += 1
-        return true_splu(mat)
-
-    def lanczos(*args):
-        counts["solves"] += 1
-        return true_lanczos(*args)
-
-    monkeypatch.setattr(hilbert, "_symmetric_splu", splu)
-    monkeypatch.setattr(hilbert, "_lanczos_top", lanczos)
-    report = harness.run_scenario(config)
+    with hilbert.census() as census:
+        report = harness.run_scenario(config)
     assert report.passed, report.failures
-    assert counts == {"factors": factors, "solves": solves}
+    kinds = [kind for kind, _ in census["factors"]]
+    assert (
+        census["requests"],
+        len(census["lanczos"]),
+        tuple(kinds.count(kind) for kind in ("space", "solve", "count")),
+        len(census["interlaced"]),
+        len(census["counts"]),
+        census["through_union"],
+    ) == line

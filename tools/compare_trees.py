@@ -27,28 +27,28 @@ it, as ``exact-zero column, largest |x| ...`` and outside the worst drift,
 and every non-float difference (a string, int, bool or null,
 or a value present on one side only), one line each.  A column is a CSV
 column, or a JSON key path with the list indices left out
-(``cells.rows.ratio``).  For each config it then prints the ``n_lowest`` of
-every request that a ``hilbert.solve_operator_eigs`` call makes (the ``n``
-of each ``hilbert._lowest_attempt`` it runs, so a call that grows its
-request lists each attempt), the count of ``hilbert._lanczos_top`` solves
-and the count of ``hilbert._symmetric_splu`` factorizations on each tree,
-all recorded by wrapping those functions in the tree's own interpreter, so
-a change to the workloads' eigensolves and factors shows even when every
-output is the same; ``verify_fem`` gets the same line.  The factorizations
-are split by the routine that asked for them: space factors (the pivot
-proofs that an ``EnergySpace``'s A and M are definite, made in
-``EnergySpace.__init__``), solve factors (a subspace's A_II, each built on first
-use, ``_restricted_energy_solve``) and inertia-count factors
-(``_count_below``).  A space that ``fem2d.assemble`` proves definite by
-construction makes no space factor.
-The partial spectra (the reference's among them) are split by what proved
-them complete: interlacing with the reference, or a
-``hilbert._count_below`` Sylvester count.  Then come the pairs that solved
-through the union's factor: the |R| of each nested ``hilbert.SubspacePair``
-that removed at most ``hilbert._CAPACITANCE_MAX`` dofs R, read from the
-pair's ``removed`` (none on a tree without that route).  Last it prints the
-size of each tree's package, ``src lines: PARENT -> CHANGE``, counted as
-``wc -l src/eigenshift/*.py`` counts it, and the exported names the change
+(``cells.rows.ratio``).  For each config it then prints, on each tree,
+what the solvers did, read from a ``hilbert.census()`` block around the
+config's run in the tree's own interpreter, so a change to the workloads'
+eigensolves and factors shows even when every output is the same;
+``verify_fem`` gets the same line.  The line gives the ``n_lowest`` of every
+request that a ``hilbert.solve_operator_eigs`` call makes (the ``n`` of
+each ``hilbert._lowest_attempt`` it runs, so a call that grows its request
+lists each attempt), the count of Lanczos solves and of sparse
+factorizations, split by kind: space factors (the pivot proofs that an
+``EnergySpace``'s A and M are definite), solve factors (a subspace's A_II,
+each built on first use) and Sylvester count factors (one per shift tried).
+A space that ``fem2d.assemble`` proves definite by construction makes no
+space factor.  The partial spectra (the reference's among them) are split
+by what proved them complete: interlacing with the reference, or a
+Sylvester count.  Then come the pairs that solved through the union's
+factor: the |R| of each nested ``hilbert.SubspacePair`` that removed at most
+``hilbert._CAPACITANCE_MAX`` dofs R.  Both trees must have
+``hilbert.census``; to compare against a tree that lacks it, run that
+tree's own copy of this tool, which reads the same counts by wrapping the
+solver routines.  Last it prints the size of each tree's package,
+``src lines: PARENT -> CHANGE``, counted as ``wc -l src/eigenshift/*.py``
+counts it, and the exported names the change
 drops or adds, ``exports: -module.name +module.name`` (``unchanged`` when
 none), read from each module's ``__all__`` with ``eigenshift.name`` for the
 package's own; dunder metadata such as ``__version__`` is not counted.
@@ -77,7 +77,7 @@ ZERO_FLOOR = 1e-20
 # argv: src dir, config dir, output dir, JSON list of abstract seeds, cases per
 # seed, eigensolve log file; the log lies outside the compared output dir
 CHILD = """
-import inspect, json, sys
+import json, sys
 from pathlib import Path
 import eigenshift
 from eigenshift import harness, hilbert
@@ -85,83 +85,19 @@ from eigenshift import harness, hilbert
 src, configs, out = (Path(arg).resolve() for arg in sys.argv[1:4])
 if Path(eigenshift.__file__).resolve().parent != src / "eigenshift":
     sys.exit(f"imported eigenshift from {eigenshift.__file__}, not from {src}")
-solve, attempt, lanczos, splu, count = (
-    hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
-    hilbert._symmetric_splu, hilbert._count_below,
-)
-FACTOR_KINDS = {"_restricted_energy_solve": "solve", "_count_below": "count"}
+if not hasattr(hilbert, "census"):
+    sys.exit(f"{src} has no hilbert.census; compare with that tree's own tools/compare_trees.py")
 log = {}
-
-def spy_solve(*args, **kwargs):
-    entry = log[name]
-    counted_before = entry["counted"]
-    eigs = solve(*args, **kwargs)
-    # a partial spectrum that no count proved was proved by interlacing
-    entry["interlaced"] += not eigs.complete and entry["counted"] == counted_before
-    return eigs
-
-def spy_attempt(*args, **kwargs):
-    # each attempt of solve_operator_eigs, for its n (None for all pairs)
-    log[name]["requests"].append(inspect.signature(attempt).bind(*args, **kwargs).arguments["n"])
-    return attempt(*args, **kwargs)
-
-def spy_pair(self, *args, **kwargs):
-    pair_init(self, *args, **kwargs)
-    if getattr(self, "removed", 0):  # a tree without the route has no removed
-        log[name]["through_union"].append(self.removed)
-
-def counted(key, func):
-    def spy(*args, **kwargs):
-        log[name][key] += 1
-        return func(*args, **kwargs)
-    return spy
-
-def factor_kind(frame):
-    # the innermost caller that names a kind of factor; an EnergySpace's own
-    # constructor proves its Grams definite
-    while frame is not None:
-        code = frame.f_code.co_name
-        if code == "__init__" and isinstance(frame.f_locals.get("self"), hilbert.EnergySpace):
-            return "space"
-        if code in FACTOR_KINDS:
-            return FACTOR_KINDS[code]
-        frame = frame.f_back
-    return "other"
-
-def spy_splu(*args, **kwargs):
-    kind = factor_kind(sys._getframe(1))
-    factors = log[name]["factors"]
-    factors[kind] = factors.get(kind, 0) + 1
-    return splu(*args, **kwargs)
-
-pair_init = hilbert.SubspacePair.__init__
-(hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
- hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
-    spy_solve, spy_attempt, counted("lanczos", lanczos), spy_splu, counted("counted", count),
-    spy_pair,
-)
-def entry():
-    return {
-        "requests": [], "lanczos": 0, "factors": {}, "interlaced": 0, "counted": 0,
-        "through_union": [],
-    }
-
 for path in sorted(configs.glob("*.json")):
-    name = path.stem
-    log[name] = entry()
     try:
-        config = harness.ScenarioConfig.from_json(path)
-        harness.write_report(harness.run_scenario(config), out / name)
+        with hilbert.census() as log[path.stem]:
+            config = harness.ScenarioConfig.from_json(path)
+            harness.write_report(harness.run_scenario(config), out / path.stem)
     except Exception as exc:  # this config's failure; the others still run
-        log[name]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
-name = "verify_fem"
-log[name] = entry()
-text = json.dumps(harness.verify_fem(), indent=2, sort_keys=True)
+        log[path.stem]["error"] = type(exc).__name__ + ": " + " ".join(str(exc).split())
+with hilbert.census() as log["verify_fem"]:
+    text = json.dumps(harness.verify_fem(), indent=2, sort_keys=True)
 (out / "verify_fem.json").write_text(text + "\\n", encoding="utf-8")
-(hilbert.solve_operator_eigs, hilbert._lowest_attempt, hilbert._lanczos_top,
- hilbert._symmetric_splu, hilbert._count_below, hilbert.SubspacePair.__init__) = (
-    solve, attempt, lanczos, splu, count, pair_init
-)
 Path(sys.argv[6]).write_text(json.dumps(log), encoding="utf-8")
 for seed in json.loads(sys.argv[4]):
     summary = harness.verify_abstract(seed, int(sys.argv[5]))
@@ -188,13 +124,10 @@ def collect_configs(root: Path) -> tuple[dict, dict]:
     return distinct, workloads["THREAD_ENV"]
 
 
-def factor_split(factors: dict) -> str:
-    """``total = space + solve + count``, with ``+ N other`` for factors that
-    no named routine asked for."""
-    parts = [str(factors.get(kind, 0)) for kind in ("space", "solve", "count")]
-    if "other" in factors:
-        parts.append(f"{factors['other']} other")
-    return f"{sum(factors.values())} = {' + '.join(parts)}"
+def factor_split(factors: list) -> str:
+    """``total = space + solve + count`` of a census's (kind, dimension) factors."""
+    kinds = [kind for kind, _ in factors]
+    return f"{len(kinds)} = " + " + ".join(str(kinds.count(k)) for k in ("space", "solve", "count"))
 
 
 def _scalar(text: str):
@@ -369,8 +302,8 @@ def main(argv: list) -> int:
           "|R| of each pair solved through the union), PARENT -> CHANGE")
     for name in [*configs, "verify_fem"]:
         old, new = (
-            f"{entry['requests']} ({entry['lanczos']}, {factor_split(entry['factors'])}; "
-            f"{entry['interlaced']} + {entry['counted']}; "
+            f"{entry['requests']} ({len(entry['lanczos'])}, {factor_split(entry['factors'])}; "
+            f"{len(entry['interlaced'])} + {len(entry['counts'])}; "
             f"through the union: {', '.join(map(str, entry['through_union'])) or 'none'})"
             for entry in (log[name] for log in solves.values())
         )
