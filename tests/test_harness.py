@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -559,11 +560,17 @@ def test_small_perturbed_subspace_is_solved_once_and_completely():
     # dense solve returns all 9 pairs at once, and only the reference runs
     # Lanczos and needs a count
     h = 1.0 / 8.0
+    config = ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2])
     with hilbert.census() as census:
-        run_scenario(ScenarioConfig(scenario="square_shrink", h=h, eps=[2 * h], m=[1, 2]))
+        run_scenario(config)
     assert census["requests"] == [4, 5]
     assert census["lanczos"] == census["counts"] == [49]
     assert census["through_union"] == [49 - 9] and census["interlaced"] == []
+    ref = harness.ReferenceStage(config)
+    dom2 = config.perturbed_domain(2 * h)
+    pair = hilbert.SubspacePair(ref.sub, fem2d.carve_subspace(ref.space, ref.mesh, dom2))
+    eigs2 = ref.perturbed_eigs(pair, config.group_tol_for(dom2))
+    assert eigs2.complete and eigs2.n_computed == 9
 
 
 def test_equal_pair_makes_no_perturbed_eigensolve():
@@ -655,6 +662,16 @@ def test_interlacing_refuses_a_missed_pair_and_the_count_catches_it(monkeypatch)
     with hilbert.census() as census, pytest.raises(eigsolve.PencilError, match="Sylvester inertia"):
         ref.perturbed_eigs(pair, config.group_tol_for(dom2))
     assert census["interlaced"] == [] and census["counts"] == [pair.h2.dim]
+    # the refused attempt again: interlacing was tried at each of those
+    # boundaries, as solve_operator_eigs tries them, and proved none
+    faulted, _ = hilbert._lowest_attempt(pair.h2, config.group_tol_for(dom2), census["requests"][-1])
+    a_res, m_res = pair.h2._energy_block, pair.h2._mass_block
+    gaps = [
+        hilbert._interlacing_gap(a_res, m_res, faulted.vectors[:, : head.n_computed], ref.eigs)
+        for head in map(faulted.head, range(faulted.n_groups, 0, -1))
+        if ref.covers(head)
+    ]
+    assert gaps and all(gap is None for gap in gaps)
 
 
 def test_report_json_deterministic(tiny_report, tmp_path):
@@ -757,8 +774,18 @@ def test_each_top_pair_is_certified_once(monkeypatch):
     monkeypatch.setattr(eigsolve, "_eigh", counted("solve", eigsolve._eigh))
     for module in (eigsolve, hilbert):
         monkeypatch.setattr(module, "_certify", counted("certify", module._certify))
+    # interlacing needs an outer spectrum, so no eigensolve given none tries it
+    outers = []
+    true_solve = hilbert.solve_operator_eigs
+
+    def spy_solve(*args, **kwargs):
+        outers.append(inspect.signature(true_solve).bind(*args, **kwargs).arguments.get("outer"))
+        return true_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "solve_operator_eigs", spy_solve)
     with hilbert.census() as census:
         assert verify_abstract(seed=2024, n_cases=50)["passed"]
+    assert outers and all(outer is None for outer in outers)
     assert counts["solve"] > 0 and census["interlaced"] == []
     assert counts["certify"] == counts["solve"] + len(census["lanczos"])
     h = 1.0 / 12.0

@@ -853,6 +853,32 @@ def test_inertia_and_definiteness_need_no_dense_matrix(sparse_only, monkeypatch)
         hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0))
 
 
+def test_census_notes_every_sparse_factorization(monkeypatch):
+    # scipy's splu makes every sparse factor in hilbert, and the census notes
+    # each one where its kind is known, so a factor made without a note, or a
+    # note without a factor, fails here.  The run makes one of each kind: the
+    # pivot proofs of a space not proved definite by construction, a Lanczos
+    # solve's certificate factor, and its count, whose swap case refuses the
+    # midpoint's factor and reads the next shift
+    made = []
+    true_splu = hilbert.splu
+
+    def spy(mat, **options):
+        made.append(mat.shape[0])
+        return true_splu(mat, **options)
+
+    monkeypatch.setattr(hilbert, "splu", spy)
+    assembled, sub = _lanczos_case(12, "notch_checker")
+    swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with hilbert.census() as census:
+        space = EnergySpace(assembled.energy_csr, assembled.mass_csr)
+        eigs = solve_operator_eigs(Subspace(space, sub.indices), 1e-9, n_lowest=2)
+        assert hilbert._count_below(swap, sp.csr_array(np.eye(2)), (-1.0, 1.0)) == 1
+    assert not eigs.complete and census["lanczos"] == [sub.dim]
+    assert [kind for kind, _ in census["factors"]] == ["space"] * 2 + ["solve"] + ["count"] * 3
+    assert [dim for _, dim in census["factors"]] == made
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
