@@ -11,7 +11,8 @@ a Lanczos pair by ``_top_pairs`` through K as a callback.  Only Lanczos
 gives a partial spectrum.  Interlacing with a certified spectrum of a larger
 subspace certifies that none below its kept pairs was missed, where it
 holds, and otherwise a Sylvester inertia count from sparse pivots inside
-the gap above them does (``hilbert.solve_operator_eigs``).
+the gap above them does (``hilbert.solve_operator_eigs``).  The solvers note
+their work in a :class:`census`, here so the kernel notes its own pencils too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,36 @@ __all__ = [
 
 # relative asymmetry above which symmetrization is reported loudly
 _ASYM_WARN = 1e-9
+
+_CENSUSES: dict = {}  # the open census blocks by id; each gets every note
+
+
+class census(dict):
+    """A dict of the solver work done inside ``with census() as record:``, in
+    order: ``requests``, each ``hilbert._lowest_attempt``'s n (None for all
+    pairs); ``factors``, each sparse factor's (kind, dimension), kind "space"
+    (a pivot proof), "solve" (an A_II) or "count" (a Sylvester shift); the
+    dimension of each ``lanczos`` solve, ``interlaced`` slice and Sylvester
+    count (``counts``); each nested pair's |R| ``through_union``; the operator
+    ``applications`` of each Lanczos solve, parallel to ``lanczos``; the
+    (dimension, columns) of each ``hilbert.Subspace._solve`` (``solves``); the
+    dimension of each :func:`solve_pencil` (``pencils``); and the pairs of
+    each :func:`_certify` call (``certified``)."""
+
+    def __enter__(self):
+        keys = ("requests", "lanczos", "factors", "interlaced", "counts", "through_union",
+                "applications", "solves", "pencils", "certified")
+        self.update((key, []) for key in keys)
+        _CENSUSES[id(self)] = self
+        return self
+
+    def __exit__(self, *exc_info):
+        del _CENSUSES[id(self)]
+
+
+def _note(key: str, item) -> None:
+    for record in _CENSUSES.values():
+        record[key].append(item)
 
 
 class PencilError(ValueError):
@@ -110,6 +141,7 @@ def _certify(a, b, theta: np.ndarray, vectors: np.ndarray) -> None:
     or a callback applying it, whose |a x| / |x| stands in for |a|_F (never above it).
     The allowance 1e-9 (|a| + |theta| |b|_F) |x| ignores the scale of x, and
     (x, theta) of (a, b) passes exactly when (x, 1/theta) of (b, a) does."""
+    _note("certified", theta.size)
     norm = spla.norm if sp.issparse(b) else np.linalg.norm
     vec_norms = np.linalg.norm(vectors, axis=0)
     if callable(a):
@@ -144,6 +176,7 @@ def solve_pencil(pencil: SymmetricPencil) -> tuple[np.ndarray, np.ndarray]:
     signs fixed so the largest-magnitude entry of each vector is positive.
     Residuals are certified against 1e-9*(|a|_F + |theta| |b|_F) |x| per vector.
     """
+    _note("pencils", pencil.dim)
     theta, vectors = _eigh(pencil.a, pencil.b)
     vectors = _fix_signs(vectors)
     _certify(pencil.a, pencil.b, theta, vectors)

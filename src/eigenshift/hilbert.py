@@ -40,8 +40,9 @@ sigma* and the embedding constant are largest eigenvalues (:func:`_pencil_max`);
 a :class:`SubspacePair` decides once how two subspaces relate and solves each
 of its pencils once, densely on the removed dofs where it solves through the
 union.  Only the abstract suite's counterexamples and grid oracle read the
-dense Gram views.  The solvers note their work only inside a :func:`census`
-block, and no computation reads the notes.
+dense Gram views.  The solvers note their work only inside an
+:func:`eigsolve.census` block (``hilbert.census`` is the same class), and
+no computation reads the notes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .eigsolve import NotPositiveDefiniteError, PencilError, SymmetricPencil, solve_pencil
-from .eigsolve import _certify, _fix_signs
+from .eigsolve import _certify, _fix_signs, _note, census
 
 __all__ = [
     "EnergySpace",
@@ -86,30 +87,6 @@ _SOLVER_ALLOWANCE = 1e-8
 # the most dofs R a nested pair may remove and still solve through the union's
 # factor (SubspacePair); measured in CHANGES.md
 _CAPACITANCE_MAX = 48
-
-_CENSUSES: dict = {}  # the open census blocks by id; each gets every note
-
-
-class census(dict):
-    """A dict of the solver work done inside ``with census() as record:``, in
-    order: ``requests``, each :func:`_lowest_attempt`'s n (None for all pairs);
-    ``factors``, each sparse factor's (kind, dimension), kind "space" (a pivot
-    proof), "solve" (an A_II) or "count" (a Sylvester shift); the dimension of
-    each ``lanczos`` solve, ``interlaced`` slice and Sylvester count
-    (``counts``); each nested pair's |R| ``through_union``."""
-
-    def __enter__(self):
-        self.update(requests=[], lanczos=[], factors=[], interlaced=[], counts=[], through_union=[])
-        _CENSUSES[id(self)] = self
-        return self
-
-    def __exit__(self, *exc_info):
-        del _CENSUSES[id(self)]
-
-
-def _note(key: str, item) -> None:
-    for record in _CENSUSES.values():
-        record[key].append(item)
 
 
 class DimensionMismatchError(ValueError):
@@ -304,6 +281,7 @@ class Subspace:
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The w in this subspace with (w, v) = rhs' v for every v in it,
         columnwise: E A_II^-1 rhs_I."""
+        _note("solves", (self.dim, 1 if rhs.ndim == 1 else rhs.shape[1]))
         return self.embed(self._restricted_energy_solve(rhs[self.indices]))
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
@@ -410,11 +388,16 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
     ARPACK (mode 2, bmat='G') applies the operator to the start vector and
     to every restart vector before it uses them (dgetv0), so the Krylov
     space lies in that range.  The eigenvectors are A_II-orthonormal."""
-    n = sub.dim
+    n, applied = sub.dim, [0]
     _note("lanczos", n)
+
+    def counted(coords):
+        applied[0] += 1
+        return matvec(coords)
+
     try:
         return eigsh(
-            LinearOperator((n, n), matvec=matvec, dtype=float),
+            LinearOperator((n, n), matvec=counted, dtype=float),
             k=k,
             M=sub._energy_block,
             Minv=LinearOperator((n, n), matvec=sub._restricted_energy_solve, dtype=float),
@@ -424,6 +407,8 @@ def _lanczos_top(sub: Subspace, matvec, k: int) -> tuple[np.ndarray, np.ndarray]
         )
     except ArpackError as exc:
         raise PencilError(f"Lanczos eigensolve failed: {exc}") from exc
+    finally:
+        _note("applications", applied[0])
 
 
 def _top_pairs(sub: Subspace, kmat, k: int, step=None) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eigenshift import eigsolve, fem2d, hilbert, perturbation
+from eigenshift import eigsolve, fem2d, hilbert
 from eigenshift.fem2d import CoefficientField, unit_square_mesh
 from eigenshift.harness import ScenarioConfig, run_scenario
 
@@ -38,12 +38,12 @@ def _refuse_toarray(monkeypatch, limit):
 @pytest.fixture
 def dense_free(monkeypatch):
     """Make every dense array sized by the mesh raise: the dense Grams of an
-    energy space, any sparse matrix larger than DENSE_ROWS_LIMIT, and any
-    pencil larger than that solved by ``solve_pencil``, which solves every
-    dense pencil.  The dense branch of ``hilbert._top_pairs`` densifies A_II,
-    so the toarray refusal covers it over DENSE_ROWS_LIMIT rows too; the
-    capacitance pencil of ``SubspacePair.sigma_star`` is |R| x |R|, sized by
-    the removed dofs, at most ``hilbert._CAPACITANCE_MAX``."""
+    energy space and any sparse matrix larger than DENSE_ROWS_LIMIT; and fail
+    on any larger pencil in the census the test runs in, where ``solve_pencil``
+    notes every dense pencil.  The dense branch of ``hilbert._top_pairs``
+    densifies A_II, so the toarray refusal covers it over DENSE_ROWS_LIMIT
+    rows too; the capacitance pencil of ``SubspacePair.sigma_star`` is
+    |R| x |R|, sized by the removed dofs, at most ``hilbert._CAPACITANCE_MAX``."""
 
     def refuse(self):
         raise AssertionError("a dense N x N Gram was built")
@@ -51,15 +51,10 @@ def dense_free(monkeypatch):
     for name in ("energy_gram", "mass_gram"):
         monkeypatch.setattr(hilbert.EnergySpace, name, property(refuse))
     _refuse_toarray(monkeypatch, DENSE_ROWS_LIMIT)
-    true_solve = eigsolve.solve_pencil
-
-    def solve_pencil(pencil):
-        if pencil.dim > DENSE_ROWS_LIMIT:
-            raise AssertionError(f"a dense pencil of {pencil.dim} rows was solved")
-        return true_solve(pencil)
-
-    for module in (eigsolve, hilbert, perturbation):
-        monkeypatch.setattr(module, "solve_pencil", solve_pencil)
+    with eigsolve.census() as census:
+        yield
+    largest = max(census["pencils"], default=0)
+    assert largest <= DENSE_ROWS_LIMIT, f"a dense pencil of {largest} rows was solved"
 
 
 @pytest.fixture

@@ -385,20 +385,14 @@ def test_runs_need_no_explicit_basis(monkeypatch, scenario):
 def test_each_cell_makes_two_nodal_solves(monkeypatch, scenario):
     # S2 X and the correctors; T0 X is read from the pair, and the
     # proximities project through the Gram of S2 X
-    solves, per_cell = [], []
-    solve, cell_for = hilbert.Subspace._solve, harness._cell_for
-
-    def spy_solve(self, rhs):
-        solves.append(self.dim)
-        return solve(self, rhs)
+    per_cell, cell_for = [], harness._cell_for
 
     def spy_cell(*args):
-        solves.clear()
-        cell = cell_for(*args)
-        per_cell.append(len(solves))
+        with hilbert.census() as census:
+            cell = cell_for(*args)
+        per_cell.append(len(census["solves"]))
         return cell
 
-    monkeypatch.setattr(hilbert.Subspace, "_solve", spy_solve)
     monkeypatch.setattr(harness, "_cell_for", spy_cell)
     report = run_scenario(_family_config(scenario))
     assert report.passed, report.failures
@@ -694,8 +688,12 @@ def test_census_changes_no_output_and_records_only_inside_its_block(tmp_path):
         write_report(run_scenario(config), tmp_path / "inside")
     closed = json.dumps(census)
     write_report(run_scenario(config), tmp_path / "outside")
-    assert json.dumps(census) == closed and hilbert._CENSUSES == {}
+    assert json.dumps(census) == closed and eigsolve._CENSUSES == {}
     assert census["through_union"] == [8, 28] and census["lanczos"][-1] == 121
+    # the applications of each Lanczos solve, and the two capacitance pencils
+    assert len(census["applications"]) == len(census["lanczos"]) and min(census["applications"]) > 0
+    assert census["certified"] and min(census["certified"]) > 0
+    assert {8, 28} <= set(census["pencils"]) and census["solves"]
     for name in ("report.json", "rows.csv"):
         inside, outside = (tmp_path / side / name for side in ("inside", "outside"))
         assert inside.read_bytes() == outside.read_bytes()
@@ -762,18 +760,6 @@ def test_each_top_pair_is_certified_once(monkeypatch):
     # the Lanczos pairs they read, once.  The abstract suite passes no outer
     # spectrum; the h=1/12 checker notch at eps=2h proves its perturbed slice
     # complete by interlacing, whose Ritz pencil is dense
-    counts = {"solve": 0, "certify": 0}
-
-    def counted(key, func):
-        def spy(*args, **kwargs):
-            counts[key] += 1
-            return func(*args, **kwargs)
-
-        return spy
-
-    monkeypatch.setattr(eigsolve, "_eigh", counted("solve", eigsolve._eigh))
-    for module in (eigsolve, hilbert):
-        monkeypatch.setattr(module, "_certify", counted("certify", module._certify))
     # interlacing needs an outer spectrum, so no eigensolve given none tries it
     outers = []
     true_solve = hilbert.solve_operator_eigs
@@ -786,19 +772,18 @@ def test_each_top_pair_is_certified_once(monkeypatch):
     with hilbert.census() as census:
         assert verify_abstract(seed=2024, n_cases=50)["passed"]
     assert outers and all(outer is None for outer in outers)
-    assert counts["solve"] > 0 and census["interlaced"] == []
-    assert counts["certify"] == counts["solve"] + len(census["lanczos"])
+    assert census["pencils"] and census["interlaced"] == []
+    assert len(census["certified"]) == len(census["pencils"]) + len(census["lanczos"])
     h = 1.0 / 12.0
     config = ScenarioConfig(
         scenario="boundary_notch", h=h, eps=[2 * h], m=[1, 2],
         coefficient={"kind": "checker", "nu": 0.5},
     )
-    counts.update(solve=0, certify=0)
     with hilbert.census() as census:
         report = run_scenario(config)
     assert report.passed, report.failures
-    assert counts["solve"] > 0 and census["lanczos"] and census["interlaced"]
-    assert counts["certify"] == counts["solve"] + len(census["lanczos"])
+    assert census["pencils"] and census["lanczos"] and census["interlaced"]
+    assert len(census["certified"]) == len(census["pencils"]) + len(census["lanczos"])
 
 
 def test_verify_abstract_images_x1_once_per_case(monkeypatch):

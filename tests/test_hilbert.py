@@ -418,7 +418,7 @@ def test_nodal_sigma_certificate_rejects_wrong_eigenvector(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand", "notches"])
-def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
+def test_nodal_sigmas_solve_only_with_the_intersection(kind):
     # a nested pair's union is its larger operand, whose projector is the
     # identity on the union coordinates, and so is the union of sigma*'s
     # difference: those pencils need only the solves of the intersection.
@@ -426,19 +426,16 @@ def test_nodal_sigmas_solve_only_with_the_intersection(monkeypatch, kind):
     space, h1, h2 = _fem_pair(16, *_fem_pairs(16)[kind])
     assert SubspacePair(h1, h2).removed == 0
     inter = np.intersect1d(h1.indices, h2.indices)
-    solved = []
-    true_solve = Subspace._solve
-
-    def spy(self, rhs):
-        solved.append(self.indices)
-        return true_solve(self, rhs)
-
-    monkeypatch.setattr(Subspace, "_solve", spy)
-    if kind != "notches":
-        sigma_distance(SubspacePair(h1, h2))
-    sigma_star(SubspacePair(h1, h2))
-    assert solved
-    assert all(np.array_equal(indices, inter) for indices in solved)
+    # a solve's dimension names its subspace: each operand other than the
+    # intersection (both crossing notches, the outer nested one) is larger
+    outer = [sub.dim for sub in (h1, h2) if not np.array_equal(sub.indices, inter)]
+    assert len(outer) == (2 if kind == "notches" else 1) and inter.size < min(outer)
+    with hilbert.census() as census:
+        if kind != "notches":
+            sigma_distance(SubspacePair(h1, h2))
+        sigma_star(SubspacePair(h1, h2))
+    assert census["solves"]
+    assert {dim for dim, _ in census["solves"]} == {inter.size}
 
 
 def test_whole_space_factors_its_gram_once_on_first_use():
@@ -466,35 +463,21 @@ def test_whole_space_factors_its_gram_once_on_first_use():
 
 
 @pytest.mark.parametrize("kind", ["shrink", "expand", "notches"])
-def test_nested_lanczos_step_makes_one_inner_solve(monkeypatch, kind):
+def test_nested_lanczos_step_makes_one_inner_solve(kind):
     # when the union is an operand, Lanczos applies P' M alone: one solve with
     # the inner factor per operator application, and two for the
     # certificate's full numerator P' M P (at h=1/16, above the capacitance route)
     space, h1, h2 = _fem_pair(16, *_fem_pairs(16)[kind])
     assert SubspacePair(h1, h2).removed == 0
-    solves, steps = [], []
-    true_solve, true_lanczos = Subspace._solve, hilbert._lanczos_top
-
-    def spy_solve(self, rhs):
-        solves.append(self.dim)
-        return true_solve(self, rhs)
-
-    def spy_lanczos(sub, matvec, *rest):
-        def counted(coords):
-            steps.append(None)
-            return matvec(coords)
-
-        return true_lanczos(sub, counted, *rest)
-
-    monkeypatch.setattr(Subspace, "_solve", spy_solve)
-    monkeypatch.setattr(hilbert, "_lanczos_top", spy_lanczos)
-    if kind == "notches":
-        sigma_star(SubspacePair(h1, h2))
-    else:
-        sigma_distance(SubspacePair(h1, h2))
-    assert steps
-    assert len(solves) == len(steps) + 2
-    assert set(solves) == {np.intersect1d(h1.indices, h2.indices).size}
+    with hilbert.census() as census:
+        if kind == "notches":
+            sigma_star(SubspacePair(h1, h2))
+        else:
+            sigma_distance(SubspacePair(h1, h2))
+    steps = sum(census["applications"])
+    assert steps and len(census["applications"]) == len(census["lanczos"]) == 1
+    assert len(census["solves"]) == steps + 2
+    assert {dim for dim, _ in census["solves"]} == {np.intersect1d(h1.indices, h2.indices).size}
 
 
 def _removal_pair(kind, removed, n=12):
@@ -558,19 +541,24 @@ def test_capacitance_solve_matches_a_direct_factor(kind):
         assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
-    # the dense |R| x |R| pencil's top vector, bent by 1e-6 relative, fails
-    # the certificate against the K it was solved from
-    space, h1, h2 = _removal_pair("shrink", 8)
+def _bend_dense_pair(monkeypatch, column, seed):
+    """Make LAPACK's driver return the pair in ``column`` bent by 1e-6 relative."""
     true_eigh = eigsolve._eigh
 
     def bent(a, b):
         theta, vecs = true_eigh(a, b)
-        noise = np.random.default_rng(3).standard_normal(vecs.shape[0])
-        vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
+        noise = np.random.default_rng(seed).standard_normal(vecs.shape[0])
+        vecs[:, column] += 1e-6 * np.linalg.norm(vecs[:, column]) * noise / np.linalg.norm(noise)
         return theta, vecs
 
     monkeypatch.setattr(eigsolve, "_eigh", bent)
+
+
+def test_capacitance_sigma_certificate_rejects_wrong_top_vector(monkeypatch):
+    # the dense |R| x |R| pencil's top vector, bent by 1e-6 relative, fails
+    # the certificate against the K it was solved from
+    space, h1, h2 = _removal_pair("shrink", 8)
+    _bend_dense_pair(monkeypatch, -1, seed=3)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         sigma_distance(SubspacePair(h1, h2))
 
@@ -769,22 +757,14 @@ def test_corrupted_dense_top_pair_fails_the_one_certificate(monkeypatch):
     # (test_nodal_sigma_certificate_rejects_wrong_eigenvector bends Lanczos pairs)
     space = random_space(np.random.default_rng(33), 12)
     h1, h2 = Subspace(space, range(8)), Subspace(space, range(2, 12))
-    true_eigh = eigsolve._eigh
-
-    def corrupted(a, b):
-        theta, vecs = true_eigh(a, b)  # ascending, so the top pair is the last
-        noise = np.random.default_rng(2).standard_normal(vecs.shape[0])
-        vecs[:, -1] += 1e-6 * np.linalg.norm(vecs[:, -1]) * noise / np.linalg.norm(noise)
-        return theta, vecs
-
-    monkeypatch.setattr(eigsolve, "_eigh", corrupted)
+    _bend_dense_pair(monkeypatch, -1, seed=2)  # ascending, so the top pair is the last
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         solve_operator_eigs(space.whole(), group_tol=1e-9, n_lowest=4)
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         sigma_distance(SubspacePair(h1, h2))
 
 
-def test_dense_sigma_star_builds_its_numerator_once(monkeypatch):
+def test_dense_sigma_star_builds_its_numerator_once():
     # a crossing union of at most 20 dofs is solved densely from
     # K = numerator(I), and the certificate reads K x off that K: the
     # numerator's two intersection solves run once, on the identity, and
@@ -792,16 +772,9 @@ def test_dense_sigma_star_builds_its_numerator_once(monkeypatch):
     space = random_space(np.random.default_rng(34), 12)
     pair = SubspacePair(Subspace(space, range(9)), Subspace(space, range(3, 12)))
     assert pair.direction == "none" and pair.union.dim == 12 and pair.inter.dim == 6
-    solved = []
-    true_solve = Subspace._solve
-
-    def spy(self, rhs):
-        solved.append((self.dim, rhs.shape[1:]))
-        return true_solve(self, rhs)
-
-    monkeypatch.setattr(Subspace, "_solve", spy)
-    sigma_star(pair)
-    assert solved == [(6, (12,)), (6, (12,))]
+    with hilbert.census() as census:
+        sigma_star(pair)
+    assert census["solves"] == [(6, 12), (6, 12)] and census["pencils"] == [12]
 
 
 @pytest.mark.parametrize("kind", ["crossing", "nested"])
@@ -925,15 +898,7 @@ def test_interlacing_ritz_pair_is_certified(monkeypatch):
     a_res, m_res = h2._energy_block, h2._mass_block
     block = eigs2.vectors[h2.indices, :3]
     assert hilbert._interlacing_gap(a_res, m_res, block, outer) is not None
-    true_eigh = eigsolve._eigh
-
-    def bent(a, b):
-        theta, vecs = true_eigh(a, b)  # ascending, so the smallest pair is the first
-        noise = np.random.default_rng(4).standard_normal(vecs.shape[0])
-        vecs[:, 0] += 1e-6 * np.linalg.norm(vecs[:, 0]) * noise / np.linalg.norm(noise)
-        return theta, vecs
-
-    monkeypatch.setattr(eigsolve, "_eigh", bent)
+    _bend_dense_pair(monkeypatch, 0, seed=4)  # ascending, so the smallest pair is the first
     with pytest.raises(PencilError, match="eigenpair residual certification failed"):
         hilbert._interlacing_gap(a_res, m_res, block, outer)
 

@@ -41,3 +41,14 @@ def test_differences_lists_each_drifting_column_worst_first(tmp_path):
     ]
     # equal files give no line
     assert compare_trees.differences(left, left) == []
+
+
+def test_census_line_adds_applications_and_solves_or_n_a():
+    entry = {
+        "requests": [4, 6], "lanczos": [49, 21], "interlaced": [21], "counts": [],
+        "factors": [["solve", 49], ["solve", 21], ["count", 49]], "through_union": [8],
+    }
+    head = "[4, 6] (2, 3 = 0 + 2 + 1; 1 + 0; through the union: 8; "
+    assert compare_trees.census_line(entry) == head + "applications n/a, solves n/a)"
+    entry.update(applications=[30, 12], solves=[[21, 1], [21, 3], [49, 1]])
+    assert compare_trees.census_line(entry) == head + "applications 42, solves 3 (5 columns))"

@@ -43,7 +43,10 @@ space factor.  The partial spectra (the reference's among them) are split
 by what proved them complete: interlacing with the reference, or a
 Sylvester count.  Then come the pairs that solved through the union's
 factor: the |R| of each nested ``hilbert.SubspacePair`` that removed at most
-``hilbert._CAPACITANCE_MAX`` dofs R.  Both trees must have
+``hilbert._CAPACITANCE_MAX`` dofs R.  The line ends with the operator
+applications summed over the Lanczos solves and the count of subspace
+solves (``hilbert.Subspace._solve`` calls) with their columns, each
+``n/a`` on a tree whose census does not record it.  Both trees must have
 ``hilbert.census``; to compare against a tree that lacks it, run that
 tree's own copy of this tool, which reads the same counts by wrapping the
 solver routines.  Last it prints the size of each tree's package,
@@ -128,6 +131,22 @@ def factor_split(factors: list) -> str:
     """``total = space + solve + count`` of a census's (kind, dimension) factors."""
     kinds = [kind for kind, _ in factors]
     return f"{len(kinds)} = " + " + ".join(str(kinds.count(k)) for k in ("space", "solve", "count"))
+
+
+def census_line(entry: dict) -> str:
+    """One config's census: its requests (Lanczos solves, factor split;
+    partial spectra proved by interlacing + counted; |R| through the union;
+    Lanczos applications, subspace solves and their columns), ``n/a`` for
+    the last two where the tree's census lacks them."""
+    applications, solves = entry.get("applications"), entry.get("solves")
+    applied = "n/a" if applications is None else sum(applications)
+    solved = "n/a" if solves is None else f"{len(solves)} ({sum(c for _, c in solves)} columns)"
+    return (
+        f"{entry['requests']} ({len(entry['lanczos'])}, {factor_split(entry['factors'])}; "
+        f"{len(entry['interlaced'])} + {len(entry['counts'])}; "
+        f"through the union: {', '.join(map(str, entry['through_union'])) or 'none'}; "
+        f"applications {applied}, solves {solved})"
+    )
 
 
 def _scalar(text: str):
@@ -299,14 +318,10 @@ def main(argv: list) -> int:
           f"{len(names) - differ} files same, {differ} differ, {len(failures)} configs failed")
     print("eigensolves per config: n_lowest of every request (Lanczos solves, factorizations = "
           "space + solve + count; partial spectra proved by interlacing + counted; "
-          "|R| of each pair solved through the union), PARENT -> CHANGE")
+          "|R| of each pair solved through the union; Lanczos operator applications; "
+          "subspace solves (their columns)), PARENT -> CHANGE")
     for name in [*configs, "verify_fem"]:
-        old, new = (
-            f"{entry['requests']} ({len(entry['lanczos'])}, {factor_split(entry['factors'])}; "
-            f"{len(entry['interlaced'])} + {len(entry['counts'])}; "
-            f"through the union: {', '.join(map(str, entry['through_union'])) or 'none'})"
-            for entry in (log[name] for log in solves.values())
-        )
+        old, new = (census_line(log[name]) for log in solves.values())
         print(f"  {name}: {old} -> {new}" if old != new else f"  {name}: {old}, unchanged")
     print(f"src lines: {src_lines(parent)} -> {src_lines(change)}")
     old, new = exports(parent), exports(change)
